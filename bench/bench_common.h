@@ -11,7 +11,7 @@
 /// Environment knobs:
 ///   GC_BENCH_FULL=1       full Table 1 batch sweeps (default: reduced)
 ///   GC_BENCH_MIN_TIME=s   min seconds per measurement (default 0.08)
-///   GC_NUM_THREADS=n      worker threads (default: hardware)
+///   GC_THREADS=n          worker threads (default: hardware)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +22,7 @@
 #include "core/compiler.h"
 #include "graph/graph.h"
 #include "runtime/tensor_data.h"
+#include "runtime/thread_pool.h"
 #include "support/env.h"
 #include "support/rng.h"
 #include "support/timer.h"
@@ -119,8 +120,8 @@ inline void printBanner(const char *Title) {
   std::printf("==============================================================="
               "=========\n");
   std::printf("%s\n", Title);
-  std::printf("threads=%lld  full_sweep=%d  min_time=%.3fs\n",
-              (long long)getEnvInt("GC_NUM_THREADS", 1), fullSweep() ? 1 : 0,
+  std::printf("threads=%d  full_sweep=%d  min_time=%.3fs\n",
+              runtime::ThreadPool::global().numThreads(), fullSweep() ? 1 : 0,
               minMeasureTime());
   std::printf("==============================================================="
               "=========\n");

@@ -4,7 +4,7 @@
 // Table 1 workloads through the Session API and emits one JSON object per
 // line on stdout, e.g.
 //
-//   {"bench":"mlp1_f32","exec":"bytecode","isa":"avx512f+vnni",
+//   {"bench":"mlp1_f32","sched":"serial","isa":"avx512f+vnni",
 //    "kernels":"avx512","threads":4,"partitions":1,
 //    "us_per_iter":123.4,"cache_hit":0}
 //
@@ -17,17 +17,13 @@
 //
 // The *_small cases are deliberately tiny (batch-1, narrow layers): their
 // kernel work is a few microseconds, so they measure the interpretation /
-// dispatch overhead around the microkernels. The CI job runs the whole set
-// under GC_EXEC=tree and GC_EXEC=bytecode and commits the comparison as
-// BENCH_<pr>.json; the small cases are where the bytecode executor must
-// show its headroom.
+// dispatch overhead around the microkernels.
 //
 //===----------------------------------------------------------------------===//
 
 #include "api/session.h"
 #include "bench_common.h"
 #include "core/artifact.h"
-#include "exec/backend.h"
 #include "kernels/cpu_features.h"
 #include "runtime/artifact_cache.h"
 #include "workloads/mha.h"
@@ -66,14 +62,13 @@ void runCase(api::Session &S, const char *Name, graph::Graph G) {
   api::Stream Str = S.stream();
   const double Secs = measureSeconds(
       [&] { (void)Str.execute(CG, W.InPtrs, W.OutPtrs); });
-  std::printf("{\"bench\":\"%s\",\"exec\":\"%s\",\"sched\":\"%s\","
+  std::printf("{\"bench\":\"%s\",\"sched\":\"%s\","
               "\"isa\":\"%s\","
               "\"kernels\":\"%s\",\"threads\":%d,"
               "\"partitions\":%zu,\"fallback_partitions\":%zu,"
               "\"compile_us\":%.2f,"
               "\"us_per_iter\":%.2f,\"cache_hit\":%d}\n",
-              Name, exec::backendName(S.options().Exec),
-              S.options().AsyncExec ? "async" : "serial",
+              Name, S.options().AsyncExec ? "async" : "serial",
               kernels::isaName().c_str(),
               kernels::kernelTierName(kernels::activeKernelTier()),
               S.threadPool().numThreads(), CG.numPartitions(),
@@ -285,14 +280,13 @@ void runDynBatchCase(const char *Name) {
     }
 
     std::printf(
-        "{\"bench\":\"%s_b%lld\",\"exec\":\"%s\",\"sched\":\"%s\","
+        "{\"bench\":\"%s_b%lld\",\"sched\":\"%s\","
         "\"isa\":\"%s\",\"kernels\":\"%s\",\"threads\":%d,"
         "\"partitions\":%zu,\"fallback_partitions\":0,"
         "\"batch\":%lld,\"bucket\":%lld,\"specializations\":%zu,"
         "\"cold_us\":%.2f,\"exact_us\":%.2f,\"us_per_iter\":%.2f,"
         "\"cache_hit\":%d}\n",
-        Name, (long long)Batch, exec::backendName(PolyS.options().Exec),
-        PolyS.options().AsyncExec ? "async" : "serial",
+        Name, (long long)Batch, PolyS.options().AsyncExec ? "async" : "serial",
         kernels::isaName().c_str(),
         kernels::kernelTierName(kernels::activeKernelTier()),
         PolyS.threadPool().numThreads(),
@@ -327,7 +321,6 @@ void runColdStartCase(const char *Name, graph::Graph (*Build)()) {
   }
   const auto CacheOpts = [&](runtime::CacheMode Mode) {
     core::CompileOptions O;
-    O.Exec = exec::Backend::Bytecode;
     O.CacheMode = Mode;
     O.CacheDir = Dir;
     O.CacheMaxBytes = 0;

@@ -83,8 +83,8 @@ std::vector<int64_t> boundarySignature(const Graph &G) {
 void HealthState::warnOnce(const char *Axis, const char *Detail) {
   // The fixed degradation-axis list; one WarnedAxes bit each. Warning
   // spew scales with the number of axes, never with the failure rate.
-  static const char *const Axes[] = {"bytecode-tree", "async-serial",
-                                     "disk-cache", "bucketed-reference"};
+  static const char *const Axes[] = {"async-serial", "disk-cache",
+                                     "reference"};
   uint32_t Bit = 0;
   for (size_t I = 0; I < sizeof(Axes) / sizeof(Axes[0]); ++I)
     if (std::strcmp(Axis, Axes[I]) == 0) {
@@ -529,7 +529,6 @@ HealthStats Session::healthStats() const {
   const detail::HealthState &H = *State->Health;
   HealthStats S;
   S.TransientFailures = H.TransientFailures.load(std::memory_order_relaxed);
-  S.DegradedToTree = H.DegradedToTree.load(std::memory_order_relaxed);
   S.DegradedToSerial = H.DegradedToSerial.load(std::memory_order_relaxed);
   S.DegradedToReference =
       H.DegradedToReference.load(std::memory_order_relaxed);
@@ -664,14 +663,11 @@ detail::SessionState::compile(const std::shared_ptr<SessionState> &State,
       } else if (!Part.Compiled) {
         State->Misses.fetch_add(1);
         // Persistent artifact cache: on an in-memory miss, try the disk
-        // before paying a compile. Only the bytecode backend participates
-        // (artifacts carry bytecode, not the Tensor IR tree).
+        // before paying a compile.
         std::shared_ptr<core::CompiledPartition> Compiled;
         std::shared_ptr<runtime::FileLock> StoreLock;
         uint64_t DiskKey = 0;
-        const bool DiskOn = State->Disk->enabled() &&
-                            State->Opts.Exec == exec::Backend::Bytecode;
-        if (DiskOn) {
+        if (State->Disk->enabled()) {
           DiskKey = core::artifactCacheKey(Key, State->Opts,
                                            State->Pool->numThreads());
           Compiled = tryDiskLoad(*State, DiskKey, Spec.Subgraph);
@@ -708,23 +704,6 @@ detail::SessionState::compile(const std::shared_ptr<SessionState> &State,
         if (!Compiled) {
           Expected<std::shared_ptr<core::CompiledPartition>> CompiledOr =
               core::compilePartition(Spec.Subgraph, State->Opts, State->Pool);
-          if (!CompiledOr && isTransient(CompiledOr.status().code()) &&
-              State->Opts.Exec == exec::Backend::Bytecode) {
-            // Graceful degradation, bytecode -> tree: a transient failure
-            // of the bytecode pipeline (injection at "compile.bytecode",
-            // resource pressure) retries once on the tree evaluator
-            // instead of failing the graph. Tree partitions do not
-            // serialize, so the artifact store is skipped.
-            State->Health->TransientFailures.fetch_add(1);
-            State->Health->DegradedToTree.fetch_add(1);
-            State->Health->warnOnce("bytecode-tree",
-                                    CompiledOr.status().toString().c_str());
-            StoreLock.reset();
-            core::CompileOptions TreeOpts = State->Opts;
-            TreeOpts.Exec = exec::Backend::Tree;
-            CompiledOr =
-                core::compilePartition(Spec.Subgraph, TreeOpts, State->Pool);
-          }
           if (CompiledOr) {
             Compiled = CompiledOr.value();
             if (StoreLock) {
@@ -742,6 +721,16 @@ detail::SessionState::compile(const std::shared_ptr<SessionState> &State,
             Spec.Kind = PartitionKind::Fallback;
             std::lock_guard<std::mutex> Lock(State->CacheMutex);
             State->UnsupportedKeys.try_emplace(Key, Sig);
+          } else if (isTransient(CompiledOr.status().code())) {
+            // Graceful degradation: a transient compile failure (injection
+            // at "compile.bytecode", resource pressure) serves this
+            // partition on the interpreter for this compile only. Nothing
+            // is cached, so the next compile of the subgraph retries.
+            State->Health->TransientFailures.fetch_add(1);
+            State->Health->DegradedToReference.fetch_add(1);
+            State->Health->warnOnce("reference",
+                                    CompiledOr.status().toString().c_str());
+            Spec.Kind = PartitionKind::Fallback;
           } else {
             return CompiledOr.status();
           }
@@ -937,7 +926,7 @@ Status Stream::executePolymorphic(
     if (CG.Sess && CG.Sess->Health) {
       CG.Sess->Health->TransientFailures.fetch_add(1);
       CG.Sess->Health->DegradedToReference.fetch_add(1);
-      CG.Sess->Health->warnOnce("bucketed-reference",
+      CG.Sess->Health->warnOnce("reference",
                                 SpecOr.status().toString().c_str());
     }
     Expected<Graph> ExactOr = core::specializeForBatch(CG.SourceG, Batch);

@@ -80,7 +80,6 @@ std::vector<int64_t> boundarySignature(const graph::Graph &G);
 /// per degradation axis per session.
 struct HealthState {
   std::atomic<uint64_t> TransientFailures{0};
-  std::atomic<uint64_t> DegradedToTree{0};
   std::atomic<uint64_t> DegradedToSerial{0};
   std::atomic<uint64_t> DegradedToReference{0};
   std::atomic<uint64_t> CacheFallbacks{0};
@@ -105,14 +104,12 @@ struct HealthStats {
   /// Transient-classified failures observed anywhere in the stack
   /// (includes the ones a fallback then absorbed).
   uint64_t TransientFailures = 0;
-  /// Compiles that fell back from the bytecode pipeline to the tree
-  /// evaluator.
-  uint64_t DegradedToTree = 0;
   /// Executions that fell back from the async scheduler to the serial
   /// (or inline) schedule.
   uint64_t DegradedToSerial = 0;
-  /// Polymorphic executions served by the reference interpreter because
-  /// the bucket specialization could not be produced.
+  /// Work served by the reference interpreter instead of compiled code:
+  /// partitions whose compile failed transiently, and polymorphic
+  /// executions whose bucket specialization could not be produced.
   uint64_t DegradedToReference = 0;
   /// Compiles that proceeded in-process because the disk artifact cache
   /// could not serve (I/O failure or lock timeout).

@@ -844,7 +844,6 @@ uint64_t artifactCacheKey(uint64_t GraphFingerprint,
   W.u8(Opts.EnableBufferReuse);
   W.u8(Opts.FastSoftmax);
   W.u8(Opts.PrimitivesMode);
-  W.u8(static_cast<uint8_t>(Opts.Exec));
   W.u8(static_cast<uint8_t>(Tier));
   return fnv1aBytes(W.bytes().data(), W.size());
 }
@@ -860,7 +859,7 @@ uint64_t artifactCacheKey(uint64_t GraphFingerprint,
 //===----------------------------------------------------------------------===//
 
 std::vector<uint8_t> ArtifactCodec::serialize(const CompiledPartition &P) {
-  assert(P.Prog.Bytecode && "only bytecode partitions serialize");
+  assert(P.Prog.Bytecode && "partition without a bytecode program");
   ByteWriter W;
   W.u32(kArtifactPayloadVersion);
   // Raw constant bytes ship only where execution dereferences them:
@@ -1026,7 +1025,6 @@ ArtifactCodec::deserialize(const void *Payload, size_t Bytes,
     return S;
 
   P->Pool = std::move(Pool);
-  P->Backend = exec::Backend::Bytecode;
   P->InputIds = P->OptimizedG.inputs();
   P->OutputIds = P->OptimizedG.outputs();
   P->LoadedParallelNests = ParallelNests;

@@ -83,8 +83,8 @@ uint64_t artifactCacheKey(uint64_t GraphFingerprint,
 /// the partition exposes its internals to exactly one named type.
 struct ArtifactCodec {
   /// Flattens \p P into a self-contained payload (no file envelope — the
-  /// caller hands it to runtime::ArtifactCache::store). \p P must be a
-  /// bytecode-backend partition; the Tensor IR body is not serialized.
+  /// caller hands it to runtime::ArtifactCache::store). The bytecode
+  /// program ships; the Tensor IR body is not serialized.
   static std::vector<uint8_t> serialize(const CompiledPartition &P);
 
   /// Rebuilds a ready-to-execute partition from an untrusted payload

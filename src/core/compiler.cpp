@@ -223,12 +223,7 @@ Expected<CompiledPartition::ExecState> CompiledPartition::acquireExecState() {
   if (fault::shouldFail(fault::kExecState))
     return fault::failStatus(fault::kExecState, StatusCode::ResourceExhausted,
                              "execution-state construction");
-  ExecState State;
-  if (Backend == exec::Backend::Bytecode)
-    State.Byte = std::make_unique<exec::Executor>(Prog.Bytecode, *Pool);
-  else
-    State.Tree = std::make_unique<tir::Evaluator>(Prog.Entry, *Pool);
-  return State;
+  return std::make_unique<exec::Executor>(Prog.Bytecode, *Pool);
 }
 
 namespace {
@@ -267,11 +262,7 @@ void CompiledPartition::prewarmExecStates(size_t N) {
         return;
     }
     // Built outside the lock: state construction allocates frames.
-    ExecState State;
-    if (Backend == exec::Backend::Bytecode)
-      State.Byte = std::make_unique<exec::Executor>(Prog.Bytecode, *Pool);
-    else
-      State.Tree = std::make_unique<tir::Evaluator>(Prog.Entry, *Pool);
+    ExecState State = std::make_unique<exec::Executor>(Prog.Bytecode, *Pool);
     std::lock_guard<std::mutex> Lock(EvalMutex);
     // Re-checked under the lock: concurrent prewarms/releases may have
     // filled the pool meanwhile, and pushing blindly would overshoot
@@ -312,7 +303,7 @@ Status CompiledPartition::execute(
                                "null input tensor passed to execute");
         break;
       }
-      Eval.bindBuffer(B.BufferId, T->data());
+      Eval->bindBuffer(B.BufferId, T->data());
       break;
     }
     case lower::BindingKind::Output: {
@@ -322,7 +313,7 @@ Status CompiledPartition::execute(
                                "null output tensor passed to execute");
         break;
       }
-      Eval.bindBuffer(B.BufferId, T->data());
+      Eval->bindBuffer(B.BufferId, T->data());
       break;
     }
     case lower::BindingKind::Folded: {
@@ -332,14 +323,14 @@ Status CompiledPartition::execute(
       // silently read an unwritten output.
       if (!T)
         fatalError("folded constant missing from the cache");
-      Eval.bindBuffer(B.BufferId, const_cast<void *>(T->data()));
+      Eval->bindBuffer(B.BufferId, const_cast<void *>(T->data()));
       break;
     }
     case lower::BindingKind::ConstData: {
       const runtime::TensorData *T = OptimizedG.constantData(B.TensorId);
       if (!T)
         fatalError("constant binding without data");
-      Eval.bindBuffer(B.BufferId, const_cast<void *>(T->data()));
+      Eval->bindBuffer(B.BufferId, const_cast<void *>(T->data()));
       break;
     }
     }
@@ -351,7 +342,7 @@ Status CompiledPartition::execute(
       Result = fault::failStatus(fault::kKernelDispatch,
                                  StatusCode::Unavailable, "kernel dispatch");
     else
-      Eval.run();
+      Eval->run();
   }
   releaseExecState(std::move(Eval));
   return Result;
@@ -402,15 +393,13 @@ std::shared_ptr<runtime::ThreadPool> globalThreadPool() {
 Expected<std::shared_ptr<CompiledPartition>>
 compilePartition(const Graph &G, const CompileOptions &Opts,
                  std::shared_ptr<runtime::ThreadPool> Pool) {
-  // The bytecode pipeline is the degradable half of the backend choice:
-  // failing it here lets Session::compile retry on the tree evaluator.
-  if (Opts.Exec == exec::Backend::Bytecode &&
-      fault::shouldFail(fault::kCompileBytecode))
+  // A transient failure here makes Session::compile serve the partition
+  // on the reference interpreter for this one compile.
+  if (fault::shouldFail(fault::kCompileBytecode))
     return fault::failStatus(fault::kCompileBytecode, StatusCode::Unavailable,
                              "bytecode compile pipeline");
   auto Partition = std::shared_ptr<CompiledPartition>(new CompiledPartition);
   Partition->OptimizedG = G.clone();
-  Partition->Backend = Opts.Exec;
 
   // Thread pool: session-shared when provided, else derived from options.
   if (Pool)

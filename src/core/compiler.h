@@ -30,7 +30,6 @@
 #include "runtime/const_cache.h"
 #include "runtime/thread_pool.h"
 #include "support/status.h"
-#include "tir/eval.h"
 
 #include <atomic>
 #include <memory>
@@ -76,7 +75,7 @@ Expected<graph::Graph> specializeForBatch(const graph::Graph &G,
 /// Knobs of the whole compilation pipeline. The Enable* flags exist for
 /// the paper's ablations; defaults reproduce the full compiler.
 struct CompileOptions {
-  /// Worker threads (0 = GC_NUM_THREADS or hardware concurrency).
+  /// Worker threads (0 = GC_THREADS or hardware concurrency).
   int Threads = 0;
   /// §V low-precision conversion (int8 rewrite of DQ->MatMul->Q chains).
   bool EnableLowPrecision = true;
@@ -94,10 +93,8 @@ struct CompileOptions {
   /// execution with prepacked weights, plain activations between
   /// primitives, post-op-API-shaped fusion only, no coarse-grain merging.
   bool PrimitivesMode = false;
-  /// Which execution engine runs compiled partitions: the flat bytecode
-  /// dispatch loop (default) or the tree-walking evaluator kept as the
-  /// reference oracle. Defaults from GC_EXEC ("tree" | "bytecode").
-  exec::Backend Exec = exec::defaultBackend();
+  /// Read by nothing in src/; perfbench/src/{bench,models}.cpp still set it.
+  exec::Backend Exec = exec::Backend::Bytecode;
   /// Partitioning policy: split independent dataflow components into
   /// separate partitions (enables branch-level overlap under the async
   /// scheduler) instead of merging them into maximal partitions.
@@ -116,9 +113,7 @@ struct CompileOptions {
   int SpecCacheCap = defaultSpecCacheCap();
   /// Persistent compiled-artifact cache: whether Session may load
   /// partition artifacts from disk and/or store fresh compiles. Defaults
-  /// from GC_CACHE ("off" | "read" | "rw"). Only the bytecode backend
-  /// participates (a disk-loaded artifact carries bytecode, not the
-  /// Tensor IR tree the reference evaluator walks).
+  /// from GC_CACHE ("off" | "read" | "rw").
   runtime::CacheMode CacheMode = runtime::defaultCacheMode();
   /// Artifact cache directory. Defaults from GC_CACHE_DIR (see
   /// runtime/artifact_cache.h for the fallback chain).
@@ -148,8 +143,7 @@ struct PartitionStats {
 ///
 /// Thread safety: execute() may be called concurrently from any number of
 /// threads. The fold function runs exactly once (std::call_once); each
-/// execution binds its buffers on a private execution state (a bytecode
-/// executor or a tree evaluator, per CompileOptions::Exec) drawn from a
+/// execution binds its buffers on a private bytecode executor drawn from a
 /// small pool, whose register frames and scratch arenas belong to that
 /// execution rather than to the partition — the bytecode program itself
 /// is compiled once and shared. All inspection accessors are const and
@@ -180,8 +174,6 @@ public:
   const tir::Func &entry() const { return Prog.Entry; }
   /// Compiled bytecode program (inspection / tests).
   const exec::Program &bytecode() const { return *Prog.Bytecode; }
-  /// Execution engine this partition runs on.
-  exec::Backend backend() const { return Backend; }
   /// Compilation statistics. Safe before the first execution; the
   /// Folded* fields read as 0 until the fold function has run.
   PartitionStats stats() const;
@@ -210,25 +202,9 @@ private:
 
   void runFoldFunction();
 
-  /// One pooled execution state: exactly one of the two engines is set,
-  /// per the partition's backend. Each execute() owns its state for the
+  /// One pooled execution state. Each execute() owns its executor for the
   /// duration of the call, making concurrent executions independent.
-  struct ExecState {
-    std::unique_ptr<tir::Evaluator> Tree;
-    std::unique_ptr<exec::Executor> Byte;
-    void bindBuffer(int BufferId, void *Ptr) {
-      if (Byte)
-        Byte->bindBuffer(BufferId, Ptr);
-      else
-        Tree->bindBuffer(BufferId, Ptr);
-    }
-    void run() {
-      if (Byte)
-        Byte->run();
-      else
-        Tree->run();
-    }
-  };
+  using ExecState = std::unique_ptr<exec::Executor>;
 
   /// Takes an idle execution state from the pool, building one when the
   /// pool is empty. Construction allocates register frames and scratch
@@ -252,7 +228,6 @@ private:
   lower::LoweredProgram Prog;
   runtime::ConstCache Cache;
   std::shared_ptr<runtime::ThreadPool> Pool;
-  exec::Backend Backend = exec::Backend::Bytecode;
   std::once_flag FoldOnce;
   std::atomic<bool> FoldDone{false};
   mutable std::mutex EvalMutex;

@@ -1,20 +1,8 @@
-//===- backend.h - Executor backend selection -------------------*- C++ -*-===//
+//===- backend.h - Executor backend tag -------------------------*- C++ -*-===//
 ///
 /// \file
-/// Selects which of the two Tensor IR execution engines a compiled
-/// partition uses:
-///
-///  * Tree — the original recursive tree-walking evaluator (tir/eval.h).
-///    Kept as the reference oracle: it executes the Tensor IR exactly as
-///    written, so differential tests can pin the bytecode executor
-///    against it bit-for-bit.
-///  * Bytecode — the flat register-based bytecode program (exec/program.h)
-///    compiled once per partition and run by a tight dispatch loop
-///    (exec/executor.h). This is the default hot path.
-///
-/// The default comes from the GC_EXEC environment variable ("tree" or
-/// "bytecode"); core::CompileOptions carries the resolved choice so tests
-/// and benches can also toggle it programmatically per Session.
+/// Compiled partitions run on one engine: the flat bytecode program
+/// (exec/program.h) and its dispatch loop (exec/executor.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,20 +12,8 @@
 namespace gc {
 namespace exec {
 
-/// Execution engine for compiled partitions.
-enum class Backend {
-  /// Recursive tree-walking evaluator (reference oracle).
-  Tree,
-  /// Flat bytecode program + dispatch loop (default).
-  Bytecode,
-};
-
-/// Resolves GC_EXEC ("tree" | "bytecode", default "bytecode"). Unknown
-/// values fall back to Bytecode.
-Backend defaultBackend();
-
-/// Printable backend name ("tree" / "bytecode").
-const char *backendName(Backend B);
+/// Execution engine for compiled partitions; Bytecode is the only one.
+enum class Backend { Bytecode };
 
 } // namespace exec
 } // namespace gc

@@ -20,8 +20,7 @@ namespace exec {
 //
 // One flat function per intrinsic, selected once at program compile time;
 // executing a Call is register marshalling plus one indirect call. The
-// argument layouts mirror tir/intrinsics.h (and the tree evaluator's
-// execCall, which these must match bit for bit).
+// argument layouts are the ones tir/intrinsics.h documents.
 
 namespace {
 
@@ -294,7 +293,7 @@ KernelFn kernelAdapter(tir::Intrinsic In) {
 }
 
 //===----------------------------------------------------------------------===//
-// Executor setup (mirrors the tree evaluator's buffer placement)
+// Executor setup: buffer placement
 //===----------------------------------------------------------------------===//
 
 Executor::Executor(std::shared_ptr<const Program> Prog,

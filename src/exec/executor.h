@@ -6,13 +6,12 @@
 /// dispatch pipeline, see exec/program.h); each execution draws an
 /// Executor whose register frame, temp arena and per-worker scratch belong
 /// to that execution, so concurrent executes of one partition never share
-/// mutable state. This mirrors the tree evaluator's ownership model
-/// (tir/eval.h) with a program pointer instead of an IR walk.
+/// mutable state.
 ///
 /// Parallel For nests run through runtime::ThreadPool::parallelFor with a
-/// register-frame copy per worker — the same fork/join structure, trip
-/// counts and barrierCount() as the tree evaluator, so the two engines are
-/// interchangeable and bit-identical (the differential tests assert this).
+/// register-frame copy per worker: one fork/join barrier per parallel nest
+/// entered, and static chunking, so a partition's outputs are bit-identical
+/// across runs and thread counts.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -56,7 +56,7 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 /// Evaluates \p E when it is a compile-time constant, with exactly the
-/// tree evaluator's arithmetic (so folded results match runtime results
+/// dispatch loop's arithmetic (so folded results match runtime results
 /// bit for bit). Returns false for anything touching a variable or memory.
 bool evalConst(const ExprNode *E, Value &Out) {
   switch (E->kind()) {
@@ -322,8 +322,8 @@ ProgramBuilder::Operand ProgramBuilder::compileExpr(const ExprNode *E) {
     Operand A = compileExpr(B->A.get());
     Operand C = compileExpr(B->B.get());
     if (B->type() == ScalarType::F64) {
-      // Convert any integer operand, mirroring the evaluator's per-operand
-      // static-type conversion.
+      // Convert each integer operand by its own static type: a float
+      // binary op never sees an integer register.
       if (B->A->type() != ScalarType::F64) {
         Operand Conv = allocTemp();
         emit(Opcode::I2F, Conv.Reg, A.Reg);
@@ -505,8 +505,9 @@ bool ProgramBuilder::splitAffine(const Expr &E, const LoopCtx &Ctx,
 
 /// True when evaluating \p E could trap: an integer Div/Mod whose divisor
 /// is not a nonzero constant. Hoisted entry code runs at loop entry even
-/// when the use site sits inside a deeper zero-trip loop the tree oracle
-/// would skip, so trapping expressions must not be hoisted.
+/// when the use site sits inside a deeper zero-trip loop, and a zero-trip
+/// loop's body is never evaluated, so trapping expressions must not be
+/// hoisted.
 bool mayTrap(const Expr &E) {
   if (!E || E->kind() != ExprNode::Kind::Binary)
     return false;
@@ -627,8 +628,8 @@ ProgramBuilder::compileLoadStoreOffset(int BufferId,
     }
     return compileOffset(Flat);
   }
-  // Rare mixed-type indices: accumulate per dimension with the evaluator's
-  // per-index truncation.
+  // Rare mixed-type indices: each index truncates to an integer on its
+  // own before the per-dimension accumulation.
   Operand Acc = {intConstReg(0), false};
   int64_t Stride = 1;
   for (int64_t D = static_cast<int64_t>(Idx.size()) - 1; D >= 0; --D) {
@@ -759,11 +760,10 @@ void ProgramBuilder::compileParallelFor(const ForNode *For) {
   Loops.pop_back();
   assert(Done.Incr.empty() && "no inductions against a parallel loop");
 
-  // Zero-trip guard over the whole region: the tree oracle never
-  // evaluates a hoisted invariant (or dispatches the nest) when the loop
-  // is empty, and an entry expression may trap (Div/Mod) on the degenerate
-  // bounds. Skipping the nest entirely also skips the barrier, exactly as
-  // the tree evaluator's early return does.
+  // Zero-trip guard over the whole region: an empty loop never evaluates
+  // a hoisted invariant (or dispatches the nest), and an entry expression
+  // may trap (Div/Mod) on the degenerate bounds. Skipping the nest
+  // entirely also skips its barrier: only nests that run cost one.
   const size_t GuardPos = Out->size();
   emit(Opcode::JumpIfGeI, B.Reg, E.Reg); // target patched below
 
@@ -845,7 +845,7 @@ void ProgramBuilder::compileCall(const CallNode *C) {
     const Expr &E = C->Scalars[I];
     Value CV;
     if (evalConst(E.get(), CV)) {
-      // Pre-marshal both views exactly as the tree evaluator would.
+      // Pre-marshal both views exactly as a register operand would be.
       if (E->type() == ScalarType::F64) {
         D.SF[I] = CV.F;
         D.SI[I] = static_cast<int64_t>(CV.F);

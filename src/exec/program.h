@@ -3,16 +3,15 @@
 /// \file
 /// The compiled form of a slot-assigned tir::Func: a contiguous,
 /// register-based instruction array executed by a tight dispatch loop
-/// (exec/executor.h). This replaces the recursive tree-walking evaluator
-/// on the hot path — the paper JIT-compiles Tensor IR to LLVM IR so all
+/// (exec/executor.h). The paper JIT-compiles Tensor IR to LLVM IR so all
 /// loop/index arithmetic around the microkernel calls costs essentially
 /// nothing; the bytecode program is the offline reproduction of that
 /// property (stage 1: lower -> Tensor IR; stage 2: compile -> bytecode;
 /// stage 3: dispatch loop + microkernels).
 ///
-/// What compilation buys over tree walking:
+/// What compilation buys over walking the IR tree:
 ///  * one flat instruction stream — no shared_ptr node chasing, no
-///    recursive evalExpr, no per-statement kind switches over trees;
+///    recursive expression evaluation, no per-statement kind switches;
 ///  * constant-folded scalar arithmetic, with all literals preloaded into
 ///    a constant register image copied once per frame;
 ///  * Lets become plain register moves (slots are registers 0..NumSlots);
@@ -25,9 +24,10 @@
 ///    compile time — executing a call is argument marshalling from
 ///    registers plus one indirect call, with no intrinsic switch.
 ///
-/// Parallel For nests map onto ThreadPool::parallelFor exactly as the
-/// tree evaluator maps them (same trip counts, same one-barrier-per-nest
-/// structure), so numerical behavior and barrierCount() are unchanged.
+/// Each parallel For nest is one ThreadPool::parallelFor over its trip
+/// count, so one execution costs exactly one pool barrier per parallel
+/// nest it enters, and the static chunking keeps results identical across
+/// runs and thread counts.
 ///
 /// Control flow uses relative jump offsets, which keeps compiled blocks
 /// position-independent and lets the builder splice loop-entry code
@@ -48,8 +48,8 @@
 namespace gc {
 namespace exec {
 
-/// Register value; mirrors the tree evaluator's int/float split so both
-/// engines perform identical conversions (bit-identical results).
+/// Register value: an integer and a float view. Int<->float conversions
+/// are explicit I2F/F2I instructions, never implicit.
 struct Value {
   int64_t I = 0;
   double F = 0.0;
@@ -69,8 +69,8 @@ enum class Opcode : uint8_t {
   AddImmI, ///< R[A].I += Imm (induction advance on loop back edges)
   // Scalar element loads: R[A] = Buffers[B][R[C].I] (typed).
   LoadF32, LoadF64, LoadS32, LoadS8, LoadU8,
-  // Scalar element stores: Buffers[B][R[C].I] = R[A] (typed; S8/U8 clamp
-  // exactly as the tree evaluator does).
+  // Scalar element stores: Buffers[B][R[C].I] = R[A] (typed; S8/U8
+  // saturate the integer view to the type's range).
   StoreF32, StoreF64, StoreS32, StoreS8, StoreU8,
   // Control flow (Target is a signed offset relative to this instruction).
   JumpIfGeI, ///< if R[A].I >= R[B].I: PC += Target, else fall through
@@ -124,8 +124,7 @@ struct CallDesc {
 
 /// Compiled parallel loop. The body is the BodyLen instructions following
 /// the ParallelFor instruction; each worker runs it over a copy of the
-/// submitting frame with its own thread-local buffer table, matching the
-/// tree evaluator's execParallelFor.
+/// submitting frame with its own thread-local buffer table.
 struct ParDesc {
   uint16_t VarReg = 0;
   uint16_t BeginReg = 0;

@@ -3,8 +3,8 @@
 /// \file
 /// The kernel vocabulary that Fusible OPs lower to at template anchor points
 /// (§IV). Each kernel transforms one tensor slice ("tile") described by a
-/// base pointer, a row/column extent and a leading dimension, so the Tensor
-/// IR evaluator moves whole tiles per statement — mirroring how the paper's
+/// base pointer, a row/column extent and a leading dimension, so executing
+/// Tensor IR moves whole tiles per statement — mirroring how the paper's
 /// generated code keeps the per-element work inside compiled loops.
 ///
 /// Naming: suffix RowVec means a length-Cols vector broadcast across rows

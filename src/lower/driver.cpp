@@ -7,7 +7,6 @@
 #include "support/common.h"
 #include "support/env.h"
 #include "support/str.h"
-#include "tir/eval.h"
 #include "tir/printer.h"
 #include "tirpass/tirpass.h"
 #include "verify/verify.h"

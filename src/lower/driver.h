@@ -58,8 +58,7 @@ struct LoweredProgram {
   tir::Func Entry;
   /// Entry compiled to flat bytecode (exec/program.h) as the final
   /// lowering step; shared by every execution of the partition. Holds
-  /// pointers into Entry.Baked, so it lives alongside Entry. The tree
-  /// evaluator (GC_EXEC=tree) ignores it and walks Entry directly.
+  /// pointers into Entry.Baked, so it lives alongside Entry.
   std::shared_ptr<const exec::Program> Bytecode;
   /// Fold side: the constant-reachable subgraph ("initial function" of
   /// §V); executed once by the runtime, outputs cached.

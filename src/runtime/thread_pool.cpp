@@ -32,15 +32,11 @@ thread_local bool TlOnWorkerThread = false;
 
 ThreadPool::ThreadPool(int NumThreads) {
   if (NumThreads <= 0) {
-    // GC_THREADS is the public knob (bench/CI thread matrix); GC_NUM_THREADS
-    // is kept as a legacy alias. Clamp to [1, 1024]: a negative or absurd
-    // value (getEnvInt rejects garbage but not sign) must degrade to a
-    // sane pool, not underflow worker bookkeeping or spawn millions of
-    // threads.
+    // Clamp GC_THREADS to [1, 1024]: a negative or absurd value (getEnvInt
+    // rejects garbage but not sign) must degrade to a sane pool, not
+    // underflow worker bookkeeping or spawn millions of threads.
     constexpr int64_t kMaxThreads = 1024;
-    int64_t FromEnv = getEnvInt("GC_THREADS", 0);
-    if (FromEnv <= 0)
-      FromEnv = getEnvInt("GC_NUM_THREADS", 0);
+    const int64_t FromEnv = getEnvInt("GC_THREADS", 0);
     if (FromEnv > 0)
       NumThreads = static_cast<int>(std::min(FromEnv, kMaxThreads));
     else

@@ -24,8 +24,7 @@
 /// because per-execution state is leased per task, never shared.
 ///
 /// Environment knobs:
-///   GC_THREADS      worker threads (default: hardware concurrency);
-///                   GC_NUM_THREADS is honored as a legacy alias
+///   GC_THREADS      worker threads (default: hardware concurrency)
 ///   GC_SPIN_ITERS   bounded spin iterations before parking (default 4000;
 ///                   spinning auto-disables while the pools of this
 ///                   process together oversubscribe the machine — more
@@ -58,7 +57,7 @@ public:
   using JobFn = void (*)(void *Ctx, int64_t I, int ThreadId);
 
   /// Creates a pool with \p NumThreads workers (including the caller).
-  /// NumThreads == 0 selects GC_NUM_THREADS or hardware concurrency.
+  /// NumThreads == 0 selects GC_THREADS or hardware concurrency.
   explicit ThreadPool(int NumThreads = 0);
   ~ThreadPool();
 

@@ -69,7 +69,8 @@ inline constexpr const char *kCacheLock = "cache.flock";
 inline constexpr const char *kKernelDispatch = "exec.dispatch";
 /// Batch-specialization compile of a polymorphic CompiledGraph.
 inline constexpr const char *kSpecCompile = "spec.compile";
-/// Bytecode pipeline of compilePartition (degrades to the tree backend).
+/// compilePartition's pipeline; Session::compile serves the failed
+/// partition on the reference interpreter for that compile.
 inline constexpr const char *kCompileBytecode = "compile.bytecode";
 
 /// @}

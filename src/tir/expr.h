@@ -68,8 +68,8 @@ public:
 };
 
 /// Scalar variable (loop index or let-bound value). Slot indices are
-/// assigned by the slot-assignment pass so the evaluator reads frames by
-/// array index instead of name lookup.
+/// assigned by the slot-assignment pass; slot I becomes bytecode register
+/// I, so execution reads frames by array index instead of name lookup.
 class VarNode : public ExprNode {
 public:
   VarNode(std::string Name, ScalarType Ty)

@@ -111,6 +111,11 @@ struct Module {
   std::optional<Func> Fold;
 };
 
+/// Assigns frame slots to every distinct variable of \p F and records the
+/// frame size in F.NumSlots. Must run before bytecode compilation (the
+/// lowering driver runs it as the final Tensor IR pass).
+void assignSlots(Func &F);
+
 } // namespace tir
 } // namespace gc
 

@@ -9,8 +9,9 @@
 /// each maps 1:1 onto a kernel in src/kernels/tile_ops.h.
 ///
 /// Calling convention: a CallStmt carries an ordered buffer-reference list
-/// and an ordered scalar list; the per-intrinsic layout is documented here
-/// and enforced by the evaluator.
+/// and an ordered scalar list; the per-intrinsic layout is documented here,
+/// checked by the Tensor IR verifier and followed by the kernel adapters
+/// (exec/executor.cpp).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -43,8 +43,7 @@ namespace {
 using namespace tir;
 
 /// Buffer/scalar arity of each intrinsic, from the conventions table in
-/// tir/intrinsics.h (the same contract the evaluator and the kernel
-/// adapters marshal by).
+/// tir/intrinsics.h (the same contract the kernel adapters marshal by).
 struct IntrinsicSig {
   uint8_t NumBufs = 0;
   uint8_t NumScalars = 0;

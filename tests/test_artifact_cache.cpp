@@ -129,7 +129,6 @@ core::CompileOptions cacheOpts(const TempDir &Dir,
   Opts.CacheMode = Mode;
   Opts.CacheDir = Dir.Path;
   Opts.CacheMaxBytes = 0; // unlimited; LRU behavior is tested separately
-  Opts.Exec = exec::Backend::Bytecode;
   return Opts;
 }
 
@@ -281,7 +280,6 @@ TEST(ArtifactCacheEnvelope, CorruptionFuzzEveryMutationRejected) {
 TEST(ArtifactCodec, RoundtripExecutesBitIdentically) {
   const Graph G = buildMlp();
   core::CompileOptions Opts;
-  Opts.Exec = exec::Backend::Bytecode;
   Opts.CacheMode = CacheMode::Off;
   std::shared_ptr<core::CompiledPartition> P = core::compileGraph(G, Opts);
   ASSERT_NE(P, nullptr);
@@ -299,7 +297,6 @@ TEST(ArtifactCodec, RoundtripExecutesBitIdentically) {
   EXPECT_EQ(L.stats().ParallelNests, P->stats().ParallelNests);
   EXPECT_EQ(L.stats().CoarseGrainMerges, P->stats().CoarseGrainMerges);
   EXPECT_EQ(L.stats().ScratchArenaBytes, P->stats().ScratchArenaBytes);
-  EXPECT_EQ(L.backend(), exec::Backend::Bytecode);
   EXPECT_EQ(L.outputShapes(), P->outputShapes());
 
   // Identical inputs through both partitions: bit-identical outputs.
@@ -315,7 +312,6 @@ TEST(ArtifactCodec, RoundtripExecutesBitIdentically) {
 TEST(ArtifactCodec, TruncatedPayloadAlwaysRejected) {
   const Graph G = buildMlp();
   core::CompileOptions Opts;
-  Opts.Exec = exec::Backend::Bytecode;
   Opts.CacheMode = CacheMode::Off;
   std::shared_ptr<core::CompiledPartition> P = core::compileGraph(G, Opts);
   auto Payload = std::make_shared<std::vector<uint8_t>>(
@@ -351,7 +347,6 @@ TEST(ArtifactCodec, ByteFlipSweepParsesSafely) {
   // so the codec never sees checksum-invalid bytes in production.
   const Graph G = buildMlp(8, 16, 8);
   core::CompileOptions Opts;
-  Opts.Exec = exec::Backend::Bytecode;
   Opts.CacheMode = CacheMode::Off;
   std::shared_ptr<core::CompiledPartition> P = core::compileGraph(G, Opts);
   const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
@@ -415,9 +410,6 @@ TEST(ArtifactKey, KernelTierThreadsAndOptionsSeparateKeys) {
   EXPECT_NE(Scalar, Flip([](core::CompileOptions &O) { O.FastSoftmax ^= 1; }));
   EXPECT_NE(Scalar,
             Flip([](core::CompileOptions &O) { O.PrimitivesMode ^= 1; }));
-  EXPECT_NE(Scalar, Flip([](core::CompileOptions &O) {
-              O.Exec = exec::Backend::Tree;
-            }));
   // Cache plumbing knobs do NOT shape the artifact; same key.
   EXPECT_EQ(Scalar, Flip([](core::CompileOptions &O) {
               O.CacheMode = CacheMode::ReadWrite;
@@ -500,18 +492,6 @@ TEST(ArtifactSession, CorruptEntrySelfHealsWithFreshCompile) {
   EXPECT_EQ(After.diskCacheHits(), 1u);
 }
 
-TEST(ArtifactSession, TreeBackendBypassesDiskCache) {
-  TempDir Dir;
-  core::CompileOptions Opts = cacheOpts(Dir);
-  Opts.Exec = exec::Backend::Tree;
-  api::Session S(Opts);
-  (void)runOnce(S, buildMlp());
-  EXPECT_EQ(S.diskCacheHits(), 0u);
-  EXPECT_EQ(S.diskCacheMisses(), 0u);
-  EXPECT_EQ(S.diskCacheStores(), 0u);
-  EXPECT_EQ(Dir.numEntries(), 0u);
-}
-
 //===----------------------------------------------------------------------===//
 // Cross-process: tier isolation and the multi-process stress test
 //===----------------------------------------------------------------------===//
@@ -578,7 +558,6 @@ TEST(ArtifactWorker, DISABLED_CompileReportExit) {
   if (!std::getenv("GC_SPAWNED_WORKER"))
     GTEST_SKIP() << "worker test only runs when re-exec'd by a parent test";
   core::CompileOptions Opts; // GC_CACHE / GC_CACHE_DIR / GC_KERNELS applied
-  Opts.Exec = exec::Backend::Bytecode;
   api::Session S(Opts);
   const TensorData Out = runOnce(S, buildMlp());
   std::printf("GC_WORKER hits=%llu stores=%llu checksum=%llx\n",

@@ -226,6 +226,14 @@ struct AblationCase {
   bool FineGrain, CoarseGrain, Layout, Reuse;
 };
 
+// Without this gtest prints the raw bytes of the case, which hold the
+// address of Name and uninitialized padding; the test names CTest derives
+// from that listing would then change from one build to the next.
+void PrintTo(const AblationCase &C, std::ostream *OS) {
+  *OS << "fine=" << C.FineGrain << ",coarse=" << C.CoarseGrain
+      << ",layout=" << C.Layout << ",reuse=" << C.Reuse;
+}
+
 class AblationCorrectness : public ::testing::TestWithParam<AblationCase> {};
 
 TEST_P(AblationCorrectness, MlpF32) {

@@ -3,9 +3,10 @@
 // Property-based coverage of the whole compiler: for a parameterized grid
 // of (batch, K, N, dtype, threads) including ragged primes, tails smaller
 // than every block size, GEMMV columns and batched attention shapes, the
-// compiled partition must match the reference interpreter. This is the
-// sweep that catches blocking-edge bugs (padding rows/cols, partial
-// k-batches, grid clamps) the targeted tests miss.
+// compiled partition must match the reference interpreter, and a second
+// execution of the same partition must reproduce the first bit for bit.
+// This is the sweep that catches blocking-edge bugs (padding rows/cols,
+// partial k-batches, grid clamps) the targeted tests miss.
 //
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,8 @@
 #include "test_utils.h"
 
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 using namespace gc;
 using namespace gc::graph;
@@ -50,13 +53,17 @@ void compareCompiledToReference(const Graph &G, int Threads,
   std::vector<TensorData *> InPtrs;
   for (auto &T : Inputs)
     InPtrs.push_back(&T);
-  std::vector<TensorData> Outs;
-  for (const auto &W : Want)
-    Outs.emplace_back(W.dtype(), W.shape());
-  std::vector<TensorData *> OutPtrs;
-  for (auto &T : Outs)
-    OutPtrs.push_back(&T);
-  EXPECT_TRUE(Partition->execute(InPtrs, OutPtrs).isOk());
+  const auto Execute = [&] {
+    std::vector<TensorData> Outs;
+    for (const auto &W : Want)
+      Outs.emplace_back(W.dtype(), W.shape());
+    std::vector<TensorData *> OutPtrs;
+    for (auto &T : Outs)
+      OutPtrs.push_back(&T);
+    EXPECT_TRUE(Partition->execute(InPtrs, OutPtrs).isOk());
+    return Outs;
+  };
+  const std::vector<TensorData> Outs = Execute();
 
   for (size_t I = 0; I < Outs.size(); ++I) {
     if (isQuantizedType(Outs[I].dtype()))
@@ -66,6 +73,15 @@ void compareCompiledToReference(const Graph &G, int Threads,
       ASSERT_LE(runtime::maxRelDiff(Outs[I], Want[I], 1e-2), RelTol)
           << "output " << I;
   }
+
+  // The second run reuses the pooled execution state (register frames,
+  // scratch arenas) and the folded constants of the first.
+  const std::vector<TensorData> Again = Execute();
+  for (size_t I = 0; I < Outs.size(); ++I)
+    ASSERT_EQ(std::memcmp(Outs[I].data(), Again[I].data(),
+                          static_cast<size_t>(Outs[I].numBytes())),
+              0)
+        << "output " << I << " differs between two executions";
 }
 
 //===----------------------------------------------------------------------===//
@@ -116,6 +132,15 @@ struct MlpCase {
   std::vector<int64_t> Dims;
   bool Int8;
 };
+
+// Without this gtest prints the raw bytes of the case, i.e. the heap
+// pointers of Dims, and the test names CTest derives from that listing
+// would change from one run to the next.
+void PrintTo(const MlpCase &C, std::ostream *OS) {
+  for (size_t I = 0; I < C.Dims.size(); ++I)
+    *OS << (I ? "x" : "") << C.Dims[I];
+  *OS << (C.Int8 ? "_int8" : "_f32");
+}
 
 class MlpSweep : public ::testing::TestWithParam<MlpCase> {};
 

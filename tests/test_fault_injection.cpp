@@ -346,7 +346,6 @@ void sweepAllSites(bool Async, int Threads) {
                  "/threads=" + std::to_string(Threads));
     core::CompileOptions Opts;
     Opts.Threads = Threads;
-    Opts.Exec = exec::Backend::Bytecode;
     Opts.AsyncExec = Async;
     Opts.SplitIndependentPartitions = Async;
     api::Session S(Opts);
@@ -411,7 +410,6 @@ void probabilisticSoak(bool Async, int Threads, uint64_t Seed) {
 
   core::CompileOptions Opts;
   Opts.Threads = Threads;
-  Opts.Exec = exec::Backend::Bytecode;
   Opts.AsyncExec = Async;
   Opts.SplitIndependentPartitions = Async;
   api::Session S(Opts);
@@ -730,13 +728,12 @@ TEST(ExecPool, AcquisitionFailureIsLocatedAndRecovers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Graceful degradation: bytecode -> tree
+// Graceful degradation: compile -> reference interpreter
 //===----------------------------------------------------------------------===//
 
-TEST(Degrade, BytecodeCompileFallsBackToTree) {
+TEST(Degrade, BytecodeCompileFallsBackToReference) {
   const Graph G = buildMlpGraph();
   core::CompileOptions Opts;
-  Opts.Exec = exec::Backend::Bytecode;
   // A warm artifact cache would serve the bytecode without running the
   // faulted compile, so degradation would never trigger; keep the cache
   // out of this test regardless of GC_CACHE in the environment.
@@ -752,18 +749,26 @@ TEST(Degrade, BytecodeCompileFallsBackToTree) {
     ASSERT_TRUE(CGOr.hasValue()) << CGOr.status().toString();
     CG = *CGOr;
   }
-  EXPECT_GE(S.healthStats().DegradedToTree, 1u);
+  EXPECT_GE(S.healthStats().DegradedToReference, 1u);
   EXPECT_GE(S.healthStats().TransientFailures, 1u);
   ASSERT_EQ(CG->numPartitions(), 1u);
-  ASSERT_NE(CG->compiledPartition(0), nullptr);
-  EXPECT_EQ(CG->compiledPartition(0)->backend(), exec::Backend::Tree);
+  EXPECT_EQ(CG->partitionKind(0), api::PartitionKind::Fallback);
+  EXPECT_EQ(CG->compiledPartition(0), nullptr);
 
   std::vector<runtime::TensorData> Outs = makeOutputs(G);
   std::vector<runtime::TensorData *> OutPtrs = ptrs(Outs);
   api::Stream Str = S.stream();
   const Status Got = Str.execute(*CG, ptrs(Ins), OutPtrs);
   ASSERT_TRUE(Got.isOk()) << Got.toString();
-  expectClose(Outs, Want, "tree-degraded compile");
+  expectClose(Outs, Want, "reference-degraded compile");
+
+  // Nothing is latched: once the fault is gone, the same session compiles
+  // the same subgraph for real.
+  auto AgainOr = S.compile(G);
+  ASSERT_TRUE(AgainOr.hasValue()) << AgainOr.status().toString();
+  ASSERT_EQ((*AgainOr)->numPartitions(), 1u);
+  EXPECT_EQ((*AgainOr)->partitionKind(0), api::PartitionKind::Compiled);
+  EXPECT_NE((*AgainOr)->compiledPartition(0), nullptr);
 }
 
 //===----------------------------------------------------------------------===//
@@ -809,7 +814,6 @@ TEST(CacheLock, SessionCompilesInProcessWhenLockHeld) {
   TempDir Dir;
   core::CompileOptions Opts;
   Opts.Threads = 1;
-  Opts.Exec = exec::Backend::Bytecode;
   Opts.CacheMode = runtime::CacheMode::ReadWrite;
   Opts.CacheDir = Dir.Path;
   const Graph G = buildMlpGraph();
@@ -858,7 +862,6 @@ TEST(CacheChaos, LoadFailureFallsBackToInProcessCompile) {
   TempDir Dir;
   core::CompileOptions Opts;
   Opts.Threads = 1;
-  Opts.Exec = exec::Backend::Bytecode;
   Opts.CacheMode = runtime::CacheMode::ReadWrite;
   Opts.CacheDir = Dir.Path;
   const Graph G = buildMlpGraph();
@@ -885,7 +888,6 @@ TEST(CacheChaos, StoreFailureLeavesNoEntryAndCompileSucceeds) {
   TempDir Dir;
   core::CompileOptions Opts;
   Opts.Threads = 1;
-  Opts.Exec = exec::Backend::Bytecode;
   Opts.CacheMode = runtime::CacheMode::ReadWrite;
   Opts.CacheDir = Dir.Path;
   const Graph G = buildMlpGraph();

@@ -2,14 +2,13 @@
 //
 // Negative-path coverage: invalid graphs must be rejected by verification
 // or abort with a diagnostic (not corrupt memory), degenerate-but-legal
-// shapes must compile and run, and the evaluator must reject unbound
+// shapes must compile and run, and the executor must reject unbound
 // buffers. Fatal paths use gtest death assertions.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/compiler.h"
 #include "graph/reference.h"
-#include "tir/eval.h"
 #include "workloads/mlp.h"
 #include "test_utils.h"
 
@@ -31,9 +30,8 @@ TEST(Robustness, UnboundEvaluatorBufferAborts) {
       {tir::makeStore(In, {tir::Expr(I)}, tir::makeFloat(0.0))}));
   tir::assignSlots(F);
   runtime::ThreadPool Pool(1);
-  tir::Evaluator E(F, Pool);
   // Param never bound.
-  EXPECT_DEATH(E.run(), "unbound tensor buffer");
+  EXPECT_DEATH(test::runTir(F, Pool, {}), "unbound tensor buffer");
 }
 
 TEST(Robustness, GraphCycleAborts) {

@@ -7,7 +7,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "tir/eval.h"
 #include "tir/printer.h"
 #include "test_utils.h"
 
@@ -67,10 +66,7 @@ TEST(TirEval, ScalarLoopStoreLoad) {
   std::vector<float> InV = {0, 1, 2, 3, 4, 5, 6, 7};
   std::vector<float> OutV(8, -1.0f);
   runtime::ThreadPool Pool(1);
-  Evaluator E(F, Pool);
-  E.bindBuffer(In, InV.data());
-  E.bindBuffer(Out, OutV.data());
-  E.run();
+  runTir(F, Pool, {{In, InV.data()}, {Out, OutV.data()}});
   for (int K = 0; K < 8; ++K)
     EXPECT_EQ(OutV[static_cast<size_t>(K)], 2.0f * K + 1.0f);
 }
@@ -87,9 +83,7 @@ TEST(TirEval, MultiDimIndexingRowMajor) {
   assignSlots(F);
   std::vector<int32_t> M(12, -1);
   runtime::ThreadPool Pool(1);
-  Evaluator E(F, Pool);
-  E.bindBuffer(Buf, M.data());
-  E.run();
+  runTir(F, Pool, {{Buf, M.data()}});
   EXPECT_EQ(M[0], 0);
   EXPECT_EQ(M[5], 11); // row 1 col 1
   EXPECT_EQ(M[11], 23);
@@ -106,9 +100,7 @@ TEST(TirEval, ParallelLoopAcrossWorkers) {
   assignSlots(F);
   std::vector<int32_t> Out(128, 0);
   runtime::ThreadPool Pool(4);
-  Evaluator E(F, Pool);
-  E.bindBuffer(Buf, Out.data());
-  E.run();
+  runTir(F, Pool, {{Buf, Out.data()}});
   for (int K = 0; K < 128; ++K)
     ASSERT_EQ(Out[static_cast<size_t>(K)], 3 * K);
 }
@@ -131,9 +123,7 @@ TEST(TirEval, ThreadLocalScratchIsolated) {
   assignSlots(F);
   std::vector<int32_t> OutV(64, -1);
   runtime::ThreadPool Pool(4);
-  Evaluator E(F, Pool);
-  E.bindBuffer(Out, OutV.data());
-  E.run();
+  runTir(F, Pool, {{Out, OutV.data()}});
   for (int K = 0; K < 64; ++K)
     ASSERT_EQ(OutV[static_cast<size_t>(K)], 7 * K);
 }
@@ -150,9 +140,7 @@ TEST(TirEval, LetBindsScalars) {
   assignSlots(F);
   std::vector<int32_t> OutV(4, 0);
   runtime::ThreadPool Pool(1);
-  Evaluator E(F, Pool);
-  E.bindBuffer(Out, OutV.data());
-  E.run();
+  runTir(F, Pool, {{Out, OutV.data()}});
   for (int K = 0; K < 4; ++K)
     ASSERT_EQ(OutV[static_cast<size_t>(K)], 2 * (5 * K + 2));
 }
@@ -176,11 +164,7 @@ TEST(TirEval, BrgemmIntrinsicFromTir) {
   auto BV = randomF32(K * N, 22);
   std::vector<float> CV(static_cast<size_t>(M * N), 0.0f);
   runtime::ThreadPool Pool(1);
-  Evaluator E(F, Pool);
-  E.bindBuffer(A, AV.data());
-  E.bindBuffer(B, BV.data());
-  E.bindBuffer(C, CV.data());
-  E.run();
+  runTir(F, Pool, {{A, AV.data()}, {B, BV.data()}, {C, CV.data()}});
   const auto Expected = naiveGemmF32(AV, BV, M, N, K);
   for (size_t I = 0; I < CV.size(); ++I)
     ASSERT_NEAR(CV[I], Expected[I], kF32Tol * K);
@@ -195,9 +179,7 @@ TEST(TirEval, TileIntrinsicWithOffsetRef) {
   assignSlots(F);
   std::vector<float> XV = {-1, -2, -3, -4, -5, 6, -7, 8};
   runtime::ThreadPool Pool(1);
-  Evaluator E(F, Pool);
-  E.bindBuffer(X, XV.data());
-  E.run();
+  runTir(F, Pool, {{X, XV.data()}});
   EXPECT_EQ(XV[0], -1.0f) << "row 0 untouched";
   EXPECT_EQ(XV[4], 0.0f);
   EXPECT_EQ(XV[5], 6.0f);
@@ -223,10 +205,7 @@ TEST(TirEval, TempBufferWithArenaOffset) {
   std::vector<float> InV = {1, 2, 3, 4};
   std::vector<float> OutV(4, 0.0f);
   runtime::ThreadPool Pool(1);
-  Evaluator E(F, Pool);
-  E.bindBuffer(In, InV.data());
-  E.bindBuffer(Out, OutV.data());
-  E.run();
+  runTir(F, Pool, {{In, InV.data()}, {Out, OutV.data()}});
   EXPECT_EQ(OutV, InV);
 }
 

@@ -7,7 +7,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "tir/eval.h"
 #include "tir/printer.h"
 #include "tirpass/tirpass.h"
 #include "support/str.h"
@@ -56,10 +55,7 @@ TEST(LoopMerge, MergesMarkedAdjacentNests) {
   for (int I = 0; I < 16; ++I)
     InV[static_cast<size_t>(I)] = static_cast<float>(I);
   runtime::ThreadPool Pool(3);
-  Evaluator E(F, Pool);
-  E.bindBuffer(In, InV.data());
-  E.bindBuffer(Out, OutV.data());
-  E.run();
+  test::runTir(F, Pool, {{In, InV.data()}, {Out, OutV.data()}});
   for (int I = 0; I < 16; ++I)
     ASSERT_EQ(OutV[static_cast<size_t>(I)], 2.0f * I + 1.0f);
 }
@@ -144,10 +140,8 @@ TEST(BufferReuse, ExecutionCorrectUnderReuse) {
   assignSlots(Fix.F);
   std::vector<float> InV(64, 1.0f), OutV(64, 0.0f);
   runtime::ThreadPool Pool(2);
-  Evaluator E(Fix.F, Pool);
-  E.bindBuffer(Fix.In, InV.data());
-  E.bindBuffer(Fix.Out, OutV.data());
-  E.run();
+  test::runTir(Fix.F, Pool,
+               {{Fix.In, InV.data()}, {Fix.Out, OutV.data()}});
   for (float V : OutV)
     ASSERT_EQ(V, 32.0f); // 2^5
 }
@@ -206,10 +200,7 @@ TEST(TensorShrink, WellFormedShrinkExecutes) {
   for (int I = 0; I < 32; ++I)
     InV[static_cast<size_t>(I)] = static_cast<float>(I);
   runtime::ThreadPool Pool(1);
-  Evaluator E(F, Pool);
-  E.bindBuffer(In, InV.data());
-  E.bindBuffer(Out, OutV.data());
-  E.run();
+  test::runTir(F, Pool, {{In, InV.data()}, {Out, OutV.data()}});
   for (int I = 0; I < 32; ++I)
     ASSERT_EQ(OutV[static_cast<size_t>(I)], 3.0f * I);
 }

@@ -2,17 +2,22 @@
 ///
 /// \file
 /// Helpers shared by the test suite: deterministic tensor filling, naive
-/// matrix products used as local oracles, and tolerance constants.
+/// matrix products used as local oracles, tolerance constants, and a
+/// one-call runner for hand-built Tensor IR.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GC_TESTS_TEST_UTILS_H
 #define GC_TESTS_TEST_UTILS_H
 
+#include "exec/executor.h"
 #include "runtime/tensor_data.h"
+#include "runtime/thread_pool.h"
 #include "support/rng.h"
+#include "tir/function.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace gc {
@@ -88,6 +93,16 @@ inline runtime::TensorData randomTensor(DataType Ty,
   Rng R(Seed);
   T.fillRandom(R);
   return T;
+}
+
+/// Compiles slot-assigned \p F to bytecode and runs it once on \p Pool
+/// with the given (buffer id, storage) bindings.
+inline void runTir(const tir::Func &F, runtime::ThreadPool &Pool,
+                   const std::vector<std::pair<int, void *>> &Bindings) {
+  exec::Executor X(exec::compileProgram(F), Pool);
+  for (const auto &[BufferId, Ptr] : Bindings)
+    X.bindBuffer(BufferId, Ptr);
+  X.run();
 }
 
 } // namespace test

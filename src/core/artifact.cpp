@@ -653,6 +653,11 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
       R.fail("call operand counts");
       return R.err();
     }
+    // Footprints and kernel adapters index Bufs by the intrinsic's layout.
+    if (C.NumBufs != tir::intrinsicNumBufs(static_cast<tir::Intrinsic>(In))) {
+      R.fail("call buffer count does not match its intrinsic");
+      return R.err();
+    }
     for (uint8_t I = 0; I < C.NumBufs; ++I)
       if (C.Bufs[I].BufferId < 0 ||
           C.Bufs[I].BufferId >= static_cast<int32_t>(NumBufs)) {
@@ -858,10 +863,14 @@ uint64_t artifactCacheKey(uint64_t GraphFingerprint,
 // Codec
 //===----------------------------------------------------------------------===//
 
-std::vector<uint8_t> ArtifactCodec::serialize(const CompiledPartition &P) {
+std::vector<uint8_t> ArtifactCodec::serialize(CompiledPartition &P) {
   assert(P.Prog.Bytecode && "partition without a bytecode program");
-  ByteWriter W;
-  W.u32(kArtifactPayloadVersion);
+  // Folded-constants section (payload v2). The fold is deterministic, so
+  // running it at store time and shipping its outputs lets every warm
+  // process skip constant packing — for weight-heavy graphs that pass,
+  // not pipeline reconstruction, dominates the cold start. The partition
+  // keeps what it folds here, so its first execution does not fold again.
+  P.ensureFolded();
   // Raw constant bytes ship only where execution dereferences them:
   // ConstData bindings read from the optimized graph; everything else
   // (fold-input weights) is served packed from the folded section below.
@@ -869,45 +878,45 @@ std::vector<uint8_t> ArtifactCodec::serialize(const CompiledPartition &P) {
   for (const lower::Binding &B : P.Prog.Bindings)
     if (B.Kind == lower::BindingKind::ConstData)
       ExecConsts.insert(B.TensorId);
-  writeGraph(W, P.OptimizedG, &ExecConsts);
-  writeGraph(W, P.Prog.FoldGraph, nullptr);
-  W.i64vec(P.Prog.FoldOutputs);
-  writeFunc(W, P.Prog.Entry);
-  writeProgram(W, *P.Prog.Bytecode);
-  W.u64(P.Prog.Bindings.size());
-  for (const lower::Binding &B : P.Prog.Bindings) {
-    W.i32(B.BufferId);
-    W.i64(B.TensorId);
-    W.u8(static_cast<uint8_t>(B.Kind));
-  }
-  W.i32(P.Prog.CoarseGrainMerges);
-  W.i64(P.Prog.ReuseStats.PeakBytesWithReuse);
-  W.i64(P.Prog.ReuseStats.PeakBytesWithoutReuse);
-  W.i32(P.Prog.ReuseStats.BuffersPlaced);
-  W.i32(P.Prog.ReuseStats.BuffersReused);
-  W.i32(P.LoadedParallelNests >= 0
-            ? P.LoadedParallelNests
-            : tirpass::countParallelNests(P.Prog.Entry));
-  // Folded-constants section (payload v2). The fold is deterministic, so
-  // running it at store time and shipping its outputs lets every warm
-  // process skip constant packing — for weight-heavy graphs that pass,
-  // not pipeline reconstruction, dominates the cold start. Reuse the
-  // partition's own cache when an execution already populated it.
-  runtime::ConstCache LocalFold;
-  const runtime::ConstCache *Fold = &P.Cache;
-  if (!P.FoldDone.load(std::memory_order_acquire)) {
-    runFoldGraph(P.Prog.FoldGraph, P.Prog.FoldOutputs, LocalFold);
-    Fold = &LocalFold;
-  }
-  W.u64(P.Prog.FoldOutputs.size());
-  for (int64_t Id : P.Prog.FoldOutputs) {
-    const TensorData *D = Fold->get(Id);
-    assert(D && "fold output missing after running the fold graph");
-    W.i64(Id);
-    W.u8(static_cast<uint8_t>(D->dtype()));
-    W.i64vec(D->shape());
-    W.blob(D->data(), static_cast<size_t>(D->numBytes()));
-  }
+  const int32_t ParallelNests = P.LoadedParallelNests >= 0
+                                    ? P.LoadedParallelNests
+                                    : tirpass::countParallelNests(P.Prog.Entry);
+  const auto Write = [&](ByteWriter &W) {
+    W.u32(kArtifactPayloadVersion);
+    writeGraph(W, P.OptimizedG, &ExecConsts);
+    writeGraph(W, P.Prog.FoldGraph, nullptr);
+    W.i64vec(P.Prog.FoldOutputs);
+    writeFunc(W, P.Prog.Entry);
+    writeProgram(W, *P.Prog.Bytecode);
+    W.u64(P.Prog.Bindings.size());
+    for (const lower::Binding &B : P.Prog.Bindings) {
+      W.i32(B.BufferId);
+      W.i64(B.TensorId);
+      W.u8(static_cast<uint8_t>(B.Kind));
+    }
+    W.i32(P.Prog.CoarseGrainMerges);
+    W.i64(P.Prog.ReuseStats.PeakBytesWithReuse);
+    W.i64(P.Prog.ReuseStats.PeakBytesWithoutReuse);
+    W.i32(P.Prog.ReuseStats.BuffersPlaced);
+    W.i32(P.Prog.ReuseStats.BuffersReused);
+    W.i32(ParallelNests);
+    W.u64(P.Prog.FoldOutputs.size());
+    for (int64_t Id : P.Prog.FoldOutputs) {
+      const TensorData *D = P.Cache.get(Id);
+      assert(D && "fold output missing after running the fold graph");
+      W.i64(Id);
+      W.u8(static_cast<uint8_t>(D->dtype()));
+      W.i64vec(D->shape());
+      W.blob(D->data(), static_cast<size_t>(D->numBytes()));
+    }
+  };
+  // A sizing pass first, so the payload is allocated once at its final
+  // size instead of regrown (and copied) as the weights stream in.
+  ByteWriter Sizer = ByteWriter::sizing();
+  Write(Sizer);
+  ByteWriter W;
+  W.reserve(Sizer.size());
+  Write(W);
   return W.take();
 }
 

@@ -84,8 +84,10 @@ uint64_t artifactCacheKey(uint64_t GraphFingerprint,
 struct ArtifactCodec {
   /// Flattens \p P into a self-contained payload (no file envelope — the
   /// caller hands it to runtime::ArtifactCache::store). The bytecode
-  /// program ships; the Tensor IR body is not serialized.
-  static std::vector<uint8_t> serialize(const CompiledPartition &P);
+  /// program ships; the Tensor IR body is not serialized. Runs \p P's fold
+  /// function through ensureFolded() when it has not run yet, so the
+  /// partition keeps the folded weights it ships.
+  static std::vector<uint8_t> serialize(CompiledPartition &P);
 
   /// Rebuilds a ready-to-execute partition from an untrusted payload
   /// span. \p Pin is whatever owns the span's lifetime (the mmap'd cache

@@ -13,6 +13,9 @@
 #include "tirpass/tirpass.h"
 
 #include <algorithm>
+#include <optional>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace gc {
 namespace core {
@@ -119,39 +122,120 @@ runtime::TensorData packConstant(const LogicalTensor &DstT,
   return Out;
 }
 
+/// The op a fold-graph node computes: the sole op of a one-op FusedOp
+/// region, or the node itself.
+const Op &soleOp(const Op &O) {
+  const Graph *Sub = O.subgraph();
+  if (O.kind() != OpKind::FusedOp || !Sub || Sub->numOps() != 1)
+    return O;
+  const Op &Inner = Sub->op(Sub->opIds().front());
+  return Inner.inputs() == Sub->inputs() && Inner.outputs() == Sub->outputs()
+             ? Inner
+             : O;
+}
+
+/// The low-precision pass's compensation chain: a ReduceSum over one axis
+/// of a Cast s8 -> s32 of a rank-2 weight.
+struct CompChain {
+  int64_t CastOp = -1;
+  int64_t Weight = -1;
+  /// Sums along rows (one total per weight row) instead of down columns.
+  bool ReduceCols = false;
+};
+
+/// Matches a compensation chain ending at \p Reduce whose s32 cast
+/// nothing else reads.
+std::optional<CompChain> matchCompChain(const Graph &FG, const Op &Reduce,
+                                        const std::vector<int64_t> &FoldOutputs) {
+  const Op &R = soleOp(Reduce);
+  if (R.kind() != OpKind::ReduceSum || Reduce.numInputs() != 1)
+    return std::nullopt;
+  const int64_t Casted = Reduce.input(0);
+  const int64_t CastOp = FG.producerOf(Casted);
+  if (CastOp < 0 || FG.consumersOf(Casted).size() != 1 ||
+      std::count(FoldOutputs.begin(), FoldOutputs.end(), Casted))
+    return std::nullopt;
+  const Op &Cast = FG.op(CastOp);
+  if (soleOp(Cast).kind() != OpKind::Cast || Cast.numInputs() != 1)
+    return std::nullopt;
+  const LogicalTensor &W = FG.tensor(Cast.input(0));
+  const LogicalTensor &Sum = FG.tensor(Reduce.output(0));
+  if (W.Ty != DataType::S8 || W.rank() != 2 ||
+      FG.tensor(Casted).Ty != DataType::S32 || Sum.Ty != DataType::S32)
+    return std::nullopt;
+  std::vector<int64_t> Axes = R.getAttrIntVec("axes");
+  if (Axes.empty())
+    Axes.push_back(1);
+  if (Axes.size() != 1 || Axes[0] < -2 || Axes[0] > 1)
+    return std::nullopt;
+  CompChain C{CastOp, Cast.input(0), Axes[0] == 1 || Axes[0] == -1};
+  if (Sum.numElements() != W.Shape[C.ReduceCols ? 0 : 1])
+    return std::nullopt;
+  return C;
+}
+
 } // namespace
 
 void runFoldGraph(const Graph &FoldGraph,
                   const std::vector<int64_t> &FoldOutputs,
                   runtime::ConstCache &Cache) {
   TensorMap Env;
-  // Bind compile-time constants.
+  // Constants are read in place. Every fold op writes a fresh owning
+  // tensor, so no view reaches the cache.
   for (int64_t TId : FoldGraph.tensorIds())
     if (const runtime::TensorData *Data = FoldGraph.constantData(TId))
-      Env[TId] = Data->clone();
+      Env[TId] = runtime::TensorData::view(Data->dtype(), Data->shape(),
+                                           const_cast<void *>(Data->data()));
+  const auto Bound = [&](int64_t Id) -> const runtime::TensorData & {
+    const auto It = Env.find(Id);
+    if (It == Env.end())
+      fatalError("fold graph input unavailable");
+    return It->second;
+  };
+  // Compensation chains run as one column-sum kernel over the s8 weight;
+  // their s32 cast is never materialized.
+  std::unordered_map<int64_t, CompChain> Comps; // keyed by the ReduceSum
+  std::unordered_set<int64_t> CompCasts;
+  for (int64_t OpId : FoldGraph.opIds())
+    if (std::optional<CompChain> C =
+            matchCompChain(FoldGraph, FoldGraph.op(OpId), FoldOutputs)) {
+      CompCasts.insert(C->CastOp);
+      Comps.emplace(OpId, *C);
+    }
   for (int64_t OpId : FoldGraph.topologicalOrder()) {
     const Op &O = FoldGraph.op(OpId);
+    if (CompCasts.count(OpId))
+      continue;
+    if (const auto It = Comps.find(OpId); It != Comps.end()) {
+      const runtime::TensorData &W = Bound(It->second.Weight);
+      const bool ReduceCols = It->second.ReduceCols;
+      // A row sum is the column sum of the transposed weight.
+      kernels::PlainMatrix Mat;
+      Mat.Data = W.data();
+      Mat.Rows = W.dim(ReduceCols ? 1 : 0);
+      Mat.Cols = W.dim(ReduceCols ? 0 : 1);
+      Mat.Ld = W.dim(1);
+      Mat.Transposed = ReduceCols;
+      runtime::TensorData Sum(DataType::S32,
+                              FoldGraph.tensor(O.output(0)).Shape);
+      kernels::colSumS8(Mat, Sum.dataAs<int32_t>());
+      Env[O.output(0)] = std::move(Sum);
+      continue;
+    }
     if (O.kind() == OpKind::Reorder) {
       // Layout-aware packing (the reference treats Reorder as identity).
       const LogicalTensor &DstT = FoldGraph.tensor(O.output(0));
-      const auto It = Env.find(O.input(0));
-      if (It == Env.end())
-        fatalError("fold graph reorder input unavailable");
-      if (DstT.Lay.isBlocked()) {
-        Env[O.output(0)] = packConstant(
-            DstT, It->second, O.getAttrInt("transpose_src", 0) != 0);
-        continue;
-      }
-      Env[O.output(0)] = It->second.clone();
+      const runtime::TensorData &Src = Bound(O.input(0));
+      Env[O.output(0)] =
+          DstT.Lay.isBlocked()
+              ? packConstant(DstT, Src, O.getAttrInt("transpose_src", 0) != 0)
+              : Src.clone();
       continue;
     }
+    // No kernel covers this op: the reference evaluates it.
     std::vector<const runtime::TensorData *> Inputs;
-    for (int64_t In : O.inputs()) {
-      auto It = Env.find(In);
-      if (It == Env.end())
-        fatalError("fold graph input unavailable");
-      Inputs.push_back(&It->second);
-    }
+    for (int64_t In : O.inputs())
+      Inputs.push_back(&Bound(In));
     std::vector<runtime::TensorData> Outs =
         evalOpReference(FoldGraph, O, Inputs);
     for (size_t I = 0; I < Outs.size(); ++I)
@@ -358,8 +442,9 @@ PartitionStats CompiledPartition::stats() const {
                         : tirpass::countParallelNests(Prog.Entry);
   S.ScratchArenaBytes = Prog.Entry.ArenaBytes;
   S.ScratchArenaBytesNoReuse = Prog.Entry.ArenaBytesNoReuse;
-  // The fold-dependent fields read 0 until the first execution has run the
-  // fold function (FoldDone orders the cache contents for this reader).
+  // The fold-dependent fields read 0 until the fold function has run, at
+  // the first execution or at serialization (FoldDone orders the cache
+  // contents for this reader).
   if (FoldDone.load(std::memory_order_acquire)) {
     S.FoldedTensors = Cache.size();
     S.FoldedBytes = Cache.totalBytes();

@@ -4,8 +4,9 @@
 /// The compilation engine behind the public Session API (api/session.h),
 /// mirroring the oneDNN Graph API flow (§VII): a Graph IR subgraph is
 /// compiled into a CompiledPartition, then executed repeatedly with runtime
-/// tensors. The first execution runs the fold function (constant weight
-/// preprocessing); its outputs are cached and reused.
+/// tensors. The fold function (constant weight preprocessing) runs once,
+/// at the first execution or when a cache-writing compile serializes the
+/// partition; its outputs are cached and reused.
 ///
 /// Preferred entry point (partitioning, fallback, compile cache):
 /// \code
@@ -133,9 +134,11 @@ struct PartitionStats {
   int ParallelNests = 0;
   int64_t ScratchArenaBytes = 0;
   int64_t ScratchArenaBytesNoReuse = 0;
-  /// Fold-dependent: 0 until the first execute() ran the fold function.
+  /// Fold-dependent: 0 until the fold function ran (first execute(), or
+  /// a cache-writing compile that serialized the partition).
   size_t FoldedTensors = 0;
-  /// Fold-dependent: 0 until the first execute() ran the fold function.
+  /// Fold-dependent: 0 until the fold function ran (first execute(), or
+  /// a cache-writing compile that serialized the partition).
   int64_t FoldedBytes = 0;
 };
 
@@ -163,9 +166,11 @@ public:
   /// Runs the fold function (constant weight packing) now if it has not
   /// run yet; otherwise a no-op. execute() pays this lazily on its first
   /// call — services that want the first request served at full speed
-  /// call this at load time instead. Partitions deserialized from the
-  /// artifact cache arrive with the fold pre-fired from the payload's
-  /// shipped outputs, so for them this never packs anything.
+  /// call this at load time instead. ArtifactCodec::serialize calls it
+  /// too, so a cache-writing compile leaves the partition folded.
+  /// Partitions deserialized from the artifact cache arrive with the fold
+  /// pre-fired from the payload's shipped outputs, so for them this never
+  /// packs anything.
   void ensureFolded();
 
   /// Post-optimization Graph IR (inspection / tests).
@@ -175,7 +180,8 @@ public:
   /// Compiled bytecode program (inspection / tests).
   const exec::Program &bytecode() const { return *Prog.Bytecode; }
   /// Compilation statistics. Safe before the first execution; the
-  /// Folded* fields read as 0 until the fold function has run.
+  /// Folded* fields read as 0 until the fold function has run, which a
+  /// cache-writing compile already did.
   PartitionStats stats() const;
   /// Execution states currently idle in the lease pool (diagnostics; the
   /// peak equals the peak number of overlapping executions, capped by
@@ -265,8 +271,12 @@ std::shared_ptr<CompiledPartition> compileGraph(const graph::Graph &G,
 /// sharable alongside session-owned pools.
 std::shared_ptr<runtime::ThreadPool> globalThreadPool();
 
-/// Executes the fold graph: reference evaluation with layout-aware Reorder
-/// packing. Exposed for tests of constant weight preprocessing.
+/// Executes the fold graph. Constants are read in place, as views of the
+/// graph's storage. Blocked Reorders run the packing kernels, compensation
+/// chains (ReduceSum over K of a Cast s8 -> s32) run kernels::colSumS8 on
+/// the s8 weight, and only ops no kernel covers fall back to the reference
+/// interpreter. Every cached output owns its storage. Exposed for tests of
+/// constant weight preprocessing.
 void runFoldGraph(const graph::Graph &FoldGraph,
                   const std::vector<int64_t> &FoldOutputs,
                   runtime::ConstCache &Cache);

@@ -61,7 +61,8 @@ struct LoweredProgram {
   /// pointers into Entry.Baked, so it lives alongside Entry.
   std::shared_ptr<const exec::Program> Bytecode;
   /// Fold side: the constant-reachable subgraph ("initial function" of
-  /// §V); executed once by the runtime, outputs cached.
+  /// §V); executed once by the runtime, outputs cached. Its constants
+  /// share storage with the lowered graph's.
   graph::Graph FoldGraph;
   /// Tensor ids (outer numbering) the main side consumes from the fold.
   std::vector<int64_t> FoldOutputs;
@@ -74,7 +75,9 @@ struct LoweredProgram {
 /// Lowers the optimized (fused + layout-propagated) graph \p G. Returns an
 /// Unsupported error when a main-side op has no lowering rule (unfused op,
 /// non-[0,2,1,3] standalone transpose) instead of aborting; the caller
-/// (api::Session) routes such graphs to the reference fallback.
+/// (api::Session) routes such graphs to the reference fallback. The fold
+/// graph shares \p G's constant storage: owning constants stay alive with
+/// it, and constants that are views must outlive the returned program.
 Expected<LoweredProgram> lowerGraph(const graph::Graph &G,
                                     const DriverOptions &Opts);
 

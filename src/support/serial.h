@@ -88,9 +88,19 @@ inline uint64_t fnv1aBytesBulk(const void *Data, size_t Bytes) {
   return fnv1aBytes(P + I, Bytes - I, fnv1aBytes(Lanes, sizeof Lanes));
 }
 
-/// Appending byte-stream writer.
+/// Appending byte-stream writer. A sizing writer (ByteWriter::sizing())
+/// stores nothing and only counts, so a producer can run its write
+/// sequence once to learn the exact size and reserve() it before the real
+/// pass.
 class ByteWriter {
 public:
+  static ByteWriter sizing() {
+    ByteWriter W;
+    W.Sizing = true;
+    return W;
+  }
+  void reserve(size_t Bytes) { Buf.reserve(Bytes); }
+
   void u8(uint8_t V) { raw(&V, 1); }
   void u16(uint16_t V) { raw(&V, sizeof V); }
   void u32(uint32_t V) { raw(&V, sizeof V); }
@@ -124,21 +134,31 @@ public:
 
   /// Pads with zero bytes to the next multiple of \p A (power of two).
   void alignTo(size_t A) {
-    while (Buf.size() % A != 0)
-      Buf.push_back(0);
+    const size_t Pad = (A - Size % A) % A;
+    Size += Pad;
+    if (!Sizing)
+      Buf.insert(Buf.end(), Pad, 0);
   }
 
   void raw(const void *Data, size_t Bytes) {
+    Size += Bytes;
+    if (Sizing)
+      return;
     const auto *P = static_cast<const uint8_t *>(Data);
     Buf.insert(Buf.end(), P, P + Bytes);
   }
 
-  size_t size() const { return Buf.size(); }
+  size_t size() const { return Size; }
   const std::vector<uint8_t> &bytes() const { return Buf; }
-  std::vector<uint8_t> take() { return std::move(Buf); }
+  std::vector<uint8_t> take() {
+    Size = 0;
+    return std::move(Buf);
+  }
 
 private:
   std::vector<uint8_t> Buf;
+  size_t Size = 0;
+  bool Sizing = false;
 };
 
 /// Bounds-checked reader over an untrusted byte span. After the first

@@ -125,6 +125,33 @@ constexpr uint8_t intrinsicWriteMask(Intrinsic In) {
   }
 }
 
+/// Number of buffer arguments \p In takes: the B[...] column of the table
+/// above. Executor adapters and the verifiers' footprints index a call's
+/// buffers by this layout, so a call must carry exactly this many.
+constexpr uint8_t intrinsicNumBufs(Intrinsic In) {
+  switch (In) {
+  case Intrinsic::BrgemmF32:
+  case Intrinsic::BrgemmU8S8:
+  case Intrinsic::DequantS8PerChannelTile:
+    return 3;
+  case Intrinsic::ReluTile:
+  case Intrinsic::ExpTile:
+  case Intrinsic::TanhTile:
+  case Intrinsic::SqrtTile:
+  case Intrinsic::RecipTile:
+  case Intrinsic::SquareTile:
+  case Intrinsic::SigmoidTile:
+  case Intrinsic::GeluTile:
+  case Intrinsic::AffineTile:
+  case Intrinsic::FillTile:
+    return 1;
+  case Intrinsic::DequantAccTile:
+    return 4;
+  default:
+    return 2;
+  }
+}
+
 /// Printable intrinsic name.
 const char *intrinsicName(Intrinsic In);
 

@@ -226,6 +226,15 @@ private:
                      formatString("kernel call exceeds marshalling limits "
                                   "(%u buffers, %u dynamic scalars)",
                                   C.NumBufs, C.NumDyn));
+        if (static_cast<uint8_t>(C.In) >= tir::kNumIntrinsics)
+          return err(Pc, formatString("invalid intrinsic %u",
+                                      static_cast<unsigned>(C.In)));
+        // Footprints index Bufs by the intrinsic's argument layout.
+        if (C.NumBufs != tir::intrinsicNumBufs(C.In))
+          return err(Pc, formatString("%s call carries %u buffers, its "
+                                      "layout takes %u",
+                                      tir::intrinsicName(C.In), C.NumBufs,
+                                      tir::intrinsicNumBufs(C.In)));
         for (uint8_t BI = 0; BI < C.NumBufs; ++BI) {
           if (C.Bufs[BI].BufferId < 0 ||
               static_cast<size_t>(C.Bufs[BI].BufferId) >= P.Buffers.size())

@@ -42,18 +42,14 @@ namespace {
 
 using namespace tir;
 
-/// Buffer/scalar arity of each intrinsic, from the conventions table in
+/// Scalar arity of each intrinsic, from the conventions table in
 /// tir/intrinsics.h (the same contract the kernel adapters marshal by).
-struct IntrinsicSig {
-  uint8_t NumBufs = 0;
-  uint8_t NumScalars = 0;
-};
-
-IntrinsicSig sigOf(Intrinsic In) {
+/// The buffer arity is tir::intrinsicNumBufs.
+uint8_t numScalarsOf(Intrinsic In) {
   switch (In) {
   case Intrinsic::BrgemmF32:
   case Intrinsic::BrgemmU8S8:
-    return {3, 10};
+    return 10;
   case Intrinsic::ReluTile:
   case Intrinsic::ExpTile:
   case Intrinsic::TanhTile:
@@ -62,16 +58,16 @@ IntrinsicSig sigOf(Intrinsic In) {
   case Intrinsic::SquareTile:
   case Intrinsic::SigmoidTile:
   case Intrinsic::GeluTile:
-    return {1, 3};
+    return 3;
   case Intrinsic::AffineTile:
-    return {1, 5};
+    return 5;
   case Intrinsic::AddTile:
   case Intrinsic::SubTile:
   case Intrinsic::MulTile:
   case Intrinsic::DivTile:
   case Intrinsic::MaxTile:
   case Intrinsic::MinTile:
-    return {2, 4};
+    return 4;
   case Intrinsic::AddRowVecTile:
   case Intrinsic::SubRowVecTile:
   case Intrinsic::MulRowVecTile:
@@ -79,39 +75,39 @@ IntrinsicSig sigOf(Intrinsic In) {
   case Intrinsic::SubColVecTile:
   case Intrinsic::MulColVecTile:
   case Intrinsic::DivColVecTile:
-    return {2, 3};
+    return 3;
   case Intrinsic::ReduceSumRowsTile:
   case Intrinsic::ReduceMaxRowsTile:
-    return {2, 4};
+    return 4;
   case Intrinsic::CopyTile:
   case Intrinsic::TransposeTile:
-    return {2, 4};
+    return 4;
   case Intrinsic::CopyTileRaw:
   case Intrinsic::Permute0213:
-    return {2, 5};
+    return 5;
   case Intrinsic::FillTile:
-    return {1, 4};
+    return 4;
   case Intrinsic::DequantAccTile:
-    return {4, 5};
+    return 5;
   case Intrinsic::QuantU8Tile:
   case Intrinsic::DequantU8Tile:
-    return {2, 6};
+    return 6;
   case Intrinsic::QuantS8Tile:
-    return {2, 5};
+    return 5;
   case Intrinsic::DequantS8PerChannelTile:
-    return {3, 4};
+    return 4;
   case Intrinsic::CastS32F32Tile:
-    return {2, 5};
+    return 5;
   case Intrinsic::PackAF32:
   case Intrinsic::PackAU8:
   case Intrinsic::PackBF32:
   case Intrinsic::PackBS8Vnni:
-    return {2, 6};
+    return 6;
   case Intrinsic::UnpackAF32:
   case Intrinsic::UnpackAU8:
-    return {2, 5};
+    return 5;
   }
-  return {0, 0};
+  return 0;
 }
 
 /// Expected element type per buffer argument; DataType-count means
@@ -423,14 +419,15 @@ private:
   }
 
   Status checkCall(const CallNode &C, const std::string &Where) {
-    const IntrinsicSig Sig = sigOf(C.In);
-    if (C.Buffers.size() != Sig.NumBufs)
+    const uint8_t NumBufs = intrinsicNumBufs(C.In);
+    const uint8_t NumScalars = numScalarsOf(C.In);
+    if (C.Buffers.size() != NumBufs)
       return err(Where, formatString("%s expects %u buffer args, has %zu",
-                                     intrinsicName(C.In), Sig.NumBufs,
+                                     intrinsicName(C.In), NumBufs,
                                      C.Buffers.size()));
-    if (C.Scalars.size() != Sig.NumScalars)
+    if (C.Scalars.size() != NumScalars)
       return err(Where, formatString("%s expects %u scalar args, has %zu",
-                                     intrinsicName(C.In), Sig.NumScalars,
+                                     intrinsicName(C.In), NumScalars,
                                      C.Scalars.size()));
 
     DataType ExpectTy[4];

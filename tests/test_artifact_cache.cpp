@@ -17,13 +17,16 @@
 
 #include "api/session.h"
 #include "core/artifact.h"
+#include "exec/program.h"
 #include "kernels/cpu_features.h"
 #include "runtime/artifact_cache.h"
 #include "support/serial.h"
+#include "workloads/mlp.h"
 #include "test_utils.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -365,6 +368,50 @@ TEST(ArtifactCodec, ByteFlipSweepParsesSafely) {
   EXPECT_GT(Accepted, 0u);
 }
 
+TEST(ArtifactCodec, IntrinsicFlipThatWidensACallIsRejected) {
+  // Pins the flip that made the sweep above read out of bounds under
+  // ASan: the intrinsic byte of the two-buffer bias add flipped into the
+  // three-buffer BrgemmU8S8 (0x11 ^ 0x10 = 0x01). Footprints index a
+  // call's buffers by its intrinsic's layout, so the load-time verifier
+  // read the unused third slot, whose buffer id is -1.
+  const Graph G = buildMlp(8, 16, 8);
+  core::CompileOptions Opts;
+  Opts.CacheMode = CacheMode::Off;
+  std::shared_ptr<core::CompiledPartition> P = core::compileGraph(G, Opts);
+  const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
+  const std::vector<exec::CallDesc> &Calls = P->bytecode().Calls;
+  const auto Add =
+      std::find_if(Calls.begin(), Calls.end(), [](const exec::CallDesc &C) {
+        return C.In == tir::Intrinsic::AddRowVecTile;
+      });
+  ASSERT_NE(Add, Calls.end());
+  ASSERT_EQ(static_cast<uint8_t>(Add->In) ^ 0x10,
+            static_cast<uint8_t>(tir::Intrinsic::BrgemmU8S8));
+  // The call's encoding up to its scalars, as writeProgram lays it out.
+  ByteWriter W;
+  W.u8(static_cast<uint8_t>(Add->In));
+  W.u8(Add->NumBufs);
+  W.u8(Add->NumDyn);
+  for (const exec::CallDesc::Buf &B : Add->Bufs) {
+    W.i32(B.BufferId);
+    W.u16(B.OffsetReg);
+    W.u8(B.HasOffset ? 1 : 0);
+  }
+  for (int64_t S : Add->SI)
+    W.i64(S);
+  const auto At = std::search(Payload.begin(), Payload.end(),
+                              W.bytes().begin(), W.bytes().end());
+  ASSERT_NE(At, Payload.end());
+  auto T = std::make_shared<std::vector<uint8_t>>(Payload);
+  (*T)[static_cast<size_t>(At - Payload.begin())] ^= 0x10;
+  Expected<std::shared_ptr<core::CompiledPartition>> R =
+      core::ArtifactCodec::deserialize(T->data(), T->size(), T,
+                                       core::globalThreadPool());
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_NE(R.status().message().find("call buffer count"), std::string::npos)
+      << R.status().toString();
+}
+
 //===----------------------------------------------------------------------===//
 // Cache key: tier / thread / option separation
 //===----------------------------------------------------------------------===//
@@ -490,6 +537,35 @@ TEST(ArtifactSession, CorruptEntrySelfHealsWithFreshCompile) {
   api::Session After(cacheOpts(Dir));
   (void)runOnce(After, buildMlp());
   EXPECT_EQ(After.diskCacheHits(), 1u);
+}
+
+TEST(ArtifactSession, CacheWritingCompileFoldsOnce) {
+  // The store folds through the partition's own ensureFolded(): the fold
+  // products are live right after compile, and the first execution
+  // serves them instead of folding again.
+  TempDir Dir;
+  workloads::MlpSpec Spec;
+  Spec.Int8 = true;
+  Spec.Batch = 3;
+  Spec.LayerDims = {67, 101, 45};
+  Spec.Seed = 5;
+  const Graph G = workloads::buildMlp(Spec);
+  api::Session Writer(cacheOpts(Dir));
+  Expected<api::CompiledGraphPtr> CompiledOr = Writer.compile(G);
+  ASSERT_TRUE(CompiledOr.hasValue()) << CompiledOr.status().toString();
+  ASSERT_EQ(Writer.diskCacheStores(), 1u);
+  const std::shared_ptr<core::CompiledPartition> CP =
+      (*CompiledOr)->compiledPartition(0);
+  ASSERT_NE(CP, nullptr);
+  EXPECT_GT(CP->stats().FoldedTensors, 0u);
+  EXPECT_GT(CP->stats().FoldedBytes, 0);
+
+  const TensorData Written = runOnce(Writer, G);
+  api::Session Off(cacheOpts(Dir, CacheMode::Off));
+  const TensorData Fresh = runOnce(Off, G);
+  ASSERT_EQ(Written.numBytes(), Fresh.numBytes());
+  EXPECT_EQ(0, std::memcmp(Written.data(), Fresh.data(),
+                           static_cast<size_t>(Fresh.numBytes())));
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,11 +10,15 @@
 
 #include "core/compiler.h"
 #include "graph/reference.h"
+#include "lower/driver.h"
 #include "workloads/mha.h"
 #include "workloads/mlp.h"
 #include "test_utils.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <cstring>
 
 using namespace gc;
 using namespace gc::graph;
@@ -343,6 +347,102 @@ TEST(CompilerE2E, BufferReuseReducesArena) {
   const PartitionStats S = Partition->stats();
   EXPECT_LT(S.ScratchArenaBytes, S.ScratchArenaBytesNoReuse)
       << "chained temps must share arena space";
+}
+
+//===----------------------------------------------------------------------===//
+// Fold function vs the reference interpreter
+//===----------------------------------------------------------------------===//
+
+/// An int8 MLP over constant s8 weights, stored [N, K] and read through
+/// transpose_b when \p TransB. Activations are u8 with a nonzero zero
+/// point, so every layer carries a compensation chain.
+Graph buildInt8Mlp(int64_t M, const std::vector<int64_t> &Dims, bool TransB,
+                   uint64_t Seed) {
+  Graph G;
+  int64_t Cur = G.addTensor(DataType::U8, {M, Dims[0]}, "x_q");
+  G.markInput(Cur);
+  for (size_t L = 0; L + 1 < Dims.size(); ++L) {
+    const int64_t K = Dims[L], N = Dims[L + 1];
+    const int64_t DqA =
+        G.addOp(OpKind::Dequantize, {Cur}, DataType::F32, {M, K},
+                {{"scale", 0.02}, {"zp", int64_t(118)}});
+    const std::vector<int64_t> WShape =
+        TransB ? std::vector<int64_t>{N, K} : std::vector<int64_t>{K, N};
+    const int64_t W =
+        G.addTensor(DataType::S8, WShape, "w", TensorProperty::Constant);
+    G.setConstantData(W, test::randomTensor(DataType::S8, WShape, Seed + L));
+    std::vector<double> Scales(static_cast<size_t>(N));
+    for (size_t I = 0; I < Scales.size(); ++I)
+      Scales[I] = 0.004 + 0.001 * static_cast<double>(I % 5);
+    const int64_t DqW =
+        G.addOp(OpKind::Dequantize, {W}, DataType::F32, WShape,
+                {{"scales", Scales},
+                 {"zp", int64_t(0)},
+                 {"axis", int64_t(TransB ? 0 : 1)}});
+    const int64_t Mm = G.addOp(OpKind::MatMul, {DqA, DqW}, DataType::F32,
+                               {M, N}, {{"transpose_b", int64_t(TransB)}});
+    Cur = G.addOp(OpKind::Quantize, {Mm}, DataType::U8, {M, N},
+                  {{"scale", 0.02 * std::sqrt(static_cast<double>(K))},
+                   {"zp", int64_t(128)}});
+  }
+  G.markOutput(Cur);
+  return G;
+}
+
+TEST(FoldGraph, KernelFoldMatchesReferenceInt8) {
+  // K and N are multiples of neither 4 nor any block size, so every
+  // packed tile has a K or N tail. Each weight exceeds the constant-fold
+  // pass's cap (FoldMaxElements), so its compensation chain reaches the
+  // fold graph.
+  for (bool TransB : {false, true}) {
+    SCOPED_TRACE(TransB ? "transpose_b" : "plain weights");
+    CompileOptions Opts = defaultOpts();
+    Opts.CacheMode = runtime::CacheMode::Off;
+    const auto Partition =
+        compileGraph(buildInt8Mlp(5, {67, 101, 45}, TransB, 41), Opts);
+    lower::DriverOptions DrvOpts;
+    Expected<lower::LoweredProgram> Lowered =
+        lower::lowerGraph(Partition->optimizedGraph(), DrvOpts);
+    ASSERT_TRUE(Lowered.hasValue()) << Lowered.status().toString();
+    const Graph &FG = Lowered->FoldGraph;
+
+    runtime::ConstCache Folded;
+    runFoldGraph(FG, Lowered->FoldOutputs, Folded);
+    TensorMap Ref;
+    evalGraphReference(FG, Ref);
+
+    int Packed = 0, Compensations = 0;
+    for (int64_t Id : Lowered->FoldOutputs) {
+      const TensorData *Got = Folded.get(Id);
+      ASSERT_NE(Got, nullptr);
+      const LogicalTensor &T = FG.tensor(Id);
+      if (!T.Lay.isBlocked()) {
+        // The compensation column sums, exactly.
+        const TensorData &Want = Ref.at(Id);
+        ASSERT_EQ(T.Ty, DataType::S32);
+        ASSERT_EQ(Got->numBytes(), Want.numBytes());
+        EXPECT_EQ(0, std::memcmp(Got->data(), Want.data(),
+                                 static_cast<size_t>(Want.numBytes())));
+        ++Compensations;
+        continue;
+      }
+      // A packed weight: the reference's plain value, packed per element.
+      ASSERT_EQ(T.Lay.K, Layout::Kind::BlockedBVnni);
+      const Op &Reorder = FG.op(FG.producerOf(Id));
+      const bool Transposed = Reorder.getAttrInt("transpose_src", 0) != 0;
+      EXPECT_EQ(Transposed, TransB);
+      const int64_t K = T.Shape[0], N = T.Shape[1];
+      const std::vector<int8_t> Want = test::naivePackB(
+          Ref.at(Reorder.input(0)).dataAs<int8_t>(), K, N,
+          Transposed ? K : N, Transposed, T.Lay.Block0, T.Lay.Block1,
+          /*Vnni=*/true);
+      ASSERT_EQ(Got->numBytes(), static_cast<int64_t>(Want.size()));
+      EXPECT_EQ(0, std::memcmp(Got->data(), Want.data(), Want.size()));
+      ++Packed;
+    }
+    EXPECT_EQ(Packed, 2);
+    EXPECT_EQ(Compensations, 2);
+  }
 }
 
 } // namespace

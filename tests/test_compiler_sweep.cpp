@@ -94,6 +94,10 @@ struct SweepCase {
   int Threads;
 };
 
+void PrintTo(const SweepCase &C, std::ostream *OS) {
+  test::printZeroPadded(OS, C, C.M, C.K, C.N, C.Int8, C.Threads);
+}
+
 class MatmulSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(MatmulSweep, CompiledMatchesReference) {
@@ -172,6 +176,10 @@ struct MhaCase {
   int64_t B, H, S, D;
   bool Int8;
 };
+
+void PrintTo(const MhaCase &C, std::ostream *OS) {
+  test::printZeroPadded(OS, C, C.B, C.H, C.S, C.D, C.Int8);
+}
 
 class MhaSweep : public ::testing::TestWithParam<MhaCase> {};
 

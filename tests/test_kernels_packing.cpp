@@ -133,6 +133,42 @@ TEST(PackBVnni, RaggedKZeroPadded) {
                 0);
 }
 
+/// Sweeps a B packer against the per-element oracle over K/N tails,
+/// leading dimensions wider than the matrix, and both source orientations.
+template <typename T, typename PackFn, typename GenFn>
+void sweepPackB(PackFn Pack, GenFn Random, bool Vnni,
+                const std::vector<int64_t> &KBs,
+                const std::vector<int64_t> &NBs) {
+  for (int64_t K : {1, 3, 4, 7, 16, 33, 64, 70})
+    for (int64_t N : {1, 5, 16, 17, 48, 50})
+      for (int64_t KB : KBs)
+        for (int64_t NB : NBs)
+          for (bool Transposed : {false, true})
+            for (int64_t Pad : {0, 3}) {
+              const int64_t Ld = (Transposed ? K : N) + Pad;
+              const std::vector<T> Src =
+                  Random((Transposed ? N : K) * Ld, K * 131 + N);
+              std::vector<T> Got(
+                  static_cast<size_t>(packedBSize(K, N, KB, NB)), T(99));
+              Pack(PlainMatrix{Src.data(), K, N, Ld, Transposed}, Got.data(),
+                   KB, NB);
+              ASSERT_EQ(Got, naivePackB(Src.data(), K, N, Ld, Transposed, KB,
+                                        NB, Vnni))
+                  << "K=" << K << " N=" << N << " KB=" << KB << " NB=" << NB
+                  << " Ld=" << Ld << " transposed=" << Transposed;
+            }
+}
+
+TEST(PackB, F32MatchesPerElementPacker) {
+  sweepPackB<float>(packBF32, randomF32, /*Vnni=*/false, {1, 8, 32},
+                    {16, 32});
+}
+
+TEST(PackBVnni, S8MatchesPerElementPacker) {
+  sweepPackB<int8_t>(packBS8Vnni, randomS8, /*Vnni=*/true, {4, 8, 32},
+                     {16, 32});
+}
+
 TEST(ColSum, MatchesNaive) {
   const int64_t K = 37, N = 21;
   auto Src = randomS8(K * N, 17);

@@ -39,6 +39,10 @@ struct HeuristicCase {
   int Threads;
 };
 
+void PrintTo(const HeuristicCase &C, std::ostream *OS) {
+  test::printZeroPadded(OS, C, C.M, C.N, C.K, C.Int8, C.Threads);
+}
+
 class HeuristicSweep : public ::testing::TestWithParam<HeuristicCase> {};
 
 TEST_P(HeuristicSweep, InvariantsHold) {

@@ -17,6 +17,8 @@
 #include "tir/function.h"
 
 #include <cstdint>
+#include <cstring>
+#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -83,6 +85,55 @@ inline std::vector<int32_t> naiveGemmU8S8(const std::vector<uint8_t> &A,
             AV * static_cast<int32_t>(B[static_cast<size_t>(KI * N + NI)]);
     }
   return C;
+}
+
+/// Per-element B-format packer: the layout contract of kernels/packing.h
+/// spelled out one element at a time, as an oracle for the row-wise
+/// packers. Element (k, n) of the K x N logical matrix is read from
+/// Src[k * Ld + n], or Src[n * Ld + k] when \p Transposed, and lands in
+/// tile (k / KB, n / NB) at [k % KB][n % NB], or at [k % KB / 4][n % NB]
+/// [k % 4] in the VNNI layout. Padding stays zero.
+template <typename T>
+std::vector<T> naivePackB(const T *Src, int64_t K, int64_t N, int64_t Ld,
+                          bool Transposed, int64_t KB, int64_t NB,
+                          bool Vnni) {
+  const int64_t KBlocks = (K + KB - 1) / KB;
+  const int64_t NBlocks = (N + NB - 1) / NB;
+  std::vector<T> Out(static_cast<size_t>(KBlocks * NBlocks * KB * NB), T(0));
+  for (int64_t KI = 0; KI < K; ++KI)
+    for (int64_t NI = 0; NI < N; ++NI) {
+      const int64_t Tile = (KI / KB) * NBlocks + NI / NB;
+      const int64_t Kk = KI % KB, Nn = NI % NB;
+      const int64_t At =
+          Tile * KB * NB + (Vnni ? (Kk / 4) * NB * 4 + Nn * 4 + Kk % 4
+                                 : Kk * NB + Nn);
+      Out[static_cast<size_t>(At)] =
+          Src[Transposed ? NI * Ld + KI : KI * Ld + NI];
+    }
+  return Out;
+}
+
+/// Prints \p Obj the way gtest's fallback printer names a parameter
+/// struct ("32-byte object <0D-00 00-00 ...>"), with every byte outside
+/// \p Fields zeroed. The fallback printer dumps padding too, whose bytes
+/// differ from run to run; this keeps the names stable and leaves every
+/// other byte of them as before.
+template <typename T, typename... Fs>
+void printZeroPadded(std::ostream *OS, const T &Obj, const Fs &...Fields) {
+  unsigned char Image[sizeof(T)] = {};
+  const auto *Base = reinterpret_cast<const unsigned char *>(&Obj);
+  (std::memcpy(Image + (reinterpret_cast<const unsigned char *>(&Fields) -
+                        Base),
+               &Fields, sizeof(Fields)),
+   ...);
+  static const char Hex[] = "0123456789ABCDEF";
+  *OS << sizeof(T) << "-byte object <";
+  for (size_t I = 0; I < sizeof(T); ++I) {
+    if (I)
+      *OS << (I % 2 ? '-' : ' ');
+    *OS << Hex[Image[I] >> 4] << Hex[Image[I] & 15];
+  }
+  *OS << '>';
 }
 
 /// Fills a runtime tensor with seeded noise.

@@ -36,6 +36,8 @@ def run_mode(bench, mode, min_time, repeats):
             if "error" in rec:
                 raise SystemExit(f"bench case {rec.get('bench')} failed "
                                  f"under GC_KERNELS={mode}: {rec['error']}")
+            if "us_per_iter" not in rec:
+                continue  # cold-start cases use their own schema
             prev = cases.get(rec["bench"])
             if prev is None or rec["us_per_iter"] < prev["us_per_iter"]:
                 cases[rec["bench"]] = rec

@@ -281,6 +281,12 @@ CompiledGraph::specializationForBucket(int64_t Bucket) const {
   SpecCv.notify_all();
   if (!CompiledOr)
     return CompiledOr.status();
+  // A specialization with a partition degraded to the reference
+  // interpreter by a transient compile failure serves this execution
+  // only: caching it would keep the bucket degraded until LRU eviction.
+  // The next execution of the bucket compiles it again.
+  if ((*CompiledOr)->Degraded)
+    return *CompiledOr;
   // Resource governance: a cached specialization pins compiled code and
   // its scratch arenas; charge the estimate against GC_MEM_LIMIT so
   // unbounded bucket churn degrades (the caller falls back to the
@@ -731,6 +737,7 @@ detail::SessionState::compile(const std::shared_ptr<SessionState> &State,
             State->Health->warnOnce("reference",
                                     CompiledOr.status().toString().c_str());
             Spec.Kind = PartitionKind::Fallback;
+            CG->Degraded = true;
           } else {
             return CompiledOr.status();
           }

@@ -303,6 +303,10 @@ private:
   /// outputs), so execute() forwards the caller tensors directly instead
   /// of building a per-execution tensor environment.
   bool Direct = false;
+  /// True when a transient compile failure left a partition on the
+  /// reference interpreter for this compile only. A degraded batch
+  /// specialization is never cached (see specializationForBucket).
+  bool Degraded = false;
 
   /// \name Batch-polymorphic state (set only when Polymorphic)
   /// @{

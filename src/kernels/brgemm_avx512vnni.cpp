@@ -1,14 +1,21 @@
 //===- brgemm_avx512vnni.cpp - AVX-512 VNNI u8s8s32 brgemm tier ---------------===//
 //
-// The dpbusd-based u8s8s32 panel kernel, compiled with -mavx512vnni on top
-// of the AVX-512 flags. Hosts with AVX-512 but no VNNI use the exact AVX2
-// emulation instead: the classic 512-bit maddubs emulation saturates at s16
-// for full-range u8 activations, so it is deliberately not provided.
+// The dpbusd-based u8s8s32 kernel, compiled with -mavx512vnni on top of the
+// AVX-512 flags. Each panel is up to 6 rows x 64 columns over the
+// VNNI-packed [K/4][N][4] B layout: 24 zmm accumulators, four B vectors
+// per 4-deep k-group and one 4-byte A broadcast per row, so every
+// broadcast feeds four dpbusd. brgemm_panel.h tiles C with these panels
+// (masked N tail, smaller-row panels for the M tail). Integer
+// accumulation is exact, so the result equals the portable loop's.
+//
+// Hosts with AVX-512 but no VNNI use the exact AVX2 emulation instead: the
+// classic 512-bit maddubs emulation saturates at s16 for full-range u8
+// activations, so it is deliberately not provided.
 //
 //===----------------------------------------------------------------------===//
 
 #include "kernels/brgemm.h"
-#include "kernels/simd.h"
+#include "kernels/brgemm_panel.h"
 
 #if defined(__AVX512F__) && defined(__AVX512VNNI__)
 #include <immintrin.h>
@@ -20,58 +27,68 @@ namespace kernels {
 
 namespace {
 
-/// Computes an MRows x 16 s32 C panel from VNNI-packed B.
-template <int MRows>
-void brgemmU8S8PanelVnni(const BrgemmU8S8Args &Args, int64_t MBase,
-                         int64_t NBase, __mmask16 Mask) {
-  __m512i Acc[MRows];
-  if (Args.InitC) {
-    for (int R = 0; R < MRows; ++R)
-      Acc[R] = _mm512_setzero_si512();
-  } else {
-    for (int R = 0; R < MRows; ++R)
-      Acc[R] = _mm512_maskz_loadu_epi32(
-          Mask, Args.C + (MBase + R) * Args.Ldc + NBase);
-  }
-  const int64_t KGroups = Args.K / 4;
-  for (int64_t BI = 0; BI < Args.Batch; ++BI) {
-    const uint8_t *ATile = Args.A + BI * Args.AStrideBatch + MBase * Args.Lda;
-    const int8_t *BTile = Args.B + BI * Args.BStrideBatch + NBase * 4;
-    for (int64_t KG = 0; KG < KGroups; ++KG) {
-      // 16 columns x 4 interleaved k values = 64 bytes per k-group.
-      const __m512i BVec = _mm512_maskz_loadu_epi32(
-          Mask, reinterpret_cast<const int32_t *>(BTile +
-                                                  KG * Args.NPadded * 4));
-      for (int R = 0; R < MRows; ++R) {
-        int32_t APack;
-        std::memcpy(&APack, ATile + R * Args.Lda + KG * 4, sizeof(APack));
-        const __m512i AVec = _mm512_set1_epi32(APack);
-        Acc[R] = _mm512_dpbusd_epi32(Acc[R], AVec, BVec);
-      }
-    }
-  }
-  for (int R = 0; R < MRows; ++R)
-    _mm512_mask_storeu_epi32(Args.C + (MBase + R) * Args.Ldc + NBase, Mask,
-                             Acc[R]);
+/// Acc += per-lane dot product of four u8 (A) by four s8 (B) values: one
+/// vpdpbusd. Written as inline asm rather than _mm512_dpbusd_epi32 because
+/// GCC 12 allocates that intrinsic's operands in zmm0-15 only: a
+/// 24-accumulator panel then copies and spills accumulators on every
+/// k-group. The "v" constraint admits all 32 zmm registers.
+GC_PANEL_INLINE inline void dpbusd(__m512i &Acc, __m512i A, __m512i B) {
+  __asm__("vpdpbusd %2, %1, %0" : "+v"(Acc) : "v"(A), "v"(B));
 }
 
-void brgemmU8S8Vnni(const BrgemmU8S8Args &Args) {
-  for (int64_t NBase = 0; NBase < Args.N; NBase += 16) {
-    const __mmask16 Mask = simd::VecF32Avx512::tailMask(Args.N - NBase);
-    int64_t MBase = 0;
-    for (; MBase + 8 <= Args.M; MBase += 8)
-      brgemmU8S8PanelVnni<8>(Args, MBase, NBase, Mask);
-    switch (Args.M - MBase) {
-    case 7: brgemmU8S8PanelVnni<7>(Args, MBase, NBase, Mask); break;
-    case 6: brgemmU8S8PanelVnni<6>(Args, MBase, NBase, Mask); break;
-    case 5: brgemmU8S8PanelVnni<5>(Args, MBase, NBase, Mask); break;
-    case 4: brgemmU8S8PanelVnni<4>(Args, MBase, NBase, Mask); break;
-    case 3: brgemmU8S8PanelVnni<3>(Args, MBase, NBase, Mask); break;
-    case 2: brgemmU8S8PanelVnni<2>(Args, MBase, NBase, Mask); break;
-    case 1: brgemmU8S8PanelVnni<1>(Args, MBase, NBase, Mask); break;
-    default: break;
+struct U8S8Panels {
+  using ArgsT = BrgemmU8S8Args;
+
+  /// Computes the MR x (NV * 16) s32 C panel at (MBase, NBase).
+  template <int MR, int NV>
+  static void panel(const ArgsT &Args, int64_t MBase, int64_t NBase,
+                    __mmask16 LastMask) {
+    __m512i Acc[MR][NV];
+    unroll<MR>([&](auto R) GC_PANEL_INLINE {
+      int32_t *CRow = Args.C + (MBase + R) * Args.Ldc + NBase;
+      unroll<NV>([&](auto V) GC_PANEL_INLINE {
+        Acc[R][V] = Args.InitC ? _mm512_setzero_si512()
+                               : _mm512_maskz_loadu_epi32(
+                                     vecMask(V, NV, LastMask), CRow + V * 16);
+      });
+    });
+    const int64_t KGroups = Args.K / 4;
+    // A k-group holds 4 interleaved k values per column, so 16 columns
+    // are one 64-byte vector and the group strides NPadded * 4 bytes.
+    const int64_t GroupBytes = Args.NPadded * 4;
+    for (int64_t BI = 0; BI < Args.Batch; ++BI) {
+      const uint8_t *ATile =
+          Args.A + BI * Args.AStrideBatch + MBase * Args.Lda;
+      const int8_t *BTile = Args.B + BI * Args.BStrideBatch + NBase * 4;
+      for (int64_t KG = 0; KG < KGroups; ++KG) {
+        const int8_t *BGroup = BTile + KG * GroupBytes;
+        __m512i BVec[NV];
+        unroll<NV>([&](auto V) GC_PANEL_INLINE {
+          BVec[V] = _mm512_maskz_loadu_epi32(vecMask(V, NV, LastMask),
+                                             BGroup + V * 64);
+        });
+        unroll<MR>([&](auto R) GC_PANEL_INLINE {
+          int32_t APack = 0;
+          std::memcpy(&APack, ATile + R * Args.Lda + KG * 4, sizeof(APack));
+          const __m512i AVec = _mm512_set1_epi32(APack);
+          unroll<NV>([&](auto V) GC_PANEL_INLINE {
+            dpbusd(Acc[R][V], AVec, BVec[V]);
+          });
+        });
+      }
     }
+    unroll<MR>([&](auto R) GC_PANEL_INLINE {
+      int32_t *CRow = Args.C + (MBase + R) * Args.Ldc + NBase;
+      unroll<NV>([&](auto V) GC_PANEL_INLINE {
+        _mm512_mask_storeu_epi32(CRow + V * 16, vecMask(V, NV, LastMask),
+                                 Acc[R][V]);
+      });
+    });
   }
+};
+
+void brgemmU8S8Vnni(const BrgemmU8S8Args &Args) {
+  brgemmPanels<U8S8Panels>(Args);
 }
 
 } // namespace

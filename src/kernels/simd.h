@@ -19,6 +19,13 @@
 /// Masks: `Mask` is backend-specific (bool / __m256 / __mmask16). Kernels
 /// treat it as opaque and only pass it to blend().
 ///
+/// The AVX2 and AVX-512 backends also carry the integer side of the
+/// quantization bridges: an `Int` vector of s32 lanes (one per f32 lane),
+/// widening u8/s8/s32 loads, s32 add/sub/mul, the two converts and a
+/// truncating narrow to bytes. The converts round under the default MXCSR
+/// mode (to nearest, ties to even), as static_cast<float>(int32_t) and
+/// lrintf do, so the bridges match the scalar oracle bit for bit.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GC_KERNELS_SIMD_H
@@ -223,6 +230,47 @@ struct VecF32Avx2 {
     return {_mm256_mul_ps(_mm256_mul_ps(R.V, S1), S2)};
   }
 
+  // ---- s32 lanes (quantization bridges) -------------------------------
+  // Loads and stores take a lane count N: N >= Width moves a full vector,
+  // a smaller N only the first N lanes (the other loaded lanes are zero).
+
+  using Int = __m256i;
+
+  static Int setInt(int32_t X) { return _mm256_set1_epi32(X); }
+  static Int loadS32(const int32_t *P, int64_t N) {
+    return N >= Width
+               ? _mm256_loadu_si256(reinterpret_cast<const __m256i *>(P))
+               : _mm256_maskload_epi32(P, tailMask(N));
+  }
+  static Int loadU8(const uint8_t *P, int64_t N) {
+    return _mm256_cvtepu8_epi32(loadBytes(P, N));
+  }
+  static Int loadS8(const int8_t *P, int64_t N) {
+    return _mm256_cvtepi8_epi32(loadBytes(P, N));
+  }
+  static Int addInt(Int A, Int B) { return _mm256_add_epi32(A, B); }
+  static Int subInt(Int A, Int B) { return _mm256_sub_epi32(A, B); }
+  static Int mulInt(Int A, Int B) { return _mm256_mullo_epi32(A, B); }
+  static VecF32Avx2 fromInt(Int A) { return {_mm256_cvtepi32_ps(A)}; }
+  /// Nearest integer, ties to even; lanes must lie within int32 range.
+  static Int roundToInt(VecF32Avx2 A) { return _mm256_cvtps_epi32(A.V); }
+  /// Stores the low byte of each lane (truncating narrow).
+  static void storeBytes(uint8_t *P, Int A, int64_t N) {
+    // Byte 0 of each lane, gathered into the low 8 bytes.
+    const __m256i Pick = _mm256_setr_epi8(
+        0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, //
+        0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1);
+    const __m256i Picked = _mm256_shuffle_epi8(A, Pick);
+    const __m128i Bytes = _mm_unpacklo_epi32(
+        _mm256_castsi256_si128(Picked), _mm256_extracti128_si256(Picked, 1));
+    if (N >= Width) {
+      _mm_storel_epi64(reinterpret_cast<__m128i *>(P), Bytes);
+    } else {
+      const int64_t Low = _mm_cvtsi128_si64(Bytes);
+      std::memcpy(P, &Low, static_cast<size_t>(N));
+    }
+  }
+
   float hsum() const {
     const __m128 Lo = _mm256_castps256_ps128(V);
     const __m128 Hi = _mm256_extractf128_ps(V, 1);
@@ -238,6 +286,16 @@ struct VecF32Avx2 {
     M = _mm_max_ps(M, _mm_movehl_ps(M, M));
     M = _mm_max_ss(M, _mm_movehdup_ps(M));
     return _mm_cvtss_f32(M);
+  }
+
+private:
+  /// The first min(N, 8) bytes at P in the low bytes of an xmm.
+  static __m128i loadBytes(const void *P, int64_t N) {
+    if (N >= Width)
+      return _mm_loadl_epi64(static_cast<const __m128i *>(P));
+    int64_t Bytes = 0;
+    std::memcpy(&Bytes, P, static_cast<size_t>(N));
+    return _mm_cvtsi64_si128(Bytes);
   }
 };
 
@@ -340,6 +398,33 @@ struct VecF32Avx512 {
     const __m512 S2 = _mm512_castsi512_ps(
         _mm512_slli_epi32(_mm512_add_epi32(N2, Bias), 23));
     return {_mm512_mul_ps(_mm512_mul_ps(R.V, S1), S2)};
+  }
+
+  // ---- s32 lanes (quantization bridges) -------------------------------
+  // Loads and stores take a lane count N: N >= Width moves a full vector,
+  // a smaller N only the first N lanes (the other loaded lanes are zero).
+
+  using Int = __m512i;
+
+  static Int setInt(int32_t X) { return _mm512_set1_epi32(X); }
+  static Int loadS32(const int32_t *P, int64_t N) {
+    return _mm512_maskz_loadu_epi32(tailMask(N), P);
+  }
+  static Int loadU8(const uint8_t *P, int64_t N) {
+    return _mm512_cvtepu8_epi32(_mm_maskz_loadu_epi8(tailMask(N), P));
+  }
+  static Int loadS8(const int8_t *P, int64_t N) {
+    return _mm512_cvtepi8_epi32(_mm_maskz_loadu_epi8(tailMask(N), P));
+  }
+  static Int addInt(Int A, Int B) { return _mm512_add_epi32(A, B); }
+  static Int subInt(Int A, Int B) { return _mm512_sub_epi32(A, B); }
+  static Int mulInt(Int A, Int B) { return _mm512_mullo_epi32(A, B); }
+  static VecF32Avx512 fromInt(Int A) { return {_mm512_cvtepi32_ps(A)}; }
+  /// Nearest integer, ties to even; lanes must lie within int32 range.
+  static Int roundToInt(VecF32Avx512 A) { return _mm512_cvtps_epi32(A.V); }
+  /// Stores the low byte of each lane (truncating narrow, vpmovdb).
+  static void storeBytes(uint8_t *P, Int A, int64_t N) {
+    _mm512_mask_cvtepi32_storeu_epi8(P, tailMask(N), A);
   }
 
   float hsum() const { return _mm512_reduce_add_ps(V); }

@@ -16,7 +16,18 @@
 /// tier-dependent — the scalar oracle keeps the first operand where
 /// hardware min/max instructions keep the second — so NaN tiles are out of
 /// the scalar-vs-simd parity contract. All other kernels propagate NaN
-/// identically at every tier.
+/// identically at every tier, except quantizeU8Tile and quantizeS8Tile:
+/// an integer has no NaN, and which byte a NaN input yields is outside the
+/// contract.
+///
+/// Quantization bridges: dequantAccTile, quantize{U8,S8}Tile,
+/// dequantU8Tile, dequantS8PerChannelTile and castS32F32Tile dispatch
+/// through the tier tables like the f32 ops. Every tier matches the scalar
+/// oracle bit for bit: int -> f32 converts and f32 -> int rounding both
+/// follow the default MXCSR mode (to nearest, ties to even, as lrintf).
+/// Quantization saturates: the scaled value is clamped to the target range
+/// before it is rounded, so any magnitude, +-inf included, lands on the
+/// nearest end of the range.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -134,7 +145,8 @@ void dequantAccTile(float *Dst, int64_t DstLd, const int32_t *Src,
                     int64_t SrcLd, int64_t Rows, int64_t Cols,
                     const int32_t *Comp, int32_t AZp, const float *ScaleVec);
 
-/// Quantizes f32 to u8: Dst = sat_u8(round(Src * InvScale) + Zp).
+/// Quantizes f32 to u8: Dst = sat_u8(round(Src * InvScale) + Zp), rounding
+/// half to even.
 void quantizeU8Tile(uint8_t *Dst, int64_t DstLd, const float *Src,
                     int64_t SrcLd, int64_t Rows, int64_t Cols, float InvScale,
                     int32_t Zp);
@@ -162,10 +174,11 @@ void castS32F32Tile(float *Dst, int64_t DstLd, const int32_t *Src,
 // Dispatch tiers
 //===----------------------------------------------------------------------===//
 
-/// The f32 tile-op vocabulary of one kernel dispatch tier. The free
-/// functions above forward to the active tier's table (selected once per
-/// process from CPUID + GC_KERNELS); tests reach specific tiers directly
-/// through tileOpsTable() for scalar-vs-simd differential checks.
+/// The tile-op vocabulary of one kernel dispatch tier: the f32 ops and the
+/// quantization bridges. The free functions above forward to the active
+/// tier's table (selected once per process from CPUID + GC_KERNELS); tests
+/// reach specific tiers directly through tileOpsTable() for
+/// scalar-vs-simd differential checks.
 struct TileOpsTable {
   void (*Relu)(const TileF32 &) = nullptr;
   void (*Exp)(const TileF32 &) = nullptr;
@@ -192,6 +205,19 @@ struct TileOpsTable {
   void (*ReduceSumRows)(const TileF32 &, float *, bool) = nullptr;
   void (*ReduceMaxRows)(const TileF32 &, float *, bool) = nullptr;
   void (*Fill)(const TileF32 &, float) = nullptr;
+  void (*DequantAcc)(float *, int64_t, const int32_t *, int64_t, int64_t,
+                     int64_t, const int32_t *, int32_t,
+                     const float *) = nullptr;
+  void (*QuantizeU8)(uint8_t *, int64_t, const float *, int64_t, int64_t,
+                     int64_t, float, int32_t) = nullptr;
+  void (*QuantizeS8)(int8_t *, int64_t, const float *, int64_t, int64_t,
+                     int64_t, float) = nullptr;
+  void (*DequantU8)(float *, int64_t, const uint8_t *, int64_t, int64_t,
+                    int64_t, float, int32_t) = nullptr;
+  void (*DequantS8PerChannel)(float *, int64_t, const int8_t *, int64_t,
+                              int64_t, int64_t, const float *) = nullptr;
+  void (*CastS32F32)(float *, int64_t, const int32_t *, int64_t, int64_t,
+                     int64_t, float) = nullptr;
   const char *Name = "";
   KernelTier Tier = KernelTier::Scalar;
 };

@@ -1,11 +1,12 @@
 //===- tile_ops_simd.h - Width-generic tile-op kernel bodies ----*- C++ -*-===//
 ///
 /// \file
-/// The vectorized bodies of the f32 tile-op vocabulary, written once as
-/// templates over a simd.h backend. Each ISA translation unit
-/// (tile_ops_avx2.cpp, tile_ops_avx512.cpp) instantiates SimdTileOps with
-/// its backend and exports the resulting TileOpsTable; tile_ops.cpp keeps
-/// the original scalar loops as the GC_KERNELS=scalar reference oracle.
+/// The vectorized bodies of the tile-op vocabulary (the f32 ops and the
+/// quantization bridges), written once as templates over a simd.h backend.
+/// Each ISA translation unit (tile_ops_avx2.cpp, tile_ops_avx512.cpp)
+/// instantiates SimdTileOps with its backend and exports the resulting
+/// TileOpsTable; tile_ops.cpp keeps the original scalar loops as the
+/// GC_KERNELS=scalar reference oracle.
 ///
 /// Every kernel walks full vector blocks and finishes the row with one
 /// masked-tail block, so non-multiple-of-width column counts never touch
@@ -217,6 +218,119 @@ template <typename V> struct SimdTileOps {
     mapRows(X, [Vv](V) { return Vv; });
   }
 
+  // ---- quantization bridges --------------------------------------------
+
+  /// Calls F(R, C, N) for every row R < Rows and column block [C, C + N):
+  /// full vectors (N == Width), then one masked tail.
+  template <typename Fn>
+  static inline void forEachBlock(int64_t Rows, int64_t Cols, Fn F) {
+    const int64_t W = V::Width;
+    for (int64_t R = 0; R < Rows; ++R) {
+      int64_t C = 0;
+      for (; C + W <= Cols; C += W)
+        F(R, C, W);
+      if (C < Cols)
+        F(R, C, Cols - C);
+    }
+  }
+
+  // f32 accessors in the form of the Int ones: N == Width takes the
+  // full-vector form (constant folded in forEachBlock's full-block call),
+  // anything less the masked one.
+  static inline V loadN(const float *P, int64_t N) {
+    return N == V::Width ? V::load(P) : V::loadPartial(P, N);
+  }
+  static inline void storeN(V X, float *P, int64_t N) {
+    if (N == V::Width)
+      X.store(P);
+    else
+      X.storePartial(P, N);
+  }
+
+  static void dequantAcc(float *Dst, int64_t DstLd, const int32_t *Src,
+                         int64_t SrcLd, int64_t Rows, int64_t Cols,
+                         const int32_t *Comp, int32_t AZp,
+                         const float *ScaleVec) {
+    if (AZp == 0 || !Comp) {
+      forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
+        const V Acc = V::fromInt(V::loadS32(Src + R * SrcLd + C, N));
+        storeN(V::mul(Acc, loadN(ScaleVec + C, N)), Dst + R * DstLd + C, N);
+      });
+      return;
+    }
+    const typename V::Int Zp = V::setInt(AZp);
+    forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
+      const typename V::Int Adjusted =
+          V::subInt(V::loadS32(Src + R * SrcLd + C, N),
+                    V::mulInt(Zp, V::loadS32(Comp + C, N)));
+      storeN(V::mul(V::fromInt(Adjusted), loadN(ScaleVec + C, N)),
+             Dst + R * DstLd + C, N);
+    });
+  }
+
+  /// Dst = round(clamp(Src * InvScale, Lo - Zp, Hi - Zp)) + Zp, one byte
+  /// per element. Clamping before the convert keeps it in int32 range.
+  static inline void quantizeBytes(uint8_t *Dst, int64_t DstLd,
+                                   const float *Src, int64_t SrcLd,
+                                   int64_t Rows, int64_t Cols, float InvScale,
+                                   int32_t Zp, int32_t Lo, int32_t Hi) {
+    const V Scale = V::set1(InvScale);
+    const V LoV = V::set1(static_cast<float>(int64_t{Lo} - Zp));
+    const V HiV = V::set1(static_cast<float>(int64_t{Hi} - Zp));
+    const typename V::Int ZpV = V::setInt(Zp);
+    forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
+      const V X = V::mul(loadN(Src + R * SrcLd + C, N), Scale);
+      const V Clamped = V::min_(V::max_(X, LoV), HiV);
+      V::storeBytes(Dst + R * DstLd + C,
+                    V::addInt(V::roundToInt(Clamped), ZpV), N);
+    });
+  }
+
+  static void quantizeU8(uint8_t *Dst, int64_t DstLd, const float *Src,
+                         int64_t SrcLd, int64_t Rows, int64_t Cols,
+                         float InvScale, int32_t Zp) {
+    quantizeBytes(Dst, DstLd, Src, SrcLd, Rows, Cols, InvScale, Zp, 0, 255);
+  }
+
+  static void quantizeS8(int8_t *Dst, int64_t DstLd, const float *Src,
+                         int64_t SrcLd, int64_t Rows, int64_t Cols,
+                         float InvScale) {
+    quantizeBytes(reinterpret_cast<uint8_t *>(Dst), DstLd, Src, SrcLd, Rows,
+                  Cols, InvScale, 0, -128, 127);
+  }
+
+  static void dequantU8(float *Dst, int64_t DstLd, const uint8_t *Src,
+                        int64_t SrcLd, int64_t Rows, int64_t Cols, float Scale,
+                        int32_t Zp) {
+    const V S = V::set1(Scale);
+    const typename V::Int ZpV = V::setInt(Zp);
+    forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
+      const typename V::Int Q =
+          V::subInt(V::loadU8(Src + R * SrcLd + C, N), ZpV);
+      storeN(V::mul(V::fromInt(Q), S), Dst + R * DstLd + C, N);
+    });
+  }
+
+  static void dequantS8PerChannel(float *Dst, int64_t DstLd,
+                                  const int8_t *Src, int64_t SrcLd,
+                                  int64_t Rows, int64_t Cols,
+                                  const float *ScaleVec) {
+    forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
+      const V Q = V::fromInt(V::loadS8(Src + R * SrcLd + C, N));
+      storeN(V::mul(Q, loadN(ScaleVec + C, N)), Dst + R * DstLd + C, N);
+    });
+  }
+
+  static void castS32F32(float *Dst, int64_t DstLd, const int32_t *Src,
+                         int64_t SrcLd, int64_t Rows, int64_t Cols,
+                         float Scale) {
+    const V S = V::set1(Scale);
+    forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
+      const V X = V::fromInt(V::loadS32(Src + R * SrcLd + C, N));
+      storeN(V::mul(X, S), Dst + R * DstLd + C, N);
+    });
+  }
+
   // ---- table -----------------------------------------------------------
 
   static TileOpsTable table(const char *Name, KernelTier Tier) {
@@ -246,6 +360,12 @@ template <typename V> struct SimdTileOps {
     T.ReduceSumRows = reduceSumRows;
     T.ReduceMaxRows = reduceMaxRows;
     T.Fill = fill;
+    T.DequantAcc = dequantAcc;
+    T.QuantizeU8 = quantizeU8;
+    T.QuantizeS8 = quantizeS8;
+    T.DequantU8 = dequantU8;
+    T.DequantS8PerChannel = dequantS8PerChannel;
+    T.CastS32F32 = castS32F32;
     T.Name = Name;
     T.Tier = Tier;
     return T;

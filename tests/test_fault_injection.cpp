@@ -771,6 +771,51 @@ TEST(Degrade, BytecodeCompileFallsBackToReference) {
   EXPECT_NE((*AgainOr)->compiledPartition(0), nullptr);
 }
 
+TEST(Degrade, BucketSpecializationIsNotLatched) {
+  constexpr int64_t kDyn = LogicalTensor::kDynamicDim;
+  const int64_t Batch = 16; // a bucket size under every bucketing policy
+  const Graph DynG = buildMlpGraph(kDyn);
+  const Graph ExactG = buildMlpGraph(Batch);
+  core::CompileOptions Opts;
+  // As above: a warm artifact cache would serve the bytecode without
+  // running the faulted compile.
+  Opts.CacheMode = runtime::CacheMode::Off;
+  api::Session S(Opts);
+  auto CGOr = S.compile(DynG);
+  ASSERT_TRUE(CGOr.hasValue()) << CGOr.status().toString();
+  ASSERT_TRUE((*CGOr)->isPolymorphic());
+  std::vector<runtime::TensorData> Ins = makeInputs(ExactG, 73);
+  const std::vector<runtime::TensorData> Want = referenceOutputs(ExactG, Ins);
+  api::Stream Str = S.stream();
+
+  {
+    // The bucket's partition compile fails transiently: this execution
+    // runs that partition on the reference interpreter...
+    FaultScope F(std::string(fault::kCompileBytecode) + ":1");
+    std::vector<runtime::TensorData> Outs = makeOutputs(ExactG);
+    std::vector<runtime::TensorData *> OutPtrs = ptrs(Outs);
+    const Status Got = Str.execute(**CGOr, ptrs(Ins), OutPtrs);
+    ASSERT_TRUE(Got.isOk()) << Got.toString();
+    expectClose(Outs, Want, "reference-degraded bucket");
+  }
+  EXPECT_GE(S.healthStats().DegradedToReference, 1u);
+  // ...and the degraded specialization is not cached.
+  EXPECT_EQ((*CGOr)->numSpecializations(), 0u);
+  EXPECT_EQ((*CGOr)->cachedSpecializationFor(Batch), nullptr);
+
+  // Fault gone: the same bucket compiles for real and stays cached.
+  std::vector<runtime::TensorData> Outs = makeOutputs(ExactG);
+  std::vector<runtime::TensorData *> OutPtrs = ptrs(Outs);
+  const Status After = Str.execute(**CGOr, ptrs(Ins), OutPtrs);
+  ASSERT_TRUE(After.isOk()) << After.toString();
+  expectClose(Outs, Want, "compiled bucket after the fault");
+  const api::CompiledGraphPtr Spec = (*CGOr)->cachedSpecializationFor(Batch);
+  ASSERT_NE(Spec, nullptr);
+  ASSERT_EQ(Spec->numPartitions(), 1u);
+  EXPECT_EQ(Spec->partitionKind(0), api::PartitionKind::Compiled);
+  EXPECT_NE(Spec->compiledPartition(0), nullptr);
+}
+
 //===----------------------------------------------------------------------===//
 // Artifact cache: bounded lock wait and I/O chaos
 //===----------------------------------------------------------------------===//

@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 using namespace gc;
 using namespace gc::kernels;
 using namespace gc::test;
@@ -194,86 +197,156 @@ INSTANTIATE_TEST_SUITE_P(
                       TileShape{7, 100, 12, 5}, TileShape{48, 48, 48, 1}));
 
 //===----------------------------------------------------------------------===//
-// Per-tier differential: every available ISA tier against the portable
-// reference, independent of the GC_KERNELS dispatch (exercises the AVX2
-// 6x16 f32 panels + exact u8s8 emulation and the AVX-512/VNNI kernels on
-// machines that have them, including ragged M/N tails).
+// Per-tier differential: every available ISA tier against a reference,
+// independent of the GC_KERNELS dispatch (the AVX2 6x16 f32 panels + exact
+// u8s8 emulation and the AVX-512/VNNI up-to-6x64 panels on machines that
+// have them). Each shape runs with InitC both ways and with C (and packed
+// B) both tight and padded: Ldc > N, NPadded > N. C's padding holds a
+// sentinel that must survive; packed B's padding holds garbage that must
+// not leak into C.
 //===----------------------------------------------------------------------===//
+
+constexpr float kCSentinel = -777.25f;
+constexpr int32_t kCSentinelS32 = -7777777;
+
+/// Bit pattern of a float: the tier sweep compares f32 bit for bit.
+uint32_t bitsOf(float F) {
+  uint32_t U = 0;
+  std::memcpy(&U, &F, sizeof(U));
+  return U;
+}
+
+/// The f32 contract of the SIMD tiers: each C element starts from C (or 0
+/// under InitC) and accumulates its products in (batch, k) order, one
+/// std::fmaf per product.
+void brgemmF32Fmaf(const BrgemmF32Args &Args) {
+  for (int64_t MI = 0; MI < Args.M; ++MI)
+    for (int64_t NI = 0; NI < Args.N; ++NI) {
+      float Acc = Args.InitC ? 0.0f : Args.C[MI * Args.Ldc + NI];
+      for (int64_t BI = 0; BI < Args.Batch; ++BI)
+        for (int64_t KI = 0; KI < Args.K; ++KI)
+          Acc = std::fmaf(
+              Args.A[BI * Args.AStrideBatch + MI * Args.Lda + KI],
+              Args.B[BI * Args.BStrideBatch + KI * Args.Ldb + NI], Acc);
+      Args.C[MI * Args.Ldc + NI] = Acc;
+    }
+}
+
+void checkF32Tiers(int64_t M, int64_t N, int64_t K, int64_t Batch) {
+  const auto A = randomF32(Batch * M * K, 71);
+  const auto B = randomF32(Batch * K * N, 72);
+  for (int64_t Pad : {0, 5})
+    for (bool InitC : {true, false}) {
+      const int64_t Ldc = N + Pad;
+      std::vector<float> CInit = randomF32(M * Ldc, 75);
+      for (int64_t MI = 0; MI < M; ++MI)
+        for (int64_t NI = N; NI < Ldc; ++NI)
+          CInit[static_cast<size_t>(MI * Ldc + NI)] = kCSentinel;
+      BrgemmF32Args Args;
+      Args.A = A.data(); Args.AStrideBatch = M * K; Args.Lda = K;
+      Args.B = B.data(); Args.BStrideBatch = K * N; Args.Ldb = N;
+      Args.Ldc = Ldc;
+      Args.M = M; Args.N = N; Args.K = K; Args.Batch = Batch;
+      Args.InitC = InitC;
+      std::vector<float> CRef = CInit;
+      Args.C = CRef.data();
+      brgemmF32Fmaf(Args);
+      for (KernelTier Tier : {KernelTier::Avx2, KernelTier::Avx512}) {
+        BrgemmF32Fn Fn = brgemmF32ForTier(Tier);
+        if (!Fn)
+          continue;
+        std::vector<float> C = CInit;
+        Args.C = C.data();
+        Fn(Args);
+        for (size_t I = 0; I < C.size(); ++I)
+          ASSERT_EQ(bitsOf(C[I]), bitsOf(CRef[I]))
+              << "tier " << kernelTierName(Tier) << " M=" << M << " N=" << N
+              << " Batch=" << Batch << " Ldc=" << Ldc << " init=" << InitC
+              << " at row " << static_cast<int64_t>(I) / Ldc << " col "
+              << static_cast<int64_t>(I) % Ldc << ": " << C[I] << " vs "
+              << CRef[I];
+      }
+    }
+}
+
+void checkU8S8Tiers(int64_t M, int64_t N, int64_t K, int64_t Batch) {
+  const int64_t KPad = (K + 3) / 4 * 4;
+  const auto A = randomU8(Batch * M * KPad, 73);
+  const std::vector<int8_t> BPlain = randomS8(Batch * K * N, 74);
+  for (int64_t Pad : {0, 3})
+    for (bool InitC : {true, false}) {
+      const int64_t NPadded = N + Pad, Ldc = N + Pad;
+      std::vector<int8_t> BPacked(static_cast<size_t>(Batch * KPad * NPadded));
+      for (int64_t BI = 0; BI < Batch; ++BI) {
+        PlainMatrix Src;
+        Src.Data = BPlain.data() + BI * K * N;
+        Src.Rows = K;
+        Src.Cols = N;
+        Src.Ld = N;
+        int8_t *Dst = BPacked.data() + BI * KPad * NPadded;
+        packBS8Vnni(Src, Dst, KPad, NPadded);
+        for (int64_t KI = 0; KI < KPad; ++KI)
+          for (int64_t NI = N; NI < NPadded; ++NI)
+            Dst[(KI / 4) * NPadded * 4 + NI * 4 + KI % 4] = 0x5a;
+      }
+      std::vector<int32_t> CInit(static_cast<size_t>(M * Ldc), 7);
+      for (int64_t MI = 0; MI < M; ++MI)
+        for (int64_t NI = N; NI < Ldc; ++NI)
+          CInit[static_cast<size_t>(MI * Ldc + NI)] = kCSentinelS32;
+      BrgemmU8S8Args Args;
+      Args.A = A.data(); Args.AStrideBatch = M * KPad; Args.Lda = KPad;
+      Args.B = BPacked.data(); Args.BStrideBatch = KPad * NPadded;
+      Args.NPadded = NPadded;
+      Args.Ldc = Ldc;
+      Args.M = M; Args.N = N; Args.K = KPad; Args.Batch = Batch;
+      Args.InitC = InitC;
+      std::vector<int32_t> CRef = CInit;
+      Args.C = CRef.data();
+      brgemmU8S8Ref(Args);
+      for (KernelTier Tier : {KernelTier::Avx2, KernelTier::Avx512}) {
+        BrgemmU8S8Fn Fn = brgemmU8S8ForTier(Tier);
+        if (!Fn)
+          continue;
+        std::vector<int32_t> C = CInit;
+        Args.C = C.data();
+        Fn(Args);
+        // Integer kernels are exact at every tier — full-range u8 x s8
+        // included (the AVX2 path widens to s16 before pmaddwd instead of
+        // using the saturating maddubs shortcut).
+        for (size_t I = 0; I < C.size(); ++I)
+          ASSERT_EQ(C[I], CRef[I])
+              << "tier " << kernelTierName(Tier) << " M=" << M << " N=" << N
+              << " Batch=" << Batch << " Ldc=" << Ldc << " init=" << InitC
+              << " at row " << static_cast<int64_t>(I) / Ldc << " col "
+              << static_cast<int64_t>(I) % Ldc;
+      }
+    }
+}
 
 class BrgemmTierSweep : public ::testing::TestWithParam<TileShape> {};
 
 TEST_P(BrgemmTierSweep, F32TiersMatchReference) {
   const TileShape S = GetParam();
-  const auto A = randomF32(S.Batch * S.M * S.K, 71);
-  const auto B = randomF32(S.Batch * S.K * S.N, 72);
-  BrgemmF32Args Args;
-  Args.A = A.data(); Args.AStrideBatch = S.M * S.K; Args.Lda = S.K;
-  Args.B = B.data(); Args.BStrideBatch = S.K * S.N; Args.Ldb = S.N;
-  Args.M = S.M; Args.N = S.N; Args.K = S.K; Args.Batch = S.Batch;
-  for (bool InitC : {true, false}) {
-    Args.InitC = InitC;
-    std::vector<float> CRef(static_cast<size_t>(S.M * S.N), 0.5f);
-    Args.C = CRef.data(); Args.Ldc = S.N;
-    brgemmF32Ref(Args);
-    for (KernelTier Tier :
-         {KernelTier::Avx2, KernelTier::Avx512}) {
-      BrgemmF32Fn Fn = brgemmF32ForTier(Tier);
-      if (!Fn)
-        continue;
-      std::vector<float> C(static_cast<size_t>(S.M * S.N), 0.5f);
-      Args.C = C.data();
-      Fn(Args);
-      for (size_t I = 0; I < C.size(); ++I)
-        ASSERT_NEAR(C[I], CRef[I], kF32Tol * S.K * S.Batch)
-            << "tier " << kernelTierName(Tier) << " at " << I
-            << " init=" << InitC;
-      Args.C = CRef.data();
-    }
-  }
+  checkF32Tiers(S.M, S.N, S.K, S.Batch);
 }
 
 TEST_P(BrgemmTierSweep, U8S8TiersMatchReference) {
   const TileShape S = GetParam();
-  const int64_t KPad = (S.K + 3) / 4 * 4;
-  const auto A = randomU8(S.Batch * S.M * KPad, 73);
-  std::vector<int8_t> BPlain = randomS8(S.Batch * S.K * S.N, 74);
-  std::vector<int8_t> BPacked(static_cast<size_t>(S.Batch * KPad * S.N), 0);
-  for (int64_t BI = 0; BI < S.Batch; ++BI) {
-    PlainMatrix Src;
-    Src.Data = BPlain.data() + BI * S.K * S.N;
-    Src.Rows = S.K;
-    Src.Cols = S.N;
-    Src.Ld = S.N;
-    packBS8Vnni(Src, BPacked.data() + BI * KPad * S.N, KPad, S.N);
-  }
-  BrgemmU8S8Args Args;
-  Args.A = A.data(); Args.AStrideBatch = S.M * KPad; Args.Lda = KPad;
-  Args.B = BPacked.data(); Args.BStrideBatch = KPad * S.N;
-  Args.NPadded = S.N;
-  Args.M = S.M; Args.N = S.N; Args.K = KPad; Args.Batch = S.Batch;
-  for (bool InitC : {true, false}) {
-    Args.InitC = InitC;
-    std::vector<int32_t> CRef(static_cast<size_t>(S.M * S.N), 7);
-    Args.C = CRef.data(); Args.Ldc = S.N;
-    brgemmU8S8Ref(Args);
-    for (KernelTier Tier :
-         {KernelTier::Avx2, KernelTier::Avx512}) {
-      BrgemmU8S8Fn Fn = brgemmU8S8ForTier(Tier);
-      if (!Fn)
-        continue;
-      std::vector<int32_t> C(static_cast<size_t>(S.M * S.N), 7);
-      Args.C = C.data();
-      Fn(Args);
-      // Integer kernels are exact at every tier — full-range u8 x s8
-      // included (the AVX2 path widens to s16 before pmaddwd instead of
-      // using the saturating maddubs shortcut).
-      for (size_t I = 0; I < C.size(); ++I)
-        ASSERT_EQ(C[I], CRef[I])
-            << "tier " << kernelTierName(Tier) << " at " << I
-            << " init=" << InitC;
-      Args.C = CRef.data();
+  checkU8S8Tiers(S.M, S.N, S.K, S.Batch);
+}
+
+/// Every M remainder at this shape's N: 1-13 rows reach every panel height
+/// and every split of a 7-11 row remainder into two panels; 17 and 32 add
+/// full panels ahead of a split. Batch 1 and 3.
+TEST_P(BrgemmTierSweep, EveryMRemainder) {
+  const TileShape S = GetParam();
+  for (int64_t M : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 17, 32})
+    for (int64_t Batch : {1, 3}) {
+      checkF32Tiers(M, S.N, S.K, Batch);
+      checkU8S8Tiers(M, S.N, S.K, Batch);
+      if (HasFatalFailure())
+        return;
     }
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -283,5 +356,16 @@ INSTANTIATE_TEST_SUITE_P(
                       TileShape{12, 24, 20, 2}, TileShape{7, 7, 8, 1},
                       TileShape{32, 48, 64, 2}, TileShape{3, 9, 12, 4},
                       TileShape{11, 31, 28, 1}, TileShape{6, 100, 16, 2}));
+
+// Panel-width edges: one, just under/at/over one vector, two vectors and
+// the 64-column panel, plus ragged multi-panel widths.
+INSTANTIATE_TEST_SUITE_P(
+    PanelWidths, BrgemmTierSweep,
+    ::testing::Values(TileShape{6, 1, 12, 1}, TileShape{6, 15, 12, 1},
+                      TileShape{6, 16, 12, 1}, TileShape{6, 17, 12, 1},
+                      TileShape{6, 31, 12, 1}, TileShape{6, 33, 12, 1},
+                      TileShape{6, 48, 12, 1}, TileShape{6, 63, 12, 1},
+                      TileShape{6, 64, 12, 1}, TileShape{6, 65, 12, 1},
+                      TileShape{6, 100, 12, 1}, TileShape{6, 128, 12, 1}));
 
 } // namespace

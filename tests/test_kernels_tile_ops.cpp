@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 using namespace gc;
 using namespace gc::kernels;
@@ -197,6 +199,35 @@ TEST(TileOps, QuantU8Saturates) {
   EXPECT_EQ(Q[2], 10);
 }
 
+TEST(TileOps, QuantizeSaturatesPastInt32AtEveryTier) {
+  // |x * InvScale| >= 2^31 must saturate, not wrap through int32. Repeated
+  // across 37 columns so the SIMD tiers cover full vectors and a tail.
+  const float Inf = std::numeric_limits<float>::infinity();
+  const float Big[] = {3e9f, -3e9f, 5e9f, -5e9f, Inf, -Inf};
+  const uint8_t WantU8[] = {255, 0, 255, 0, 255, 0};
+  const int8_t WantS8[] = {127, -128, 127, -128, 127, -128};
+  constexpr int64_t Cols = 37;
+  std::vector<float> X(Cols);
+  for (int64_t C = 0; C < Cols; ++C)
+    X[static_cast<size_t>(C)] = Big[C % 6];
+  for (KernelTier Tier :
+       {KernelTier::Scalar, KernelTier::Avx2, KernelTier::Avx512}) {
+    const TileOpsTable *T = tileOpsTable(Tier);
+    if (!T)
+      continue;
+    std::vector<uint8_t> U8(Cols);
+    std::vector<int8_t> S8(Cols);
+    T->QuantizeU8(U8.data(), Cols, X.data(), Cols, 1, Cols, 1.0f, 10);
+    T->QuantizeS8(S8.data(), Cols, X.data(), Cols, 1, Cols, 1.0f);
+    for (int64_t C = 0; C < Cols; ++C) {
+      EXPECT_EQ(U8[static_cast<size_t>(C)], WantU8[C % 6])
+          << kernelTierName(Tier) << " u8 of " << Big[C % 6];
+      EXPECT_EQ(S8[static_cast<size_t>(C)], WantS8[C % 6])
+          << kernelTierName(Tier) << " s8 of " << Big[C % 6];
+    }
+  }
+}
+
 TEST(TileOps, DequantAccMatchesFormula) {
   const int64_t R = 4, C = 6;
   std::vector<int32_t> Acc(static_cast<size_t>(R * C));
@@ -224,8 +255,9 @@ TEST(TileOps, DequantAccMatchesFormula) {
 // Every op of every available SIMD tier table against the scalar oracle
 // table, over shapes that exercise full vector blocks, masked tails
 // (Cols % width != 0) and strided rows (Ld > Cols). Exact ops (single
-// IEEE operations in both paths) must match bitwise; fma-contracted and
-// transcendental ops within the documented bounds.
+// IEEE operations in both paths) and the quantization bridges must match
+// bitwise; fma-contracted and transcendental ops within the documented
+// bounds.
 //===----------------------------------------------------------------------===//
 
 struct DiffShape {
@@ -269,7 +301,56 @@ protected:
       }
     }
   }
+
+  /// Runs a quantization bridge on the scalar oracle and on each SIMD tier
+  /// with identical inputs. Op(Table, Dst, DstLd) writes a Rows x Cols
+  /// tile of T into a Rows x Ld destination prefilled with \p Fill; the
+  /// tile must match bit for bit and the bytes past Cols stay Fill.
+  template <typename T, typename OpFn>
+  void diffBridge(const char *Name, T Fill, OpFn Op) {
+    const DiffShape S = GetParam();
+    const TileOpsTable *Scalar = tileOpsTable(KernelTier::Scalar);
+    for (KernelTier Tier : {KernelTier::Avx2, KernelTier::Avx512}) {
+      const TileOpsTable *Simd = tileOpsTable(Tier);
+      if (!Simd)
+        continue;
+      std::vector<T> Ref(static_cast<size_t>(S.Rows * S.Ld), Fill);
+      std::vector<T> Vec = Ref;
+      Op(*Scalar, Ref.data(), S.Ld);
+      Op(*Simd, Vec.data(), S.Ld);
+      for (int64_t R = 0; R < S.Rows; ++R)
+        for (int64_t C = 0; C < S.Ld; ++C) {
+          const size_t I = static_cast<size_t>(R * S.Ld + C);
+          const T &Want = C < S.Cols ? Ref[I] : Fill;
+          ASSERT_EQ(std::memcmp(&Vec[I], &Want, sizeof(T)), 0)
+              << Name << " tier=" << kernelTierName(Tier) << " r=" << R
+              << " c=" << C << (C < S.Cols ? "" : " (padding)") << ": "
+              << +Vec[I] << " vs " << +Want;
+        }
+    }
+  }
 };
+
+/// Quantizer inputs: scaled random values, exact half-steps k + 0.5 (ties
+/// that must round to even) and values that saturate u8 and s8, including
+/// magnitudes past 2^31 and infinities.
+std::vector<float> quantInputs(int64_t N, uint64_t Seed) {
+  static const float Specials[] = {
+      3e9f,   -3e9f,  5e9f,   -5e9f, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(), 1e6f, -1e6f, 255.5f, 254.5f,
+      127.5f, -128.5f, -127.5f, 0.5f, -0.5f, 1.5f, 2.5f, -0.0f};
+  std::vector<float> X = randomF32(N, Seed);
+  for (size_t I = 0; I < X.size(); ++I) {
+    const float Half = std::floor(X[I] * 140.0f) + 0.5f;
+    switch (I % 4) {
+    case 0: X[I] *= 300.0f; break;
+    case 1: X[I] = Half; break;
+    case 2: X[I] = Specials[(I / 4) % (sizeof(Specials) / sizeof(float))]; break;
+    default: X[I] = Half + 128.0f; break;
+    }
+  }
+  return X;
+}
 
 TEST_P(TileOpsDiffSweep, ExactUnary) {
   diffOne("relu", 21, 0.0,
@@ -387,6 +468,66 @@ TEST_P(TileOpsDiffSweep, Reductions) {
             << "max tier=" << kernelTierName(Tier) << " acc=" << Accumulate;
     }
   }
+}
+
+TEST_P(TileOpsDiffSweep, QuantBridgesBitExact) {
+  const DiffShape S = GetParam();
+  const int64_t N = S.Rows * S.Ld;
+  const std::vector<float> X = quantInputs(N, 81);
+  for (float InvScale : {1.0f, 0.37f}) {
+    for (int32_t Zp : {0, 3, 128}) {
+      diffBridge<uint8_t>("quantizeU8", 0xa5,
+                          [&](const TileOpsTable &T, uint8_t *D, int64_t Ld) {
+                            T.QuantizeU8(D, Ld, X.data(), S.Ld, S.Rows,
+                                         S.Cols, InvScale, Zp);
+                          });
+    }
+    diffBridge<int8_t>("quantizeS8", 0x5a,
+                       [&](const TileOpsTable &T, int8_t *D, int64_t Ld) {
+                         T.QuantizeS8(D, Ld, X.data(), S.Ld, S.Rows, S.Cols,
+                                      InvScale);
+                       });
+  }
+
+  const std::vector<uint8_t> U8 = randomU8(N, 82);
+  const std::vector<int8_t> S8 = randomS8(N, 83);
+  const std::vector<float> ScaleVec = randomF32(S.Cols, 84);
+  // s32 accumulators up to +-2^30: past 2^24, so the int -> f32 convert
+  // rounds, and the compensation product stays in range.
+  std::vector<int32_t> S32(static_cast<size_t>(N));
+  std::vector<int32_t> Comp(static_cast<size_t>(S.Cols));
+  {
+    const std::vector<float> R = randomF32(N + S.Cols, 85);
+    for (int64_t I = 0; I < N; ++I)
+      S32[static_cast<size_t>(I)] =
+          static_cast<int32_t>(R[static_cast<size_t>(I)] * 1073741824.0f);
+    for (int64_t C = 0; C < S.Cols; ++C)
+      Comp[static_cast<size_t>(C)] =
+          static_cast<int32_t>(R[static_cast<size_t>(N + C)] * 40000.0f);
+  }
+  const float FillF = -777.25f;
+  for (int32_t AZp : {0, 7}) {
+    diffBridge<float>("dequantAcc", FillF,
+                      [&](const TileOpsTable &T, float *D, int64_t Ld) {
+                        T.DequantAcc(D, Ld, S32.data(), S.Ld, S.Rows, S.Cols,
+                                     Comp.data(), AZp, ScaleVec.data());
+                      });
+  }
+  diffBridge<float>("dequantU8", FillF,
+                    [&](const TileOpsTable &T, float *D, int64_t Ld) {
+                      T.DequantU8(D, Ld, U8.data(), S.Ld, S.Rows, S.Cols,
+                                  0.37f, 5);
+                    });
+  diffBridge<float>("dequantS8PerChannel", FillF,
+                    [&](const TileOpsTable &T, float *D, int64_t Ld) {
+                      T.DequantS8PerChannel(D, Ld, S8.data(), S.Ld, S.Rows,
+                                            S.Cols, ScaleVec.data());
+                    });
+  diffBridge<float>("castS32F32", FillF,
+                    [&](const TileOpsTable &T, float *D, int64_t Ld) {
+                      T.CastS32F32(D, Ld, S32.data(), S.Ld, S.Rows, S.Cols,
+                                   0.37f);
+                    });
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -31,7 +31,8 @@ void runMlpConfig(benchmark::State &State, const core::CompileOptions &Opts,
   Spec.Int8 = Int8;
   Spec.Seed = 7;
   Instance W(workloads::buildMlp(Spec));
-  auto Partition = core::compileGraph(W.G, Opts);
+  api::Session S(Opts);
+  auto Partition = onlyPartition(S.compile(W.G));
   (void)Partition->execute(W.InPtrs, W.OutPtrs); // fold warmup
   const uint64_t BarriersBefore = Partition->threadPool().barrierCount();
   uint64_t Iters = 0;
@@ -89,7 +90,8 @@ void runMhaConfig(benchmark::State &State,
   workloads::MhaSpec Spec = workloads::mhaTableSpec(1, 16, /*Int8=*/false);
   Spec.Seed = 8;
   Instance W(workloads::buildMha(Spec));
-  auto Partition = core::compileGraph(W.G, Opts);
+  api::Session S(Opts);
+  auto Partition = onlyPartition(S.compile(W.G));
   (void)Partition->execute(W.InPtrs, W.OutPtrs);
   for (auto _ : State)
     (void)Partition->execute(W.InPtrs, W.OutPtrs);

@@ -18,6 +18,7 @@
 #ifndef GC_BENCH_BENCH_COMMON_H
 #define GC_BENCH_BENCH_COMMON_H
 
+#include "api/session.h"
 #include "baseline/loopnest.h"
 #include "core/compiler.h"
 #include "graph/graph.h"
@@ -29,6 +30,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -100,9 +102,28 @@ inline double timeLoopNest(Instance &W) {
   return measureSeconds([&] { Exec.execute(W.InPtrs, W.OutPtrs); });
 }
 
+/// The partition a bench times, from the result \p CG of an
+/// api::Session::compile: the benches time CompiledPartition::execute,
+/// not Stream::execute, so a failed compile, a fallback partition or a
+/// split graph is a setup error and exits.
+inline std::shared_ptr<core::CompiledPartition>
+onlyPartition(const Expected<api::CompiledGraphPtr> &CG) {
+  if (!CG) {
+    std::fprintf(stderr, "compile failed: %s\n",
+                 CG.status().toString().c_str());
+    std::exit(1);
+  }
+  if ((*CG)->numPartitions() != 1 || !(*CG)->compiledPartition(0)) {
+    std::fprintf(stderr, "graph did not compile to one partition\n");
+    std::exit(1);
+  }
+  return (*CG)->compiledPartition(0);
+}
+
 /// Seconds/iteration of a compiled partition with \p Opts.
 inline double timeCompiled(Instance &W, const core::CompileOptions &Opts) {
-  auto Partition = core::compileGraph(W.G, Opts);
+  api::Session S(Opts);
+  auto Partition = onlyPartition(S.compile(W.G));
   return measureSeconds(
       [&] { (void)Partition->execute(W.InPtrs, W.OutPtrs); });
 }

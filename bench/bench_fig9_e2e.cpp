@@ -40,8 +40,9 @@ void runBert(int64_t Batch, bool Int8) {
   const int64_t Layers = fullSweep() ? 24 : 2;
 
   Instance W(workloads::buildBertLayer(Spec));
-  auto Gc = core::compileGraph(W.G, gcOptions());
-  auto Prim = core::compileGraph(W.G, core::primitivesBaselineOptions());
+  api::Session GcS(gcOptions()), PrimS(core::primitivesBaselineOptions());
+  auto Gc = onlyPartition(GcS.compile(W.G));
+  auto Prim = onlyPartition(PrimS.compile(W.G));
 
   // One inference = Layers sequential executions of the layer partition
   // (output feeds the next layer's input slot).
@@ -60,11 +61,11 @@ void runDlrm(int64_t Batch, bool Int8) {
   Instance Bottom(
       workloads::buildMlp(workloads::dlrmBottomSpec(Batch, Int8)));
   Instance Top(workloads::buildMlp(workloads::dlrmTopSpec(Batch, Int8)));
-  auto GcB = core::compileGraph(Bottom.G, gcOptions());
-  auto GcT = core::compileGraph(Top.G, gcOptions());
-  auto PrimB =
-      core::compileGraph(Bottom.G, core::primitivesBaselineOptions());
-  auto PrimT = core::compileGraph(Top.G, core::primitivesBaselineOptions());
+  api::Session GcS(gcOptions()), PrimS(core::primitivesBaselineOptions());
+  auto GcB = onlyPartition(GcS.compile(Bottom.G));
+  auto GcT = onlyPartition(GcS.compile(Top.G));
+  auto PrimB = onlyPartition(PrimS.compile(Bottom.G));
+  auto PrimT = onlyPartition(PrimS.compile(Top.G));
 
   const double PrimSec = measureSeconds([&] {
     (void)PrimB->execute(Bottom.InPtrs, Bottom.OutPtrs);

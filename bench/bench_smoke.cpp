@@ -446,7 +446,7 @@ void runColdStartCase(const char *Name, graph::Graph (*Build)()) {
   }
 
   const double Cold = Median(ColdUs), Warm = Median(WarmUs);
-  std::printf("{\"bench\":\"%s\",\"exec\":\"bytecode\",\"isa\":\"%s\","
+  std::printf("{\"bench\":\"%s\",\"isa\":\"%s\","
               "\"kernels\":\"%s\",\"threads\":%d,\"partitions\":%zu,"
               "\"cold_start_us\":%.2f,\"warm_start_us\":%.2f,"
               "\"session_speedup\":%.2f,\"pipeline_us\":%.2f,"

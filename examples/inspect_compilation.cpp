@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/compiler.h"
+#include "api/session.h"
 #include "tir/printer.h"
 #include "workloads/mlp.h"
 
@@ -28,8 +28,21 @@ int main() {
 
   std::printf("===== source Graph IR =====\n%s\n", G.toString().c_str());
 
-  core::CompileOptions Opts;
-  auto Partition = core::compileGraph(G, Opts);
+  api::Session Session;
+  Expected<api::CompiledGraphPtr> CompiledOr = Session.compile(G);
+  if (!CompiledOr) {
+    std::fprintf(stderr, "compile failed: %s\n",
+                 CompiledOr.status().toString().c_str());
+    return 1;
+  }
+  // The MLP compiles to one partition; its CompiledPartition keeps what
+  // each stage produced.
+  const std::shared_ptr<core::CompiledPartition> Partition =
+      (*CompiledOr)->compiledPartition(0);
+  if (!Partition) {
+    std::fprintf(stderr, "the MLP fell back to the reference interpreter\n");
+    return 1;
+  }
 
   std::printf("===== optimized Graph IR (after the §V pipeline) =====\n%s\n",
               Partition->optimizedGraph().toString().c_str());

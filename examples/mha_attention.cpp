@@ -13,7 +13,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/compiler.h"
+#include "api/session.h"
 #include "support/rng.h"
 #include "support/timer.h"
 #include "workloads/mha.h"
@@ -24,6 +24,24 @@
 using namespace gc;
 
 namespace {
+
+/// Compiles \p G with \p Opts and returns its one compiled partition,
+/// which this example inspects and times directly; exits on failure.
+std::shared_ptr<core::CompiledPartition>
+compileOnePartition(const graph::Graph &G, const core::CompileOptions &Opts) {
+  api::Session Session(Opts);
+  Expected<api::CompiledGraphPtr> CompiledOr = Session.compile(G);
+  if (!CompiledOr) {
+    std::fprintf(stderr, "compile failed: %s\n",
+                 CompiledOr.status().toString().c_str());
+    std::exit(1);
+  }
+  if (!(*CompiledOr)->compiledPartition(0)) {
+    std::fprintf(stderr, "the graph fell back to the reference interpreter\n");
+    std::exit(1);
+  }
+  return (*CompiledOr)->compiledPartition(0);
+}
 
 double timeIt(core::CompiledPartition &P,
               const std::vector<runtime::TensorData *> &In,
@@ -51,14 +69,14 @@ int main(int argc, char **argv) {
               (long long)Spec.SeqLen, (long long)Spec.HeadDim);
 
   // Three compilations: full, without coarse-grain, without fine-grain.
-  auto Full = core::compileGraph(G, core::CompileOptions());
+  auto Full = compileOnePartition(G, core::CompileOptions());
   core::CompileOptions NoCoarse;
   NoCoarse.EnableCoarseGrainFusion = false;
-  auto NC = core::compileGraph(G, NoCoarse);
+  auto NC = compileOnePartition(G, NoCoarse);
   core::CompileOptions NoFine;
   NoFine.EnableFineGrainFusion = false;
   NoFine.EnableCoarseGrainFusion = false;
-  auto NF = core::compileGraph(G, NoFine);
+  auto NF = compileOnePartition(G, NoFine);
 
   std::printf("parallel nests: full=%d, no-coarse=%d, no-fine=%d\n",
               Full->stats().ParallelNests, NC->stats().ParallelNests,

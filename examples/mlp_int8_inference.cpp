@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "core/compiler.h"
+#include "api/session.h"
 #include "support/rng.h"
 #include "support/timer.h"
 #include "workloads/mlp.h"
@@ -23,6 +23,28 @@
 #include <cstdlib>
 
 using namespace gc;
+
+namespace {
+
+/// Compiles \p G with \p Opts and returns its one compiled partition,
+/// which this example inspects and times directly; exits on failure.
+std::shared_ptr<core::CompiledPartition>
+compileOnePartition(const graph::Graph &G, const core::CompileOptions &Opts) {
+  api::Session Session(Opts);
+  Expected<api::CompiledGraphPtr> CompiledOr = Session.compile(G);
+  if (!CompiledOr) {
+    std::fprintf(stderr, "compile failed: %s\n",
+                 CompiledOr.status().toString().c_str());
+    std::exit(1);
+  }
+  if (!(*CompiledOr)->compiledPartition(0)) {
+    std::fprintf(stderr, "the graph fell back to the reference interpreter\n");
+    std::exit(1);
+  }
+  return (*CompiledOr)->compiledPartition(0);
+}
+
+} // namespace
 
 int main(int argc, char **argv) {
   const int64_t Batch = argc > 1 ? std::atoll(argv[1]) : 128;
@@ -34,8 +56,8 @@ int main(int argc, char **argv) {
   Spec.Seed = 42;
   const graph::Graph G = workloads::buildMlp(Spec);
 
-  auto Gc = core::compileGraph(G, core::CompileOptions());
-  auto Prim = core::compileGraph(G, core::primitivesBaselineOptions());
+  auto Gc = compileOnePartition(G, core::CompileOptions());
+  auto Prim = compileOnePartition(G, core::primitivesBaselineOptions());
 
   // Show the structural effects of the pipeline.
   const core::PartitionStats S = Gc->stats();

@@ -54,6 +54,8 @@ def run_modes(bench, modes, min_time, repeats, threads):
                 if "error" in rec:
                     raise SystemExit(f"bench case {rec.get('bench')} "
                                      f"failed under {mode}: {rec['error']}")
+                if "us_per_iter" not in rec:
+                    continue  # coldstart cases report cold/warm times
                 samples[mode].setdefault(rec["bench"],
                                          []).append(rec["us_per_iter"])
                 cases[mode][rec["bench"]] = rec

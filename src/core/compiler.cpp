@@ -2,7 +2,6 @@
 
 #include "core/compiler.h"
 
-#include "api/session.h"
 #include "graph/reference.h"
 #include "kernels/packing.h"
 #include "passes/pass.h"
@@ -526,19 +525,6 @@ compilePartition(const Graph &G, const CompileOptions &Opts,
   Partition->resolveBindings();
 
   return Partition;
-}
-
-std::shared_ptr<CompiledPartition> compileGraph(const Graph &G,
-                                                const CompileOptions &Opts) {
-  api::Session S(Opts);
-  Expected<std::shared_ptr<api::CompiledGraph>> CompiledOr = S.compile(G);
-  if (!CompiledOr)
-    fatalError(("compileGraph: " + CompiledOr.status().toString()).c_str());
-  const api::CompiledGraph &CG = **CompiledOr;
-  if (CG.numPartitions() != 1 || !CG.compiledPartition(0))
-    fatalError("compileGraph: graph is not fully compilable as one "
-               "partition; use api::Session::compile for fallback support");
-  return CG.compiledPartition(0);
 }
 
 } // namespace core

@@ -8,15 +8,15 @@
 /// at the first execution or when a cache-writing compile serializes the
 /// partition; its outputs are cached and reused.
 ///
-/// Preferred entry point (partitioning, fallback, compile cache):
+/// The one entry point is api::Session (partitioning, fallback, compile
+/// cache); a compiled graph exposes each partition's CompiledPartition
+/// for introspection and direct execution:
 /// \code
 ///   api::Session S;                        // owns options + thread pool
 ///   auto Compiled = S.compile(G);          // Expected<CompiledGraphPtr>
 ///   S.stream().execute(**Compiled, {&X}, {&Y});
+///   auto P = (*Compiled)->compiledPartition(0); // stats(), execute()
 /// \endcode
-///
-/// The legacy core::compileGraph() remains as a thin wrapper over a
-/// one-partition Session for graphs known to be fully compilable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -259,13 +259,6 @@ private:
 Expected<std::shared_ptr<CompiledPartition>>
 compilePartition(const graph::Graph &G, const CompileOptions &Opts,
                  std::shared_ptr<runtime::ThreadPool> Pool = nullptr);
-
-/// Legacy convenience wrapper: compiles \p G through a one-partition
-/// api::Session and returns the sole compiled partition. Aborts when the
-/// graph is invalid or contains an op the compiler cannot lower — use
-/// api::Session::compile for graphs that may need the reference fallback.
-std::shared_ptr<CompiledPartition> compileGraph(const graph::Graph &G,
-                                                const CompileOptions &Opts);
 
 /// Returns the process-wide default thread pool as a non-owning handle,
 /// sharable alongside session-owned pools.

@@ -337,8 +337,11 @@ void ThreadPool::parallelForRaw(int64_t Begin, int64_t End, JobFn Fn,
   }
   if (!Done) {
     std::unique_lock<std::mutex> Lock(Mutex);
+    // Acquire, like the spin above: the predicate can see the last
+    // chunk's count before that worker takes the mutex to notify, and
+    // only the acquire orders the chunks' writes before the return.
     DoneCv.wait(Lock, [&] {
-      return ChunksDone.load(std::memory_order_relaxed) == Chunks;
+      return ChunksDone.load(std::memory_order_acquire) == Chunks;
     });
   }
 }

@@ -172,17 +172,16 @@ Status verifyMemoryPlan(const MemoryPlanView &Plan, const char *Context) {
     return true;
   };
 
-  // At the relational tier, pairs whose safety rests on byte-range
-  // disjointness (no dies-before ordering either way) are re-proven with
-  // the symbolic engine over an UNKNOWN arena base: the base symbol
-  // cancels in the affine difference, so the proof shows the packing is
-  // translation-invariant rather than a coincidence of concrete offsets.
-  const bool Symbolic = verifyLevel() >= VerifyLevel::Relational;
+  // Pairs whose safety rests on byte-range disjointness (no dies-before
+  // ordering either way) are re-proven with the symbolic engine over an
+  // UNKNOWN arena base: the base symbol cancels in the affine difference,
+  // so the proof shows the packing is translation-invariant rather than
+  // a coincidence of concrete offsets.
   constexpr int64_t kBaseHi = int64_t{1} << 47;
-  SymCtx Ctx(/*Relational=*/true);
-  const int32_t Base =
-      Symbolic ? Ctx.addSym("arena", Interval{0, kBaseHi}, nullptr, nullptr)
-               : -1;
+  SymCtx Ctx;
+  const int32_t Base = Ctx.addSym("arena", Interval{0, kBaseHi}, nullptr,
+                                  nullptr);
+  const int64_t ArenaElems = kBaseHi + static_cast<int64_t>(Plan.ArenaBytes);
   const auto SlotFootprint = [&](const MemoryPlanView::Slot &S) {
     Footprint F;
     F.Buffer = 0;
@@ -199,11 +198,10 @@ Status verifyMemoryPlan(const MemoryPlanView &Plan, const char *Context) {
     for (size_t B = A + 1; B < Plan.Slots.size(); ++B) {
       const MemoryPlanView::Slot &SA = Plan.Slots[A];
       const MemoryPlanView::Slot &SB = Plan.Slots[B];
-      if (SA.Bytes == 0 || SB.Bytes == 0)
+      if (SA.Bytes == 0 || SB.Bytes == 0 || DiesBefore(A, B) ||
+          DiesBefore(B, A))
         continue;
-      const bool Disjoint =
-          SA.Offset + SA.Bytes <= SB.Offset || SB.Offset + SB.Bytes <= SA.Offset;
-      if (!Disjoint && !DiesBefore(A, B) && !DiesBefore(B, A))
+      if (SA.Offset < SB.Offset + SB.Bytes && SB.Offset < SA.Offset + SA.Bytes)
         return planErr(
             Context,
             formatString("slots for t%lld [%llu, %llu) and t%lld "
@@ -213,18 +211,14 @@ Status verifyMemoryPlan(const MemoryPlanView &Plan, const char *Context) {
                          (unsigned long long)(SA.Offset + SA.Bytes),
                          (long long)SB.TensorId, (unsigned long long)SB.Offset,
                          (unsigned long long)(SB.Offset + SB.Bytes)));
-      if (Symbolic && Disjoint && !DiesBefore(A, B) && !DiesBefore(B, A)) {
-        const int64_t ArenaElems =
-            kBaseHi + static_cast<int64_t>(Plan.ArenaBytes);
-        if (!footprintsDisjoint(Ctx, SlotFootprint(SA), SlotFootprint(SB),
-                                ArenaElems))
-          return planErr(
-              Context,
-              formatString("symbolic arena re-check could not prove slots "
-                           "for t%lld and t%lld disjoint over an unknown "
-                           "base (packer/engine inconsistency)",
-                           (long long)SA.TensorId, (long long)SB.TensorId));
-      }
+      if (!footprintsDisjoint(Ctx, SlotFootprint(SA), SlotFootprint(SB),
+                              ArenaElems))
+        return planErr(
+            Context,
+            formatString("symbolic arena re-check could not prove slots "
+                         "for t%lld and t%lld disjoint over an unknown "
+                         "base (packer/engine inconsistency)",
+                         (long long)SA.TensorId, (long long)SB.TensorId));
     }
   }
   return Status::ok();

@@ -16,28 +16,25 @@
 ///     exec/program.cpp): serial loops are recognized from their
 ///     JumpIfGeI guard + LoopNext back edge, parallel nests from their
 ///     guard + ParallelFor descriptor. Register values live in the
-///     symbolic domain of verify/symbolic.h: below the relational tier
-///     every value is an interval box (the PR-6 analysis unchanged); at
-///     GC_VERIFY=relational loop variables become bound-carrying symbols
-///     and strength-reduced induction registers are reconstructed as
-///     entry + (Imm/Step)·(var − begin), so correlated edge-tile offsets
-///     are proven exactly. Within that state, every scalar load/store
-///     offset register, every kernel-call buffer offset — and, at the
-///     relational tier, every kernel-call tile/flat footprint — is
-///     proven inside its buffer's element extent. Control flow that does
-///     not fit the canonical shapes is rejected as unstructured — the
+///     symbolic domain of verify/symbolic.h: loop variables become
+///     bound-carrying symbols and strength-reduced induction registers
+///     are reconstructed as entry + (Imm/Step)·(var − begin), so
+///     correlated edge-tile offsets are proven exactly. Within that
+///     state, every scalar load/store offset register, every kernel-call
+///     buffer offset and every kernel-call tile/flat footprint is proven
+///     inside its buffer's element extent. Control flow that does not
+///     fit the canonical shapes is rejected as unstructured — the
 ///     executor's dispatch loop has no checks, so only programs the
 ///     verifier can understand are accepted.
 ///
-///  3. At the relational tier, a static race proof per parallel loop:
-///     the body walk collects the load/store/kernel-call footprints of
-///     one abstract iteration, and verify/relational.h proves every
-///     cross-iteration pair with a write on a shared (non-thread-local)
-///     buffer disjoint, or rejects with a Status naming the two
-///     conflicting footprints. Layers 2+3 at full relational strength
+///  3. A static race proof per parallel loop: the body walk collects the
+///     load/store/kernel-call footprints of one abstract iteration, and
+///     verify/relational.h proves every cross-iteration pair with a
+///     write on a shared (non-thread-local) buffer disjoint, or rejects
+///     with a Status naming the two conflicting footprints. Layers 2+3
 ///     are the precondition for executing mmap-loaded Programs from the
-///     persistent cache, which is why verifyLoadedProgram always runs
-///     them regardless of GC_VERIFY.
+///     persistent cache, which is why verifyLoadedProgram runs them
+///     regardless of GC_VERIFY.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,8 +65,8 @@ using RegState = std::vector<SymVal>;
 
 class ProgramVerifier {
 public:
-  ProgramVerifier(const Program &P, const char *Context, bool Relational)
-      : P(P), Context(Context), Ctx(Relational) {}
+  ProgramVerifier(const Program &P, const char *Context)
+      : P(P), Context(Context) {}
 
   Status run() {
     if (Status S = checkStructure(); !S.isOk())
@@ -84,8 +81,8 @@ private:
   const Program &P;
   const char *Context;
   SymCtx Ctx;
-  /// Non-null while walking a parallel body at the relational tier:
-  /// every footprint the body touches is appended for the race proof.
+  /// Non-null while walking a parallel body: every footprint the body
+  /// touches is appended for the race proof.
   std::vector<Footprint> *Collect = nullptr;
   bool InParallel = false;
 
@@ -507,9 +504,7 @@ private:
     }
   }
 
-  /// Bounds verdict for one footprint (relational tier only — the box
-  /// tier keeps the PR-6 base-offset-only checks to stay regression-free
-  /// on min-shaped extents it cannot express).
+  /// Bounds verdict for one kernel-call footprint.
   Status checkFootprintBounds(size_t Pc, const Footprint &F, bool Degraded) {
     const int64_t Elems = bufferElems(F.Buffer);
     switch (F.Sh) {
@@ -660,16 +655,14 @@ private:
                   R[C.Bufs[BI].OffsetReg], "kernel-call buffer");
               !S.isOk())
             return S;
-      if (Ctx.relational()) {
-        std::vector<Footprint> FPs;
-        std::vector<bool> Degraded;
-        callFootprints(Pc, C, R, FPs, Degraded);
-        for (size_t FI = 0; FI < FPs.size(); ++FI) {
-          if (Status S = checkFootprintBounds(Pc, FPs[FI], Degraded[FI]);
-              !S.isOk())
-            return S;
-          record(FPs[FI]);
-        }
+      std::vector<Footprint> FPs;
+      std::vector<bool> Degraded;
+      callFootprints(Pc, C, R, FPs, Degraded);
+      for (size_t FI = 0; FI < FPs.size(); ++FI) {
+        if (Status S = checkFootprintBounds(Pc, FPs[FI], Degraded[FI]);
+            !S.isOk())
+          return S;
+        record(FPs[FI]);
       }
       return Status::ok();
     }
@@ -862,8 +855,7 @@ private:
       const Interval WidenBox = intervalAdd(
           Ctx.range(Entry),
           intervalMul(Interval::constant(Adv.Imm), Interval{0, MaxIncr}));
-      if (Ctx.relational() && StepI.isConst() && StepI.Lo > 0 &&
-          Adv.Imm % StepI.Lo == 0) {
+      if (StepI.isConst() && StepI.Lo > 0 && Adv.Imm % StepI.Lo == 0) {
         const SymVal Sym = Ctx.add(
             Entry,
             Ctx.scale(Ctx.sub(LoopV, BeginV), Adv.Imm / StepI.Lo));
@@ -884,9 +876,9 @@ private:
   }
 
   /// ParallelFor at \p Pc: workers run the body over a frame copy; the
-  /// submitting frame is unchanged by the body. At the relational tier
-  /// the body walk additionally collects one abstract iteration's
-  /// footprints and hands them to the static race checker.
+  /// submitting frame is unchanged by the body. The body walk also
+  /// collects one abstract iteration's footprints and hands them to the
+  /// static race checker.
   Status walkParallel(size_t Pc, size_t End, RegState &R) {
     const ParDesc &D = P.Pars[static_cast<size_t>(P.Code[Pc].Target)];
     const size_t BodyBegin = Pc + 1;
@@ -903,11 +895,6 @@ private:
     RegState Worker = R;
     for (uint16_t W : writtenRegs(BodyBegin, BodyEnd))
       Worker[W] = SymVal::top();
-
-    if (!Ctx.relational()) {
-      Worker[D.VarReg] = SymVal::box(VarRange);
-      return walkRegion(BodyBegin, BodyEnd, Worker);
-    }
 
     // The race analysis models exactly one level of parallelism (the
     // builder hoists guards and never nests ParallelFor); a nested
@@ -954,15 +941,13 @@ private:
 } // namespace
 
 Status verifyProgram(const Program &P, const char *Context) {
-  return ProgramVerifier(P, Context,
-                         verifyLevel() >= VerifyLevel::Relational)
-      .run();
+  return ProgramVerifier(P, Context).run();
 }
 
 Status verifyLoadedProgram(const Program &P, const char *Context) {
   // Deliberately ignores verifyLevel(): a Program deserialized from the
   // persistent artifact cache is untrusted input headed for the unchecked
-  // dispatch loop, so the FULL verification — relational bounds AND the
+  // dispatch loop, so the full verification — symbolic bounds and the
   // static race proof — runs even when GC_VERIFY=off. Kernel calls must
   // additionally have been relinked.
   for (size_t I = 0; I < P.Calls.size(); ++I)
@@ -971,7 +956,7 @@ Status verifyLoadedProgram(const Program &P, const char *Context) {
           StatusCode::InvalidArgument,
           formatString("%s: call %zu has no relinked kernel pointer",
                        Context, I));
-  return ProgramVerifier(P, Context, /*Relational=*/true).run();
+  return ProgramVerifier(P, Context).run();
 }
 
 } // namespace verify

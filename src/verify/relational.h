@@ -1,8 +1,8 @@
 //===- relational.h - Footprint disjointness + race engine ------*- C++ -*-===//
 ///
 /// \file
-/// The shared engine behind the relational verification tier: buffer
-/// footprints described over the symbolic domain (symbolic.h), a
+/// The shared engine behind the bytecode and memory-plan verifiers:
+/// buffer footprints described over the symbolic domain (symbolic.h), a
 /// 2-D-aware disjointness test between footprints, and the static race
 /// checker for parallel loops — given every load/store footprint of one
 /// abstract iteration, it proves that any two DISTINCT iterations'
@@ -53,10 +53,9 @@ struct Footprint {
 
 /// Counters behind the zero-conservative-skip acceptance test. Proved =
 /// footprints decided in-bounds; Undecided = footprints the bounds
-/// engine skipped because it could not decide (the PR-6 "deliberately
-/// out of scope" class — must be zero at GC_VERIFY=relational on the
-/// standard workloads); RacePairsProved = parallel footprint pairs
-/// proven disjoint.
+/// engine skipped because it could not decide (must be zero at
+/// GC_VERIFY=all on the standard workloads); RacePairsProved = parallel
+/// footprint pairs proven disjoint.
 struct VerifyStats {
   uint64_t BoundsProved = 0;
   uint64_t BoundsUndecided = 0;

@@ -1,9 +1,10 @@
 //===- symbolic.h - Relational symbolic affine domain -----------*- C++ -*-===//
 ///
 /// \file
-/// The relational layer over interval.h that powers GC_VERIFY=relational:
-/// a symbolic value domain whose elements are min/max trees over affine
-/// forms (K + sum Coeff_i * Sym_i) of analysis symbols, each element also
+/// The relational layer over interval.h in which every Tensor IR,
+/// bytecode and memory-plan bounds proof runs: a symbolic value domain
+/// whose elements are min/max trees over affine forms
+/// (K + sum Coeff_i * Sym_i) of analysis symbols, each element also
 /// carrying a sound interval box. Symbols stand for loop induction
 /// variables and for div/mod-derived "digits" of a parallel grid index;
 /// each may carry relational upper/lower bounds that are themselves
@@ -20,11 +21,7 @@
 /// of its concrete values, and ub()/lb() return bounds at least as tight
 /// as the box. Any construction the domain cannot represent exactly
 /// (non-affine products, overflowing coefficients, trees past the leaf
-/// cap) collapses to a box — "cannot decide", never a wrong bound. With
-/// a SymCtx in non-relational mode no symbols are ever created, every
-/// value is a box, and the engine degenerates to exactly the PR-6
-/// interval analysis: the fast fallback and the relational tier are one
-/// implementation.
+/// cap) collapses to a box — "cannot decide", never a wrong bound.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -188,8 +185,7 @@ public:
 };
 
 /// The symbol table and the arithmetic over SymVals. Non-copyable;
-/// one per verifier run. In non-relational mode makeLoopSym() returns
-/// boxes and no symbol is ever created.
+/// one per verifier run.
 class SymCtx {
 public:
   /// Trees whose distributed form would exceed this many leaves collapse
@@ -212,21 +208,17 @@ public:
     int64_t Mod = 0;
   };
 
-  explicit SymCtx(bool Relational) : Relational(Relational) {}
+  SymCtx() = default;
   SymCtx(const SymCtx &) = delete;
   SymCtx &operator=(const SymCtx &) = delete;
 
-  bool relational() const { return Relational; }
   const std::vector<Sym> &symbols() const { return Syms; }
   int32_t numSyms() const { return static_cast<int32_t>(Syms.size()); }
 
-  /// Creates a fresh root symbol (loop induction variable). In
-  /// non-relational mode returns a box over \p Range and creates nothing.
-  /// \p Lower / \p Upper are optional relational bounds (may be null).
+  /// Creates a fresh root symbol (loop induction variable). \p Lower /
+  /// \p Upper are optional relational bounds (may be null).
   SymVal makeLoopSym(const std::string &Name, Interval Range,
                      const SymVal *Lower, const SymVal *Upper) {
-    if (!Relational)
-      return SymVal::box(Range);
     const int32_t Id = numSyms();
     Sym S;
     S.Name = Name;
@@ -239,8 +231,9 @@ public:
     return leafOf(Id, Range);
   }
 
-  /// Raw symbol creation for the race engine (case instantiation); same
-  /// contract as makeLoopSym but always creates, even without bounds.
+  /// Raw symbol creation for the race engine (case instantiation) and
+  /// the memory-plan arena base; returns the id instead of a leaf and
+  /// may record a digit definition.
   int32_t addSym(const std::string &Name, Interval Range,
                  std::shared_ptr<const SymVal> Lower,
                  std::shared_ptr<const SymVal> Upper, int32_t Parent = -1,
@@ -476,7 +469,6 @@ public:
   }
 
 private:
-  bool Relational;
   std::vector<Sym> Syms;
   /// (parent, div, mod) -> existing digit symbol, so the same textual
   /// div/mod re-derivation yields the same symbol (Lets recompute them).
@@ -640,7 +632,7 @@ private:
   ///   ((p/d)%m)%c -> (p/d) % c           when c | m (or m == 0)
   /// Returns -1 when the shape does not fit (caller boxes).
   int32_t digitOf(const SymVal &X, int64_t C, bool IsMod) {
-    if (!Relational || X.K != SymVal::Kind::Leaf || !X.A.isPureSym())
+    if (X.K != SymVal::Kind::Leaf || !X.A.isPureSym())
       return -1;
     const int32_t Id = X.A.Terms[0].Sym;
     const Sym &S = Syms[Id];

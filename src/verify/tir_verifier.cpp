@@ -8,16 +8,12 @@
 /// and the tile/flat footprints of intrinsic calls — stays inside its
 /// buffer's extent for all loop iterations.
 ///
-/// The analysis runs over the symbolic domain of verify/symbolic.h. At
-/// GC_VERIFY levels below `relational` the SymCtx creates no symbols and
-/// every value is an interval box, reproducing the PR-6 interval
-/// analysis bit for bit (including its deliberate skip of non-constant
-/// tile extents, which a non-relational domain cannot decide without
-/// false positives). At `relational`, loop variables become symbols
-/// carrying their bounds as symbolic values — min-shaped upper bounds
-/// included — so correlated edge-tile footprints like
-/// Off = i*TILE, Rows = min(TILE, N - i*TILE) are proven exactly and a
-/// genuinely escaping access is rejected with a located Status.
+/// The analysis runs over the symbolic domain of verify/symbolic.h:
+/// loop variables become symbols carrying their bounds as symbolic
+/// values — min-shaped upper bounds included — so correlated edge-tile
+/// footprints like Off = i*TILE, Rows = min(TILE, N - i*TILE) are proven
+/// exactly and a genuinely escaping access is rejected with a located
+/// Status.
 ///
 /// The analysis is deliberately one-pass (no fixpoint): a loop body is
 /// interpreted once with the loop variable widened to [lo(Begin),
@@ -177,8 +173,7 @@ void bufferTypesOf(Intrinsic In, DataType (&Ty)[4]) {
 class FuncVerifier {
 public:
   FuncVerifier(const Func &F, const char *Context)
-      : F(F), Context(Context),
-        Ctx(verifyLevel() >= VerifyLevel::Relational) {}
+      : F(F), Context(Context) {}
 
   Status run() {
     if (Status S = checkBuffers(); !S.isOk())
@@ -307,13 +302,9 @@ private:
   }
 
   /// Shared verdict for a fully-constructed [MinIdx, MaxIdx] touched
-  /// range: proved / undecided (counted) / rejected. \p Precise gates
-  /// rejection: the caller sets it when the bounds are exact enough that
-  /// an escaping over-approximation means a real escape (always true for
-  /// the relational domain on the forms the lowering emits; for the box
-  /// domain only when the old constant-extent preconditions held).
+  /// range: proved / undecided (counted) / rejected.
   Status judge(const BufferDecl &B, int64_t MinIdx, int64_t MaxIdx,
-               bool Precise, const std::string &Where, const char *ArgName) {
+               const std::string &Where, const char *ArgName) {
     const int64_t Elems = B.numElements();
     const bool Bounded =
         MinIdx != Interval::kMin && MaxIdx != Interval::kMax;
@@ -321,7 +312,7 @@ private:
       noteBoundsProved();
       return Status::ok();
     }
-    if (!Bounded || !Precise) {
+    if (!Bounded) {
       noteBoundsUndecided();
       return Status::ok(); // cannot decide — never a false positive
     }
@@ -366,16 +357,13 @@ private:
       if (Status S = evalExpr(Indices[0], Where, Flat); !S.isOk())
         return S;
     }
-    return judge(B, Ctx.lb(Flat), Ctx.ub(Flat), /*Precise=*/true, Where,
-                 What);
+    return judge(B, Ctx.lb(Flat), Ctx.ub(Flat), Where, What);
   }
 
   /// Proves a strided 2-D tile access Base[Off + r*Ld + c] (r < Rows,
   /// c < Cols) in bounds. The maximum touched element for a non-empty
   /// tile is Off + (Rows-1)*Ld + (Cols-1); evaluating it as one symbolic
-  /// expression is what keeps correlated min-extents exact at the
-  /// relational level. The box domain keeps the PR-6 preconditions
-  /// (constant extents) before an escape may reject.
+  /// expression is what keeps correlated min-extents exact.
   Status checkTileFootprint(const BufferDecl &B, const SymVal &Off,
                             const SymVal &Rows, const SymVal &Cols,
                             const SymVal &Ld, const std::string &Where,
@@ -383,24 +371,19 @@ private:
     int64_t LdC;
     if (!Ld.isConstant(LdC)) {
       noteBoundsUndecided();
-      return Status::ok(); // non-constant stride: outside every tier
+      return Status::ok(); // non-constant stride: cannot decide
     }
     if (Ctx.ub(Rows) <= 0 || Ctx.ub(Cols) <= 0) {
       noteBoundsProved();
       return Status::ok(); // no elements touched
     }
-    int64_t RC, CC;
-    const bool Precise =
-        Ctx.relational() ||
-        (Rows.isConstant(RC) && Cols.isConstant(CC) &&
-         Ctx.range(Off).bounded());
     const SymVal RowsM1 = Ctx.add(Rows, SymVal::constant(-1));
     const SymVal MaxV = Ctx.add(
         Off, Ctx.add(Ctx.scale(RowsM1, std::max<int64_t>(LdC, 0)),
                      Ctx.add(Cols, SymVal::constant(-1))));
     const SymVal MinV =
         Ctx.add(Off, Ctx.scale(RowsM1, std::min<int64_t>(LdC, 0)));
-    return judge(B, Ctx.lb(MinV), Ctx.ub(MaxV), Precise, Where, ArgName);
+    return judge(B, Ctx.lb(MinV), Ctx.ub(MaxV), Where, ArgName);
   }
 
   /// Flat footprint: Base[Off .. Off + Len) must be inside the buffer.
@@ -411,11 +394,8 @@ private:
       noteBoundsProved();
       return Status::ok();
     }
-    int64_t LC;
-    const bool Precise =
-        Ctx.relational() || (Len.isConstant(LC) && Ctx.range(Off).bounded());
     const SymVal MaxV = Ctx.add(Off, Ctx.add(Len, SymVal::constant(-1)));
-    return judge(B, Ctx.lb(Off), Ctx.ub(MaxV), Precise, Where, ArgName);
+    return judge(B, Ctx.lb(Off), Ctx.ub(MaxV), Where, ArgName);
   }
 
   Status checkCall(const CallNode &C, const std::string &Where) {

@@ -34,11 +34,8 @@ VerifyLevel resolveFromEnv() {
     return VerifyLevel::Passes;
   if (V == "all")
     return VerifyLevel::All;
-  if (V == "relational")
-    return VerifyLevel::Relational;
   const std::string Msg =
-      "GC_VERIFY must be one of off|graph|passes|all|relational, got \"" +
-      V + "\"";
+      "GC_VERIFY must be one of off|graph|passes|all, got \"" + V + "\"";
   fatalError(Msg.c_str());
 }
 

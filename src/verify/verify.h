@@ -20,23 +20,27 @@
 ///  * verifyFunc — variable def-before-use in execution order, loop-bound
 ///    sanity (integer bounds, positive constant steps), buffer-table
 ///    consistency (ids, extents, arena placement), intrinsic call
-///    arity/shape-scalar conventions, and an affine interval analysis
-///    proving every Load/Store/BufferRef element offset stays inside its
-///    buffer's extent for all loop iterations.
+///    arity/shape-scalar conventions, and a symbolic affine analysis
+///    (verify/symbolic.h) proving every Load/Store/BufferRef element
+///    offset and every intrinsic tile/flat footprint stays inside its
+///    buffer's extent for all loop iterations, correlated
+///    min(TILE, N - i) edge tiles included.
 ///  * verifyProgram — every register index within the register image,
 ///    jump targets within the code block, call/par descriptor indices
-///    valid, and a structured abstract interpretation of the canonical
-///    loop shapes the program builder emits that bounds induction
-///    registers and proves strength-reduced load/store/call offsets stay
-///    inside their buffers. A Program that passes is safe to hand to the
-///    executor's unchecked dispatch loop (the precondition for ever
-///    mmap-loading Programs from a persistent cache).
+///    valid, a structured abstract interpretation of the canonical loop
+///    shapes the program builder emits that bounds induction registers
+///    and proves strength-reduced load/store/call footprints stay inside
+///    their buffers, and a static race proof for every parallel loop
+///    (verify/relational.h). A Program that passes is safe to hand to the
+///    executor's unchecked dispatch loop (the precondition for
+///    mmap-loading Programs from the persistent cache).
 ///  * verifyMemoryPlan — partition-boundary closure (every partition input
 ///    is a graph input, an earlier partition's output, or a graph output
 ///    produced earlier), topological partition order, and an independent
 ///    recomputation of cross-partition lifetimes proving that any two
-///    arena slots whose byte ranges overlap can never be simultaneously
-///    live under ANY schedule consistent with the partition DAG.
+///    arena slots whose lifetimes can coexist under ANY schedule
+///    consistent with the partition DAG occupy disjoint byte ranges,
+///    re-proven symbolically over an unknown arena base.
 ///
 /// Verification level is resolved once from GC_VERIFY
 /// (off | graph | passes | all); Debug builds default to "all", Release
@@ -68,15 +72,9 @@ enum class VerifyLevel : uint8_t {
   Graph = 1,  ///< graph verified once per Session::compile entry
   Passes = 2, ///< + after every graph pass and Tensor IR pass
   All = 3,    ///< + final TIR, bytecode Program and memory plan
-  /// All, with the TIR/bytecode bounds engines running over the
-  /// relational symbolic domain (verify/symbolic.h): correlated
-  /// min(TILE, N - i) edge-tile extents and strength-reduced induction
-  /// offsets are proven exactly instead of skipped, and every parallel
-  /// bytecode loop gets the static race proof (verify/relational.h).
-  Relational = 4,
 };
 
-/// Resolved verification level: GC_VERIFY=off|graph|passes|all|relational,
+/// Resolved verification level: GC_VERIFY=off|graph|passes|all,
 /// defaulting to All in Debug builds and Graph in Release builds. Cached
 /// after the first call (reading it on every pass hook must be free).
 VerifyLevel verifyLevel();

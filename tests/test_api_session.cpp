@@ -135,8 +135,8 @@ TEST(ApiPartitioner, IndependentUnsupportedOpsShareOnePartition) {
 TEST(ApiPartitioner, ConstantSideTransposeStaysCompiled) {
   // A non-[0,2,1,3] transpose whose input is constant sits on the fold
   // side: the compiled pipeline preprocesses it at first execution, so the
-  // graph must remain a single compiled partition (and the legacy
-  // compileGraph wrapper must keep working on it).
+  // graph must remain a single compiled partition that executes
+  // correctly.
   Graph G;
   const int64_t M = 8, K = 16, N = 12;
   const int64_t X = G.addTensor(DataType::F32, {M, K}, "x");
@@ -156,7 +156,7 @@ TEST(ApiPartitioner, ConstantSideTransposeStaysCompiled) {
   ASSERT_EQ(SpecsOr->size(), 1u);
   EXPECT_EQ((*SpecsOr)[0].Kind, api::PartitionKind::Compiled);
 
-  auto Partition = core::compileGraph(G, core::CompileOptions());
+  auto Partition = test::compileOnePartition(G);
   runtime::TensorData In = test::randomTensor(DataType::F32, {M, K}, 22);
   runtime::TensorData Got(DataType::F32, {M, N});
   ASSERT_TRUE(Partition->execute({&In}, {&Got}).isOk());

@@ -284,7 +284,8 @@ TEST(ArtifactCodec, RoundtripExecutesBitIdentically) {
   const Graph G = buildMlp();
   core::CompileOptions Opts;
   Opts.CacheMode = CacheMode::Off;
-  std::shared_ptr<core::CompiledPartition> P = core::compileGraph(G, Opts);
+  std::shared_ptr<core::CompiledPartition> P =
+      test::compileOnePartition(G, Opts);
   ASSERT_NE(P, nullptr);
 
   auto Payload = std::make_shared<std::vector<uint8_t>>(
@@ -316,7 +317,8 @@ TEST(ArtifactCodec, TruncatedPayloadAlwaysRejected) {
   const Graph G = buildMlp();
   core::CompileOptions Opts;
   Opts.CacheMode = CacheMode::Off;
-  std::shared_ptr<core::CompiledPartition> P = core::compileGraph(G, Opts);
+  std::shared_ptr<core::CompiledPartition> P =
+      test::compileOnePartition(G, Opts);
   auto Payload = std::make_shared<std::vector<uint8_t>>(
       core::ArtifactCodec::serialize(*P));
   for (size_t Keep : {size_t(0), size_t(3), size_t(4), Payload->size() / 4,
@@ -351,7 +353,8 @@ TEST(ArtifactCodec, ByteFlipSweepParsesSafely) {
   const Graph G = buildMlp(8, 16, 8);
   core::CompileOptions Opts;
   Opts.CacheMode = CacheMode::Off;
-  std::shared_ptr<core::CompiledPartition> P = core::compileGraph(G, Opts);
+  std::shared_ptr<core::CompiledPartition> P =
+      test::compileOnePartition(G, Opts);
   const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
   size_t Rejected = 0, Accepted = 0;
   for (size_t Off = 0; Off < Payload.size(); ++Off) {
@@ -377,7 +380,8 @@ TEST(ArtifactCodec, IntrinsicFlipThatWidensACallIsRejected) {
   const Graph G = buildMlp(8, 16, 8);
   core::CompileOptions Opts;
   Opts.CacheMode = CacheMode::Off;
-  std::shared_ptr<core::CompiledPartition> P = core::compileGraph(G, Opts);
+  std::shared_ptr<core::CompiledPartition> P =
+      test::compileOnePartition(G, Opts);
   const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
   const std::vector<exec::CallDesc> &Calls = P->bytecode().Calls;
   const auto Add =

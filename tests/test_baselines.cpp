@@ -82,7 +82,7 @@ void runPrimitives(const Graph &G, double RelTol = 2e-3,
   auto Ins = makeInputs(G, Seed);
   const auto Want = referenceOutputs(G, Ins);
   auto Partition =
-      core::compileGraph(G, core::primitivesBaselineOptions(1));
+      test::compileOnePartition(G, core::primitivesBaselineOptions(1));
   std::vector<TensorData *> InPtrs;
   for (auto &T : Ins)
     InPtrs.push_back(&T);
@@ -208,8 +208,8 @@ TEST(PrimitivesBaseline, NoCoarseGrainMergesAndPlainActivations) {
   Spec.Batch = 32;
   Spec.LayerDims = {64, 96, 64};
   Spec.Seed = 44;
-  auto Partition = core::compileGraph(workloads::buildMlp(Spec),
-                                      core::primitivesBaselineOptions(1));
+  auto Partition = test::compileOnePartition(
+      workloads::buildMlp(Spec), core::primitivesBaselineOptions(1));
   EXPECT_EQ(Partition->stats().CoarseGrainMerges, 0);
   // Every intermediate tensor stays plain.
   const Graph &G = Partition->optimizedGraph();

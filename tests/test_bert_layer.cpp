@@ -71,7 +71,7 @@ void runAndCompare(const Graph &G, bool UseCompiler, double RelTol,
     core::CompileOptions Opts;
     Opts.Threads = 1;
     Opts.FastSoftmax = false;
-    auto Partition = core::compileGraph(G, Opts);
+    auto Partition = test::compileOnePartition(G, Opts);
     EXPECT_TRUE(Partition->execute(InPtrs, OutPtrs).isOk());
   } else {
     baseline::LoopNestExecutor Exec(G, 1);
@@ -110,7 +110,7 @@ TEST(BertLayer, CompilerStatsShowFusionAndFolding) {
   const Graph G = workloads::buildBertLayer(tinySpec(false));
   core::CompileOptions Opts;
   Opts.Threads = 1;
-  auto Partition = core::compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
   // Prepacked projection weights (4 dense layers + 2 FFN weights).
   std::vector<TensorData> Ins = makeInputs(G, 63);
   std::vector<TensorData *> InPtrs;

@@ -36,7 +36,7 @@ struct RunResult {
 
 RunResult runBoth(const Graph &G, const CompileOptions &Opts,
                   uint64_t Seed = 99) {
-  auto Partition = compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
 
   // Random inputs following graph declarations.
   std::vector<TensorData> Inputs;
@@ -291,13 +291,13 @@ TEST(CompilerE2E, CoarseGrainMergesMlpNests) {
   Spec.LayerDims = {64, 96, 64, 32};
   Spec.Seed = 22;
   const Graph G = workloads::buildMlp(Spec);
-  auto Partition = compileGraph(G, defaultOpts());
+  auto Partition = test::compileOnePartition(G, defaultOpts());
   const PartitionStats S = Partition->stats();
   EXPECT_GT(S.CoarseGrainMerges, 0)
       << "MLP chains must merge their parallel nests";
   CompileOptions NoCoarse = defaultOpts();
   NoCoarse.EnableCoarseGrainFusion = false;
-  auto Partition2 = compileGraph(G, NoCoarse);
+  auto Partition2 = test::compileOnePartition(G, NoCoarse);
   EXPECT_GT(Partition2->stats().ParallelNests, S.ParallelNests);
 }
 
@@ -311,7 +311,7 @@ TEST(CompilerE2E, FoldFunctionCachesPackedWeights) {
   // disk-cache hit would pre-fire it at load, so pin the cache off.
   CompileOptions Opts = defaultOpts();
   Opts.CacheMode = runtime::CacheMode::Off;
-  auto Partition = compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
   // Stats before execution: fold not yet run.
   EXPECT_EQ(Partition->stats().FoldedTensors, 0u);
   std::vector<TensorData> Ins;
@@ -343,7 +343,7 @@ TEST(CompilerE2E, BufferReuseReducesArena) {
   const Graph G = workloads::buildMlp(Spec);
   CompileOptions Opts = defaultOpts();
   Opts.EnableCoarseGrainFusion = false; // keep temps in separate regions
-  auto Partition = compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
   const PartitionStats S = Partition->stats();
   EXPECT_LT(S.ScratchArenaBytes, S.ScratchArenaBytesNoReuse)
       << "chained temps must share arena space";
@@ -398,8 +398,8 @@ TEST(FoldGraph, KernelFoldMatchesReferenceInt8) {
     SCOPED_TRACE(TransB ? "transpose_b" : "plain weights");
     CompileOptions Opts = defaultOpts();
     Opts.CacheMode = runtime::CacheMode::Off;
-    const auto Partition =
-        compileGraph(buildInt8Mlp(5, {67, 101, 45}, TransB, 41), Opts);
+    const auto Partition = test::compileOnePartition(
+        buildInt8Mlp(5, {67, 101, 45}, TransB, 41), Opts);
     lower::DriverOptions DrvOpts;
     Expected<lower::LoweredProgram> Lowered =
         lower::lowerGraph(Partition->optimizedGraph(), DrvOpts);

@@ -31,7 +31,7 @@ void compareCompiledToReference(const Graph &G, int Threads,
                                 uint64_t Seed) {
   core::CompileOptions Opts;
   Opts.Threads = Threads;
-  auto Partition = core::compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
 
   std::vector<TensorData> Inputs;
   TensorMap Env;

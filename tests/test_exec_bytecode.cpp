@@ -32,7 +32,7 @@ std::vector<TensorData> compileAndRun(const Graph &G, int Threads,
                                       uint64_t Seed) {
   core::CompileOptions Opts;
   Opts.Threads = Threads;
-  auto Partition = core::compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
 
   std::vector<TensorData> Inputs;
   Rng R(Seed);
@@ -93,7 +93,7 @@ TEST(BytecodeDeterminism, RepeatedExecutesOnOnePartitionMatch) {
 
   core::CompileOptions Opts;
   Opts.Threads = 4;
-  auto Partition = core::compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
 
   std::vector<TensorData> Inputs;
   Rng R(11);
@@ -139,7 +139,7 @@ TEST(BytecodeProgram, CompilesWithDirectKernelPointersAndParallelNests) {
   const Graph G = workloads::buildMlp(Spec);
   core::CompileOptions Opts;
   Opts.Threads = 2;
-  auto Partition = core::compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
   const exec::Program &P = Partition->bytecode();
   EXPECT_FALSE(P.Code.empty());
   EXPECT_GT(P.NumRegs, 0u);
@@ -166,7 +166,7 @@ TEST(BytecodeProgram, BarrierCountMatchesProgramParallelNests) {
   const Graph G = workloads::buildMlp(Spec);
   core::CompileOptions Opts;
   Opts.Threads = 2;
-  auto Partition = core::compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
 
   // The outermost parallel nests of the program: ParallelFor instructions
   // outside every other nest's body. Each non-empty one costs exactly one

@@ -59,7 +59,7 @@ TEST(Robustness, DegenerateOneByOneMatmul) {
   const Graph G = workloads::buildSingleMatmul(1, 1, 1, false, 70);
   core::CompileOptions Opts;
   Opts.Threads = 1;
-  auto Partition = core::compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
   TensorData In(DataType::F32, {1, 1});
   In.fillConstant(3.0);
   TensorData Out(DataType::F32, {1, 1});
@@ -80,7 +80,7 @@ TEST(Robustness, ManyMoreThreadsThanWork) {
   const Graph G = workloads::buildMlp(Spec);
   core::CompileOptions Opts;
   Opts.Threads = 16;
-  auto Partition = core::compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
   TensorData In(DataType::F32, {8, 16});
   Rng R(72);
   In.fillRandom(R);
@@ -103,7 +103,7 @@ TEST(Robustness, RepeatedExecutionIsIdempotent) {
   const Graph G = workloads::buildMlp(Spec);
   core::CompileOptions Opts;
   Opts.Threads = 2;
-  auto Partition = core::compileGraph(G, Opts);
+  auto Partition = test::compileOnePartition(G, Opts);
   TensorData In(DataType::U8, {16, 24});
   Rng R(74);
   In.fillRandom(R);
@@ -127,8 +127,8 @@ TEST(Robustness, PartitionsShareGlobalPoolSafely) {
   Spec2.Seed = 76;
   const Graph G1 = workloads::buildMlp(Spec1);
   const Graph G2 = workloads::buildMlp(Spec2);
-  auto P1 = core::compileGraph(G1, core::CompileOptions());
-  auto P2 = core::compileGraph(G2, core::CompileOptions());
+  auto P1 = test::compileOnePartition(G1);
+  auto P2 = test::compileOnePartition(G2);
   TensorData In(DataType::F32, {8, 16});
   Rng R(77);
   In.fillRandom(R);

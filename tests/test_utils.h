@@ -2,22 +2,26 @@
 ///
 /// \file
 /// Helpers shared by the test suite: deterministic tensor filling, naive
-/// matrix products used as local oracles, tolerance constants, and a
-/// one-call runner for hand-built Tensor IR.
+/// matrix products used as local oracles, tolerance constants, a
+/// one-call runner for hand-built Tensor IR, and the one-partition
+/// compile that tests inspecting a CompiledPartition go through.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GC_TESTS_TEST_UTILS_H
 #define GC_TESTS_TEST_UTILS_H
 
+#include "api/session.h"
 #include "exec/executor.h"
 #include "runtime/tensor_data.h"
 #include "runtime/thread_pool.h"
+#include "support/common.h"
 #include "support/rng.h"
 #include "tir/function.h"
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <ostream>
 #include <utility>
 #include <vector>
@@ -154,6 +158,22 @@ inline void runTir(const tir::Func &F, runtime::ThreadPool &Pool,
   for (const auto &[BufferId, Ptr] : Bindings)
     X.bindBuffer(BufferId, Ptr);
   X.run();
+}
+
+/// Compiles \p G with \p Opts through a one-off api::Session and returns
+/// its sole compiled partition, for tests that read stats(), bytecode()
+/// or entry() or call CompiledPartition::execute directly. Aborts when
+/// the graph does not compile to exactly one compiled partition.
+inline std::shared_ptr<core::CompiledPartition>
+compileOnePartition(const graph::Graph &G,
+                    const core::CompileOptions &Opts = {}) {
+  api::Session S(Opts);
+  Expected<api::CompiledGraphPtr> CG = S.compile(G);
+  if (!CG)
+    fatalError(("compile failed: " + CG.status().toString()).c_str());
+  if ((*CG)->numPartitions() != 1 || !(*CG)->compiledPartition(0))
+    fatalError("graph did not compile to one compiled partition");
+  return (*CG)->compiledPartition(0);
 }
 
 } // namespace test

@@ -426,12 +426,12 @@ TEST(VerifyMemPlan, DuplicateProducerRejected) {
 }
 
 //===----------------------------------------------------------------------===//
-// Relational tier: Tensor IR edge-tile bounds
+// Symbolic bounds: Tensor IR edge tiles
 //===----------------------------------------------------------------------===//
 
 /// for i in [0,3): for j in [0, min(4, N - 4*i)): buf[4*i + j] = 1.0 —
-/// the correlated edge-tile pattern the interval tier cannot decide
-/// (interval of the inner extent is [*, 4], so 4*i + j reaches 11).
+/// a correlated edge-tile pattern plain intervals cannot decide (the
+/// inner extent's interval is [*, 4], so 4*i + j would reach 11).
 tir::Func edgeTileFunc(int64_t Elems, int64_t N) {
   tir::Func F;
   F.Name = "edge";
@@ -451,7 +451,7 @@ tir::Func edgeTileFunc(int64_t Elems, int64_t N) {
 }
 
 TEST(VerifyFuncRelational, EdgeTileExactExtentProved) {
-  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::Relational);
+  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::All);
   resetVerifyStats();
   const Status S = verifyFunc(edgeTileFunc(/*Elems=*/9, /*N=*/9));
   EXPECT_TRUE(S.isOk()) << S.toString();
@@ -465,25 +465,14 @@ TEST(VerifyFuncRelational, EdgeTileExactExtentProved) {
 TEST(VerifyFuncRelational, EdgeTileOffByOneRejected) {
   // Same loop with the source extent off by one (N = 10 over 9
   // elements): i = 2 reaches buf[9].
-  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::Relational);
+  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::All);
   expectRejected(verifyFunc(edgeTileFunc(/*Elems=*/9, /*N=*/10)),
                  StatusCode::Internal, {"buf", "9 elements"});
   setVerifyLevel(Prev);
 }
 
-TEST(VerifyFuncRelational, IntervalTierCannotProveEdgeTile) {
-  // The interval tier sees j in [0,3] independent of i, so the exact
-  // extent still reaches a bounded index 11 and gets rejected — the
-  // correlated-bounds imprecision the relational tier exists to fix
-  // (real compiled code routes tiles through intrinsic footprints,
-  // which the interval tier conservatively skips instead).
-  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::All);
-  EXPECT_FALSE(verifyFunc(edgeTileFunc(9, 9)).isOk());
-  setVerifyLevel(Prev);
-}
-
 //===----------------------------------------------------------------------===//
-// Relational tier: static race analysis over bytecode
+// Static race analysis over bytecode
 //===----------------------------------------------------------------------===//
 
 /// Parallel loop over r0 in [0,4) whose body stores buf[r0] and, when
@@ -522,7 +511,7 @@ exec::Program parallelStoreProgram(bool Racy) {
 }
 
 TEST(VerifyProgramRelational, DisjointParallelStoresProved) {
-  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::Relational);
+  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::All);
   resetVerifyStats();
   const Status S = verifyProgram(parallelStoreProgram(/*Racy=*/false));
   EXPECT_TRUE(S.isOk()) << S.toString();
@@ -531,19 +520,10 @@ TEST(VerifyProgramRelational, DisjointParallelStoresProved) {
 }
 
 TEST(VerifyProgramRelational, OverlappingParallelStoresRejected) {
-  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::Relational);
+  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::All);
   expectRejected(verifyProgram(parallelStoreProgram(/*Racy=*/true)),
                  StatusCode::Internal,
                  {"static race", "instr 1 (store)", "instr 4 (store)"});
-  setVerifyLevel(Prev);
-}
-
-TEST(VerifyProgramRelational, IntervalTierAcceptsWithoutRaceProof) {
-  // Below the relational tier the race analysis is off; the racy program
-  // must still pass the plain bounds walk (back-compat fallback).
-  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::All);
-  const Status S = verifyProgram(parallelStoreProgram(/*Racy=*/true));
-  EXPECT_TRUE(S.isOk()) << S.toString();
   setVerifyLevel(Prev);
 }
 
@@ -560,7 +540,7 @@ TEST(VerifyLoadedProgram, RacingArtifactRejectedEvenAtOff) {
 }
 
 //===----------------------------------------------------------------------===//
-// Relational tier: zero conservative skips on standard workloads
+// Zero conservative skips on standard workloads
 //===----------------------------------------------------------------------===//
 
 Graph softmaxGraph(int64_t Rows, int64_t Cols) {
@@ -581,11 +561,11 @@ Graph mhaGraph() {
 }
 
 TEST(VerifyRelationalStats, StandardWorkloadsHaveZeroSkips) {
-  // The acceptance bar for the relational tier: every footprint in the
+  // The acceptance bar for the symbolic engine: every footprint in the
   // standard workload set is decided (proved in-bounds), none fall into
   // the "deliberately out of scope" undecided class, and the parallel
   // loops get real race proofs.
-  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::Relational);
+  const VerifyLevel Prev = setVerifyLevel(VerifyLevel::All);
   resetVerifyStats();
   for (const bool Int8 : {false, true}) {
     workloads::MlpSpec Spec;
@@ -615,7 +595,7 @@ TEST(VerifyRelationalStats, StandardWorkloadsHaveZeroSkips) {
 }
 
 //===----------------------------------------------------------------------===//
-// Relational tier: differential execution vs GC_VERIFY=off
+// Differential execution vs GC_VERIFY=off
 //===----------------------------------------------------------------------===//
 
 /// Compiles and runs \p G with deterministic inputs; dynamic leading
@@ -650,7 +630,7 @@ runtime::TensorData runGraph(const Graph &G, int64_t DynBatch = 8) {
 }
 
 TEST(VerifyRelationalDifferential, BitIdenticalExecutionAcrossTiers) {
-  // Full workload sweep: relational verification must neither reject a
+  // Full workload sweep: full verification must neither reject a
   // standard workload (zero conservative rejections) nor perturb its
   // execution — outputs are compared bit-for-bit against GC_VERIFY=off.
   std::vector<Graph> Graphs;
@@ -684,7 +664,7 @@ TEST(VerifyRelationalDifferential, BitIdenticalExecutionAcrossTiers) {
   for (const Graph &G : Graphs) {
     const VerifyLevel Prev = setVerifyLevel(VerifyLevel::Off);
     const runtime::TensorData Base = runGraph(G);
-    setVerifyLevel(VerifyLevel::Relational);
+    setVerifyLevel(VerifyLevel::All);
     const runtime::TensorData Checked = runGraph(G);
     setVerifyLevel(Prev);
     ASSERT_EQ(Base.numBytes(), Checked.numBytes());
@@ -717,10 +697,10 @@ TEST(VerifyLevelApi, ClearCacheRereadsEnvironment) {
   clearVerifyLevelCache();
   EXPECT_EQ(verifyLevel(), VerifyLevel::Off); // re-resolved from env
 
-  ::setenv("GC_VERIFY", "relational", 1);
+  ::setenv("GC_VERIFY", "passes", 1);
   EXPECT_EQ(verifyLevel(), VerifyLevel::Off); // still cached
   clearVerifyLevelCache();
-  EXPECT_EQ(verifyLevel(), VerifyLevel::Relational);
+  EXPECT_EQ(verifyLevel(), VerifyLevel::Passes);
 
   if (Orig)
     ::setenv("GC_VERIFY", Saved.c_str(), 1);
@@ -728,6 +708,20 @@ TEST(VerifyLevelApi, ClearCacheRereadsEnvironment) {
     ::unsetenv("GC_VERIFY");
   clearVerifyLevelCache();
   setVerifyLevel(Prev);
+}
+
+TEST(VerifyLevelApi, UnknownValueAbortsListingTheLevels) {
+  // "relational" is not a level (symbolic bounds and the race proof run
+  // at "all"); like any unknown value it must fail loudly, not fall back
+  // to a default.
+  EXPECT_DEATH(
+      {
+        ::setenv("GC_VERIFY", "relational", 1);
+        clearVerifyLevelCache();
+        (void)verifyLevel();
+      },
+      "GC_VERIFY must be one of off.graph.passes.all, got "
+      "\"relational\"");
 }
 
 } // namespace

@@ -458,6 +458,79 @@ Status readFunc(ByteReader &R, tir::Func &F) {
 // Bytecode program payload
 //===----------------------------------------------------------------------===//
 
+uint32_t floatBits(float F) {
+  uint32_t B;
+  std::memcpy(&B, &F, sizeof B);
+  return B;
+}
+
+float bitsFloat(uint32_t B) {
+  float F;
+  std::memcpy(&F, &B, sizeof F);
+  return F;
+}
+
+/// A call's epilogue step list: a step count (0 for every other
+/// intrinsic) and the steps.
+void writeSteps(ByteWriter &W, const exec::CallDesc &C) {
+  if (!C.Epilogue) {
+    W.u8(0);
+    return;
+  }
+  W.u8(static_cast<uint8_t>(C.Epilogue->Steps.size()));
+  for (const kernels::EpStep &S : C.Epilogue->Steps) {
+    W.u8(static_cast<uint8_t>(S.Op));
+    W.u8(static_cast<uint8_t>(S.BKind));
+    W.u8(S.Dst);
+    W.u8(S.A);
+    W.u8(S.B);
+    W.u8(S.Arg);
+    W.u8(S.Arg2);
+    W.u8(S.Arg3);
+    W.u8(S.Signed ? 1 : 0);
+    W.i32(S.Zp);
+    W.i64(S.Ld);
+    W.i64(S.PadRows);
+    W.i64(S.PadCols);
+    W.u32(floatBits(S.F0));
+    W.u32(floatBits(S.F1));
+  }
+}
+
+/// Reads the step list writeSteps wrote; the caller validates it.
+bool readSteps(ByteReader &R, uint8_t NumBufs,
+               std::shared_ptr<const kernels::EpilogueDesc> &Out) {
+  const uint8_t NumSteps = R.u8();
+  if (!R.ok() || NumSteps == 0)
+    return R.ok();
+  if (NumSteps > kernels::kEpilogueMaxSteps) {
+    R.fail("epilogue step count");
+    return false;
+  }
+  auto D = std::make_shared<kernels::EpilogueDesc>();
+  D->NumBufs = NumBufs;
+  D->Steps.resize(NumSteps);
+  for (kernels::EpStep &S : D->Steps) {
+    S.Op = static_cast<kernels::EpOp>(R.u8());
+    S.BKind = static_cast<kernels::EpOperand>(R.u8());
+    S.Dst = R.u8();
+    S.A = R.u8();
+    S.B = R.u8();
+    S.Arg = R.u8();
+    S.Arg2 = R.u8();
+    S.Arg3 = R.u8();
+    S.Signed = R.u8() != 0;
+    S.Zp = R.i32();
+    S.Ld = R.i64();
+    S.PadRows = R.i64();
+    S.PadCols = R.i64();
+    S.F0 = bitsFloat(R.u32());
+    S.F1 = bitsFloat(R.u32());
+  }
+  Out = std::move(D);
+  return R.ok();
+}
+
 void writeProgram(ByteWriter &W, const exec::Program &P) {
   W.str(P.Name);
   W.u32(P.NumRegs);
@@ -496,7 +569,8 @@ void writeProgram(ByteWriter &W, const exec::Program &P) {
     W.u8(static_cast<uint8_t>(C.In));
     W.u8(C.NumBufs);
     W.u8(C.NumDyn);
-    for (const exec::CallDesc::Buf &B : C.Bufs) {
+    for (uint8_t I = 0; I < C.NumBufs; ++I) {
+      const exec::CallDesc::Buf &B = C.Bufs[I];
       W.i32(B.BufferId);
       W.u16(B.OffsetReg);
       W.u8(B.HasOffset ? 1 : 0);
@@ -510,6 +584,7 @@ void writeProgram(ByteWriter &W, const exec::Program &P) {
       W.u8(D.IsF64 ? 1 : 0);
       W.u16(D.Reg);
     }
+    writeSteps(W, C);
   }
 }
 
@@ -629,7 +704,14 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
     const uint8_t In = R.u8();
     C.NumBufs = R.u8();
     C.NumDyn = R.u8();
-    for (exec::CallDesc::Buf &B : C.Bufs) {
+    if (!R.ok())
+      return R.err();
+    if (C.NumBufs > exec::kMaxCallBufs || C.NumDyn > 12) {
+      R.fail("call operand counts");
+      return R.err();
+    }
+    for (uint8_t I = 0; I < C.NumBufs; ++I) {
+      exec::CallDesc::Buf &B = C.Bufs[I];
       B.BufferId = R.i32();
       B.OffsetReg = R.u16();
       B.HasOffset = R.u8() != 0;
@@ -643,20 +725,32 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
       D.IsF64 = R.u8() != 0;
       D.Reg = R.u16();
     }
-    if (!R.ok())
+    if (!readSteps(R, C.NumBufs, C.Epilogue))
       return R.err();
     if (In >= tir::kNumIntrinsics) {
       R.fail("call intrinsic");
       return R.err();
     }
-    if (C.NumBufs > 4 || C.NumDyn > 12) {
-      R.fail("call operand counts");
-      return R.err();
-    }
-    // Footprints and kernel adapters index Bufs by the intrinsic's layout.
-    if (C.NumBufs != tir::intrinsicNumBufs(static_cast<tir::Intrinsic>(In))) {
+    // Footprints and kernel adapters index Bufs by the intrinsic's layout,
+    // or by the step list's slots for an epilogue call.
+    const bool IsEpilogue =
+        static_cast<tir::Intrinsic>(In) == tir::Intrinsic::EpilogueTile;
+    if (!IsEpilogue &&
+        C.NumBufs != tir::intrinsicNumBufs(static_cast<tir::Intrinsic>(In))) {
       R.fail("call buffer count does not match its intrinsic");
       return R.err();
+    }
+    if (IsEpilogue != (C.Epilogue != nullptr)) {
+      R.fail("call step list does not match its intrinsic");
+      return R.err();
+    }
+    if (C.Epilogue) {
+      std::vector<kernels::EpArgUse> Uses;
+      std::string Why;
+      if (!kernels::describeEpilogue(*C.Epilogue, Uses, Why)) {
+        R.fail("epilogue step list: " + Why);
+        return R.err();
+      }
     }
     for (uint8_t I = 0; I < C.NumBufs; ++I)
       if (C.Bufs[I].BufferId < 0 ||

@@ -56,7 +56,11 @@ namespace core {
 /// (packed / compensated constant weights) ride in the payload, so a warm
 /// load pre-populates the partition's ConstCache with zero-copy views and
 /// the first execution skips the fold entirely.
-constexpr uint32_t kArtifactPayloadVersion = 2;
+///
+/// v3 removed the GeluTile intrinsic (later intrinsic ids shift down),
+/// added EpilogueTile with its step list after each call's scalars, and
+/// writes only a call's NumBufs buffer references.
+constexpr uint32_t kArtifactPayloadVersion = 3;
 
 /// Identity hash of this binary's compilation pipeline: payload version,
 /// compiler identification and build timestamp. Two processes agree on it

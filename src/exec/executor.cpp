@@ -3,6 +3,7 @@
 #include "exec/executor.h"
 
 #include "kernels/brgemm.h"
+#include "kernels/epilogue.h"
 #include "kernels/packing.h"
 #include "kernels/tile_ops.h"
 #include "support/common.h"
@@ -11,8 +12,36 @@
 #include <cmath>
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <xmmintrin.h>
+#endif
+
 namespace gc {
 namespace exec {
+
+namespace {
+
+/// Sets FTZ and DAZ in MXCSR for its lifetime and restores the caller's
+/// value on exit; a no-op off x86. Compiled code then never takes the
+/// microcode assist a denormal operand or result costs (a softmax's
+/// exp(x - rowmax) underflows for every logit 87 below the row max): a
+/// denormal result is written as zero and a denormal input read as zero.
+/// Executions that run on the submitting thread and every parallel chunk
+/// on a pool worker each hold one, so no thread's mode leaks.
+class FlushDenormalsScope {
+public:
+#if defined(__x86_64__) || defined(__i386__)
+  FlushDenormalsScope() : Saved(_mm_getcsr()) {
+    _mm_setcsr(Saved | 0x8040); // FTZ (bit 15) | DAZ (bit 6)
+  }
+  ~FlushDenormalsScope() { _mm_setcsr(Saved); }
+
+private:
+  unsigned Saved;
+#endif
+};
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Kernel adapters
@@ -80,9 +109,6 @@ void adSquareTile(void *const *P, const int64_t *SI, const double *) {
 }
 void adSigmoidTile(void *const *P, const int64_t *SI, const double *) {
   sigmoidTile(tileArg(P, SI, 0));
-}
-void adGeluTile(void *const *P, const int64_t *SI, const double *) {
-  geluTanhTile(tileArg(P, SI, 0));
 }
 void adAffineTile(void *const *P, const int64_t *SI, const double *SF) {
   affineTile(tileArg(P, SI, 0), static_cast<float>(SF[3]),
@@ -208,6 +234,11 @@ void adCastS32F32Tile(void *const *P, const int64_t *SI, const double *SF) {
                  static_cast<float>(SF[4]));
 }
 
+void adEpilogueTile(void *const *P, const int64_t *SI, const double *) {
+  epilogueTile(*static_cast<const EpilogueDesc *>(P[kMaxCallBufs]), P,
+               SI[0], SI[1], SI[2] != 0);
+}
+
 inline PlainMatrix plainArg(void *const *P, const int64_t *SI) {
   PlainMatrix Src;
   Src.Data = P[1];
@@ -254,7 +285,6 @@ KernelFn kernelAdapter(tir::Intrinsic In) {
   case Intrinsic::RecipTile: return adRecipTile;
   case Intrinsic::SquareTile: return adSquareTile;
   case Intrinsic::SigmoidTile: return adSigmoidTile;
-  case Intrinsic::GeluTile: return adGeluTile;
   case Intrinsic::AffineTile: return adAffineTile;
   case Intrinsic::AddTile: return adAddTile;
   case Intrinsic::SubTile: return adSubTile;
@@ -276,6 +306,7 @@ KernelFn kernelAdapter(tir::Intrinsic In) {
   case Intrinsic::TransposeTile: return adTransposeTile;
   case Intrinsic::Permute0213: return adPermute0213;
   case Intrinsic::FillTile: return adFillTile;
+  case Intrinsic::EpilogueTile: return adEpilogueTile;
   case Intrinsic::DequantAccTile: return adDequantAccTile;
   case Intrinsic::QuantU8Tile: return adQuantU8Tile;
   case Intrinsic::QuantS8Tile: return adQuantS8Tile;
@@ -369,6 +400,7 @@ void Executor::bindBuffer(int BufferId, void *Ptr) {
 }
 
 void Executor::run() {
+  FlushDenormalsScope Flush;
   // Finalize worker tables: every non-ThreadLocal buffer points at the
   // shared base.
   for (size_t BId = 0; BId < BasePtrs.size(); ++BId) {
@@ -407,6 +439,7 @@ void Executor::runParallel(const Instr &In, Frame &Fr, uint32_t BodyBegin) {
     // run on the submitting frame directly; the pool call is kept for the
     // one-barrier-per-nest accounting.
     Pool.parallelFor(0, Trips, [&](int64_t I, int) {
+      FlushDenormalsScope Flush;
       Fr.Regs[D.VarReg].I = Begin + I * Step;
       runRange(BodyBegin, BodyEnd, Fr);
     });
@@ -421,6 +454,7 @@ void Executor::runParallel(const Instr &In, Frame &Fr, uint32_t BodyBegin) {
   for (int W = 0; W < ActiveWorkers; ++W)
     std::copy(Fr.Regs, Fr.Regs + P->NumRegs, WorkerRegs[W].data());
   Pool.parallelFor(0, Trips, [&](int64_t I, int ThreadId) {
+    FlushDenormalsScope Flush;
     Frame WFr;
     WFr.Regs = WorkerRegs[static_cast<size_t>(ThreadId)].data();
     WFr.Buffers = WorkerPtrs[static_cast<size_t>(ThreadId)].data();
@@ -514,7 +548,9 @@ void Executor::runRange(uint32_t PC, uint32_t End, Frame &Fr) {
       break;
     case Opcode::CallKernel: {
       const CallDesc &D = P->Calls[static_cast<size_t>(I.Target)];
-      void *Ptrs[4] = {nullptr, nullptr, nullptr, nullptr};
+      void *Ptrs[kMaxCallBufs + 1];
+      Ptrs[kMaxCallBufs] =
+          const_cast<kernels::EpilogueDesc *>(D.Epilogue.get());
       for (uint8_t K = 0; K < D.NumBufs; ++K) {
         const CallDesc::Buf &BRef = D.Bufs[K];
         const int64_t Off = BRef.HasOffset ? R[BRef.OffsetReg].I : 0;

@@ -827,7 +827,9 @@ void ProgramBuilder::compileCall(const CallNode *C) {
   CallDesc D;
   D.Fn = kernelAdapter(C->In);
   D.In = C->In;
-  assert(C->Buffers.size() <= 4 && "intrinsics take at most 4 buffers");
+  D.Epilogue = C->Epilogue;
+  assert(C->Buffers.size() <= static_cast<size_t>(kMaxCallBufs) &&
+         "too many buffer arguments");
   assert(C->Scalars.size() <= 12 && "intrinsics take at most 12 scalars");
   std::vector<Operand> Held;
   D.NumBufs = static_cast<uint8_t>(C->Buffers.size());

@@ -38,6 +38,7 @@
 #ifndef GC_EXEC_PROGRAM_H
 #define GC_EXEC_PROGRAM_H
 
+#include "kernels/epilogue.h"
 #include "tir/function.h"
 
 #include <cstdint>
@@ -89,9 +90,15 @@ struct Instr {
   int64_t Imm = 0;    ///< immediate operand (AddImmI)
 };
 
+/// Most buffer arguments one kernel call carries (an epilogue call's step
+/// list names up to this many slots).
+constexpr int kMaxCallBufs = kernels::kEpilogueMaxBufs;
+
 /// Kernel entry: pre-resolved buffer pointers (base + element offset
 /// already applied) plus the int/float views of the scalar arguments, in
-/// the intrinsic's documented order (tir/intrinsics.h).
+/// the intrinsic's documented order (tir/intrinsics.h). Ptrs has
+/// kMaxCallBufs + 1 entries: Ptrs[kMaxCallBufs] is the call's epilogue
+/// step list (null for every other intrinsic).
 using KernelFn = void (*)(void *const *Ptrs, const int64_t *SI,
                           const double *SF);
 
@@ -111,7 +118,7 @@ struct CallDesc {
     int32_t BufferId = -1;
     uint16_t OffsetReg = 0; ///< element offset register
     bool HasOffset = false; ///< false = offset 0 (no register read)
-  } Bufs[4];
+  } Bufs[kMaxCallBufs];
   /// Pre-marshalled scalar views (constants filled at compile time).
   int64_t SI[12] = {0};
   double SF[12] = {0};
@@ -120,6 +127,9 @@ struct CallDesc {
     bool IsF64 = false; ///< marshal from the F view (else the I view)
     uint16_t Reg = 0;
   } Dyns[12];
+  /// EpilogueTile only: the step list, shared by every copy of the
+  /// program; NumBufs equals its slot count.
+  std::shared_ptr<const kernels::EpilogueDesc> Epilogue;
 };
 
 /// Compiled parallel loop. The body is the BodyLen instructions following

@@ -111,6 +111,11 @@ struct VecF32Scalar {
     return {R};
   }
 
+  /// A with lanes [N, Width) replaced by Fill (a masked load's tail).
+  static VecF32Scalar keepFirst(VecF32Scalar A, int64_t N, float Fill) {
+    return {N > 0 ? A.V : Fill};
+  }
+
   static Mask ltMask(VecF32Scalar A, VecF32Scalar B) { return A.V < B.V; }
   static Mask isNanMask(VecF32Scalar A) { return A.V != A.V; }
   /// M ? A : B, lanewise.
@@ -204,6 +209,11 @@ struct VecF32Avx2 {
   static VecF32Avx2 bitsConst(uint32_t Bits) {
     return {_mm256_castsi256_ps(
         _mm256_set1_epi32(static_cast<int>(Bits)))};
+  }
+
+  static VecF32Avx2 keepFirst(VecF32Avx2 A, int64_t N, float Fill) {
+    return {_mm256_blendv_ps(_mm256_set1_ps(Fill), A.V,
+                             _mm256_castsi256_ps(tailMask(N)))};
   }
 
   static Mask ltMask(VecF32Avx2 A, VecF32Avx2 B) {
@@ -376,6 +386,10 @@ struct VecF32Avx512 {
   static VecF32Avx512 bitsConst(uint32_t Bits) {
     return {_mm512_castsi512_ps(
         _mm512_set1_epi32(static_cast<int>(Bits)))};
+  }
+
+  static VecF32Avx512 keepFirst(VecF32Avx512 A, int64_t N, float Fill) {
+    return {_mm512_mask_blend_ps(tailMask(N), _mm512_set1_ps(Fill), A.V)};
   }
 
   static Mask ltMask(VecF32Avx512 A, VecF32Avx512 B) {

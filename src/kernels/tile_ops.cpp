@@ -18,6 +18,8 @@
 
 #include "kernels/tile_ops.h"
 
+#include "kernels/epilogue_body.h"
+
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -26,6 +28,108 @@ namespace gc {
 namespace kernels {
 
 namespace {
+
+//===----------------------------------------------------------------------===//
+// Scalar oracle element functions, shared by the per-op loops below and
+// the scalar instance of the fused epilogue
+//===----------------------------------------------------------------------===//
+
+namespace elem {
+inline float relu(float X) { return X > 0.0f ? X : 0.0f; }
+inline float exp(float X) { return std::exp(X); }
+inline float tanh(float X) { return std::tanh(X); }
+inline float sqrt(float X) { return std::sqrt(X); }
+inline float recip(float X) { return 1.0f / X; }
+inline float affine(float X, float A, float B) { return X * A + B; }
+inline float sigmoid(float X) { return 1.0f / (1.0f + std::exp(-X)); }
+inline float square(float X) { return X * X; }
+inline float max(float X, float Y) { return std::max(X, Y); }
+inline float min(float X, float Y) { return std::min(X, Y); }
+inline float dequantAcc(int32_t Acc, const int32_t *Comp, int32_t AZp,
+                        float Scale) {
+  return Comp && AZp != 0 ? static_cast<float>(Acc - AZp * *Comp) * Scale
+                          : static_cast<float>(Acc) * Scale;
+}
+inline float dequant(int32_t Q, int32_t Zp, float Scale) {
+  return static_cast<float>(Q - Zp) * Scale;
+}
+/// round(clamp(X * InvScale, Lo - Zp, Hi - Zp)) + Zp, rounding half to
+/// even. Clamping in float before rounding saturates every magnitude (a
+/// round-then-clamp would overflow int32 past 2^31 and wrap); for in-range
+/// values the two orders agree because Lo - Zp and Hi - Zp are integers.
+template <typename T>
+inline T quantize(float X, float InvScale, int32_t Zp, int32_t Lo,
+                  int32_t Hi) {
+  const float LoF = static_cast<float>(int64_t{Lo} - Zp);
+  const float HiF = static_cast<float>(int64_t{Hi} - Zp);
+  const float C = std::min(std::max(X * InvScale, LoF), HiF);
+  return static_cast<T>(static_cast<int32_t>(std::lrintf(C)) + Zp);
+}
+} // namespace elem
+
+/// The fused epilogue's scalar element policy: width 1, the oracle's
+/// element functions, and the oracle reductions' order (the row max
+/// starts from the first element, the sum from +0).
+struct ScalarEpPolicy {
+  using Vec = float;
+  static constexpr int64_t Width = 1;
+
+  static float set1(float X) { return X; }
+  static float loadN(const float *P, int64_t) { return *P; }
+  static void storeN(float X, float *P, int64_t) { *P = X; }
+  static float loadAcc(const int32_t *Src, const int32_t *Comp, int32_t Zp,
+                       const float *Scale, int64_t) {
+    return elem::dequantAcc(*Src, Comp, Zp, *Scale);
+  }
+  static float loadU8(const uint8_t *Src, int32_t Zp, float Scale, int64_t) {
+    return elem::dequant(static_cast<int32_t>(*Src), Zp, Scale);
+  }
+  static float loadS32(const int32_t *Src, float Scale, int64_t) {
+    return static_cast<float>(*Src) * Scale;
+  }
+  static float relu(float X) { return elem::relu(X); }
+  static float exp(float X) { return elem::exp(X); }
+  static float tanh(float X) { return elem::tanh(X); }
+  static float sqrt(float X) { return elem::sqrt(X); }
+  static float recip(float X) { return elem::recip(X); }
+  static float square(float X) { return elem::square(X); }
+  static float sigmoid(float X) { return elem::sigmoid(X); }
+  static float affine(float X, float A, float B) {
+    return elem::affine(X, A, B);
+  }
+  static float add(float A, float B) { return A + B; }
+  static float sub(float A, float B) { return A - B; }
+  static float mul(float A, float B) { return A * B; }
+  static float div(float A, float B) { return A / B; }
+  static float max(float A, float B) { return elem::max(A, B); }
+  static float min(float A, float B) { return elem::min(A, B); }
+  static float quant(float X, float InvScale, int32_t Zp, bool Signed) {
+    return Signed ? static_cast<float>(
+                        elem::quantize<int8_t>(X, InvScale, 0, -128, 127))
+                  : static_cast<float>(
+                        elem::quantize<uint8_t>(X, InvScale, Zp, 0, 255));
+  }
+  static float dequant(float X, int32_t Zp, float Scale) {
+    return elem::dequant(static_cast<int32_t>(X), Zp, Scale);
+  }
+  static void storeQuant(float X, uint8_t *Dst, float InvScale, int32_t Zp,
+                         bool Signed, int64_t) {
+    if (Signed)
+      *reinterpret_cast<int8_t *>(Dst) =
+          elem::quantize<int8_t>(X, InvScale, 0, -128, 127);
+    else
+      *Dst = elem::quantize<uint8_t>(X, InvScale, Zp, 0, 255);
+  }
+  static float sumInit() { return 0.0f; }
+  static float sumStep(float Acc, float X, int64_t, bool) { return Acc + X; }
+  static float sumFinal(float Acc) { return Acc; }
+  static float maxInit() { return 0.0f; }
+  static float maxStep(float Acc, float X, int64_t, bool First) {
+    return First ? X : elem::max(Acc, X);
+  }
+  static float maxFinal(float Acc) { return Acc; }
+  static float maxCombine(float Out, float Max) { return elem::max(Out, Max); }
+};
 
 template <typename Fn> void forEachRow(const TileF32 &X, Fn &&Body) {
   for (int64_t R = 0; R < X.Rows; ++R)
@@ -45,68 +149,56 @@ void forEachRowPair(const TileF32 &X, const ConstTileF32 &Y, Fn &&Body) {
 void reluScalar(const TileF32 &X) {
   forEachRow(X, [&](float *Row) {
     for (int64_t C = 0; C < X.Cols; ++C)
-      Row[C] = Row[C] > 0.0f ? Row[C] : 0.0f;
+      Row[C] = elem::relu(Row[C]);
   });
 }
 
 void expScalar(const TileF32 &X) {
   forEachRow(X, [&](float *Row) {
     for (int64_t C = 0; C < X.Cols; ++C)
-      Row[C] = std::exp(Row[C]);
+      Row[C] = elem::exp(Row[C]);
   });
 }
 
 void tanhScalar(const TileF32 &X) {
   forEachRow(X, [&](float *Row) {
     for (int64_t C = 0; C < X.Cols; ++C)
-      Row[C] = std::tanh(Row[C]);
+      Row[C] = elem::tanh(Row[C]);
   });
 }
 
 void sqrtScalar(const TileF32 &X) {
   forEachRow(X, [&](float *Row) {
     for (int64_t C = 0; C < X.Cols; ++C)
-      Row[C] = std::sqrt(Row[C]);
+      Row[C] = elem::sqrt(Row[C]);
   });
 }
 
 void recipScalar(const TileF32 &X) {
   forEachRow(X, [&](float *Row) {
     for (int64_t C = 0; C < X.Cols; ++C)
-      Row[C] = 1.0f / Row[C];
+      Row[C] = elem::recip(Row[C]);
   });
 }
 
 void affineScalar(const TileF32 &X, float A, float B) {
   forEachRow(X, [&](float *Row) {
     for (int64_t C = 0; C < X.Cols; ++C)
-      Row[C] = Row[C] * A + B;
-  });
-}
-
-void geluTanhScalar(const TileF32 &X) {
-  constexpr float Sqrt2OverPi = 0.7978845608028654f;
-  constexpr float Coeff = 0.044715f;
-  forEachRow(X, [&](float *Row) {
-    for (int64_t C = 0; C < X.Cols; ++C) {
-      const float V = Row[C];
-      const float Inner = Sqrt2OverPi * (V + Coeff * V * V * V);
-      Row[C] = 0.5f * V * (1.0f + std::tanh(Inner));
-    }
+      Row[C] = elem::affine(Row[C], A, B);
   });
 }
 
 void sigmoidScalar(const TileF32 &X) {
   forEachRow(X, [&](float *Row) {
     for (int64_t C = 0; C < X.Cols; ++C)
-      Row[C] = 1.0f / (1.0f + std::exp(-Row[C]));
+      Row[C] = elem::sigmoid(Row[C]);
   });
 }
 
 void squareScalar(const TileF32 &X) {
   forEachRow(X, [&](float *Row) {
     for (int64_t C = 0; C < X.Cols; ++C)
-      Row[C] = Row[C] * Row[C];
+      Row[C] = elem::square(Row[C]);
   });
 }
 
@@ -141,14 +233,14 @@ void divScalar(const TileF32 &X, const ConstTileF32 &Y) {
 void maxScalar(const TileF32 &X, const ConstTileF32 &Y) {
   forEachRowPair(X, Y, [&](float *XR, const float *YR) {
     for (int64_t C = 0; C < X.Cols; ++C)
-      XR[C] = std::max(XR[C], YR[C]);
+      XR[C] = elem::max(XR[C], YR[C]);
   });
 }
 
 void minScalar(const TileF32 &X, const ConstTileF32 &Y) {
   forEachRowPair(X, Y, [&](float *XR, const float *YR) {
     for (int64_t C = 0; C < X.Cols; ++C)
-      XR[C] = std::min(XR[C], YR[C]);
+      XR[C] = elem::min(XR[C], YR[C]);
   });
 }
 
@@ -224,8 +316,8 @@ void reduceMaxRowsScalar(const TileF32 &X, float *Out, bool Accumulate) {
     const float *Row = X.Data + R * X.Ld;
     float Max = Row[0];
     for (int64_t C = 1; C < X.Cols; ++C)
-      Max = std::max(Max, Row[C]);
-    Out[R] = Accumulate ? std::max(Out[R], Max) : Max;
+      Max = elem::max(Max, Row[C]);
+    Out[R] = Accumulate ? elem::max(Out[R], Max) : Max;
   }
 }
 
@@ -244,43 +336,25 @@ void dequantAccScalar(float *Dst, int64_t DstLd, const int32_t *Src,
                       int64_t SrcLd, int64_t Rows, int64_t Cols,
                       const int32_t *Comp, int32_t AZp,
                       const float *ScaleVec) {
-  if (AZp == 0 || !Comp) {
-    // Symmetric activations: no zero-point compensation term.
-    for (int64_t R = 0; R < Rows; ++R) {
-      float *DRow = Dst + R * DstLd;
-      const int32_t *SRow = Src + R * SrcLd;
-      for (int64_t C = 0; C < Cols; ++C)
-        DRow[C] = static_cast<float>(SRow[C]) * ScaleVec[C];
-    }
-    return;
-  }
+  // Symmetric activations (AZp == 0) take no zero-point compensation term.
   for (int64_t R = 0; R < Rows; ++R) {
     float *DRow = Dst + R * DstLd;
     const int32_t *SRow = Src + R * SrcLd;
-    for (int64_t C = 0; C < Cols; ++C) {
-      const int32_t Adjusted = SRow[C] - AZp * Comp[C];
-      DRow[C] = static_cast<float>(Adjusted) * ScaleVec[C];
-    }
+    for (int64_t C = 0; C < Cols; ++C)
+      DRow[C] = elem::dequantAcc(SRow[C], Comp ? Comp + C : nullptr, AZp,
+                                 ScaleVec[C]);
   }
 }
 
-/// round(clamp(Src * InvScale, Lo - Zp, Hi - Zp)) + Zp, rounding half to
-/// even. Clamping in float before rounding saturates every magnitude (a
-/// round-then-clamp would overflow int32 past 2^31 and wrap); for in-range
-/// values the two orders agree because Lo - Zp and Hi - Zp are integers.
 template <typename T>
 void quantizeScalar(T *Dst, int64_t DstLd, const float *Src, int64_t SrcLd,
                     int64_t Rows, int64_t Cols, float InvScale, int32_t Zp,
                     int32_t Lo, int32_t Hi) {
-  const float LoF = static_cast<float>(int64_t{Lo} - Zp);
-  const float HiF = static_cast<float>(int64_t{Hi} - Zp);
   for (int64_t R = 0; R < Rows; ++R) {
     T *DRow = Dst + R * DstLd;
     const float *SRow = Src + R * SrcLd;
-    for (int64_t C = 0; C < Cols; ++C) {
-      const float X = std::min(std::max(SRow[C] * InvScale, LoF), HiF);
-      DRow[C] = static_cast<T>(static_cast<int32_t>(std::lrintf(X)) + Zp);
-    }
+    for (int64_t C = 0; C < Cols; ++C)
+      DRow[C] = elem::quantize<T>(SRow[C], InvScale, Zp, Lo, Hi);
   }
 }
 
@@ -303,7 +377,7 @@ void dequantU8Scalar(float *Dst, int64_t DstLd, const uint8_t *Src,
     float *DRow = Dst + R * DstLd;
     const uint8_t *SRow = Src + R * SrcLd;
     for (int64_t C = 0; C < Cols; ++C)
-      DRow[C] = static_cast<float>(static_cast<int32_t>(SRow[C]) - Zp) * Scale;
+      DRow[C] = elem::dequant(static_cast<int32_t>(SRow[C]), Zp, Scale);
   }
 }
 
@@ -336,7 +410,6 @@ const TileOpsTable ScalarTable = [] {
   T.Sqrt = sqrtScalar;
   T.Recip = recipScalar;
   T.Affine = affineScalar;
-  T.GeluTanh = geluTanhScalar;
   T.Sigmoid = sigmoidScalar;
   T.Square = squareScalar;
   T.Add = addScalar;
@@ -361,6 +434,7 @@ const TileOpsTable ScalarTable = [] {
   T.DequantU8 = dequantU8Scalar;
   T.DequantS8PerChannel = dequantS8PerChannelScalar;
   T.CastS32F32 = castS32F32Scalar;
+  T.Epilogue = EpilogueBody<ScalarEpPolicy>::run;
   T.Name = "scalar";
   T.Tier = KernelTier::Scalar;
   return T;
@@ -403,7 +477,6 @@ void recipTile(const TileF32 &X) { activeTileOps().Recip(X); }
 void affineTile(const TileF32 &X, float A, float B) {
   activeTileOps().Affine(X, A, B);
 }
-void geluTanhTile(const TileF32 &X) { activeTileOps().GeluTanh(X); }
 void sigmoidTile(const TileF32 &X) { activeTileOps().Sigmoid(X); }
 void squareTile(const TileF32 &X) { activeTileOps().Square(X); }
 

@@ -29,12 +29,22 @@
 /// before it is rounded, so any magnitude, +-inf included, lands on the
 /// nearest end of the range.
 ///
+/// The fused epilogue (epilogue.h) runs these kernels' vector operations,
+/// in the same order per element, in one pass: it matches the per-op
+/// sequence bit for bit at every tier, and these kernels stay its test
+/// oracle. The kernels themselves keep gradual denormals (vexp included);
+/// compiled partitions call them with FTZ/DAZ set in MXCSR, where a
+/// denormal result reads back as zero. The library builds with
+/// -ffp-contract=off, so no tier fuses a multiply and an add the source
+/// does not spell as one fma.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GC_KERNELS_TILE_OPS_H
 #define GC_KERNELS_TILE_OPS_H
 
 #include "kernels/cpu_features.h"
+#include "kernels/epilogue.h"
 
 #include <cstdint>
 
@@ -71,9 +81,6 @@ void sqrtTile(const TileF32 &X);
 void recipTile(const TileF32 &X);
 /// x = x * A + B (affine; covers scalar mul and add)
 void affineTile(const TileF32 &X, float A, float B);
-/// x = 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3))) (fused GELU,
-/// used when the decomposed chain is recognized back into one kernel)
-void geluTanhTile(const TileF32 &X);
 /// x = sigmoid(x)
 void sigmoidTile(const TileF32 &X);
 /// x = x^2
@@ -186,7 +193,6 @@ struct TileOpsTable {
   void (*Sqrt)(const TileF32 &) = nullptr;
   void (*Recip)(const TileF32 &) = nullptr;
   void (*Affine)(const TileF32 &, float, float) = nullptr;
-  void (*GeluTanh)(const TileF32 &) = nullptr;
   void (*Sigmoid)(const TileF32 &) = nullptr;
   void (*Square)(const TileF32 &) = nullptr;
   void (*Add)(const TileF32 &, const ConstTileF32 &) = nullptr;
@@ -218,6 +224,9 @@ struct TileOpsTable {
                               int64_t, int64_t, const float *) = nullptr;
   void (*CastS32F32)(float *, int64_t, const int32_t *, int64_t, int64_t,
                      int64_t, float) = nullptr;
+  /// The fused epilogue (epilogue.h), this tier's ops in one pass.
+  void (*Epilogue)(const EpilogueDesc &, void *const *, int64_t, int64_t,
+                   bool) = nullptr;
   const char *Name = "";
   KernelTier Tier = KernelTier::Scalar;
 };

@@ -17,6 +17,7 @@
 #ifndef GC_KERNELS_TILE_OPS_SIMD_H
 #define GC_KERNELS_TILE_OPS_SIMD_H
 
+#include "kernels/epilogue_body.h"
 #include "kernels/simd_math.h"
 #include "kernels/tile_ops.h"
 
@@ -25,6 +26,93 @@
 
 namespace gc {
 namespace kernels {
+
+/// Element functions on a simd.h backend, shared by the per-op kernels
+/// below and the fused epilogue (the element policy of epilogue_body.h),
+/// so a fused step computes the per-op kernel's bytes.
+template <typename V> struct SimdEpPolicy {
+  using Vec = V;
+  using Int = typename V::Int;
+  static constexpr int64_t Width = V::Width;
+
+  static V set1(float X) { return V::set1(X); }
+  // f32 accessors in the form of the Int ones: N == Width takes the
+  // full-vector form, anything less the masked one.
+  static V loadN(const float *P, int64_t N) {
+    return N == Width ? V::load(P) : V::loadPartial(P, N);
+  }
+  static void storeN(V X, float *P, int64_t N) {
+    if (N == Width)
+      X.store(P);
+    else
+      X.storePartial(P, N);
+  }
+  static V loadAcc(const int32_t *Src, const int32_t *Comp, int32_t Zp,
+                   const float *Scale, int64_t N) {
+    Int Acc = V::loadS32(Src, N);
+    if (Comp)
+      Acc = V::subInt(Acc, V::mulInt(V::setInt(Zp), V::loadS32(Comp, N)));
+    return V::mul(V::fromInt(Acc), loadN(Scale, N));
+  }
+  static V loadU8(const uint8_t *Src, int32_t Zp, float Scale, int64_t N) {
+    return V::mul(V::fromInt(V::subInt(V::loadU8(Src, N), V::setInt(Zp))),
+                  V::set1(Scale));
+  }
+  static V loadS32(const int32_t *Src, float Scale, int64_t N) {
+    return V::mul(V::fromInt(V::loadS32(Src, N)), V::set1(Scale));
+  }
+
+  static V relu(V A) { return V::max_(A, V::zero()); }
+  static V exp(V A) { return simd::vexp(A); }
+  static V tanh(V A) { return simd::vtanh(A); }
+  static V sqrt(V A) { return V::sqrt_(A); }
+  static V recip(V A) { return V::div(V::set1(1.0f), A); }
+  static V square(V A) { return V::mul(A, A); }
+  static V sigmoid(V A) { return simd::vsigmoid(A); }
+  static V affine(V X, V A, V B) { return V::fma(X, A, B); }
+  static V add(V A, V B) { return V::add(A, B); }
+  static V sub(V A, V B) { return V::sub(A, B); }
+  static V mul(V A, V B) { return V::mul(A, B); }
+  static V div(V A, V B) { return V::div(A, B); }
+  static V max(V A, V B) { return V::max_(A, B); }
+  static V min(V A, V B) { return V::min_(A, B); }
+
+  /// round(clamp(X * InvScale, Lo - Zp, Hi - Zp)) + Zp (quantizeBytes).
+  static Int quantInt(V X, float InvScale, int32_t Zp, bool Signed) {
+    const int32_t Lo = Signed ? -128 : 0, Hi = Signed ? 127 : 255;
+    const V Scaled = V::mul(X, V::set1(InvScale));
+    const V Clamped =
+        V::min_(V::max_(Scaled, V::set1(static_cast<float>(int64_t{Lo} - Zp))),
+                V::set1(static_cast<float>(int64_t{Hi} - Zp)));
+    return V::addInt(V::roundToInt(Clamped), V::setInt(Zp));
+  }
+  static V quant(V X, float InvScale, int32_t Zp, bool Signed) {
+    return V::fromInt(quantInt(X, InvScale, Zp, Signed));
+  }
+  static V dequant(V X, int32_t Zp, float Scale) {
+    return V::mul(V::fromInt(V::subInt(V::roundToInt(X), V::setInt(Zp))),
+                  V::set1(Scale));
+  }
+  static void storeQuant(V X, uint8_t *Dst, float InvScale, int32_t Zp,
+                         bool Signed, int64_t N) {
+    V::storeBytes(Dst, quantInt(X, InvScale, Zp, Signed), N);
+  }
+
+  static V sumInit() { return V::zero(); }
+  static V sumStep(V Acc, V X, int64_t N, bool) {
+    return V::add(Acc, N == Width ? X : V::keepFirst(X, N, 0.0f));
+  }
+  static float sumFinal(V Acc) { return Acc.hsum(); }
+  static constexpr float NegInf = -std::numeric_limits<float>::infinity();
+  static V maxInit() { return V::set1(NegInf); }
+  static V maxStep(V Acc, V X, int64_t N, bool) {
+    return V::max_(Acc, N == Width ? X : V::keepFirst(X, N, NegInf));
+  }
+  static float maxFinal(V Acc) { return Acc.hmax(); }
+  static float maxCombine(float Out, float Max) {
+    return Out > Max ? Out : Max;
+  }
+};
 
 template <typename V> struct SimdTileOps {
   /// Applies \p F (V -> V) to every element of the tile in place.
@@ -111,9 +199,6 @@ template <typename V> struct SimdTileOps {
   static void affine(const TileF32 &X, float A, float B) {
     const V Av = V::set1(A), Bv = V::set1(B);
     mapRows(X, [Av, Bv](V Xv) { return V::fma(Xv, Av, Bv); });
-  }
-  static void geluTanh(const TileF32 &X) {
-    mapRows(X, [](V A) { return simd::vgeluTanh(A); });
   }
   static void sigmoid(const TileF32 &X) {
     mapRows(X, [](V A) { return simd::vsigmoid(A); });
@@ -234,80 +319,54 @@ template <typename V> struct SimdTileOps {
     }
   }
 
-  // f32 accessors in the form of the Int ones: N == Width takes the
-  // full-vector form (constant folded in forEachBlock's full-block call),
-  // anything less the masked one.
-  static inline V loadN(const float *P, int64_t N) {
-    return N == V::Width ? V::load(P) : V::loadPartial(P, N);
-  }
-  static inline void storeN(V X, float *P, int64_t N) {
-    if (N == V::Width)
-      X.store(P);
-    else
-      X.storePartial(P, N);
-  }
+  using E = SimdEpPolicy<V>;
 
   static void dequantAcc(float *Dst, int64_t DstLd, const int32_t *Src,
                          int64_t SrcLd, int64_t Rows, int64_t Cols,
                          const int32_t *Comp, int32_t AZp,
                          const float *ScaleVec) {
-    if (AZp == 0 || !Comp) {
-      forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
-        const V Acc = V::fromInt(V::loadS32(Src + R * SrcLd + C, N));
-        storeN(V::mul(Acc, loadN(ScaleVec + C, N)), Dst + R * DstLd + C, N);
-      });
-      return;
-    }
-    const typename V::Int Zp = V::setInt(AZp);
+    // Symmetric activations (AZp == 0) take no compensation term.
+    if (AZp == 0)
+      Comp = nullptr;
     forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
-      const typename V::Int Adjusted =
-          V::subInt(V::loadS32(Src + R * SrcLd + C, N),
-                    V::mulInt(Zp, V::loadS32(Comp + C, N)));
-      storeN(V::mul(V::fromInt(Adjusted), loadN(ScaleVec + C, N)),
-             Dst + R * DstLd + C, N);
+      E::storeN(E::loadAcc(Src + R * SrcLd + C, Comp ? Comp + C : nullptr,
+                           AZp, ScaleVec + C, N),
+                Dst + R * DstLd + C, N);
     });
   }
 
   /// Dst = round(clamp(Src * InvScale, Lo - Zp, Hi - Zp)) + Zp, one byte
-  /// per element. Clamping before the convert keeps it in int32 range.
+  /// per element, [Lo, Hi] the u8 or (Signed) s8 range. Clamping before
+  /// the convert keeps it in int32 range.
   static inline void quantizeBytes(uint8_t *Dst, int64_t DstLd,
                                    const float *Src, int64_t SrcLd,
                                    int64_t Rows, int64_t Cols, float InvScale,
-                                   int32_t Zp, int32_t Lo, int32_t Hi) {
-    const V Scale = V::set1(InvScale);
-    const V LoV = V::set1(static_cast<float>(int64_t{Lo} - Zp));
-    const V HiV = V::set1(static_cast<float>(int64_t{Hi} - Zp));
-    const typename V::Int ZpV = V::setInt(Zp);
+                                   int32_t Zp, bool Signed) {
     forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
-      const V X = V::mul(loadN(Src + R * SrcLd + C, N), Scale);
-      const V Clamped = V::min_(V::max_(X, LoV), HiV);
-      V::storeBytes(Dst + R * DstLd + C,
-                    V::addInt(V::roundToInt(Clamped), ZpV), N);
+      E::storeQuant(E::loadN(Src + R * SrcLd + C, N), Dst + R * DstLd + C,
+                    InvScale, Zp, Signed, N);
     });
   }
 
   static void quantizeU8(uint8_t *Dst, int64_t DstLd, const float *Src,
                          int64_t SrcLd, int64_t Rows, int64_t Cols,
                          float InvScale, int32_t Zp) {
-    quantizeBytes(Dst, DstLd, Src, SrcLd, Rows, Cols, InvScale, Zp, 0, 255);
+    quantizeBytes(Dst, DstLd, Src, SrcLd, Rows, Cols, InvScale, Zp, false);
   }
 
   static void quantizeS8(int8_t *Dst, int64_t DstLd, const float *Src,
                          int64_t SrcLd, int64_t Rows, int64_t Cols,
                          float InvScale) {
     quantizeBytes(reinterpret_cast<uint8_t *>(Dst), DstLd, Src, SrcLd, Rows,
-                  Cols, InvScale, 0, -128, 127);
+                  Cols, InvScale, 0, true);
   }
 
   static void dequantU8(float *Dst, int64_t DstLd, const uint8_t *Src,
                         int64_t SrcLd, int64_t Rows, int64_t Cols, float Scale,
                         int32_t Zp) {
-    const V S = V::set1(Scale);
-    const typename V::Int ZpV = V::setInt(Zp);
     forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
-      const typename V::Int Q =
-          V::subInt(V::loadU8(Src + R * SrcLd + C, N), ZpV);
-      storeN(V::mul(V::fromInt(Q), S), Dst + R * DstLd + C, N);
+      E::storeN(E::loadU8(Src + R * SrcLd + C, Zp, Scale, N),
+                Dst + R * DstLd + C, N);
     });
   }
 
@@ -317,17 +376,17 @@ template <typename V> struct SimdTileOps {
                                   const float *ScaleVec) {
     forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
       const V Q = V::fromInt(V::loadS8(Src + R * SrcLd + C, N));
-      storeN(V::mul(Q, loadN(ScaleVec + C, N)), Dst + R * DstLd + C, N);
+      E::storeN(V::mul(Q, E::loadN(ScaleVec + C, N)), Dst + R * DstLd + C,
+                N);
     });
   }
 
   static void castS32F32(float *Dst, int64_t DstLd, const int32_t *Src,
                          int64_t SrcLd, int64_t Rows, int64_t Cols,
                          float Scale) {
-    const V S = V::set1(Scale);
     forEachBlock(Rows, Cols, [&](int64_t R, int64_t C, int64_t N) {
-      const V X = V::fromInt(V::loadS32(Src + R * SrcLd + C, N));
-      storeN(V::mul(X, S), Dst + R * DstLd + C, N);
+      E::storeN(E::loadS32(Src + R * SrcLd + C, Scale, N),
+                Dst + R * DstLd + C, N);
     });
   }
 
@@ -341,7 +400,6 @@ template <typename V> struct SimdTileOps {
     T.Sqrt = sqrt;
     T.Recip = recip;
     T.Affine = affine;
-    T.GeluTanh = geluTanh;
     T.Sigmoid = sigmoid;
     T.Square = square;
     T.Add = add;
@@ -366,6 +424,7 @@ template <typename V> struct SimdTileOps {
     T.DequantU8 = dequantU8;
     T.DequantS8PerChannel = dequantS8PerChannel;
     T.CastS32F32 = castS32F32;
+    T.Epilogue = EpilogueBody<SimdEpPolicy<V>>::run;
     T.Name = Name;
     T.Tier = Tier;
     return T;

@@ -4,10 +4,13 @@
 // The post-op chain is committed at post-op anchor #1: after the ksi
 // reduction loop of each msi iteration the whole C' strip [NSN, MB, NB] is
 // live in cache, and every fused Fusible OP is applied tile-by-tile in one
-// or more nsi loops. Reductions split the chain into phases: ops that
-// consume a row-reduction result run in a later nsi loop, after the
-// reduction has seen the full row (exactly the Fig. 6 structure, where the
-// two post-ops share one merged loop nest).
+// or more nsi loops, each around one EpilogueTile call whose step list
+// holds that segment's ops (kernels/epilogue.h). Reductions split the
+// chain into segments: ops that consume a row-reduction result run in a
+// later nsi loop, after the reduction has seen the full row (exactly the
+// Fig. 6 structure, where the two post-ops share one merged loop nest).
+// Within a segment values live in the call's registers; only values a
+// later segment reads go to strip buffers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -54,12 +57,16 @@ struct ExtRef {
 
 /// Where an interior tensor's value lives at the anchor.
 struct StripVal {
-  enum class Kind : uint8_t { None, Acc, Strip, RedVec, PendingQuant };
+  /// Reg: a value defined in the open anchor segment, held in register
+  /// Reg of its epilogue call until the segment closes.
+  enum class Kind : uint8_t { None, Acc, Strip, Reg, RedVec, PendingQuant };
   Kind K = Kind::None;
   int BufferId = -1; // strip / vec buffer (Acc: the C' accumulator)
+  int Reg = -1;
+  /// Element type; a u8/s8 Reg holds integer-grid values as floats.
   DataType Ty = DataType::F32;
-  // PendingQuant (quantize folded into the store):
-  int SrcStrip = -1;
+  // PendingQuant (quantize folded into the store of SrcTensor's value):
+  int64_t SrcTensor = -1;
   double InvScale = 1.0;
   int64_t Zp = 0;
   bool Signed = false;
@@ -300,31 +307,18 @@ private:
   }
 
   /// Emits the whole fused chain plus the store of the region output as a
-  /// sequence of segments: strip ops and reductions share an nsi loop (the
+  /// sequence of anchor segments, each one nsi loop around one
+  /// EpilogueTile call: strip ops and reductions share a segment (the
   /// merged loop nest of Fig. 6); a consumer of a reduction produced in
-  /// the open segment -- and every vector-valued op -- closes the segment,
-  /// because row values complete only after the loop over all n tiles.
+  /// the open segment -- and every vector-valued op -- closes it, because
+  /// row values complete only after the loop over all n tiles.
   StmtList emitChainAndStore(const std::vector<int64_t> &OpsInOrder,
                              const std::vector<int64_t> &OutSubTensors,
                              const std::vector<int64_t> &OuterOuts) {
-    StmtList Anchor;
-    StmtList SegmentBody;
-    std::unordered_set<int64_t> OpenVecs; // vecs produced in open segment
-    Var Nsi = makeVar(formatString("nsi_s%d", SegmentCounter));
-
-    auto closeSegment = [&]() {
-      if (SegmentBody.empty()) {
-        OpenVecs.clear();
-        return;
-      }
-      Anchor.push_back(makeFor(
-          Nsi, makeInt(0), nsiEnd(), makeInt(1), std::move(SegmentBody),
-          /*Parallel=*/false,
-          formatString("post_anchor_seg%d", SegmentCounter)));
-      SegmentBody = StmtList();
-      OpenVecs.clear();
-      Nsi = makeVar(formatString("nsi_s%d", ++SegmentCounter));
-    };
+    Anchor.clear();
+    SegmentBody.clear();
+    OpenVecs.clear();
+    Nsi = makeVar(formatString("nsi_s%d", SegmentCounter));
 
     for (int64_t OpId : OpsInOrder) {
       const Op &O = Sub.op(OpId);
@@ -342,9 +336,9 @@ private:
         emitVecOp(O, Anchor);
         continue;
       }
-      if (ReadsOpenVec)
+      if (ReadsOpenVec || segmentFull(isReduction(O.kind())))
         closeSegment();
-      emitOp(O, Expr(Nsi), SegmentBody);
+      emitOp(O);
       if (isReduction(O.kind()))
         OpenVecs.insert(O.output(0));
     }
@@ -356,21 +350,138 @@ private:
       const StripVal &OutV = Env.at(OutSubTensors[I]);
       if (OutV.K == StripVal::Kind::RedVec)
         continue;
-      emitStore(OutSubTensors[I], OuterOuts[I], Expr(Nsi), SegmentBody);
+      if (segmentFull(false))
+        closeSegment();
+      emitStore(OutSubTensors[I], OuterOuts[I]);
     }
     closeSegment();
     for (size_t I = 0; I < OutSubTensors.size(); ++I) {
       const StripVal &OutV = Env.at(OutSubTensors[I]);
       if (OutV.K != StripVal::Kind::RedVec)
         continue;
-      StmtList StoreStmts;
-      emitStore(OutSubTensors[I], OuterOuts[I], makeInt(0), StoreStmts);
-      for (Stmt &S : StoreStmts)
-        Anchor.push_back(std::move(S));
+      const LogicalTensor &OutT = G.tensor(OuterOuts[I]);
+      assert(!OutT.Lay.isBlocked() && "reduction output must stay plain");
+      (void)OutT;
+      // Region output is a row-reduction vector ([..., M, 1] plain).
+      Expr VecOff = (BtE ? BtE * makeInt(MDim) : makeInt(0)) + RowBaseE;
+      Anchor.push_back(makeCall(
+          Intrinsic::CopyTile,
+          {BufferRef(Ctx.BufferFor(OuterOuts[I]), VecOff),
+           BufferRef(OutV.BufferId, makeInt(0))},
+          {ValidRowsE, makeInt(1), makeInt(1), makeInt(1)}));
     }
-    return Anchor;
+    return std::move(Anchor);
   }
+
+  //===--------------------------------------------------------------------===//
+  // The open anchor segment
+  //===--------------------------------------------------------------------===//
+
+  StmtList Anchor;      // statements at the anchor, in order
+  StmtList SegmentBody; // body of the open segment's nsi loop
+  std::unordered_set<int64_t> OpenVecs; // vecs produced in open segment
+  Var Nsi;              // the open segment's tile index
   int SegmentCounter = 0;
+
+  /// The open segment's EpilogueTile call under construction: its step
+  /// list, its buffer slots, which registers hold live values, and the
+  /// buffer-backed values it has loaded (tensor -> register).
+  kernels::EpilogueDesc Steps;
+  std::vector<BufferRef> Slots;
+  uint32_t BusyRegs = 0;
+  int NumReductions = 0;
+  std::unordered_map<int64_t, int> Loaded;
+
+  /// True when the open segment may not have room for one more op: up to
+  /// three registers, three slots and four steps, and then, on closing,
+  /// one spill (a slot and a step) per live register. The caller closes
+  /// the segment first, which is always valid: values a later segment
+  /// reads go to strips.
+  bool segmentFull(bool Reduction) const {
+    const size_t Busy = static_cast<size_t>(__builtin_popcount(BusyRegs));
+    return Busy + 3 > static_cast<size_t>(kernels::kEpilogueMaxRegs) ||
+           Slots.size() + Busy + 4 >
+               static_cast<size_t>(kernels::kEpilogueMaxBufs) ||
+           Steps.Steps.size() + Busy + 5 >
+               static_cast<size_t>(kernels::kEpilogueMaxSteps) ||
+           (Reduction && NumReductions == kernels::kEpilogueMaxReductions);
+  }
+
+  int addSlot(int BufferId, Expr Offset) {
+    Slots.emplace_back(BufferId, std::move(Offset));
+    return static_cast<int>(Slots.size()) - 1;
+  }
+
+  int allocReg() {
+    for (int R = 0; R < kernels::kEpilogueMaxRegs; ++R)
+      if (!((BusyRegs >> R) & 1u)) {
+        BusyRegs |= 1u << R;
+        return R;
+      }
+    fatalError("epilogue register file exhausted");
+  }
+
+  void freeReg(int R) { BusyRegs &= ~(1u << R); }
+
+  kernels::EpStep &addStep(kernels::EpOp Op) {
+    Steps.Steps.emplace_back();
+    Steps.Steps.back().Op = Op;
+    return Steps.Steps.back();
+  }
+
+  /// Closes the open segment: spills every register value a later segment
+  /// (or store) still reads into a strip, emits the segment's one
+  /// EpilogueTile call and wraps the segment body in its nsi loop.
+  void closeSegment() {
+    std::vector<int64_t> Live;
+    for (const auto &[T, V] : Env)
+      if (V.K == StripVal::Kind::Reg)
+        Live.push_back(T);
+    std::sort(Live.begin(), Live.end());
+    for (int64_t T : Live) {
+      StripVal &V = Env.at(T);
+      if (UseCount[T] <= 0) {
+        V.K = StripVal::Kind::None;
+        continue;
+      }
+      const int Strip = newStripBuffer(V.Ty);
+      using kernels::EpOp;
+      kernels::EpStep &S = addStep(V.Ty == DataType::F32  ? EpOp::StoreF32
+                                   : V.Ty == DataType::S8 ? EpOp::StoreS8
+                                                          : EpOp::StoreU8);
+      S.A = static_cast<uint8_t>(V.Reg);
+      S.Arg =
+          static_cast<uint8_t>(addSlot(Strip, stripTileOffset(Expr(Nsi))));
+      S.Ld = TileCols;
+      S.F0 = 1.0f; // integer-valued registers store their bytes exactly
+      V.K = StripVal::Kind::Strip;
+      V.BufferId = Strip;
+    }
+    if (!Steps.Steps.empty()) {
+      Steps.NumBufs = static_cast<uint8_t>(Slots.size());
+      auto Call = std::static_pointer_cast<CallNode>(makeCall(
+          Intrinsic::EpilogueTile, std::move(Slots),
+          {ValidRowsE, ValidColsOf(Expr(Nsi)),
+           minExpr(Expr(Nsi), makeInt(1))}));
+      Call->Epilogue =
+          std::make_shared<const kernels::EpilogueDesc>(std::move(Steps));
+      SegmentBody.push_back(std::move(Call));
+    }
+    Steps = kernels::EpilogueDesc();
+    Slots.clear();
+    BusyRegs = 0;
+    NumReductions = 0;
+    Loaded.clear();
+    OpenVecs.clear();
+    if (SegmentBody.empty())
+      return;
+    Anchor.push_back(makeFor(
+        Nsi, makeInt(0), nsiEnd(), makeInt(1), std::move(SegmentBody),
+        /*Parallel=*/false,
+        formatString("post_anchor_seg%d", SegmentCounter)));
+    SegmentBody = StmtList();
+    Nsi = makeVar(formatString("nsi_s%d", ++SegmentCounter));
+  }
 
   /// Emits a vector-valued op (operands are per-row vectors, scalars, or
   /// external colvecs); executed once per strip.
@@ -518,66 +629,99 @@ private:
   Expr nsiEnd() const { return NsiEndE; }
   Expr NsiEndE;
 
-  /// Ensures the given interior tensor's value is a writable f32 strip;
-  /// emits a copy when needed. Returns the strip buffer id.
-  int ensureOwnedStrip(int64_t SubTensor, const Expr &Nsi, StmtList &Out) {
-    StripVal &V = Env.at(SubTensor);
-    assert((V.K == StripVal::Kind::Strip || V.K == StripVal::Kind::Acc) &&
-           "expected a strip value");
-    const bool CanInPlace =
-        V.Ty == DataType::F32 && UseCount[SubTensor] <= 1;
-    if (V.K == StripVal::Kind::Strip && CanInPlace)
-      return V.BufferId;
-    if (V.K == StripVal::Kind::Acc && CanInPlace && !Quantized)
-      return V.BufferId; // operate directly on the f32 accumulator
-    assert(V.Ty == DataType::F32 &&
-           "s32 accumulators are consumed by dequant_acc");
-    const int NewStrip = newStripBuffer();
-    Out.push_back(makeCall(
-        Intrinsic::CopyTile,
-        {BufferRef(NewStrip, stripTileOffset(Nsi)),
-         BufferRef(V.BufferId, stripTileOffset(Nsi))},
-        {ValidRowsE, ValidColsOf(Nsi), makeInt(TileCols),
-         makeInt(TileCols)}));
-    return NewStrip;
-  }
-
   int newStripBuffer(DataType Ty = DataType::F32) {
     return scratch("strip", Ty, {StripTiles, TileRows, TileCols});
   }
   int64_t StripTiles = 1; // NSN for tunable, 1 for eltwise
 
-  /// Reads an operand as a tile address (external or interior strip).
-  /// Only valid for Full-ish reads (strip / Full ext).
-  TileAddr operandTile(int64_t SubTensor, const Expr &Nsi) {
+  /// Tile address of a buffer-backed operand at the open segment's tile:
+  /// an interior strip / accumulator or a Full external tensor.
+  TileAddr tileOf(int64_t SubTensor) const {
     auto EnvIt = Env.find(SubTensor);
     if (EnvIt != Env.end()) {
       const StripVal &V = EnvIt->second;
       assert((V.K == StripVal::Kind::Strip || V.K == StripVal::Kind::Acc) &&
              "operand is not tile-addressable");
-      return {V.BufferId, stripTileOffset(Nsi), TileCols};
+      return {V.BufferId, stripTileOffset(Expr(Nsi)), TileCols};
     }
     const ExtRef &E = Ext.at(SubTensor);
     assert(E.K == ExtKind::Full && "operand is not a full tensor");
-    return extFullAddr(E, Nsi);
+    return extFullAddr(E, Expr(Nsi));
   }
 
-  /// True when the tensor is an interior strip (or acc).
+  /// True when the tensor is an interior tile value (a register of the
+  /// open segment, a strip or the accumulator).
   bool isStrip(int64_t SubTensor) const {
     auto It = Env.find(SubTensor);
     return It != Env.end() && (It->second.K == StripVal::Kind::Strip ||
-                               It->second.K == StripVal::Kind::Acc);
+                               It->second.K == StripVal::Kind::Acc ||
+                               It->second.K == StripVal::Kind::Reg);
   }
 
-  /// Emits one interior op at tile (Nsi) into \p Out.
-  void emitOp(const Op &O, const Expr &Nsi, StmtList &Out) {
+  /// A register holding the f32 value of \p SubTensor at the open tile.
+  /// Buffer-backed values are loaded once per segment; a Full external
+  /// is loaded into a temporary the caller frees (\p Temp set).
+  int valueReg(int64_t SubTensor, bool &Temp) {
+    Temp = false;
+    auto EnvIt = Env.find(SubTensor);
+    if (EnvIt != Env.end() && EnvIt->second.K == StripVal::Kind::Reg)
+      return EnvIt->second.Reg;
+    if (auto L = Loaded.find(SubTensor); L != Loaded.end())
+      return L->second;
+    const TileAddr X = tileOf(SubTensor);
+    assert((EnvIt != Env.end() ? EnvIt->second.Ty
+                               : Ext.at(SubTensor).Ty) == DataType::F32 &&
+           "only f32 tiles load as values");
+    const int R = allocReg();
+    kernels::EpStep &S = addStep(kernels::EpOp::LoadF32);
+    S.Dst = static_cast<uint8_t>(R);
+    S.Arg = static_cast<uint8_t>(addSlot(X.BufferId, X.Offset));
+    S.Ld = X.Ld;
+    if (EnvIt != Env.end())
+      Loaded[SubTensor] = R;
+    else
+      Temp = true;
+    return R;
+  }
+
+  /// Defines \p SubTensor as the value in register \p R.
+  void defineReg(int64_t SubTensor, int R, DataType Ty = DataType::F32) {
+    StripVal V;
+    V.K = StripVal::Kind::Reg;
+    V.Reg = R;
+    V.Ty = Ty;
+    Env[SubTensor] = V;
+  }
+
+  /// One unary step R[Dst] = Op(R[A]) defining \p Out from \p In.
+  kernels::EpStep &emitUnary(kernels::EpOp Op, int64_t In, int64_t Out,
+                             DataType OutTy = DataType::F32) {
+    bool Temp;
+    const int A = valueReg(In, Temp);
+    consume(In);
+    if (Temp)
+      freeReg(A);
+    const int D = allocReg();
+    kernels::EpStep &S = addStep(Op);
+    S.Dst = static_cast<uint8_t>(D);
+    S.A = static_cast<uint8_t>(A);
+    defineReg(Out, D, OutTy);
+    return S;
+  }
+
+  /// Emits one interior op into the open segment's step list.
+  void emitOp(const Op &O) {
+    using kernels::EpOp;
     const OpKind Kind = O.kind();
     const int64_t OutT = O.output(0);
 
-    // Reductions: strip -> per-row vector.
+    // Reductions: tile -> per-row vector.
     if (isReduction(Kind)) {
-      const TileAddr X = operandTile(O.input(0), Nsi);
+      bool Temp;
+      const int A = valueReg(O.input(0), Temp);
       consume(O.input(0));
+      if (Temp)
+        freeReg(A);
       int Vec;
       auto It = Env.find(OutT);
       if (It != Env.end() && It->second.BufferId >= 0) {
@@ -585,13 +729,11 @@ private:
       } else {
         Vec = scratch("redvec", DataType::F32, {TileRows});
       }
-      Out.push_back(makeCall(Kind == OpKind::ReduceSum
-                                 ? Intrinsic::ReduceSumRowsTile
-                                 : Intrinsic::ReduceMaxRowsTile,
-                             {BufferRef(X.BufferId, X.Offset),
-                              BufferRef(Vec, makeInt(0))},
-                             {ValidRowsE, ValidColsOf(Nsi), makeInt(X.Ld),
-                              minExpr(Nsi, makeInt(1))}));
+      kernels::EpStep &S = addStep(Kind == OpKind::ReduceSum ? EpOp::ReduceSum
+                                                             : EpOp::ReduceMax);
+      S.A = static_cast<uint8_t>(A);
+      S.Arg = static_cast<uint8_t>(addSlot(Vec, makeInt(0)));
+      ++NumReductions;
       StripVal V;
       V.K = StripVal::Kind::RedVec;
       V.BufferId = Vec;
@@ -599,19 +741,11 @@ private:
       return;
     }
 
-    // DequantAcc: s32 strip -> f32 strip with scales/compensation.
+    // DequantAcc: s32 accumulator -> f32 with scales/compensation.
     if (Kind == OpKind::DequantAcc) {
-      const TileAddr Acc = operandTile(O.input(0), Nsi);
+      const TileAddr Acc = tileOf(O.input(0));
       consume(O.input(0));
-      // Compensation vector (FoldedConst outer input or zero placeholder).
-      int CompBuf = -1;
-      Expr CompOff = makeInt(0);
       const int64_t AZp = O.getAttrInt("a_zp", 0);
-      if (AZp != 0) {
-        const ExtRef &Comp = Ext.at(O.input(1));
-        CompBuf = Comp.BufferId;
-        CompOff = extRowVecOffset(Comp, Nsi);
-      }
       // Scale vector baked from the attr, broadcast to N.
       std::vector<double> Scales = O.getAttrFloatVec("scales");
       runtime::TensorData ScaleData(DataType::F32, {FullN});
@@ -620,133 +754,111 @@ private:
             Scales.size() == 1 ? Scales[0]
                                : Scales[static_cast<size_t>(I)]);
       const int ScaleBuf = bakeConst("oscale", std::move(ScaleData));
-      if (CompBuf < 0)
-        CompBuf = ScaleBuf; // unread when AZp == 0
-      const int Dst = newStripBuffer();
-      Out.push_back(makeCall(
-          Intrinsic::DequantAccTile,
-          {BufferRef(Dst, stripTileOffset(Nsi)),
-           BufferRef(Acc.BufferId, Acc.Offset), BufferRef(CompBuf, CompOff),
-           BufferRef(ScaleBuf, NpsiOf(Nsi) * makeInt(TileCols))},
-          {ValidRowsE, ValidColsOf(Nsi), makeInt(TileCols), makeInt(Acc.Ld),
-           makeInt(AZp)}));
-      StripVal V;
-      V.K = StripVal::Kind::Strip;
-      V.BufferId = Dst;
-      Env[OutT] = V;
+      const int D = allocReg();
+      kernels::EpStep S;
+      S.Op = EpOp::LoadAcc;
+      S.Dst = static_cast<uint8_t>(D);
+      S.Arg = static_cast<uint8_t>(addSlot(Acc.BufferId, Acc.Offset));
+      S.Ld = Acc.Ld;
+      S.Zp = static_cast<int32_t>(AZp);
+      if (AZp != 0) {
+        // Compensation vector (FoldedConst outer input).
+        const ExtRef &Comp = Ext.at(O.input(1));
+        S.Arg2 = static_cast<uint8_t>(
+            addSlot(Comp.BufferId, extRowVecOffset(Comp, Expr(Nsi))));
+      }
+      S.Arg3 = static_cast<uint8_t>(
+          addSlot(ScaleBuf, NpsiOf(Expr(Nsi)) * makeInt(TileCols)));
+      Steps.Steps.push_back(S);
+      defineReg(OutT, D);
       return;
     }
 
-    // Dequantize (u8 -> f32, per-tensor).
+    // Dequantize (u8 -> f32, per-tensor): of a quantized register, or
+    // loaded from a u8 strip / external tensor.
     if (Kind == OpKind::Dequantize) {
       const double Scale = O.getAttrFloat("scale", 1.0);
       const int64_t Zp = O.getAttrInt("zp", 0);
-      TileAddr X{-1, makeInt(0), 0};
-      if (isStrip(O.input(0))) {
-        X = operandTile(O.input(0), Nsi);
-      } else {
-        const ExtRef &E = Ext.at(O.input(0));
-        assert(E.K == ExtKind::Full && "dequantize needs a full operand");
-        X = extFullAddr(E, Nsi);
+      auto EnvIt = Env.find(O.input(0));
+      if (EnvIt != Env.end() && EnvIt->second.K == StripVal::Kind::Reg) {
+        kernels::EpStep &S = emitUnary(EpOp::Dequant, O.input(0), OutT);
+        S.F0 = static_cast<float>(Scale);
+        S.Zp = static_cast<int32_t>(Zp);
+        return;
       }
+      const TileAddr X = tileOf(O.input(0));
       consume(O.input(0));
-      const int Dst = newStripBuffer();
-      Out.push_back(makeCall(Intrinsic::DequantU8Tile,
-                             {BufferRef(Dst, stripTileOffset(Nsi)),
-                              BufferRef(X.BufferId, X.Offset)},
-                             {ValidRowsE, ValidColsOf(Nsi),
-                              makeInt(TileCols), makeInt(X.Ld),
-                              makeFloat(Scale), makeInt(Zp)}));
-      StripVal V;
-      V.K = StripVal::Kind::Strip;
-      V.BufferId = Dst;
-      Env[OutT] = V;
+      const int D = allocReg();
+      kernels::EpStep &S = addStep(EpOp::LoadU8);
+      S.Dst = static_cast<uint8_t>(D);
+      S.Arg = static_cast<uint8_t>(addSlot(X.BufferId, X.Offset));
+      S.Ld = X.Ld;
+      S.F0 = static_cast<float>(Scale);
+      S.Zp = static_cast<int32_t>(Zp);
+      defineReg(OutT, D);
       return;
     }
 
-    // Quantize: folded into the store when it produces the region output;
-    // a mid-chain quantize (requantization pair) materializes a u8 strip.
+    // Quantize: folded into the store when it produces the region output
+    // (the source stays live until then); a mid-chain quantize
+    // (requantization pair) keeps the integer grid in a register.
     if (Kind == OpKind::Quantize) {
-      const int SrcStrip = materializeFirst(O.input(0), Nsi, Out);
-      consume(O.input(0));
       const double InvScale = 1.0 / O.getAttrFloat("scale", 1.0);
       const int64_t Zp = O.getAttrInt("zp", 0);
       const bool Signed = Sub.tensor(OutT).Ty == DataType::S8;
       if (Sub.isOutput(OutT)) {
         StripVal V;
         V.K = StripVal::Kind::PendingQuant;
-        V.SrcStrip = SrcStrip;
+        V.SrcTensor = O.input(0);
         V.InvScale = InvScale;
         V.Zp = Zp;
         V.Signed = Signed;
         Env[OutT] = V;
         return;
       }
-      const int Dst = newStripBuffer(Signed ? DataType::S8 : DataType::U8);
-      Out.push_back(makeCall(
-          Signed ? Intrinsic::QuantS8Tile : Intrinsic::QuantU8Tile,
-          {BufferRef(Dst, stripTileOffset(Nsi)),
-           BufferRef(SrcStrip, stripTileOffset(Nsi))},
-          Signed ? std::vector<Expr>{ValidRowsE, ValidColsOf(Nsi),
-                                     makeInt(TileCols), makeInt(TileCols),
-                                     makeFloat(InvScale)}
-                 : std::vector<Expr>{ValidRowsE, ValidColsOf(Nsi),
-                                     makeInt(TileCols), makeInt(TileCols),
-                                     makeFloat(InvScale), makeInt(Zp)}));
-      StripVal V;
-      V.K = StripVal::Kind::Strip;
-      V.BufferId = Dst;
-      V.Ty = Signed ? DataType::S8 : DataType::U8;
-      Env[OutT] = V;
+      kernels::EpStep &S =
+          emitUnary(EpOp::Quant, O.input(0), OutT,
+                    Signed ? DataType::S8 : DataType::U8);
+      S.F0 = static_cast<float>(InvScale);
+      S.Zp = Signed ? 0 : static_cast<int32_t>(Zp);
+      S.Signed = Signed;
       return;
     }
 
     // Cast s32 -> f32 (comp chains when unfused).
     if (Kind == OpKind::Cast) {
-      const TileAddr X = operandTile(O.input(0), Nsi);
+      const TileAddr X = tileOf(O.input(0));
       consume(O.input(0));
-      const int Dst = newStripBuffer();
-      Out.push_back(makeCall(Intrinsic::CastS32F32Tile,
-                             {BufferRef(Dst, stripTileOffset(Nsi)),
-                              BufferRef(X.BufferId, X.Offset)},
-                             {ValidRowsE, ValidColsOf(Nsi),
-                              makeInt(TileCols), makeInt(X.Ld),
-                              makeFloat(1.0)}));
-      StripVal V;
-      V.K = StripVal::Kind::Strip;
-      V.BufferId = Dst;
-      Env[OutT] = V;
+      const int D = allocReg();
+      kernels::EpStep &S = addStep(EpOp::LoadS32);
+      S.Dst = static_cast<uint8_t>(D);
+      S.Arg = static_cast<uint8_t>(addSlot(X.BufferId, X.Offset));
+      S.Ld = X.Ld;
+      S.F0 = 1.0f;
+      defineReg(OutT, D);
       return;
     }
 
     // Unary elementwise.
     if (isUnaryElementwise(Kind)) {
-      const int Strip = materializeFirst(O.input(0), Nsi, Out);
-      consume(O.input(0));
-      Intrinsic In;
+      EpOp Op;
       switch (Kind) {
-      case OpKind::ReLU: In = Intrinsic::ReluTile; break;
-      case OpKind::Exp: In = Intrinsic::ExpTile; break;
-      case OpKind::Tanh: In = Intrinsic::TanhTile; break;
-      case OpKind::Sqrt: In = Intrinsic::SqrtTile; break;
-      case OpKind::Reciprocal: In = Intrinsic::RecipTile; break;
-      case OpKind::Square: In = Intrinsic::SquareTile; break;
-      case OpKind::Sigmoid: In = Intrinsic::SigmoidTile; break;
+      case OpKind::ReLU: Op = EpOp::Relu; break;
+      case OpKind::Exp: Op = EpOp::Exp; break;
+      case OpKind::Tanh: Op = EpOp::Tanh; break;
+      case OpKind::Sqrt: Op = EpOp::Sqrt; break;
+      case OpKind::Reciprocal: Op = EpOp::Recip; break;
+      case OpKind::Square: Op = EpOp::Square; break;
+      case OpKind::Sigmoid: Op = EpOp::Sigmoid; break;
       default: fatalError("unsupported unary op in fused region");
       }
-      Out.push_back(makeCall(In, {BufferRef(Strip, stripTileOffset(Nsi))},
-                             {ValidRowsE, ValidColsOf(Nsi),
-                              makeInt(TileCols)}));
-      StripVal V;
-      V.K = StripVal::Kind::Strip;
-      V.BufferId = Strip;
-      Env[OutT] = V;
+      emitUnary(Op, O.input(0), OutT);
       return;
     }
 
     // Binary elementwise.
     if (isBinaryElementwise(Kind)) {
-      emitBinary(O, Nsi, Out);
+      emitBinary(O);
       return;
     }
 
@@ -755,39 +867,31 @@ private:
                    .c_str());
   }
 
-  /// Materializes an operand into a writable strip (copying from an
-  /// external tensor when needed).
-  int materializeFirst(int64_t SubTensor, const Expr &Nsi, StmtList &Out) {
-    if (isStrip(SubTensor))
-      return ensureOwnedStrip(SubTensor, Nsi, Out);
-    const ExtRef &E = Ext.at(SubTensor);
-    assert(E.K == ExtKind::Full && E.Ty == DataType::F32 &&
-           "cannot materialize this operand into a strip");
-    const TileAddr X = extFullAddr(E, Nsi);
-    const int Strip = newStripBuffer();
-    Out.push_back(makeCall(Intrinsic::CopyTile,
-                           {BufferRef(Strip, stripTileOffset(Nsi)),
-                            BufferRef(X.BufferId, X.Offset)},
-                           {ValidRowsE, ValidColsOf(Nsi), makeInt(TileCols),
-                            makeInt(X.Ld)}));
-    return Strip;
-  }
-
   void consume(int64_t SubTensor) {
     auto It = UseCount.find(SubTensor);
-    if (It != UseCount.end() && It->second > 0)
-      --It->second;
+    if (It == UseCount.end() || It->second <= 0)
+      return;
+    if (--It->second > 0)
+      return;
+    // Last use: its register (if any) is free for the next definition.
+    if (auto EnvIt = Env.find(SubTensor);
+        EnvIt != Env.end() && EnvIt->second.K == StripVal::Kind::Reg)
+      freeReg(EnvIt->second.Reg);
+    if (auto L = Loaded.find(SubTensor); L != Loaded.end()) {
+      freeReg(L->second);
+      Loaded.erase(L);
+    }
   }
 
-  /// Emits a binary elementwise op. Normalizes so the strip operand is
-  /// mutated in place; the other operand is read as scalar / rowvec /
-  /// colvec / tile.
-  void emitBinary(const Op &O, const Expr &Nsi, StmtList &Out) {
+  /// Emits a binary elementwise op. Normalizes so the tile operand comes
+  /// first (the operand the per-op kernels mutated in place); the other
+  /// operand is read as scalar / rowvec / colvec / tile.
+  void emitBinary(const Op &O) {
+    using kernels::EpOp;
     const OpKind Kind = O.kind();
     int64_t Lhs = O.input(0);
     int64_t Rhs = O.input(1);
-    // Decide which side is materialized. Prefer an interior strip; fall
-    // back to a Full external.
+    // Prefer an interior value; fall back to a Full external.
     auto isStripable = [&](int64_t T) {
       if (isStrip(T))
         return true;
@@ -805,191 +909,156 @@ private:
         Kind == OpKind::Add || Kind == OpKind::Mul || Kind == OpKind::Max ||
         Kind == OpKind::Min;
 
-    const int Strip = materializeFirst(Lhs, Nsi, Out);
-    consume(Lhs);
-    const BufferRef StripRef(Strip, stripTileOffset(Nsi));
-    const std::vector<Expr> UnaryScalars = {ValidRowsE, ValidColsOf(Nsi),
-                                            makeInt(TileCols)};
-
-    // Classify RHS.
-    auto EnvIt = Env.find(Rhs);
-    if (EnvIt != Env.end() && EnvIt->second.K == StripVal::Kind::RedVec) {
-      // Row-reduction vector: colvec broadcast ops.
-      consume(Rhs);
-      Intrinsic In;
-      switch (Kind) {
-      case OpKind::Add: In = Intrinsic::AddColVecTile; break;
-      case OpKind::Sub: In = Intrinsic::SubColVecTile; break;
-      case OpKind::Mul: In = Intrinsic::MulColVecTile; break;
-      case OpKind::Div: In = Intrinsic::DivColVecTile; break;
-      default: fatalError("unsupported colvec binary");
-      }
-      assert(!Swapped && "reduction result must be the second operand");
-      Out.push_back(makeCall(
-          In, {StripRef, BufferRef(EnvIt->second.BufferId, makeInt(0))},
-          UnaryScalars));
-      finishBinary(O, Strip);
-      return;
-    }
-    if (EnvIt != Env.end()) {
-      // Interior strip RHS.
-      const TileAddr Y = operandTile(Rhs, Nsi);
-      consume(Rhs);
-      emitBinaryTile(Kind, Swapped, StripRef, Y, Out, Nsi);
-      finishBinary(O, Strip);
-      return;
-    }
-    const ExtRef &E = Ext.at(Rhs);
-    consume(Rhs);
-    switch (E.K) {
-    case ExtKind::Scalar: {
-      const double S = E.ScalarValue;
-      // strip OP scalar (or scalar OP strip when swapped).
-      switch (Kind) {
-      case OpKind::Add:
-        Out.push_back(makeCall(Intrinsic::AffineTile, {StripRef},
-                               {ValidRowsE, ValidColsOf(Nsi),
-                                makeInt(TileCols), makeFloat(1.0),
-                                makeFloat(S)}));
-        break;
-      case OpKind::Mul:
-        Out.push_back(makeCall(Intrinsic::AffineTile, {StripRef},
-                               {ValidRowsE, ValidColsOf(Nsi),
-                                makeInt(TileCols), makeFloat(S),
-                                makeFloat(0.0)}));
-        break;
-      case OpKind::Sub:
-        Out.push_back(makeCall(
-            Intrinsic::AffineTile, {StripRef},
-            {ValidRowsE, ValidColsOf(Nsi), makeInt(TileCols),
-             makeFloat(Swapped ? -1.0 : 1.0),
-             makeFloat(Swapped ? S : -S)}));
-        break;
-      case OpKind::Div:
-        if (!Swapped) {
-          Out.push_back(makeCall(Intrinsic::AffineTile, {StripRef},
-                                 {ValidRowsE, ValidColsOf(Nsi),
-                                  makeInt(TileCols), makeFloat(1.0 / S),
-                                  makeFloat(0.0)}));
-        } else {
-          // scalar / strip.
-          Out.push_back(makeCall(Intrinsic::RecipTile, {StripRef},
-                                 UnaryScalars));
-          Out.push_back(makeCall(Intrinsic::AffineTile, {StripRef},
-                                 {ValidRowsE, ValidColsOf(Nsi),
-                                  makeInt(TileCols), makeFloat(S),
-                                  makeFloat(0.0)}));
-        }
-        break;
-      case OpKind::Max:
-      case OpKind::Min: {
-        // max/min with a scalar: bake a one-element rowvec is overkill;
-        // use a tiny baked tile broadcast via rowvec semantics.
-        runtime::TensorData VData(DataType::F32, {FullN});
-        for (int64_t I = 0; I < FullN; ++I)
-          VData.dataAs<float>()[I] = static_cast<float>(S);
-        const int VBuf = bakeConst("scalar_vec", std::move(VData));
-        fatalError("scalar max/min not reachable in current decompositions");
-        (void)VBuf;
-        break;
-      }
-      default:
-        fatalError("unsupported scalar binary");
-      }
-      finishBinary(O, Strip);
-      return;
-    }
-    case ExtKind::RowVec: {
-      assert(!Swapped || Commutative ||
-             Kind == OpKind::Add || Kind == OpKind::Mul);
-      Intrinsic In;
-      switch (Kind) {
-      case OpKind::Add: In = Intrinsic::AddRowVecTile; break;
-      case OpKind::Sub: In = Intrinsic::SubRowVecTile; break;
-      case OpKind::Mul: In = Intrinsic::MulRowVecTile; break;
-      default: fatalError("unsupported rowvec binary");
-      }
-      Out.push_back(makeCall(
-          In, {StripRef, BufferRef(E.BufferId, extRowVecOffset(E, Nsi))},
-          UnaryScalars));
-      finishBinary(O, Strip);
-      return;
-    }
-    case ExtKind::ColVec: {
-      Intrinsic In;
-      switch (Kind) {
-      case OpKind::Add: In = Intrinsic::AddColVecTile; break;
-      case OpKind::Sub: In = Intrinsic::SubColVecTile; break;
-      case OpKind::Mul: In = Intrinsic::MulColVecTile; break;
-      case OpKind::Div: In = Intrinsic::DivColVecTile; break;
-      default: fatalError("unsupported colvec binary");
-      }
-      assert(!Swapped && "colvec must be the second operand");
-      Out.push_back(makeCall(
-          In, {StripRef, BufferRef(E.BufferId, extColVecOffset(E))},
-          UnaryScalars));
-      finishBinary(O, Strip);
-      return;
-    }
-    case ExtKind::Full: {
-      const TileAddr Y = extFullAddr(E, Nsi);
-      emitBinaryTile(Kind, Swapped, StripRef, Y, Out, Nsi);
-      finishBinary(O, Strip);
-      return;
-    }
-    }
-  }
-
-  void emitBinaryTile(OpKind Kind, bool Swapped, const BufferRef &StripRef,
-                      const TileAddr &Y, StmtList &Out, const Expr &Nsi) {
-    // In-place on the strip; for non-commutative swapped forms, rewrite:
-    // sub: (y - x) = -(x - y); div: y / x needs recip then mul.
-    Intrinsic In;
+    EpOp Op;
     switch (Kind) {
-    case OpKind::Add: In = Intrinsic::AddTile; break;
-    case OpKind::Sub: In = Intrinsic::SubTile; break;
-    case OpKind::Mul: In = Intrinsic::MulTile; break;
-    case OpKind::Div: In = Intrinsic::DivTile; break;
-    case OpKind::Max: In = Intrinsic::MaxTile; break;
-    case OpKind::Min: In = Intrinsic::MinTile; break;
-    default: fatalError("not a binary tile op");
+    case OpKind::Add: Op = EpOp::Add; break;
+    case OpKind::Sub: Op = EpOp::Sub; break;
+    case OpKind::Mul: Op = EpOp::Mul; break;
+    case OpKind::Div: Op = EpOp::Div; break;
+    case OpKind::Max: Op = EpOp::Max; break;
+    case OpKind::Min: Op = EpOp::Min; break;
+    default: fatalError("not a binary op");
     }
-    const std::vector<Expr> Scalars = {ValidRowsE, ValidColsOf(Nsi),
-                                       makeInt(TileCols), makeInt(Y.Ld)};
-    Out.push_back(
-        makeCall(In, {StripRef, BufferRef(Y.BufferId, Y.Offset)}, Scalars));
+
+    bool TempA;
+    const int A = valueReg(Lhs, TempA);
+    // Second operand: a register (interior value or loaded Full tile),
+    // or a vector slot.
+    kernels::EpStep S;
+    S.Op = Op;
+    S.A = static_cast<uint8_t>(A);
+    int TempB = -1;
+    auto EnvIt = Env.find(Rhs);
+    const auto ExtIt = Ext.find(Rhs);
+    if (EnvIt != Env.end() && EnvIt->second.K == StripVal::Kind::RedVec) {
+      // Row-reduction vector: colvec broadcast (div as 1/v times x).
+      assert(!Swapped && "reduction result must be the second operand");
+      if (Kind != OpKind::Add && Kind != OpKind::Sub &&
+          Kind != OpKind::Mul && Kind != OpKind::Div)
+        fatalError("unsupported colvec binary");
+      S.BKind = Kind == OpKind::Div ? kernels::EpOperand::ColVecRecip
+                                    : kernels::EpOperand::ColVec;
+      if (Kind == OpKind::Div)
+        S.Op = EpOp::Mul;
+      S.Arg = static_cast<uint8_t>(
+          addSlot(EnvIt->second.BufferId, makeInt(0)));
+    } else if (EnvIt != Env.end() ||
+               (ExtIt != Ext.end() && ExtIt->second.K == ExtKind::Full)) {
+      bool Temp;
+      const int B = valueReg(Rhs, Temp);
+      S.B = static_cast<uint8_t>(B);
+      if (Temp)
+        TempB = B;
+      if (Swapped && Kind == OpKind::Div)
+        fatalError("swapped division between tiles is not supported");
+    } else {
+      const ExtRef &E = ExtIt->second;
+      switch (E.K) {
+      case ExtKind::Scalar:
+        emitScalarBinary(Kind, Swapped, E.ScalarValue, Lhs, Rhs, A, TempA,
+                         O.output(0));
+        return;
+      case ExtKind::RowVec:
+        assert(!Swapped || Commutative);
+        if (Kind != OpKind::Add && Kind != OpKind::Sub && Kind != OpKind::Mul)
+          fatalError("unsupported rowvec binary");
+        S.BKind = kernels::EpOperand::RowVec;
+        S.Arg = static_cast<uint8_t>(
+            addSlot(E.BufferId, extRowVecOffset(E, Expr(Nsi))));
+        break;
+      case ExtKind::ColVec:
+        assert(!Swapped && "colvec must be the second operand");
+        if (Kind != OpKind::Add && Kind != OpKind::Sub &&
+            Kind != OpKind::Mul && Kind != OpKind::Div)
+          fatalError("unsupported colvec binary");
+        S.BKind = Kind == OpKind::Div ? kernels::EpOperand::ColVecRecip
+                                      : kernels::EpOperand::ColVec;
+        if (Kind == OpKind::Div)
+          S.Op = EpOp::Mul;
+        S.Arg = static_cast<uint8_t>(addSlot(E.BufferId, extColVecOffset(E)));
+        break;
+      case ExtKind::Full:
+        GC_UNREACHABLE("handled above");
+      }
+    }
+    consume(Lhs);
+    consume(Rhs);
+    if (TempA)
+      freeReg(A);
+    if (TempB >= 0)
+      freeReg(TempB);
+    const int D = allocReg();
+    S.Dst = static_cast<uint8_t>(D);
+    Steps.Steps.push_back(S);
     if (Swapped && Kind == OpKind::Sub) {
-      // Computed x - y, need y - x: negate.
-      Out.push_back(makeCall(Intrinsic::AffineTile, {StripRef},
-                             {ValidRowsE, ValidColsOf(Nsi),
-                              makeInt(TileCols), makeFloat(-1.0),
-                              makeFloat(0.0)}));
-    } else if (Swapped && Kind == OpKind::Div) {
-      fatalError("swapped division between tiles is not supported");
+      // Computed x - y, need y - x: negate, as the per-op path did.
+      kernels::EpStep &Neg = addStep(EpOp::Affine);
+      Neg.Dst = Neg.A = static_cast<uint8_t>(D);
+      Neg.F0 = -1.0f;
     }
+    defineReg(O.output(0), D);
   }
 
-  void finishBinary(const Op &O, int Strip) {
-    StripVal V;
-    V.K = StripVal::Kind::Strip;
-    V.BufferId = Strip;
-    Env[O.output(0)] = V;
+  /// strip OP scalar (or scalar OP strip when swapped) as affine steps.
+  void emitScalarBinary(OpKind Kind, bool Swapped, double Sc, int64_t Lhs,
+                        int64_t Rhs, int A, bool TempA, int64_t Out) {
+    using kernels::EpOp;
+    consume(Lhs);
+    consume(Rhs);
+    if (TempA)
+      freeReg(A);
+    const int D = allocReg();
+    const auto affine = [&](int Src, double Mul, double Add) {
+      kernels::EpStep &S = addStep(EpOp::Affine);
+      S.Dst = static_cast<uint8_t>(D);
+      S.A = static_cast<uint8_t>(Src);
+      S.F0 = static_cast<float>(Mul);
+      S.F1 = static_cast<float>(Add);
+    };
+    switch (Kind) {
+    case OpKind::Add:
+      affine(A, 1.0, Sc);
+      break;
+    case OpKind::Mul:
+      affine(A, Sc, 0.0);
+      break;
+    case OpKind::Sub:
+      affine(A, Swapped ? -1.0 : 1.0, Swapped ? Sc : -Sc);
+      break;
+    case OpKind::Div:
+      if (!Swapped) {
+        affine(A, 1.0 / Sc, 0.0);
+      } else {
+        // scalar / strip.
+        kernels::EpStep &R = addStep(EpOp::Recip);
+        R.Dst = static_cast<uint8_t>(D);
+        R.A = static_cast<uint8_t>(A);
+        affine(D, Sc, 0.0);
+      }
+      break;
+    default:
+      fatalError("unsupported scalar binary");
+    }
+    defineReg(Out, D);
   }
 
   //===--------------------------------------------------------------------===//
   // Store
   //===--------------------------------------------------------------------===//
 
-  void emitStore(int64_t OutSubTensor, int64_t OuterOut, const Expr &Nsi,
-                 StmtList &Out) {
+  /// Adds the store of region output \p OutSubTensor into the open
+  /// segment: plain into the output's rows, or blocked into its consumer's
+  /// A-format tile (the padding rows/cols of which the call zero-fills,
+  /// feeding zero weight rows downstream).
+  void emitStore(int64_t OutSubTensor, int64_t OuterOut) {
+    using kernels::EpOp;
     const LogicalTensor &OutT = G.tensor(OuterOut);
     const int OutBuf = Ctx.BufferFor(OuterOut);
-    const StripVal &V = Env.at(OutSubTensor);
+    const StripVal V = Env.at(OutSubTensor);
     const bool Blocked = OutT.Lay.isBlocked();
 
     Expr DstOff;
     int64_t DstLd;
-    Expr Rows, Cols;
     if (Blocked) {
       // Consumer A-format tile: ((bt*MBlocks + mpsi)*KBc + npsi)*MB*NB.
       const int64_t KBc = ceilDiv(FullN, TileCols);
@@ -997,69 +1066,67 @@ private:
           ((BtE ? BtE * makeInt(ceilDiv(MDim, TileRows)) : makeInt(0)) +
            RowBaseE / makeInt(TileRows)) *
               makeInt(KBc) +
-          NpsiOf(Nsi);
+          NpsiOf(Expr(Nsi));
       DstOff = BlockIdx * makeInt(TileRows * TileCols);
       DstLd = TileCols;
-      // Full tiles: padding rows/cols feed zero weight rows downstream.
-      Rows = makeInt(TileRows);
-      Cols = makeInt(TileCols);
     } else {
       Expr BatchOff = BtE ? BtE * makeInt(MDim * FullN) : makeInt(0);
       DstOff = BatchOff + RowBaseE * makeInt(FullN) +
-               NpsiOf(Nsi) * makeInt(TileCols);
+               NpsiOf(Expr(Nsi)) * makeInt(TileCols);
       DstLd = FullN;
-      Rows = ValidRowsE;
-      Cols = ValidColsOf(Nsi);
     }
 
+    if ((V.K == StripVal::Kind::Acc || V.K == StripVal::Kind::Strip) &&
+        V.Ty != DataType::F32) {
+      // s32 accumulator stored raw (unfused quantized matmul).
+      assert(!Blocked && "raw accumulator stores stay plain");
+      SegmentBody.push_back(makeCall(
+          Intrinsic::CopyTileRaw,
+          {BufferRef(OutBuf, DstOff),
+           BufferRef(V.BufferId, stripTileOffset(Expr(Nsi)))},
+          {ValidRowsE, ValidColsOf(Expr(Nsi)), makeInt(DstLd),
+           makeInt(TileCols), makeInt(dataTypeSize(V.Ty))}));
+      consume(OutSubTensor);
+      return;
+    }
+
+    kernels::EpOp Op = EpOp::StoreF32;
+    int64_t Src = OutSubTensor;
+    float InvScale = 1.0f;
+    int32_t Zp = 0;
     switch (V.K) {
-    case StripVal::Kind::PendingQuant: {
+    case StripVal::Kind::PendingQuant:
       assert(isQuantizedType(OutT.Ty) && "pending quant into non-int8 out");
-      Out.push_back(makeCall(
-          V.Signed ? Intrinsic::QuantS8Tile : Intrinsic::QuantU8Tile,
-          {BufferRef(OutBuf, DstOff), BufferRef(V.SrcStrip,
-                                                stripTileOffset(Nsi))},
-          V.Signed
-              ? std::vector<Expr>{Rows, Cols, makeInt(DstLd),
-                                  makeInt(TileCols), makeFloat(V.InvScale)}
-              : std::vector<Expr>{Rows, Cols, makeInt(DstLd),
-                                  makeInt(TileCols), makeFloat(V.InvScale),
-                                  makeInt(V.Zp)}));
-      return;
-    }
+      Op = V.Signed ? EpOp::StoreS8 : EpOp::StoreU8;
+      Src = V.SrcTensor;
+      InvScale = static_cast<float>(V.InvScale);
+      Zp = V.Signed ? 0 : static_cast<int32_t>(V.Zp);
+      break;
     case StripVal::Kind::Strip:
-    case StripVal::Kind::Acc: {
-      if (V.Ty == DataType::F32) {
-        Out.push_back(makeCall(
-            Intrinsic::CopyTile,
-            {BufferRef(OutBuf, DstOff),
-             BufferRef(V.BufferId, stripTileOffset(Nsi))},
-            {Rows, Cols, makeInt(DstLd), makeInt(TileCols)}));
-      } else {
-        // s32 accumulator stored raw (unfused quantized matmul).
-        Out.push_back(makeCall(
-            Intrinsic::CopyTileRaw,
-            {BufferRef(OutBuf, DstOff),
-             BufferRef(V.BufferId, stripTileOffset(Nsi))},
-            {Rows, Cols, makeInt(DstLd), makeInt(TileCols),
-             makeInt(dataTypeSize(V.Ty))}));
-      }
-      return;
-    }
-    case StripVal::Kind::RedVec: {
-      // Region output is a row-reduction vector ([..., M, 1] plain).
-      assert(!Blocked && "reduction output must stay plain");
-      Expr VecOff = (BtE ? BtE * makeInt(MDim) : makeInt(0)) + RowBaseE;
-      Out.push_back(makeCall(Intrinsic::CopyTile,
-                             {BufferRef(OutBuf, VecOff),
-                              BufferRef(V.BufferId, makeInt(0))},
-                             {ValidRowsE, makeInt(1), makeInt(1),
-                              makeInt(1)}));
-      return;
-    }
+    case StripVal::Kind::Acc:
+    case StripVal::Kind::Reg:
+      break;
+    case StripVal::Kind::RedVec:
     case StripVal::Kind::None:
       fatalError("region output value has no storable form");
     }
+    bool Temp;
+    const int A = valueReg(Src, Temp);
+    kernels::EpStep &S = addStep(Op);
+    S.A = static_cast<uint8_t>(A);
+    S.Arg = static_cast<uint8_t>(addSlot(OutBuf, DstOff));
+    S.Ld = DstLd;
+    S.F0 = InvScale;
+    S.Zp = Zp;
+    if (Blocked) {
+      S.PadRows = TileRows;
+      S.PadCols = TileCols;
+    }
+    if (Temp)
+      freeReg(A);
+    consume(Src);
+    if (Src != OutSubTensor)
+      consume(OutSubTensor);
   }
 
   //===--------------------------------------------------------------------===//

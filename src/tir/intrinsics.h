@@ -4,9 +4,11 @@
 /// The intrinsic vocabulary of Tensor IR. "The intrinsic function is used to
 /// represent a microkernel, which is carefully hand-tuned and fulfills a
 /// subtask of a DNN OP with data in the fastest cache on a single CPU core"
-/// (§II). Beyond the brgemm microkernel, the fused-op template emits
-/// tile-granular intrinsics for the Fusible OPs committed at its anchors;
-/// each maps 1:1 onto a kernel in src/kernels/tile_ops.h.
+/// (§II). Beyond the brgemm microkernel, the fused-op template commits the
+/// Fusible OPs at its post-op anchors as one EpilogueTile call per anchor
+/// segment (kernels/epilogue.h); the per-op tile intrinsics map 1:1 onto
+/// the kernels in src/kernels/tile_ops.h and serve the per-row vector ops
+/// between segments, the layout moves and the packs.
 ///
 /// Calling convention: a CallStmt carries an ordered buffer-reference list
 /// and an ordered scalar list; the per-intrinsic layout is documented here,
@@ -37,6 +39,10 @@ namespace tir {
 ///  CopyTile      B[D,S]   S[Rows,Cols,LdD,LdS]
 ///  TransposeTile B[D,S]   S[Rows,Cols,LdD,LdS]
 ///  FillTile      B[X]     S[Rows,Cols,Ld,Value(f)]
+///  EpilogueTile  B[slots of the call's step list] S[Rows,Cols,Accumulate]
+///                (leading dims, scales, zero points and immediates live
+///                in the step list; Accumulate = combine row reductions
+///                with the output vectors' current values)
 ///  DequantAcc    B[D,S,Comp,Scale] S[Rows,Cols,LdD,LdS,AZp]
 ///  QuantU8Tile   B[D,S]   S[Rows,Cols,LdD,LdS,InvScale(f),Zp]
 ///  QuantS8Tile   B[D,S]   S[Rows,Cols,LdD,LdS,InvScale(f)]
@@ -59,7 +65,6 @@ enum class Intrinsic : uint8_t {
   RecipTile,
   SquareTile,
   SigmoidTile,
-  GeluTile,
   AffineTile,
   // Binary tiles.
   AddTile,
@@ -87,6 +92,8 @@ enum class Intrinsic : uint8_t {
   /// B[D,S] S[A,B,C,D,ElemSize] - 4-D [A,B,C,D] -> [A,C,B,D] permute.
   Permute0213,
   FillTile,
+  // Fused post-op epilogue (one call per anchor segment).
+  EpilogueTile,
   // Quantization bridges.
   DequantAccTile,
   QuantU8Tile,
@@ -111,7 +118,8 @@ constexpr uint8_t kNumIntrinsics = static_cast<uint8_t>(Intrinsic::UnpackAU8) + 
 /// are also treated as read: brgemm accumulates into C, ReduceRows can
 /// accumulate into Out). Every other buffer argument is read-only. The
 /// static race analysis classifies footprints with this mask; it must
-/// match the kernel implementations in src/kernels/.
+/// match the kernel implementations in src/kernels/. EpilogueTile's write
+/// set comes from its step list (kernels::describeEpilogue) instead.
 constexpr uint8_t intrinsicWriteMask(Intrinsic In) {
   switch (In) {
   case Intrinsic::BrgemmF32:
@@ -120,6 +128,8 @@ constexpr uint8_t intrinsicWriteMask(Intrinsic In) {
   case Intrinsic::ReduceSumRowsTile:
   case Intrinsic::ReduceMaxRowsTile:
     return 0b010; // Out = arg 1
+  case Intrinsic::EpilogueTile:
+    return 0; // per step list
   default:
     return 0b001; // D / X = arg 0
   }
@@ -128,6 +138,7 @@ constexpr uint8_t intrinsicWriteMask(Intrinsic In) {
 /// Number of buffer arguments \p In takes: the B[...] column of the table
 /// above. Executor adapters and the verifiers' footprints index a call's
 /// buffers by this layout, so a call must carry exactly this many.
+/// EpilogueTile's count is its step list's NumBufs (0 here).
 constexpr uint8_t intrinsicNumBufs(Intrinsic In) {
   switch (In) {
   case Intrinsic::BrgemmF32:
@@ -141,12 +152,13 @@ constexpr uint8_t intrinsicNumBufs(Intrinsic In) {
   case Intrinsic::RecipTile:
   case Intrinsic::SquareTile:
   case Intrinsic::SigmoidTile:
-  case Intrinsic::GeluTile:
   case Intrinsic::AffineTile:
   case Intrinsic::FillTile:
     return 1;
   case Intrinsic::DequantAccTile:
     return 4;
+  case Intrinsic::EpilogueTile:
+    return 0;
   default:
     return 2;
   }

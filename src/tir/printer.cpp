@@ -19,7 +19,6 @@ const char *intrinsicName(Intrinsic In) {
   case Intrinsic::RecipTile: return "recip_tile";
   case Intrinsic::SquareTile: return "square_tile";
   case Intrinsic::SigmoidTile: return "sigmoid_tile";
-  case Intrinsic::GeluTile: return "gelu_tile";
   case Intrinsic::AffineTile: return "affine_tile";
   case Intrinsic::AddTile: return "add_tile";
   case Intrinsic::SubTile: return "sub_tile";
@@ -41,6 +40,7 @@ const char *intrinsicName(Intrinsic In) {
   case Intrinsic::TransposeTile: return "transpose_tile";
   case Intrinsic::Permute0213: return "permute_0213";
   case Intrinsic::FillTile: return "fill_tile";
+  case Intrinsic::EpilogueTile: return "epilogue_tile";
   case Intrinsic::DequantAccTile: return "dequant_acc_tile";
   case Intrinsic::QuantU8Tile: return "quant_u8_tile";
   case Intrinsic::QuantS8Tile: return "quant_s8_tile";
@@ -70,6 +70,69 @@ const char *binOpName(BinOp Op) {
   case BinOp::Max: return "max";
   }
   return "?";
+}
+
+/// "r0 = add(r1, rowvec s3); store_u8(s4, r0) ..." for an epilogue call.
+std::string printSteps(const kernels::EpilogueDesc &D) {
+  using kernels::EpOp;
+  using kernels::EpOperand;
+  static const char *const Names[] = {
+      "load_f32", "load_acc", "load_u8", "load_s32", "relu",   "exp",
+      "tanh",     "sqrt",     "recip",   "square",   "sigmoid", "affine",
+      "quant",    "dequant",  "add",     "sub",      "mul",    "div",
+      "max",      "min",      "reduce_sum", "reduce_max", "store_f32",
+      "store_u8", "store_s8"};
+  static_assert(sizeof(Names) / sizeof(Names[0]) == kernels::kNumEpOps,
+                "one name per step opcode");
+  std::vector<std::string> Out;
+  for (const kernels::EpStep &S : D.Steps) {
+    const char *N = static_cast<uint8_t>(S.Op) < kernels::kNumEpOps
+                        ? Names[static_cast<size_t>(S.Op)]
+                        : "?";
+    std::string Args;
+    switch (S.Op) {
+    case EpOp::LoadF32:
+    case EpOp::LoadU8:
+    case EpOp::LoadS32:
+      Args = formatString("s%u ld %lld", S.Arg, (long long)S.Ld);
+      break;
+    case EpOp::LoadAcc:
+      Args = formatString("s%u ld %lld, zp %d, scale s%u", S.Arg,
+                          (long long)S.Ld, S.Zp, S.Arg3);
+      break;
+    case EpOp::ReduceSum:
+    case EpOp::ReduceMax:
+      Args = formatString("s%u, r%u", S.Arg, S.A);
+      break;
+    case EpOp::StoreF32:
+    case EpOp::StoreU8:
+    case EpOp::StoreS8:
+      Args = formatString("s%u ld %lld, r%u", S.Arg, (long long)S.Ld, S.A);
+      if (S.PadRows > 0)
+        Args += formatString(", block %lldx%lld", (long long)S.PadRows,
+                             (long long)S.PadCols);
+      break;
+    default:
+      Args = formatString("r%u", S.A);
+      if (S.Op >= EpOp::Add && S.Op <= EpOp::Min)
+        Args += S.BKind == EpOperand::Reg
+                    ? formatString(", r%u", S.B)
+                    : formatString(", %s s%u",
+                                   S.BKind == EpOperand::RowVec   ? "rowvec"
+                                   : S.BKind == EpOperand::ColVec ? "colvec"
+                                                                  : "1/colvec",
+                                   S.Arg);
+      break;
+    }
+    if (S.Op == EpOp::Affine || S.Op == EpOp::Quant || S.Op == EpOp::Dequant ||
+        S.Op == EpOp::LoadU8 || S.Op == EpOp::LoadS32 ||
+        S.Op == EpOp::StoreU8 || S.Op == EpOp::StoreS8)
+      Args += formatString(", %gf, %gf, zp %d", S.F0, S.F1, S.Zp);
+    const bool Writes = S.Op < EpOp::ReduceSum;
+    Out.push_back(Writes ? formatString("r%u = %s(%s)", S.Dst, N, Args.c_str())
+                         : formatString("%s(%s)", N, Args.c_str()));
+  }
+  return joinStrings(Out, "; ");
 }
 
 std::string indentStr(int Indent) {
@@ -151,6 +214,10 @@ std::string printStmt(const Stmt &S, int Indent) {
           B.Offset ? printExpr(B.Offset).c_str() : "0"));
     for (const Expr &E : C.Scalars)
       Args.push_back(printExpr(E));
+    if (C.Epilogue)
+      return formatString("%s%s(%s) { %s }\n", Pad.c_str(),
+                          intrinsicName(C.In), joinStrings(Args, ", ").c_str(),
+                          printSteps(*C.Epilogue).c_str());
     return formatString("%s%s(%s)\n", Pad.c_str(), intrinsicName(C.In),
                         joinStrings(Args, ", ").c_str());
   }

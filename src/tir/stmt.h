@@ -11,6 +11,7 @@
 #ifndef GC_TIR_STMT_H
 #define GC_TIR_STMT_H
 
+#include "kernels/epilogue.h"
 #include "tir/expr.h"
 #include "tir/intrinsics.h"
 
@@ -99,6 +100,8 @@ public:
   Intrinsic In = Intrinsic::CopyTile;
   std::vector<BufferRef> Buffers;
   std::vector<Expr> Scalars;
+  /// EpilogueTile only: the step list; Buffers are its slots in order.
+  std::shared_ptr<const kernels::EpilogueDesc> Epilogue;
 };
 
 /// Statement sequence with an optional tag; top-level nests lowered from

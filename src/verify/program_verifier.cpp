@@ -218,7 +218,7 @@ private:
         const CallDesc &C = P.Calls[static_cast<size_t>(I.Target)];
         if (!C.Fn)
           return err(Pc, "kernel call has a null function pointer");
-        if (C.NumBufs > 4 || C.NumDyn > 12)
+        if (C.NumBufs > exec::kMaxCallBufs || C.NumDyn > 12)
           return err(Pc,
                      formatString("kernel call exceeds marshalling limits "
                                   "(%u buffers, %u dynamic scalars)",
@@ -226,12 +226,25 @@ private:
         if (static_cast<uint8_t>(C.In) >= tir::kNumIntrinsics)
           return err(Pc, formatString("invalid intrinsic %u",
                                       static_cast<unsigned>(C.In)));
-        // Footprints index Bufs by the intrinsic's argument layout.
-        if (C.NumBufs != tir::intrinsicNumBufs(C.In))
+        // Footprints index Bufs by the intrinsic's argument layout, or by
+        // the step list's slots for an epilogue call.
+        if ((C.In == Intrinsic::EpilogueTile) != (C.Epilogue != nullptr))
+          return err(Pc, formatString("%s call %s a step list",
+                                      tir::intrinsicName(C.In),
+                                      C.Epilogue ? "carries" : "lacks"));
+        const uint8_t Layout = C.Epilogue ? C.Epilogue->NumBufs
+                                          : tir::intrinsicNumBufs(C.In);
+        if (C.NumBufs != Layout)
           return err(Pc, formatString("%s call carries %u buffers, its "
                                       "layout takes %u",
                                       tir::intrinsicName(C.In), C.NumBufs,
-                                      tir::intrinsicNumBufs(C.In)));
+                                      Layout));
+        if (C.Epilogue) {
+          std::vector<kernels::EpArgUse> Uses;
+          std::string Why;
+          if (!kernels::describeEpilogue(*C.Epilogue, Uses, Why))
+            return err(Pc, "malformed epilogue step list: " + Why);
+        }
         for (uint8_t BI = 0; BI < C.NumBufs; ++BI) {
           if (C.Bufs[BI].BufferId < 0 ||
               static_cast<size_t>(C.Bufs[BI].BufferId) >= P.Buffers.size())
@@ -374,6 +387,42 @@ private:
     };
 
     switch (C.In) {
+    case Intrinsic::EpilogueTile: {
+      // One footprint per slot from the step list (validated by
+      // checkStructure): tiles over Rows x Cols, a blocked store's
+      // padded block as a second tile, row/column vectors as flat spans.
+      std::vector<kernels::EpArgUse> Uses;
+      std::string Why;
+      kernels::describeEpilogue(*C.Epilogue, Uses, Why);
+      for (int Arg = 0; Arg < C.NumBufs; ++Arg) {
+        const kernels::EpArgUse &U = Uses[static_cast<size_t>(Arg)];
+        const auto Mark = [&] {
+          Out.back().Write = U.Write;
+          Out.back().Site = formatString("instr %zu (%s slot %d)", Pc,
+                                         tir::intrinsicName(C.In), Arg);
+        };
+        switch (U.K) {
+        case kernels::EpArgUse::Kind::Tile:
+          Tile(Arg, Sc[0], Sc[1], SymVal::constant(U.Ld), "T");
+          Mark();
+          if (U.PadRows > 0) {
+            Tile(Arg, SymVal::constant(U.PadRows),
+                 SymVal::constant(U.PadCols), SymVal::constant(U.Ld), "T");
+            Mark();
+          }
+          break;
+        case kernels::EpArgUse::Kind::RowVec:
+          Flat(Arg, Sc[1], "V");
+          Mark();
+          break;
+        case kernels::EpArgUse::Kind::ColVec:
+          Flat(Arg, Sc[0], "V");
+          Mark();
+          break;
+        }
+      }
+      return;
+    }
     case Intrinsic::BrgemmF32:
     case Intrinsic::BrgemmU8S8: {
       // A flat span: (Batch-1)*AStrideB + (M-1)*Lda + K.
@@ -406,7 +455,6 @@ private:
     case Intrinsic::RecipTile:
     case Intrinsic::SquareTile:
     case Intrinsic::SigmoidTile:
-    case Intrinsic::GeluTile:
     case Intrinsic::AffineTile:
     case Intrinsic::FillTile:
       Tile(0, Sc[0], Sc[1], Sc[2], "X");

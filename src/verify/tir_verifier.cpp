@@ -53,7 +53,6 @@ uint8_t numScalarsOf(Intrinsic In) {
   case Intrinsic::RecipTile:
   case Intrinsic::SquareTile:
   case Intrinsic::SigmoidTile:
-  case Intrinsic::GeluTile:
     return 3;
   case Intrinsic::AffineTile:
     return 5;
@@ -83,6 +82,8 @@ uint8_t numScalarsOf(Intrinsic In) {
     return 5;
   case Intrinsic::FillTile:
     return 4;
+  case Intrinsic::EpilogueTile:
+    return 3;
   case Intrinsic::DequantAccTile:
     return 5;
   case Intrinsic::QuantU8Tile:
@@ -386,6 +387,66 @@ private:
     return judge(B, Ctx.lb(MinV), Ctx.ub(MaxV), Where, ArgName);
   }
 
+  /// An epilogue call: slot count, element types and footprints all come
+  /// from its step list (kernels::describeEpilogue).
+  Status checkEpilogueCall(const CallNode &C, const std::string &Where) {
+    std::vector<kernels::EpArgUse> Uses;
+    std::string Why;
+    if (!C.Epilogue || !kernels::describeEpilogue(*C.Epilogue, Uses, Why))
+      return err(Where, "epilogue_tile step list: " +
+                            (C.Epilogue ? Why : std::string("missing")));
+    if (C.Buffers.size() != Uses.size() ||
+        C.Scalars.size() != numScalarsOf(C.In))
+      return err(Where, formatString("epilogue_tile expects %zu buffer and "
+                                     "%u scalar args, has %zu and %zu",
+                                     Uses.size(), numScalarsOf(C.In),
+                                     C.Buffers.size(), C.Scalars.size()));
+    std::vector<SymVal> Sc(C.Scalars.size());
+    for (size_t I = 0; I < C.Scalars.size(); ++I)
+      if (Status S = evalExpr(C.Scalars[I], Where, Sc[I]); !S.isOk())
+        return S;
+    for (size_t I = 0; I < C.Buffers.size(); ++I) {
+      const BufferRef &R = C.Buffers[I];
+      const kernels::EpArgUse &U = Uses[I];
+      if (R.BufferId < 0 || R.BufferId >= static_cast<int>(F.Buffers.size()))
+        return err(Where, formatString("epilogue_tile slot %zu references "
+                                       "unknown buffer %d",
+                                       I, R.BufferId));
+      const BufferDecl &B = F.buffer(R.BufferId);
+      if (B.ElemTy != U.Ty)
+        return err(Where, formatString("epilogue_tile slot %zu (%s) has "
+                                       "element type %s, its step expects %s",
+                                       I, B.Name.c_str(),
+                                       dataTypeName(B.ElemTy),
+                                       dataTypeName(U.Ty)));
+      SymVal Off = SymVal::constant(0);
+      if (R.Offset)
+        if (Status S = evalExpr(R.Offset, Where, Off); !S.isOk())
+          return S;
+      const char *Name = U.Write ? "out" : "in";
+      Status S = Status::ok();
+      switch (U.K) {
+      case kernels::EpArgUse::Kind::Tile:
+        S = checkTileFootprint(B, Off, Sc[0], Sc[1], SymVal::constant(U.Ld),
+                               Where, Name);
+        if (S.isOk() && U.PadRows > 0)
+          S = checkTileFootprint(B, Off, SymVal::constant(U.PadRows),
+                                 SymVal::constant(U.PadCols),
+                                 SymVal::constant(U.Ld), Where, Name);
+        break;
+      case kernels::EpArgUse::Kind::RowVec:
+        S = checkFlatFootprint(B, Off, Sc[1], Where, Name);
+        break;
+      case kernels::EpArgUse::Kind::ColVec:
+        S = checkFlatFootprint(B, Off, Sc[0], Where, Name);
+        break;
+      }
+      if (!S.isOk())
+        return S;
+    }
+    return Status::ok();
+  }
+
   /// Flat footprint: Base[Off .. Off + Len) must be inside the buffer.
   Status checkFlatFootprint(const BufferDecl &B, const SymVal &Off,
                             const SymVal &Len, const std::string &Where,
@@ -399,6 +460,11 @@ private:
   }
 
   Status checkCall(const CallNode &C, const std::string &Where) {
+    if (C.In == Intrinsic::EpilogueTile)
+      return checkEpilogueCall(C, Where);
+    if (C.Epilogue)
+      return err(Where, formatString("%s carries a step list",
+                                     intrinsicName(C.In)));
     const uint8_t NumBufs = intrinsicNumBufs(C.In);
     const uint8_t NumScalars = numScalarsOf(C.In);
     if (C.Buffers.size() != NumBufs)
@@ -463,6 +529,8 @@ private:
     };
     const SymVal One = SymVal::constant(1);
     switch (C.In) {
+    case Intrinsic::EpilogueTile:
+      break; // checkEpilogueCall
     case Intrinsic::ReluTile:
     case Intrinsic::ExpTile:
     case Intrinsic::TanhTile:
@@ -470,7 +538,6 @@ private:
     case Intrinsic::RecipTile:
     case Intrinsic::SquareTile:
     case Intrinsic::SigmoidTile:
-    case Intrinsic::GeluTile:
     case Intrinsic::AffineTile:
     case Intrinsic::FillTile:
       return checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1], Sc[2], Where,

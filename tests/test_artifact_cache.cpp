@@ -372,11 +372,11 @@ TEST(ArtifactCodec, ByteFlipSweepParsesSafely) {
 }
 
 TEST(ArtifactCodec, IntrinsicFlipThatWidensACallIsRejected) {
-  // Pins the flip that made the sweep above read out of bounds under
-  // ASan: the intrinsic byte of the two-buffer bias add flipped into the
-  // three-buffer BrgemmU8S8 (0x11 ^ 0x10 = 0x01). Footprints index a
-  // call's buffers by its intrinsic's layout, so the load-time verifier
-  // read the unused third slot, whose buffer id is -1.
+  // Pins the flip class that once made the sweep above read out of bounds
+  // under ASan: an intrinsic byte flipped into one whose layout takes more
+  // buffers than the call carries, so footprints indexed by that layout
+  // read an unused slot. Here the MLP's three-slot epilogue call flips
+  // into the four-buffer DequantAccTile (EpilogueTile ^ 0x01).
   const Graph G = buildMlp(8, 16, 8);
   core::CompileOptions Opts;
   Opts.CacheMode = CacheMode::Off;
@@ -384,30 +384,32 @@ TEST(ArtifactCodec, IntrinsicFlipThatWidensACallIsRejected) {
       test::compileOnePartition(G, Opts);
   const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
   const std::vector<exec::CallDesc> &Calls = P->bytecode().Calls;
-  const auto Add =
+  const auto Epi =
       std::find_if(Calls.begin(), Calls.end(), [](const exec::CallDesc &C) {
-        return C.In == tir::Intrinsic::AddRowVecTile;
+        return C.In == tir::Intrinsic::EpilogueTile;
       });
-  ASSERT_NE(Add, Calls.end());
-  ASSERT_EQ(static_cast<uint8_t>(Add->In) ^ 0x10,
-            static_cast<uint8_t>(tir::Intrinsic::BrgemmU8S8));
+  ASSERT_NE(Epi, Calls.end());
+  ASSERT_EQ(static_cast<uint8_t>(Epi->In) ^ 0x01,
+            static_cast<uint8_t>(tir::Intrinsic::DequantAccTile));
+  ASSERT_LT(Epi->NumBufs,
+            tir::intrinsicNumBufs(tir::Intrinsic::DequantAccTile));
   // The call's encoding up to its scalars, as writeProgram lays it out.
   ByteWriter W;
-  W.u8(static_cast<uint8_t>(Add->In));
-  W.u8(Add->NumBufs);
-  W.u8(Add->NumDyn);
-  for (const exec::CallDesc::Buf &B : Add->Bufs) {
-    W.i32(B.BufferId);
-    W.u16(B.OffsetReg);
-    W.u8(B.HasOffset ? 1 : 0);
+  W.u8(static_cast<uint8_t>(Epi->In));
+  W.u8(Epi->NumBufs);
+  W.u8(Epi->NumDyn);
+  for (uint8_t I = 0; I < Epi->NumBufs; ++I) {
+    W.i32(Epi->Bufs[I].BufferId);
+    W.u16(Epi->Bufs[I].OffsetReg);
+    W.u8(Epi->Bufs[I].HasOffset ? 1 : 0);
   }
-  for (int64_t S : Add->SI)
+  for (int64_t S : Epi->SI)
     W.i64(S);
   const auto At = std::search(Payload.begin(), Payload.end(),
                               W.bytes().begin(), W.bytes().end());
   ASSERT_NE(At, Payload.end());
   auto T = std::make_shared<std::vector<uint8_t>>(Payload);
-  (*T)[static_cast<size_t>(At - Payload.begin())] ^= 0x10;
+  (*T)[static_cast<size_t>(At - Payload.begin())] ^= 0x01;
   Expected<std::shared_ptr<core::CompiledPartition>> R =
       core::ArtifactCodec::deserialize(T->data(), T->size(), T,
                                        core::globalThreadPool());

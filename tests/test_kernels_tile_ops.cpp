@@ -69,17 +69,6 @@ TEST(TileOps, Affine) {
       ASSERT_NEAR(T.at(R, C), Orig.at(R, C) * 2.5f - 1.25f, kF32Tol);
 }
 
-TEST(TileOps, GeluMatchesScalarFormula) {
-  StridedTile T(4), Orig(4);
-  geluTanhTile(T.tile());
-  for (int64_t R = 0; R < Rows; ++R)
-    for (int64_t C = 0; C < Cols; ++C) {
-      const double V = Orig.at(R, C);
-      const double Inner = 0.7978845608028654 * (V + 0.044715 * V * V * V);
-      ASSERT_NEAR(T.at(R, C), 0.5 * V * (1.0 + std::tanh(Inner)), 1e-5);
-    }
-}
-
 TEST(TileOps, BinaryOps) {
   StridedTile X(5), Y(6), OrigX(5);
   ConstTileF32 YT{Y.Data.data(), Ld};
@@ -433,8 +422,6 @@ TEST_P(TileOpsDiffSweep, TranscendentalsWithinBounds) {
           [](const TileOpsTable &T, TileF32 X) { T.Tanh(X); });
   diffOne("sigmoid", 53, 2e-6,
           [](const TileOpsTable &T, TileF32 X) { T.Sigmoid(X); });
-  diffOne("gelu", 54, 2e-6,
-          [](const TileOpsTable &T, TileF32 X) { T.GeluTanh(X); });
 }
 
 TEST_P(TileOpsDiffSweep, Reductions) {

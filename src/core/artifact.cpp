@@ -733,10 +733,9 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
     }
     // Footprints and kernel adapters index Bufs by the intrinsic's layout,
     // or by the step list's slots for an epilogue call.
-    const bool IsEpilogue =
-        static_cast<tir::Intrinsic>(In) == tir::Intrinsic::EpilogueTile;
-    if (!IsEpilogue &&
-        C.NumBufs != tir::intrinsicNumBufs(static_cast<tir::Intrinsic>(In))) {
+    C.In = static_cast<tir::Intrinsic>(In);
+    const bool IsEpilogue = C.In == tir::Intrinsic::EpilogueTile;
+    if (!IsEpilogue && C.NumBufs != tir::intrinsicInfo(C.In).NumBufs) {
       R.fail("call buffer count does not match its intrinsic");
       return R.err();
     }
@@ -763,7 +762,6 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
         R.fail("call dynamic scalar index");
         return R.err();
       }
-    C.In = static_cast<tir::Intrinsic>(In);
     C.Fn = exec::kernelAdapter(C.In);
   }
   return Status::ok();

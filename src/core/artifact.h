@@ -60,7 +60,10 @@ namespace core {
 /// v3 removed the GeluTile intrinsic (later intrinsic ids shift down),
 /// added EpilogueTile with its step list after each call's scalars, and
 /// writes only a call's NumBufs buffer references.
-constexpr uint32_t kArtifactPayloadVersion = 3;
+///
+/// v4 renumbered the intrinsics: the 24 with a row in tir/intrinsics.h's
+/// table come first, and the 19 retired ids past them are rejected.
+constexpr uint32_t kArtifactPayloadVersion = 4;
 
 /// Identity hash of this binary's compilation pipeline: payload version,
 /// compiler identification and build timestamp. Two processes agree on it

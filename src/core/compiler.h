@@ -88,8 +88,10 @@ struct CompileOptions {
   bool EnableLayoutPropagation = true;
   /// §VI memory buffer reuse.
   bool EnableBufferReuse = true;
-  /// §VII fast softmax (drop the max-subtraction).
-  bool FastSoftmax = true;
+  /// §VII fast softmax (drop the max-subtraction). Off by default: the
+  /// fast form divides 0/0 once a row's logits all lie below about -87
+  /// (docs/TUNING.md).
+  bool FastSoftmax = false;
   /// Emulate the "oneDNN primitives + post-op" baseline: per-primitive
   /// execution with prepacked weights, plain activations between
   /// primitives, post-op-API-shaped fusion only, no coarse-grain merging.

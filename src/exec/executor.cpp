@@ -47,21 +47,21 @@ private:
 // Kernel adapters
 //===----------------------------------------------------------------------===//
 //
-// One flat function per intrinsic, selected once at program compile time;
-// executing a Call is register marshalling plus one indirect call. The
-// argument layouts are the ones tir/intrinsics.h documents.
+// One flat function per row of tir/intrinsics.h's table, selected once at
+// program compile time; executing a Call is register marshalling plus one
+// indirect call. Each adapter unpacks its row's buffers and scalars.
 
 namespace {
 
 using namespace kernels;
 
-inline TileF32 tileArg(void *const *Ptrs, const int64_t *SI, int BufIdx,
-                       int RowsIdx = 0) {
+/// Buffer 0 as a Rows x Cols tile on Ld (S[0], S[1], S[2]).
+inline TileF32 tileArg(void *const *Ptrs, const int64_t *SI) {
   TileF32 T;
-  T.Data = static_cast<float *>(Ptrs[BufIdx]);
-  T.Rows = SI[RowsIdx];
-  T.Cols = SI[RowsIdx + 1];
-  T.Ld = SI[RowsIdx + 2];
+  T.Data = static_cast<float *>(Ptrs[0]);
+  T.Rows = SI[0];
+  T.Cols = SI[1];
+  T.Ld = SI[2];
   return T;
 }
 
@@ -90,31 +90,32 @@ void adBrgemmU8S8(void *const *Ptrs, const int64_t *SI, const double *) {
 }
 
 void adReluTile(void *const *P, const int64_t *SI, const double *) {
-  reluTile(tileArg(P, SI, 0));
+  reluTile(tileArg(P, SI));
 }
 void adExpTile(void *const *P, const int64_t *SI, const double *) {
-  expTile(tileArg(P, SI, 0));
+  expTile(tileArg(P, SI));
 }
 void adTanhTile(void *const *P, const int64_t *SI, const double *) {
-  tanhTile(tileArg(P, SI, 0));
+  tanhTile(tileArg(P, SI));
 }
 void adSqrtTile(void *const *P, const int64_t *SI, const double *) {
-  sqrtTile(tileArg(P, SI, 0));
+  sqrtTile(tileArg(P, SI));
 }
 void adRecipTile(void *const *P, const int64_t *SI, const double *) {
-  recipTile(tileArg(P, SI, 0));
+  recipTile(tileArg(P, SI));
 }
 void adSquareTile(void *const *P, const int64_t *SI, const double *) {
-  squareTile(tileArg(P, SI, 0));
+  squareTile(tileArg(P, SI));
 }
 void adSigmoidTile(void *const *P, const int64_t *SI, const double *) {
-  sigmoidTile(tileArg(P, SI, 0));
+  sigmoidTile(tileArg(P, SI));
 }
 void adAffineTile(void *const *P, const int64_t *SI, const double *SF) {
-  affineTile(tileArg(P, SI, 0), static_cast<float>(SF[3]),
+  affineTile(tileArg(P, SI), static_cast<float>(SF[3]),
              static_cast<float>(SF[4]));
 }
 
+/// Buffer 1 as a tile of buffer 0's shape on Ld S[3].
 inline ConstTileF32 rhsArg(void *const *Ptrs, const int64_t *SI) {
   ConstTileF32 Y;
   Y.Data = static_cast<const float *>(Ptrs[1]);
@@ -123,117 +124,33 @@ inline ConstTileF32 rhsArg(void *const *Ptrs, const int64_t *SI) {
 }
 
 void adAddTile(void *const *P, const int64_t *SI, const double *) {
-  addTile(tileArg(P, SI, 0), rhsArg(P, SI));
+  addTile(tileArg(P, SI), rhsArg(P, SI));
 }
 void adSubTile(void *const *P, const int64_t *SI, const double *) {
-  subTile(tileArg(P, SI, 0), rhsArg(P, SI));
+  subTile(tileArg(P, SI), rhsArg(P, SI));
 }
 void adMulTile(void *const *P, const int64_t *SI, const double *) {
-  mulTile(tileArg(P, SI, 0), rhsArg(P, SI));
+  mulTile(tileArg(P, SI), rhsArg(P, SI));
 }
 void adDivTile(void *const *P, const int64_t *SI, const double *) {
-  divTile(tileArg(P, SI, 0), rhsArg(P, SI));
+  divTile(tileArg(P, SI), rhsArg(P, SI));
 }
 void adMaxTile(void *const *P, const int64_t *SI, const double *) {
-  maxTile(tileArg(P, SI, 0), rhsArg(P, SI));
+  maxTile(tileArg(P, SI), rhsArg(P, SI));
 }
 void adMinTile(void *const *P, const int64_t *SI, const double *) {
-  minTile(tileArg(P, SI, 0), rhsArg(P, SI));
-}
-
-void adAddRowVecTile(void *const *P, const int64_t *SI, const double *) {
-  addRowVecTile(tileArg(P, SI, 0), static_cast<const float *>(P[1]));
-}
-void adSubRowVecTile(void *const *P, const int64_t *SI, const double *) {
-  subRowVecTile(tileArg(P, SI, 0), static_cast<const float *>(P[1]));
-}
-void adMulRowVecTile(void *const *P, const int64_t *SI, const double *) {
-  mulRowVecTile(tileArg(P, SI, 0), static_cast<const float *>(P[1]));
-}
-void adAddColVecTile(void *const *P, const int64_t *SI, const double *) {
-  addColVecTile(tileArg(P, SI, 0), static_cast<const float *>(P[1]));
-}
-void adSubColVecTile(void *const *P, const int64_t *SI, const double *) {
-  subColVecTile(tileArg(P, SI, 0), static_cast<const float *>(P[1]));
-}
-void adMulColVecTile(void *const *P, const int64_t *SI, const double *) {
-  mulColVecTile(tileArg(P, SI, 0), static_cast<const float *>(P[1]));
-}
-void adDivColVecTile(void *const *P, const int64_t *SI, const double *) {
-  divColVecTile(tileArg(P, SI, 0), static_cast<const float *>(P[1]));
-}
-
-void adReduceSumRowsTile(void *const *P, const int64_t *SI, const double *) {
-  reduceSumRowsTile(tileArg(P, SI, 0), static_cast<float *>(P[1]),
-                    SI[3] != 0);
-}
-void adReduceMaxRowsTile(void *const *P, const int64_t *SI, const double *) {
-  reduceMaxRowsTile(tileArg(P, SI, 0), static_cast<float *>(P[1]),
-                    SI[3] != 0);
+  minTile(tileArg(P, SI), rhsArg(P, SI));
 }
 
 void adCopyTile(void *const *P, const int64_t *SI, const double *) {
-  TileF32 D;
-  D.Data = static_cast<float *>(P[0]);
-  D.Rows = SI[0]; D.Cols = SI[1]; D.Ld = SI[2];
-  ConstTileF32 Src;
-  Src.Data = static_cast<const float *>(P[1]);
-  Src.Ld = SI[3];
-  copyTile(D, Src);
+  copyTile(tileArg(P, SI), rhsArg(P, SI));
 }
 void adCopyTileRaw(void *const *P, const int64_t *SI, const double *) {
   copyTileRaw(P[0], SI[2], P[1], SI[3], SI[0], SI[1], SI[4]);
 }
-void adTransposeTile(void *const *P, const int64_t *SI, const double *) {
-  TileF32 D;
-  D.Data = static_cast<float *>(P[0]);
-  D.Rows = SI[0]; D.Cols = SI[1]; D.Ld = SI[2];
-  ConstTileF32 Src;
-  Src.Data = static_cast<const float *>(P[1]);
-  Src.Ld = SI[3];
-  transposeTile(D, Src);
-}
 void adPermute0213(void *const *P, const int64_t *SI, const double *) {
   permute0213(P[0], P[1], SI[0], SI[1], SI[2], SI[3], SI[4]);
 }
-void adFillTile(void *const *P, const int64_t *SI, const double *SF) {
-  fillTile(tileArg(P, SI, 0), static_cast<float>(SF[3]));
-}
-
-void adDequantAccTile(void *const *P, const int64_t *SI, const double *) {
-  dequantAccTile(static_cast<float *>(P[0]), SI[2],
-                 static_cast<const int32_t *>(P[1]), SI[3], SI[0], SI[1],
-                 static_cast<const int32_t *>(P[2]),
-                 static_cast<int32_t>(SI[4]),
-                 static_cast<const float *>(P[3]));
-}
-void adQuantU8Tile(void *const *P, const int64_t *SI, const double *SF) {
-  quantizeU8Tile(static_cast<uint8_t *>(P[0]), SI[2],
-                 static_cast<const float *>(P[1]), SI[3], SI[0], SI[1],
-                 static_cast<float>(SF[4]), static_cast<int32_t>(SI[5]));
-}
-void adQuantS8Tile(void *const *P, const int64_t *SI, const double *SF) {
-  quantizeS8Tile(static_cast<int8_t *>(P[0]), SI[2],
-                 static_cast<const float *>(P[1]), SI[3], SI[0], SI[1],
-                 static_cast<float>(SF[4]));
-}
-void adDequantU8Tile(void *const *P, const int64_t *SI, const double *SF) {
-  dequantU8Tile(static_cast<float *>(P[0]), SI[2],
-                static_cast<const uint8_t *>(P[1]), SI[3], SI[0], SI[1],
-                static_cast<float>(SF[4]), static_cast<int32_t>(SI[5]));
-}
-void adDequantS8PerChannelTile(void *const *P, const int64_t *SI,
-                               const double *) {
-  dequantS8PerChannelTile(static_cast<float *>(P[0]), SI[2],
-                          static_cast<const int8_t *>(P[1]), SI[3], SI[0],
-                          SI[1], static_cast<const float *>(P[2]));
-}
-void adCastS32F32Tile(void *const *P, const int64_t *SI, const double *SF) {
-  castS32F32Tile(static_cast<float *>(P[0]), SI[2],
-                 static_cast<const int32_t *>(P[1]), SI[3], SI[0], SI[1],
-                 static_cast<float>(SF[4]));
-}
-
 void adEpilogueTile(void *const *P, const int64_t *SI, const double *) {
   epilogueTile(*static_cast<const EpilogueDesc *>(P[kMaxCallBufs]), P,
                SI[0], SI[1], SI[2] != 0);
@@ -261,66 +178,18 @@ void adPackBF32(void *const *P, const int64_t *SI, const double *) {
 void adPackBS8Vnni(void *const *P, const int64_t *SI, const double *) {
   packBS8Vnni(plainArg(P, SI), static_cast<int8_t *>(P[0]), SI[3], SI[4]);
 }
-void adUnpackAF32(void *const *P, const int64_t *SI, const double *) {
-  unpackAF32(static_cast<const float *>(P[1]), static_cast<float *>(P[0]),
-             SI[0], SI[1], SI[2], SI[3], SI[4]);
-}
-void adUnpackAU8(void *const *P, const int64_t *SI, const double *) {
-  unpackAU8(static_cast<const uint8_t *>(P[1]),
-            static_cast<uint8_t *>(P[0]), SI[0], SI[1], SI[2], SI[3],
-            SI[4]);
-}
+
+constexpr KernelFn kAdapters[] = {
+#define GC_INTRINSIC_ADAPTER(Id, ...) ad##Id,
+    GC_INTRINSIC_TABLE(GC_INTRINSIC_ADAPTER)
+#undef GC_INTRINSIC_ADAPTER
+};
 
 } // namespace
 
 KernelFn kernelAdapter(tir::Intrinsic In) {
-  using tir::Intrinsic;
-  switch (In) {
-  case Intrinsic::BrgemmF32: return adBrgemmF32;
-  case Intrinsic::BrgemmU8S8: return adBrgemmU8S8;
-  case Intrinsic::ReluTile: return adReluTile;
-  case Intrinsic::ExpTile: return adExpTile;
-  case Intrinsic::TanhTile: return adTanhTile;
-  case Intrinsic::SqrtTile: return adSqrtTile;
-  case Intrinsic::RecipTile: return adRecipTile;
-  case Intrinsic::SquareTile: return adSquareTile;
-  case Intrinsic::SigmoidTile: return adSigmoidTile;
-  case Intrinsic::AffineTile: return adAffineTile;
-  case Intrinsic::AddTile: return adAddTile;
-  case Intrinsic::SubTile: return adSubTile;
-  case Intrinsic::MulTile: return adMulTile;
-  case Intrinsic::DivTile: return adDivTile;
-  case Intrinsic::MaxTile: return adMaxTile;
-  case Intrinsic::MinTile: return adMinTile;
-  case Intrinsic::AddRowVecTile: return adAddRowVecTile;
-  case Intrinsic::SubRowVecTile: return adSubRowVecTile;
-  case Intrinsic::MulRowVecTile: return adMulRowVecTile;
-  case Intrinsic::AddColVecTile: return adAddColVecTile;
-  case Intrinsic::SubColVecTile: return adSubColVecTile;
-  case Intrinsic::MulColVecTile: return adMulColVecTile;
-  case Intrinsic::DivColVecTile: return adDivColVecTile;
-  case Intrinsic::ReduceSumRowsTile: return adReduceSumRowsTile;
-  case Intrinsic::ReduceMaxRowsTile: return adReduceMaxRowsTile;
-  case Intrinsic::CopyTile: return adCopyTile;
-  case Intrinsic::CopyTileRaw: return adCopyTileRaw;
-  case Intrinsic::TransposeTile: return adTransposeTile;
-  case Intrinsic::Permute0213: return adPermute0213;
-  case Intrinsic::FillTile: return adFillTile;
-  case Intrinsic::EpilogueTile: return adEpilogueTile;
-  case Intrinsic::DequantAccTile: return adDequantAccTile;
-  case Intrinsic::QuantU8Tile: return adQuantU8Tile;
-  case Intrinsic::QuantS8Tile: return adQuantS8Tile;
-  case Intrinsic::DequantU8Tile: return adDequantU8Tile;
-  case Intrinsic::DequantS8PerChannelTile: return adDequantS8PerChannelTile;
-  case Intrinsic::CastS32F32Tile: return adCastS32F32Tile;
-  case Intrinsic::PackAF32: return adPackAF32;
-  case Intrinsic::PackAU8: return adPackAU8;
-  case Intrinsic::PackBF32: return adPackBF32;
-  case Intrinsic::PackBS8Vnni: return adPackBS8Vnni;
-  case Intrinsic::UnpackAF32: return adUnpackAF32;
-  case Intrinsic::UnpackAU8: return adUnpackAU8;
-  }
-  GC_UNREACHABLE("unhandled intrinsic");
+  const uint8_t I = static_cast<uint8_t>(In);
+  return I < tir::kNumIntrinsics ? kAdapters[I] : nullptr;
 }
 
 //===----------------------------------------------------------------------===//

@@ -96,9 +96,9 @@ constexpr int kMaxCallBufs = kernels::kEpilogueMaxBufs;
 
 /// Kernel entry: pre-resolved buffer pointers (base + element offset
 /// already applied) plus the int/float views of the scalar arguments, in
-/// the intrinsic's documented order (tir/intrinsics.h). Ptrs has
-/// kMaxCallBufs + 1 entries: Ptrs[kMaxCallBufs] is the call's epilogue
-/// step list (null for every other intrinsic).
+/// the order the intrinsic's table row declares (tir/intrinsics.h). Ptrs
+/// has kMaxCallBufs + 1 entries: Ptrs[kMaxCallBufs] is the call's
+/// epilogue step list (null for every other intrinsic).
 using KernelFn = void (*)(void *const *Ptrs, const int64_t *SI,
                           const double *SF);
 
@@ -169,7 +169,8 @@ struct Program {
 };
 
 /// Returns the marshalling adapter (defined with the executor) that calls
-/// the kernels/ implementation of \p In through the CallDesc convention.
+/// the kernels/ implementation of \p In through the CallDesc convention;
+/// null for an id without a row in the intrinsic table.
 KernelFn kernelAdapter(tir::Intrinsic In);
 
 /// Compiles a slot-assigned function into a bytecode program. \p F must

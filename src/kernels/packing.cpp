@@ -181,22 +181,6 @@ void unpackAF32(const float *Src, float *Dst, int64_t M, int64_t K,
   }
 }
 
-void unpackAU8(const uint8_t *Src, uint8_t *Dst, int64_t M, int64_t K,
-               int64_t MB, int64_t KB, int64_t DstLd) {
-  const int64_t KBlocks = ceilDiv(K, KB);
-  for (int64_t MI = 0; MI < M; ++MI) {
-    const int64_t MBlk = MI / MB;
-    const int64_t MOff = MI % MB;
-    for (int64_t KBlk = 0; KBlk < KBlocks; ++KBlk) {
-      const uint8_t *TileRow =
-          Src + (MBlk * KBlocks + KBlk) * MB * KB + MOff * KB;
-      const int64_t KValid = std::min(KB, K - KBlk * KB);
-      std::memcpy(Dst + MI * DstLd + KBlk * KB, TileRow,
-                  static_cast<size_t>(KValid));
-    }
-  }
-}
-
 void colSumS8(const PlainMatrix &Src, int32_t *Comp) {
   const int64_t K = Src.Rows;
   const int64_t N = Src.Cols;

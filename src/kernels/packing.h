@@ -52,14 +52,10 @@ void packBF32(const PlainMatrix &Src, float *Dst, int64_t KB, int64_t NB);
 /// ceil(K/KB)*ceil(N/NB)*KB*NB bytes.
 void packBS8Vnni(const PlainMatrix &Src, int8_t *Dst, int64_t KB, int64_t NB);
 
-/// Unpacks an A-format f32 tensor back to plain row-major (used by reorder
-/// ops at graph exits and by tests).
+/// Unpacks an A-format f32 tensor back to plain row-major (the packing
+/// tests' round trip).
 void unpackAF32(const float *Src, float *Dst, int64_t M, int64_t K,
                 int64_t MB, int64_t KB, int64_t DstLd);
-
-/// Unpacks an A-format u8 tensor back to plain row-major.
-void unpackAU8(const uint8_t *Src, uint8_t *Dst, int64_t M, int64_t K,
-               int64_t MB, int64_t KB, int64_t DstLd);
 
 /// Computes per-column sums of a plain s8 weight matrix:
 /// Comp[n] = sum_k B[k][n]. Used for asymmetric-activation zero-point

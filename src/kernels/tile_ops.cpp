@@ -528,8 +528,6 @@ void reduceMaxRowsTile(const TileF32 &X, float *Out, bool Accumulate) {
   activeTileOps().ReduceMaxRows(X, Out, Accumulate);
 }
 
-void fillTile(const TileF32 &X, float Value) { activeTileOps().Fill(X, Value); }
-
 void dequantAccTile(float *Dst, int64_t DstLd, const int32_t *Src,
                     int64_t SrcLd, int64_t Rows, int64_t Cols,
                     const int32_t *Comp, int32_t AZp, const float *ScaleVec) {
@@ -542,11 +540,6 @@ void quantizeU8Tile(uint8_t *Dst, int64_t DstLd, const float *Src,
   activeTileOps().QuantizeU8(Dst, DstLd, Src, SrcLd, Rows, Cols, InvScale,
                              Zp);
 }
-void quantizeS8Tile(int8_t *Dst, int64_t DstLd, const float *Src,
-                    int64_t SrcLd, int64_t Rows, int64_t Cols,
-                    float InvScale) {
-  activeTileOps().QuantizeS8(Dst, DstLd, Src, SrcLd, Rows, Cols, InvScale);
-}
 void dequantU8Tile(float *Dst, int64_t DstLd, const uint8_t *Src,
                    int64_t SrcLd, int64_t Rows, int64_t Cols, float Scale,
                    int32_t Zp) {
@@ -557,10 +550,6 @@ void dequantS8PerChannelTile(float *Dst, int64_t DstLd, const int8_t *Src,
                              const float *ScaleVec) {
   activeTileOps().DequantS8PerChannel(Dst, DstLd, Src, SrcLd, Rows, Cols,
                                       ScaleVec);
-}
-void castS32F32Tile(float *Dst, int64_t DstLd, const int32_t *Src,
-                    int64_t SrcLd, int64_t Rows, int64_t Cols, float Scale) {
-  activeTileOps().CastS32F32(Dst, DstLd, Src, SrcLd, Rows, Cols, Scale);
 }
 
 //===----------------------------------------------------------------------===//

@@ -20,9 +20,9 @@
 /// an integer has no NaN, and which byte a NaN input yields is outside the
 /// contract.
 ///
-/// Quantization bridges: dequantAccTile, quantize{U8,S8}Tile,
-/// dequantU8Tile, dequantS8PerChannelTile and castS32F32Tile dispatch
-/// through the tier tables like the f32 ops. Every tier matches the scalar
+/// Quantization bridges (the DequantAcc, Quantize{U8,S8}, DequantU8,
+/// DequantS8PerChannel and CastS32F32 table entries) dispatch through the
+/// tier tables like the f32 ops. Every tier matches the scalar
 /// oracle bit for bit: int -> f32 converts and f32 -> int rounding both
 /// follow the default MXCSR mode (to nearest, ties to even, as lrintf).
 /// Quantization saturates: the scaled value is clamped to the target range
@@ -136,8 +136,6 @@ void transposeTile(const TileF32 &Dst, const ConstTileF32 &Src);
 /// of transformer graphs), type-agnostic.
 void permute0213(void *Dst, const void *Src, int64_t A, int64_t B, int64_t C,
                  int64_t D, int64_t ElemSize);
-/// Fills the tile with a constant.
-void fillTile(const TileF32 &X, float Value);
 
 //===----------------------------------------------------------------------===//
 // Quantization bridges (int8 pipeline, §V low-precision conversion)
@@ -158,10 +156,6 @@ void quantizeU8Tile(uint8_t *Dst, int64_t DstLd, const float *Src,
                     int64_t SrcLd, int64_t Rows, int64_t Cols, float InvScale,
                     int32_t Zp);
 
-/// Quantizes f32 to s8 symmetric per-tensor: Dst = sat_s8(round(Src*InvScale)).
-void quantizeS8Tile(int8_t *Dst, int64_t DstLd, const float *Src,
-                    int64_t SrcLd, int64_t Rows, int64_t Cols, float InvScale);
-
 /// Dequantizes u8 to f32: Dst = (Src - Zp) * Scale.
 void dequantU8Tile(float *Dst, int64_t DstLd, const uint8_t *Src,
                    int64_t SrcLd, int64_t Rows, int64_t Cols, float Scale,
@@ -173,19 +167,16 @@ void dequantS8PerChannelTile(float *Dst, int64_t DstLd, const int8_t *Src,
                              int64_t SrcLd, int64_t Rows, int64_t Cols,
                              const float *ScaleVec);
 
-/// Converts an s32 tile to f32 with a single scale: Dst = Src * Scale.
-void castS32F32Tile(float *Dst, int64_t DstLd, const int32_t *Src,
-                    int64_t SrcLd, int64_t Rows, int64_t Cols, float Scale);
-
 //===----------------------------------------------------------------------===//
 // Dispatch tiers
 //===----------------------------------------------------------------------===//
 
 /// The tile-op vocabulary of one kernel dispatch tier: the f32 ops and the
 /// quantization bridges. The free functions above forward to the active
-/// tier's table (selected once per process from CPUID + GC_KERNELS); tests
-/// reach specific tiers directly through tileOpsTable() for
-/// scalar-vs-simd differential checks.
+/// tier's table (selected once per process from CPUID + GC_KERNELS); Fill,
+/// QuantizeS8 and CastS32F32 have no free function and serve only as the
+/// fused epilogue's oracle. Tests reach specific tiers directly through
+/// tileOpsTable() for scalar-vs-simd differential checks.
 struct TileOpsTable {
   void (*Relu)(const TileF32 &) = nullptr;
   void (*Exp)(const TileF32 &) = nullptr;
@@ -210,18 +201,21 @@ struct TileOpsTable {
   void (*DivColVec)(const TileF32 &, const float *) = nullptr;
   void (*ReduceSumRows)(const TileF32 &, float *, bool) = nullptr;
   void (*ReduceMaxRows)(const TileF32 &, float *, bool) = nullptr;
+  /// x = Value.
   void (*Fill)(const TileF32 &, float) = nullptr;
   void (*DequantAcc)(float *, int64_t, const int32_t *, int64_t, int64_t,
                      int64_t, const int32_t *, int32_t,
                      const float *) = nullptr;
   void (*QuantizeU8)(uint8_t *, int64_t, const float *, int64_t, int64_t,
                      int64_t, float, int32_t) = nullptr;
+  /// Dst = sat_s8(round(Src * InvScale)), symmetric per tensor.
   void (*QuantizeS8)(int8_t *, int64_t, const float *, int64_t, int64_t,
                      int64_t, float) = nullptr;
   void (*DequantU8)(float *, int64_t, const uint8_t *, int64_t, int64_t,
                     int64_t, float, int32_t) = nullptr;
   void (*DequantS8PerChannel)(float *, int64_t, const int8_t *, int64_t,
                               int64_t, int64_t, const float *) = nullptr;
+  /// Dst = Src * Scale.
   void (*CastS32F32)(float *, int64_t, const int32_t *, int64_t, int64_t,
                      int64_t, float) = nullptr;
   /// The fused epilogue (epilogue.h), this tier's ops in one pass.

@@ -26,8 +26,9 @@ struct PassOptions {
   /// Worker count the heuristic plans for.
   int Threads = 1;
   /// Use the paper's fast softmax (skip the max-subtraction pass; §VII:
-  /// "a fast implementation of softmax, removing a max reduction").
-  bool FastSoftmax = true;
+  /// "a fast implementation of softmax, removing a max reduction"). Off by
+  /// default, as in CompileOptions.
+  bool FastSoftmax = false;
   /// Enable the low-precision (int8) conversion rewrite.
   bool EnableLowPrecision = true;
   /// Enable fine-grain fusion region formation.

@@ -8,55 +8,6 @@
 namespace gc {
 namespace tir {
 
-const char *intrinsicName(Intrinsic In) {
-  switch (In) {
-  case Intrinsic::BrgemmF32: return "brgemm_f32";
-  case Intrinsic::BrgemmU8S8: return "brgemm_u8s8";
-  case Intrinsic::ReluTile: return "relu_tile";
-  case Intrinsic::ExpTile: return "exp_tile";
-  case Intrinsic::TanhTile: return "tanh_tile";
-  case Intrinsic::SqrtTile: return "sqrt_tile";
-  case Intrinsic::RecipTile: return "recip_tile";
-  case Intrinsic::SquareTile: return "square_tile";
-  case Intrinsic::SigmoidTile: return "sigmoid_tile";
-  case Intrinsic::AffineTile: return "affine_tile";
-  case Intrinsic::AddTile: return "add_tile";
-  case Intrinsic::SubTile: return "sub_tile";
-  case Intrinsic::MulTile: return "mul_tile";
-  case Intrinsic::DivTile: return "div_tile";
-  case Intrinsic::MaxTile: return "max_tile";
-  case Intrinsic::MinTile: return "min_tile";
-  case Intrinsic::AddRowVecTile: return "add_rowvec_tile";
-  case Intrinsic::SubRowVecTile: return "sub_rowvec_tile";
-  case Intrinsic::MulRowVecTile: return "mul_rowvec_tile";
-  case Intrinsic::AddColVecTile: return "add_colvec_tile";
-  case Intrinsic::SubColVecTile: return "sub_colvec_tile";
-  case Intrinsic::MulColVecTile: return "mul_colvec_tile";
-  case Intrinsic::DivColVecTile: return "div_colvec_tile";
-  case Intrinsic::ReduceSumRowsTile: return "reduce_sum_rows_tile";
-  case Intrinsic::ReduceMaxRowsTile: return "reduce_max_rows_tile";
-  case Intrinsic::CopyTile: return "copy_tile";
-  case Intrinsic::CopyTileRaw: return "copy_tile_raw";
-  case Intrinsic::TransposeTile: return "transpose_tile";
-  case Intrinsic::Permute0213: return "permute_0213";
-  case Intrinsic::FillTile: return "fill_tile";
-  case Intrinsic::EpilogueTile: return "epilogue_tile";
-  case Intrinsic::DequantAccTile: return "dequant_acc_tile";
-  case Intrinsic::QuantU8Tile: return "quant_u8_tile";
-  case Intrinsic::QuantS8Tile: return "quant_s8_tile";
-  case Intrinsic::DequantU8Tile: return "dequant_u8_tile";
-  case Intrinsic::DequantS8PerChannelTile: return "dequant_s8_pc_tile";
-  case Intrinsic::CastS32F32Tile: return "cast_s32_f32_tile";
-  case Intrinsic::PackAF32: return "pack_a_f32";
-  case Intrinsic::PackAU8: return "pack_a_u8";
-  case Intrinsic::PackBF32: return "pack_b_f32";
-  case Intrinsic::PackBS8Vnni: return "pack_b_s8_vnni";
-  case Intrinsic::UnpackAF32: return "unpack_a_f32";
-  case Intrinsic::UnpackAU8: return "unpack_a_u8";
-  }
-  return "?";
-}
-
 namespace {
 
 const char *binOpName(BinOp Op) {

@@ -57,7 +57,6 @@ using exec::Instr;
 using exec::Opcode;
 using exec::ParDesc;
 using exec::Program;
-using tir::Intrinsic;
 
 /// Abstract frame: one symbolic value per register (I field only; float
 /// values are never used for addressing).
@@ -228,12 +227,12 @@ private:
                                       static_cast<unsigned>(C.In)));
         // Footprints index Bufs by the intrinsic's argument layout, or by
         // the step list's slots for an epilogue call.
-        if ((C.In == Intrinsic::EpilogueTile) != (C.Epilogue != nullptr))
+        if ((C.In == tir::Intrinsic::EpilogueTile) != (C.Epilogue != nullptr))
           return err(Pc, formatString("%s call %s a step list",
                                       tir::intrinsicName(C.In),
                                       C.Epilogue ? "carries" : "lacks"));
         const uint8_t Layout = C.Epilogue ? C.Epilogue->NumBufs
-                                          : tir::intrinsicNumBufs(C.In);
+                                          : tir::intrinsicInfo(C.In).NumBufs;
         if (C.NumBufs != Layout)
           return err(Pc, formatString("%s call carries %u buffers, its "
                                       "layout takes %u",
@@ -307,308 +306,17 @@ private:
                      const char *What) {
     const int64_t Elems = bufferElems(BufferId);
     const Interval R = Ctx.range(Off);
-    if (!R.bounded()) {
-      noteBoundsUndecided();
+    if (reachInBounds(R, Elems))
       return Status::ok();
-    }
-    if (R.Lo < 0 || R.Hi >= Elems)
-      return err(Pc, formatString("%s offset range [%lld, %lld] is outside "
-                                  "buffer %u's %lld elements",
-                                  What, (long long)R.Lo, (long long)R.Hi,
-                                  BufferId, (long long)Elems));
-    noteBoundsProved();
-    return Status::ok();
+    return err(Pc, formatString("%s offset range [%lld, %lld] is outside "
+                                "buffer %u's %lld elements",
+                                What, (long long)R.Lo, (long long)R.Hi,
+                                BufferId, (long long)Elems));
   }
 
   void record(Footprint F) {
     if (Collect)
       Collect->push_back(std::move(F));
-  }
-
-  /// Builds the per-buffer-argument footprints of one kernel call from
-  /// the documented scalar conventions (tir/intrinsics.h) and appends
-  /// them to \p Out. Tile footprints whose leading dimension is not a
-  /// compile-time constant degrade to Whole (sound for the race proof;
-  /// counted undecided for bounds). Returns false for an intrinsic the
-  /// table does not cover (none today; future-proofing).
-  void callFootprints(size_t Pc, const CallDesc &C, const RegState &R,
-                      std::vector<Footprint> &Out,
-                      std::vector<bool> &Degraded) {
-    SymVal Sc[12];
-    for (int I = 0; I < 12; ++I)
-      Sc[I] = SymVal::constant(C.SI[I]);
-    for (uint8_t DI = 0; DI < C.NumDyn; ++DI)
-      if (!C.Dyns[DI].IsF64 && C.Dyns[DI].Idx < 12)
-        Sc[C.Dyns[DI].Idx] = R[C.Dyns[DI].Reg];
-    const SymVal One = SymVal::constant(1);
-    const uint8_t WMask = tir::intrinsicWriteMask(C.In);
-    const auto ArgOff = [&](int Arg) {
-      return C.Bufs[Arg].HasOffset ? R[C.Bufs[Arg].OffsetReg]
-                                   : SymVal::constant(0);
-    };
-    const auto Base = [&](int Arg, const char *AN) {
-      Footprint F;
-      F.Buffer = C.Bufs[Arg].BufferId;
-      F.Write = (WMask >> Arg) & 1;
-      F.Site = formatString("instr %zu (%s arg %s)", Pc,
-                            tir::intrinsicName(C.In), AN);
-      return F;
-    };
-    const auto Tile = [&](int Arg, const SymVal &Rows, const SymVal &Cols,
-                          const SymVal &Ld, const char *AN) {
-      Footprint F = Base(Arg, AN);
-      int64_t LdC;
-      if (Ld.isConstant(LdC)) {
-        F.Sh = Footprint::Shape::Tile;
-        F.Off = ArgOff(Arg);
-        F.Rows = Rows;
-        F.Cols = Cols;
-        F.Ld = LdC;
-        Degraded.push_back(false);
-      } else {
-        F.Sh = Footprint::Shape::Whole;
-        Degraded.push_back(true);
-      }
-      Out.push_back(std::move(F));
-    };
-    const auto Flat = [&](int Arg, const SymVal &Len, const char *AN) {
-      Footprint F = Base(Arg, AN);
-      F.Sh = Footprint::Shape::Flat;
-      F.Off = ArgOff(Arg);
-      F.Len = Len;
-      Degraded.push_back(false);
-      Out.push_back(std::move(F));
-    };
-    const auto Whole = [&](int Arg, const char *AN) {
-      // Genuine by-construction whole-buffer access (pack destinations /
-      // packed unpack sources): trivially in-bounds, not a degradation.
-      Out.push_back(Base(Arg, AN));
-      Degraded.push_back(false);
-    };
-
-    switch (C.In) {
-    case Intrinsic::EpilogueTile: {
-      // One footprint per slot from the step list (validated by
-      // checkStructure): tiles over Rows x Cols, a blocked store's
-      // padded block as a second tile, row/column vectors as flat spans.
-      std::vector<kernels::EpArgUse> Uses;
-      std::string Why;
-      kernels::describeEpilogue(*C.Epilogue, Uses, Why);
-      for (int Arg = 0; Arg < C.NumBufs; ++Arg) {
-        const kernels::EpArgUse &U = Uses[static_cast<size_t>(Arg)];
-        const auto Mark = [&] {
-          Out.back().Write = U.Write;
-          Out.back().Site = formatString("instr %zu (%s slot %d)", Pc,
-                                         tir::intrinsicName(C.In), Arg);
-        };
-        switch (U.K) {
-        case kernels::EpArgUse::Kind::Tile:
-          Tile(Arg, Sc[0], Sc[1], SymVal::constant(U.Ld), "T");
-          Mark();
-          if (U.PadRows > 0) {
-            Tile(Arg, SymVal::constant(U.PadRows),
-                 SymVal::constant(U.PadCols), SymVal::constant(U.Ld), "T");
-            Mark();
-          }
-          break;
-        case kernels::EpArgUse::Kind::RowVec:
-          Flat(Arg, Sc[1], "V");
-          Mark();
-          break;
-        case kernels::EpArgUse::Kind::ColVec:
-          Flat(Arg, Sc[0], "V");
-          Mark();
-          break;
-        }
-      }
-      return;
-    }
-    case Intrinsic::BrgemmF32:
-    case Intrinsic::BrgemmU8S8: {
-      // A flat span: (Batch-1)*AStrideB + (M-1)*Lda + K.
-      const SymVal BatchM1 = Ctx.add(Sc[8], SymVal::constant(-1));
-      Flat(0,
-           Ctx.add(Ctx.mul(BatchM1, Sc[6]),
-                   Ctx.add(Ctx.mul(Ctx.sub(Sc[0], One), Sc[3]), Sc[2])),
-           "A");
-      if (C.In == Intrinsic::BrgemmF32) {
-        Flat(1,
-             Ctx.add(Ctx.mul(BatchM1, Sc[7]),
-                     Ctx.add(Ctx.mul(Ctx.sub(Sc[2], One), Sc[4]), Sc[1])),
-             "B");
-      } else {
-        // VNNI layout reads ceil(K/4) row groups of 4*NPadded.
-        int64_t KC;
-        const SymVal KPad = Sc[2].isConstant(KC)
-                                ? SymVal::constant(((KC + 3) / 4) * 4)
-                                : Ctx.add(Sc[2], SymVal::constant(3));
-        Flat(1, Ctx.add(Ctx.mul(BatchM1, Sc[7]), Ctx.mul(KPad, Sc[4])),
-             "B");
-      }
-      Tile(2, Sc[0], Sc[1], Sc[5], "C");
-      return;
-    }
-    case Intrinsic::ReluTile:
-    case Intrinsic::ExpTile:
-    case Intrinsic::TanhTile:
-    case Intrinsic::SqrtTile:
-    case Intrinsic::RecipTile:
-    case Intrinsic::SquareTile:
-    case Intrinsic::SigmoidTile:
-    case Intrinsic::AffineTile:
-    case Intrinsic::FillTile:
-      Tile(0, Sc[0], Sc[1], Sc[2], "X");
-      return;
-    case Intrinsic::AddTile:
-    case Intrinsic::SubTile:
-    case Intrinsic::MulTile:
-    case Intrinsic::DivTile:
-    case Intrinsic::MaxTile:
-    case Intrinsic::MinTile:
-      Tile(0, Sc[0], Sc[1], Sc[2], "X");
-      Tile(1, Sc[0], Sc[1], Sc[3], "Y");
-      return;
-    case Intrinsic::AddRowVecTile:
-    case Intrinsic::SubRowVecTile:
-    case Intrinsic::MulRowVecTile:
-      Tile(0, Sc[0], Sc[1], Sc[2], "X");
-      Flat(1, Sc[1], "V");
-      return;
-    case Intrinsic::AddColVecTile:
-    case Intrinsic::SubColVecTile:
-    case Intrinsic::MulColVecTile:
-    case Intrinsic::DivColVecTile:
-      Tile(0, Sc[0], Sc[1], Sc[2], "X");
-      Flat(1, Sc[0], "V");
-      return;
-    case Intrinsic::ReduceSumRowsTile:
-    case Intrinsic::ReduceMaxRowsTile:
-      Tile(0, Sc[0], Sc[1], Sc[2], "X");
-      Flat(1, Sc[0], "Out");
-      return;
-    case Intrinsic::CopyTile:
-    case Intrinsic::CopyTileRaw:
-      Tile(0, Sc[0], Sc[1], Sc[2], "D");
-      Tile(1, Sc[0], Sc[1], Sc[3], "S");
-      return;
-    case Intrinsic::TransposeTile:
-      Tile(0, Sc[0], Sc[1], Sc[2], "D");
-      Tile(1, Sc[1], Sc[0], Sc[3], "S");
-      return;
-    case Intrinsic::Permute0213: {
-      const SymVal Prod =
-          Ctx.mul(Ctx.mul(Sc[0], Sc[1]), Ctx.mul(Sc[2], Sc[3]));
-      Flat(0, Prod, "D");
-      Flat(1, Prod, "S");
-      return;
-    }
-    case Intrinsic::QuantU8Tile:
-    case Intrinsic::QuantS8Tile:
-    case Intrinsic::DequantU8Tile:
-    case Intrinsic::CastS32F32Tile:
-      Tile(0, Sc[0], Sc[1], Sc[2], "D");
-      Tile(1, Sc[0], Sc[1], Sc[3], "S");
-      return;
-    case Intrinsic::DequantS8PerChannelTile:
-      Tile(0, Sc[0], Sc[1], Sc[2], "D");
-      Tile(1, Sc[0], Sc[1], Sc[3], "S");
-      Flat(2, Sc[1], "Scale");
-      return;
-    case Intrinsic::DequantAccTile:
-      Tile(0, Sc[0], Sc[1], Sc[2], "D");
-      Tile(1, Sc[0], Sc[1], Sc[3], "S");
-      Flat(2, Sc[1], "Comp");
-      Flat(3, Sc[1], "Scale");
-      return;
-    case Intrinsic::PackAF32:
-    case Intrinsic::PackAU8: {
-      Whole(0, "D");
-      int64_t Tr;
-      if (Sc[5].isConstant(Tr))
-        Tile(1, Tr ? Sc[1] : Sc[0], Tr ? Sc[0] : Sc[1], Sc[2], "S");
-      else {
-        Out.push_back(Base(1, "S"));
-        Degraded.push_back(true);
-      }
-      return;
-    }
-    case Intrinsic::PackBF32:
-    case Intrinsic::PackBS8Vnni: {
-      Whole(0, "D");
-      int64_t Tr;
-      if (Sc[5].isConstant(Tr))
-        Tile(1, Tr ? Sc[1] : Sc[0], Tr ? Sc[0] : Sc[1], Sc[2], "S");
-      else {
-        Out.push_back(Base(1, "S"));
-        Degraded.push_back(true);
-      }
-      return;
-    }
-    case Intrinsic::UnpackAF32:
-    case Intrinsic::UnpackAU8:
-      Tile(0, Sc[0], Sc[1], Sc[4], "D");
-      Whole(1, "S");
-      return;
-    }
-  }
-
-  /// Bounds verdict for one kernel-call footprint.
-  Status checkFootprintBounds(size_t Pc, const Footprint &F, bool Degraded) {
-    const int64_t Elems = bufferElems(F.Buffer);
-    switch (F.Sh) {
-    case Footprint::Shape::Whole:
-      if (Degraded)
-        noteBoundsUndecided(); // lost shape, cannot decide
-      return Status::ok();     // genuine whole-buffer: in-bounds by design
-    case Footprint::Shape::Flat: {
-      if (Ctx.ub(F.Len) <= 0) {
-        noteBoundsProved();
-        return Status::ok();
-      }
-      const int64_t Lo = Ctx.lb(F.Off);
-      const int64_t Hi =
-          Ctx.ub(Ctx.add(F.Off, Ctx.add(F.Len, SymVal::constant(-1))));
-      if (Lo != Interval::kMin && Hi != Interval::kMax &&
-          !(Lo >= 0 && Hi < Elems))
-        return err(Pc, formatString("%s: flat footprint [%lld, %lld] is "
-                                    "outside buffer %d's %lld elements",
-                                    F.Site.c_str(), (long long)Lo,
-                                    (long long)Hi, F.Buffer,
-                                    (long long)Elems));
-      if (Lo == Interval::kMin || Hi == Interval::kMax) {
-        noteBoundsUndecided();
-        return Status::ok();
-      }
-      noteBoundsProved();
-      return Status::ok();
-    }
-    case Footprint::Shape::Tile: {
-      if (Ctx.ub(F.Rows) <= 0 || Ctx.ub(F.Cols) <= 0) {
-        noteBoundsProved();
-        return Status::ok();
-      }
-      const SymVal RowsM1 = Ctx.add(F.Rows, SymVal::constant(-1));
-      const int64_t Lo = Ctx.lb(
-          Ctx.add(F.Off, Ctx.scale(RowsM1, std::min<int64_t>(F.Ld, 0))));
-      const int64_t Hi = Ctx.ub(Ctx.add(
-          F.Off, Ctx.add(Ctx.scale(RowsM1, std::max<int64_t>(F.Ld, 0)),
-                         Ctx.add(F.Cols, SymVal::constant(-1)))));
-      if (Lo != Interval::kMin && Hi != Interval::kMax &&
-          !(Lo >= 0 && Hi < Elems))
-        return err(Pc, formatString("%s: tile footprint [%lld, %lld] is "
-                                    "outside buffer %d's %lld elements",
-                                    F.Site.c_str(), (long long)Lo,
-                                    (long long)Hi, F.Buffer,
-                                    (long long)Elems));
-      if (Lo == Interval::kMin || Hi == Interval::kMax) {
-        noteBoundsUndecided();
-        return Status::ok();
-      }
-      noteBoundsProved();
-      return Status::ok();
-    }
-    }
-    return Status::ok();
   }
 
   /// Straight-line transfer of one non-control-flow instruction.
@@ -703,14 +411,29 @@ private:
                   R[C.Bufs[BI].OffsetReg], "kernel-call buffer");
               !S.isOk())
             return S;
-      std::vector<Footprint> FPs;
-      std::vector<bool> Degraded;
-      callFootprints(Pc, C, R, FPs, Degraded);
-      for (size_t FI = 0; FI < FPs.size(); ++FI) {
-        if (Status S = checkFootprintBounds(Pc, FPs[FI], Degraded[FI]);
-            !S.isOk())
-          return S;
-        record(FPs[FI]);
+      KernelCall K;
+      K.In = C.In;
+      K.Epilogue = C.Epilogue.get();
+      for (int I = 0; I < 12; ++I)
+        K.Scalars.push_back(SymVal::constant(C.SI[I]));
+      for (uint8_t DI = 0; DI < C.NumDyn; ++DI)
+        if (!C.Dyns[DI].IsF64)
+          K.Scalars[C.Dyns[DI].Idx] = R[C.Dyns[DI].Reg];
+      for (uint8_t BI = 0; BI < C.NumBufs; ++BI) {
+        K.Bufs.push_back(C.Bufs[BI].BufferId);
+        K.Offs.push_back(C.Bufs[BI].HasOffset ? R[C.Bufs[BI].OffsetReg]
+                                              : SymVal::constant(0));
+      }
+      for (Footprint &F : callFootprints(Ctx, K)) {
+        F.Site = formatString("instr %zu (%s)", Pc, F.Site.c_str());
+        Interval Reach;
+        if (!footprintInBounds(Ctx, F, bufferElems(F.Buffer), Reach))
+          return err(Pc, formatString("%s: footprint [%lld, %lld] is "
+                                      "outside buffer %d's %lld elements",
+                                      F.Site.c_str(), (long long)Reach.Lo,
+                                      (long long)Reach.Hi, F.Buffer,
+                                      (long long)bufferElems(F.Buffer)));
+        record(std::move(F));
       }
       return Status::ok();
     }

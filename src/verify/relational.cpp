@@ -2,8 +2,9 @@
 ///
 /// \file
 /// Implementation of the footprint disjointness test and the parallel
-/// race checker declared in relational.h, plus the process-wide
-/// verification statistics counters.
+/// race checker declared in relational.h, plus the kernel-call footprint
+/// builder, the bounds verdict and the process-wide verification
+/// statistics counters.
 ///
 /// The race proof obligation: for a parallel loop over v with body
 /// footprints F(v), show that for all a != b in the iteration space,
@@ -29,6 +30,7 @@
 
 #include "verify/relational.h"
 
+#include "kernels/epilogue.h"
 #include "support/str.h"
 
 #include <atomic>
@@ -66,6 +68,154 @@ void noteBoundsUndecided() {
 }
 void noteRacePairProved() {
   StatRacePairsProved.fetch_add(1, std::memory_order_relaxed);
+}
+
+//===----------------------------------------------------------------------===//
+// Kernel-call footprints and their bounds verdict
+//===----------------------------------------------------------------------===//
+
+std::vector<Footprint> callFootprints(SymCtx &Ctx, const KernelCall &C) {
+  std::vector<Footprint> Out;
+  const std::vector<SymVal> &S = C.Scalars;
+  const auto Add = [&](size_t Arg, bool Write, std::string Site) {
+    Footprint F;
+    F.Buffer = C.Bufs[Arg];
+    F.Write = Write;
+    F.Off = C.Offs[Arg];
+    F.Site = std::move(Site);
+    Out.push_back(std::move(F));
+    return &Out.back();
+  };
+  const auto Tile = [](Footprint *F, const SymVal &Rows, const SymVal &Cols,
+                       const SymVal &Ld) {
+    if (!Ld.isConstant(F->Ld)) {
+      F->Undecided = true; // stays Whole
+      return;
+    }
+    F->Sh = Footprint::Shape::Tile;
+    F->Rows = Rows;
+    F->Cols = Cols;
+  };
+  const auto Flat = [](Footprint *F, SymVal Len) {
+    F->Sh = Footprint::Shape::Flat;
+    F->Len = std::move(Len);
+  };
+  const char *Name = tir::intrinsicName(C.In);
+
+  if (C.Epilogue) {
+    std::vector<kernels::EpArgUse> Uses;
+    std::string Why;
+    kernels::describeEpilogue(*C.Epilogue, Uses, Why);
+    for (size_t Arg = 0; Arg < Uses.size() && Arg < C.Bufs.size(); ++Arg) {
+      const kernels::EpArgUse &U = Uses[Arg];
+      const std::string Site = formatString("%s slot %zu", Name, Arg);
+      switch (U.K) {
+      case kernels::EpArgUse::Kind::Tile:
+        Tile(Add(Arg, U.Write, Site), S[0], S[1], SymVal::constant(U.Ld));
+        if (U.PadRows > 0)
+          Tile(Add(Arg, U.Write, Site), SymVal::constant(U.PadRows),
+               SymVal::constant(U.PadCols), SymVal::constant(U.Ld));
+        break;
+      case kernels::EpArgUse::Kind::RowVec:
+        Flat(Add(Arg, U.Write, Site), S[1]);
+        break;
+      case kernels::EpArgUse::Kind::ColVec:
+        Flat(Add(Arg, U.Write, Site), S[0]);
+        break;
+      }
+    }
+    return Out;
+  }
+
+  const tir::IntrinsicInfo &Row = tir::intrinsicInfo(C.In);
+  const SymVal One = SymVal::constant(1);
+  for (size_t Arg = 0; Arg < Row.NumBufs; ++Arg) {
+    const tir::BufSpec &B = Row.Bufs[Arg];
+    Footprint *F = Add(Arg, B.Write, formatString("%s arg %s", Name, B.Name));
+    switch (B.Ext) {
+    case tir::Extent::Tile: {
+      int64_t Tr = 0;
+      if (B.Tr != tir::kNoScalar && !S[B.Tr].isConstant(Tr)) {
+        F->Undecided = true;
+        break;
+      }
+      Tile(F, S[Tr ? B.Cols : B.Rows], S[Tr ? B.Rows : B.Cols], S[B.Ld]);
+      break;
+    }
+    case tir::Extent::Flat: {
+      SymVal Len = S[B.First];
+      for (uint8_t I = 1; I < B.Count; ++I)
+        Len = Ctx.mul(Len, S[B.First + I]);
+      Flat(F, std::move(Len));
+      break;
+    }
+    case tir::Extent::Whole:
+      break;
+    // Brgemm scalars: M N K Lda Ldb|NPadded Ldc AStrideB BStrideB Batch.
+    case tir::Extent::BrgemmA:
+      Flat(F, Ctx.add(Ctx.mul(Ctx.sub(S[8], One), S[6]),
+                      Ctx.add(Ctx.mul(Ctx.sub(S[0], One), S[3]), S[2])));
+      break;
+    case tir::Extent::BrgemmB: {
+      const SymVal Batches = Ctx.mul(Ctx.sub(S[8], One), S[7]);
+      if (B.Ty != DataType::S8) {
+        Flat(F, Ctx.add(Batches, Ctx.add(Ctx.mul(Ctx.sub(S[2], One), S[4]),
+                                         S[1])));
+        break;
+      }
+      // ceil(K/4)*4 <= K+3 bounds the non-constant case soundly.
+      int64_t K = 0;
+      const SymVal KPad = S[2].isConstant(K)
+                              ? SymVal::constant((K + 3) / 4 * 4)
+                              : Ctx.add(S[2], SymVal::constant(3));
+      Flat(F, Ctx.add(Batches, Ctx.mul(KPad, S[4])));
+      break;
+    }
+    }
+  }
+  return Out;
+}
+
+bool reachInBounds(const Interval &Reach, int64_t Elems) {
+  if (!Reach.bounded()) {
+    noteBoundsUndecided(); // cannot decide: never a false positive
+    return true;
+  }
+  if (Reach.Lo < 0 || Reach.Hi >= Elems)
+    return false;
+  noteBoundsProved();
+  return true;
+}
+
+bool footprintInBounds(SymCtx &Ctx, const Footprint &F, int64_t Elems,
+                       Interval &Reach) {
+  const SymVal MinusOne = SymVal::constant(-1);
+  switch (F.Sh) {
+  case Footprint::Shape::Whole:
+    if (F.Undecided)
+      noteBoundsUndecided();
+    return true;
+  case Footprint::Shape::Flat:
+    if (Ctx.ub(F.Len) <= 0)
+      break;
+    Reach = {Ctx.lb(F.Off), Ctx.ub(Ctx.add(F.Off, Ctx.add(F.Len, MinusOne)))};
+    return reachInBounds(Reach, Elems);
+  case Footprint::Shape::Tile: {
+    if (Ctx.ub(F.Rows) <= 0 || Ctx.ub(F.Cols) <= 0)
+      break;
+    // Rows-1 strides of Ld from the offset, then Cols-1 elements; a
+    // negative Ld reaches below the offset instead.
+    const SymVal RowsM1 = Ctx.add(F.Rows, MinusOne);
+    Reach = {Ctx.lb(Ctx.add(F.Off,
+                            Ctx.scale(RowsM1, std::min<int64_t>(F.Ld, 0)))),
+             Ctx.ub(Ctx.add(
+                 F.Off, Ctx.add(Ctx.scale(RowsM1, std::max<int64_t>(F.Ld, 0)),
+                                Ctx.add(F.Cols, MinusOne))))};
+    return reachInBounds(Reach, Elems);
+  }
+  }
+  noteBoundsProved(); // touches no element
+  return true;
 }
 
 namespace {

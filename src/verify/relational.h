@@ -15,9 +15,11 @@
 /// executor dispatch loop runs unchecked, so "cannot prove" must not
 /// become "assume safe".
 ///
-/// Also exported: the verification statistics counters used by the
-/// "zero out-of-scope skips" acceptance test and by the verifiers'
-/// proved/undecided bookkeeping.
+/// Also exported: the footprints of one kernel call, built from its
+/// intrinsic's row in tir/intrinsics.h (or its epilogue step list), the
+/// bounds verdict both the Tensor IR and the bytecode verifier apply to
+/// them, and the verification statistics counters used by the "zero
+/// out-of-scope skips" acceptance test and by that bookkeeping.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,7 @@
 #define GC_VERIFY_RELATIONAL_H
 
 #include "support/status.h"
+#include "tir/intrinsics.h"
 #include "verify/symbolic.h"
 
 #include <cstdint>
@@ -33,6 +36,10 @@
 #include <vector>
 
 namespace gc {
+namespace kernels {
+struct EpilogueDesc;
+} // namespace kernels
+
 namespace verify {
 
 /// One buffer access of one abstract loop iteration.
@@ -48,8 +55,40 @@ struct Footprint {
   SymVal Off, Len;        ///< Flat
   SymVal Rows, Cols;      ///< Tile (with Off); Ld is a compile-time const
   int64_t Ld = 0;
-  std::string Site; ///< "instr 12 (CallKernel brgemm_f32 arg C)" etc.
+  /// Whole only because a tile's Ld or Transposed flag is not a
+  /// compile-time constant: the bounds check counts it undecided.
+  bool Undecided = false;
+  std::string Site; ///< "instr 12 (brgemm_f32 arg C)" etc.
 };
+
+/// One kernel call as a verifier sees it.
+struct KernelCall {
+  tir::Intrinsic In = tir::Intrinsic::BrgemmF32;
+  /// EpilogueTile only: its step list, which describeEpilogue accepts.
+  const kernels::EpilogueDesc *Epilogue = nullptr;
+  std::vector<SymVal> Scalars; ///< S[...], at least the row's NumScalars
+  std::vector<int> Bufs;       ///< buffer id per buffer argument
+  std::vector<SymVal> Offs;    ///< element offset per buffer argument
+};
+
+/// The footprints of \p C, whose intrinsic has a row and whose buffer
+/// count matches its layout: one per buffer argument from the row's
+/// recipes (tir/intrinsics.h), or one per step-list slot for EpilogueTile
+/// (kernels::describeEpilogue), where a blocked store's padded block adds
+/// a second tile. A tile whose Ld or Transposed flag is not a compile-time
+/// constant becomes an Undecided Whole. Site names the argument
+/// ("brgemm_f32 arg C", "epilogue_tile slot 2").
+std::vector<Footprint> callFootprints(SymCtx &Ctx, const KernelCall &C);
+
+/// Bounds verdict for an access reaching elements [Reach.Lo, Reach.Hi] of
+/// a buffer of \p Elems elements, counted in verifyStats(): false only
+/// when it provably reaches outside; an unbounded side is undecided.
+bool reachInBounds(const Interval &Reach, int64_t Elems);
+
+/// reachInBounds for one kernel-call footprint; \p Reach receives the
+/// range it reaches. A Whole footprint is in bounds by construction.
+bool footprintInBounds(SymCtx &Ctx, const Footprint &F, int64_t Elems,
+                       Interval &Reach);
 
 /// Counters behind the zero-conservative-skip acceptance test. Proved =
 /// footprints decided in-bounds; Undecided = footprints the bounds

@@ -3,10 +3,10 @@
 /// \file
 /// The Tensor IR verifier: buffer-table consistency, variable
 /// def-before-use in execution order, loop-bound sanity, intrinsic-call
-/// arity against the documented conventions (tir/intrinsics.h), and a
-/// bounds analysis proving every Load/Store/BufferRef element offset —
-/// and the tile/flat footprints of intrinsic calls — stays inside its
-/// buffer's extent for all loop iterations.
+/// arity and element types against the intrinsic table (tir/intrinsics.h),
+/// and a bounds analysis proving every Load/Store/BufferRef element offset
+/// — and the footprints of intrinsic calls (verify/relational.h) — stays
+/// inside its buffer's extent for all loop iterations.
 ///
 /// The analysis runs over the symbolic domain of verify/symbolic.h:
 /// loop variables become symbols carrying their bounds as symbolic
@@ -37,138 +37,6 @@ namespace verify {
 namespace {
 
 using namespace tir;
-
-/// Scalar arity of each intrinsic, from the conventions table in
-/// tir/intrinsics.h (the same contract the kernel adapters marshal by).
-/// The buffer arity is tir::intrinsicNumBufs.
-uint8_t numScalarsOf(Intrinsic In) {
-  switch (In) {
-  case Intrinsic::BrgemmF32:
-  case Intrinsic::BrgemmU8S8:
-    return 10;
-  case Intrinsic::ReluTile:
-  case Intrinsic::ExpTile:
-  case Intrinsic::TanhTile:
-  case Intrinsic::SqrtTile:
-  case Intrinsic::RecipTile:
-  case Intrinsic::SquareTile:
-  case Intrinsic::SigmoidTile:
-    return 3;
-  case Intrinsic::AffineTile:
-    return 5;
-  case Intrinsic::AddTile:
-  case Intrinsic::SubTile:
-  case Intrinsic::MulTile:
-  case Intrinsic::DivTile:
-  case Intrinsic::MaxTile:
-  case Intrinsic::MinTile:
-    return 4;
-  case Intrinsic::AddRowVecTile:
-  case Intrinsic::SubRowVecTile:
-  case Intrinsic::MulRowVecTile:
-  case Intrinsic::AddColVecTile:
-  case Intrinsic::SubColVecTile:
-  case Intrinsic::MulColVecTile:
-  case Intrinsic::DivColVecTile:
-    return 3;
-  case Intrinsic::ReduceSumRowsTile:
-  case Intrinsic::ReduceMaxRowsTile:
-    return 4;
-  case Intrinsic::CopyTile:
-  case Intrinsic::TransposeTile:
-    return 4;
-  case Intrinsic::CopyTileRaw:
-  case Intrinsic::Permute0213:
-    return 5;
-  case Intrinsic::FillTile:
-    return 4;
-  case Intrinsic::EpilogueTile:
-    return 3;
-  case Intrinsic::DequantAccTile:
-    return 5;
-  case Intrinsic::QuantU8Tile:
-  case Intrinsic::DequantU8Tile:
-    return 6;
-  case Intrinsic::QuantS8Tile:
-    return 5;
-  case Intrinsic::DequantS8PerChannelTile:
-    return 4;
-  case Intrinsic::CastS32F32Tile:
-    return 5;
-  case Intrinsic::PackAF32:
-  case Intrinsic::PackAU8:
-  case Intrinsic::PackBF32:
-  case Intrinsic::PackBS8Vnni:
-    return 6;
-  case Intrinsic::UnpackAF32:
-  case Intrinsic::UnpackAU8:
-    return 5;
-  }
-  return 0;
-}
-
-/// Expected element type per buffer argument; DataType-count means
-/// "unconstrained" (type-agnostic kernels like copyTileRaw).
-constexpr DataType kAnyTy = static_cast<DataType>(255);
-
-void bufferTypesOf(Intrinsic In, DataType (&Ty)[4]) {
-  Ty[0] = Ty[1] = Ty[2] = Ty[3] = kAnyTy;
-  switch (In) {
-  case Intrinsic::BrgemmF32:
-    Ty[0] = Ty[1] = Ty[2] = DataType::F32;
-    break;
-  case Intrinsic::BrgemmU8S8:
-    Ty[0] = DataType::U8;
-    Ty[1] = DataType::S8;
-    Ty[2] = DataType::S32;
-    break;
-  case Intrinsic::QuantU8Tile:
-    Ty[0] = DataType::U8;
-    Ty[1] = DataType::F32;
-    break;
-  case Intrinsic::QuantS8Tile:
-    Ty[0] = DataType::S8;
-    Ty[1] = DataType::F32;
-    break;
-  case Intrinsic::DequantU8Tile:
-    Ty[0] = DataType::F32;
-    Ty[1] = DataType::U8;
-    break;
-  case Intrinsic::DequantS8PerChannelTile:
-    Ty[0] = DataType::F32;
-    Ty[1] = DataType::S8;
-    Ty[2] = DataType::F32;
-    break;
-  case Intrinsic::DequantAccTile:
-    Ty[0] = DataType::F32;
-    Ty[1] = DataType::S32;
-    Ty[2] = DataType::S32;
-    Ty[3] = DataType::F32;
-    break;
-  case Intrinsic::CastS32F32Tile:
-    Ty[0] = DataType::F32;
-    Ty[1] = DataType::S32;
-    break;
-  case Intrinsic::PackAF32:
-  case Intrinsic::PackBF32:
-  case Intrinsic::UnpackAF32:
-    Ty[0] = Ty[1] = DataType::F32;
-    break;
-  case Intrinsic::PackAU8:
-  case Intrinsic::UnpackAU8:
-    Ty[0] = Ty[1] = DataType::U8;
-    break;
-  case Intrinsic::PackBS8Vnni:
-    Ty[0] = Ty[1] = DataType::S8;
-    break;
-  default:
-    // Elementwise / reduction / movement tile families operate on f32
-    // (the type-agnostic ones were cleared to kAnyTy above).
-    if (In != Intrinsic::CopyTileRaw && In != Intrinsic::Permute0213)
-      Ty[0] = Ty[1] = Ty[2] = Ty[3] = DataType::F32;
-    break;
-  }
-}
 
 /// Per-function verification state.
 class FuncVerifier {
@@ -302,27 +170,16 @@ private:
     return Status::ok();
   }
 
-  /// Shared verdict for a fully-constructed [MinIdx, MaxIdx] touched
-  /// range: proved / undecided (counted) / rejected.
-  Status judge(const BufferDecl &B, int64_t MinIdx, int64_t MaxIdx,
-               const std::string &Where, const char *ArgName) {
-    const int64_t Elems = B.numElements();
-    const bool Bounded =
-        MinIdx != Interval::kMin && MaxIdx != Interval::kMax;
-    if (Bounded && MinIdx >= 0 && MaxIdx < Elems) {
-      noteBoundsProved();
-      return Status::ok();
-    }
-    if (!Bounded) {
-      noteBoundsUndecided();
-      return Status::ok(); // cannot decide — never a false positive
-    }
+  /// Rejects an access of \p What into \p B that reaches \p Reach.
+  Status escapes(const BufferDecl &B, const Interval &Reach,
+                 const std::string &Where, const std::string &What) const {
     return err(Where,
                formatString("%s footprint of %s reaches elements "
                             "[%lld, %lld], outside the buffer's %lld "
                             "elements",
-                            ArgName, B.Name.c_str(), (long long)MinIdx,
-                            (long long)MaxIdx, (long long)Elems));
+                            What.c_str(), B.Name.c_str(), (long long)Reach.Lo,
+                            (long long)Reach.Hi,
+                            (long long)B.numElements()));
   }
 
   /// Bounds-checks a (possibly multi-dimensional) element access against
@@ -358,357 +215,79 @@ private:
       if (Status S = evalExpr(Indices[0], Where, Flat); !S.isOk())
         return S;
     }
-    return judge(B, Ctx.lb(Flat), Ctx.ub(Flat), Where, What);
+    const Interval Reach = Ctx.range(Flat);
+    return reachInBounds(Reach, B.numElements())
+               ? Status::ok()
+               : escapes(B, Reach, Where, What);
   }
 
-  /// Proves a strided 2-D tile access Base[Off + r*Ld + c] (r < Rows,
-  /// c < Cols) in bounds. The maximum touched element for a non-empty
-  /// tile is Off + (Rows-1)*Ld + (Cols-1); evaluating it as one symbolic
-  /// expression is what keeps correlated min-extents exact.
-  Status checkTileFootprint(const BufferDecl &B, const SymVal &Off,
-                            const SymVal &Rows, const SymVal &Cols,
-                            const SymVal &Ld, const std::string &Where,
-                            const char *ArgName) {
-    int64_t LdC;
-    if (!Ld.isConstant(LdC)) {
-      noteBoundsUndecided();
-      return Status::ok(); // non-constant stride: cannot decide
-    }
-    if (Ctx.ub(Rows) <= 0 || Ctx.ub(Cols) <= 0) {
-      noteBoundsProved();
-      return Status::ok(); // no elements touched
-    }
-    const SymVal RowsM1 = Ctx.add(Rows, SymVal::constant(-1));
-    const SymVal MaxV = Ctx.add(
-        Off, Ctx.add(Ctx.scale(RowsM1, std::max<int64_t>(LdC, 0)),
-                     Ctx.add(Cols, SymVal::constant(-1))));
-    const SymVal MinV =
-        Ctx.add(Off, Ctx.scale(RowsM1, std::min<int64_t>(LdC, 0)));
-    return judge(B, Ctx.lb(MinV), Ctx.ub(MaxV), Where, ArgName);
-  }
-
-  /// An epilogue call: slot count, element types and footprints all come
-  /// from its step list (kernels::describeEpilogue).
-  Status checkEpilogueCall(const CallNode &C, const std::string &Where) {
-    std::vector<kernels::EpArgUse> Uses;
-    std::string Why;
-    if (!C.Epilogue || !kernels::describeEpilogue(*C.Epilogue, Uses, Why))
-      return err(Where, "epilogue_tile step list: " +
-                            (C.Epilogue ? Why : std::string("missing")));
-    if (C.Buffers.size() != Uses.size() ||
-        C.Scalars.size() != numScalarsOf(C.In))
-      return err(Where, formatString("epilogue_tile expects %zu buffer and "
-                                     "%u scalar args, has %zu and %zu",
-                                     Uses.size(), numScalarsOf(C.In),
-                                     C.Buffers.size(), C.Scalars.size()));
-    std::vector<SymVal> Sc(C.Scalars.size());
-    for (size_t I = 0; I < C.Scalars.size(); ++I)
-      if (Status S = evalExpr(C.Scalars[I], Where, Sc[I]); !S.isOk())
-        return S;
-    for (size_t I = 0; I < C.Buffers.size(); ++I) {
-      const BufferRef &R = C.Buffers[I];
-      const kernels::EpArgUse &U = Uses[I];
-      if (R.BufferId < 0 || R.BufferId >= static_cast<int>(F.Buffers.size()))
-        return err(Where, formatString("epilogue_tile slot %zu references "
-                                       "unknown buffer %d",
-                                       I, R.BufferId));
-      const BufferDecl &B = F.buffer(R.BufferId);
-      if (B.ElemTy != U.Ty)
-        return err(Where, formatString("epilogue_tile slot %zu (%s) has "
-                                       "element type %s, its step expects %s",
-                                       I, B.Name.c_str(),
-                                       dataTypeName(B.ElemTy),
-                                       dataTypeName(U.Ty)));
-      SymVal Off = SymVal::constant(0);
-      if (R.Offset)
-        if (Status S = evalExpr(R.Offset, Where, Off); !S.isOk())
-          return S;
-      const char *Name = U.Write ? "out" : "in";
-      Status S = Status::ok();
-      switch (U.K) {
-      case kernels::EpArgUse::Kind::Tile:
-        S = checkTileFootprint(B, Off, Sc[0], Sc[1], SymVal::constant(U.Ld),
-                               Where, Name);
-        if (S.isOk() && U.PadRows > 0)
-          S = checkTileFootprint(B, Off, SymVal::constant(U.PadRows),
-                                 SymVal::constant(U.PadCols),
-                                 SymVal::constant(U.Ld), Where, Name);
-        break;
-      case kernels::EpArgUse::Kind::RowVec:
-        S = checkFlatFootprint(B, Off, Sc[1], Where, Name);
-        break;
-      case kernels::EpArgUse::Kind::ColVec:
-        S = checkFlatFootprint(B, Off, Sc[0], Where, Name);
-        break;
-      }
-      if (!S.isOk())
-        return S;
-    }
-    return Status::ok();
-  }
-
-  /// Flat footprint: Base[Off .. Off + Len) must be inside the buffer.
-  Status checkFlatFootprint(const BufferDecl &B, const SymVal &Off,
-                            const SymVal &Len, const std::string &Where,
-                            const char *ArgName) {
-    if (Ctx.ub(Len) <= 0) {
-      noteBoundsProved();
-      return Status::ok();
-    }
-    const SymVal MaxV = Ctx.add(Off, Ctx.add(Len, SymVal::constant(-1)));
-    return judge(B, Ctx.lb(Off), Ctx.ub(MaxV), Where, ArgName);
-  }
-
+  /// A kernel call: arity and element types against its intrinsic's row
+  /// (tir/intrinsics.h) or, for EpilogueTile, its step list; base offsets;
+  /// then every footprint (verify/relational.h) in bounds.
   Status checkCall(const CallNode &C, const std::string &Where) {
-    if (C.In == Intrinsic::EpilogueTile)
-      return checkEpilogueCall(C, Where);
-    if (C.Epilogue)
-      return err(Where, formatString("%s carries a step list",
-                                     intrinsicName(C.In)));
-    const uint8_t NumBufs = intrinsicNumBufs(C.In);
-    const uint8_t NumScalars = numScalarsOf(C.In);
-    if (C.Buffers.size() != NumBufs)
-      return err(Where, formatString("%s expects %u buffer args, has %zu",
-                                     intrinsicName(C.In), NumBufs,
-                                     C.Buffers.size()));
-    if (C.Scalars.size() != NumScalars)
-      return err(Where, formatString("%s expects %u scalar args, has %zu",
-                                     intrinsicName(C.In), NumScalars,
-                                     C.Scalars.size()));
+    if (static_cast<uint8_t>(C.In) >= kNumIntrinsics)
+      return err(Where, formatString("unknown intrinsic id %u",
+                                     static_cast<unsigned>(C.In)));
+    const IntrinsicInfo &Row = intrinsicInfo(C.In);
+    if ((C.In == Intrinsic::EpilogueTile) != (C.Epilogue != nullptr))
+      return err(Where, formatString("%s %s a step list", Row.Name,
+                                     C.Epilogue ? "carries" : "lacks"));
+    std::vector<kernels::EpArgUse> Slots;
+    std::string Why;
+    if (C.Epilogue && !kernels::describeEpilogue(*C.Epilogue, Slots, Why))
+      return err(Where, std::string(Row.Name) + " step list: " + Why);
+    const size_t NumBufs = C.Epilogue ? Slots.size() : Row.NumBufs;
+    if (C.Buffers.size() != NumBufs || C.Scalars.size() != Row.NumScalars)
+      return err(Where, formatString("%s expects %zu buffer and %u scalar "
+                                     "args, has %zu and %zu",
+                                     Row.Name, NumBufs, Row.NumScalars,
+                                     C.Buffers.size(), C.Scalars.size()));
 
-    DataType ExpectTy[4];
-    bufferTypesOf(C.In, ExpectTy);
-    // DequantAccTile with a constant-zero activation zero point never
-    // reads the compensation arg; the lowering aliases it to the f32
-    // scale buffer, so its element type is unconstrained.
-    if (C.In == Intrinsic::DequantAccTile && C.Scalars.size() >= 5) {
-      int64_t AZp = 0;
-      if (tir::asConstInt(C.Scalars[4], AZp) && AZp == 0)
-        ExpectTy[2] = kAnyTy;
-    }
-    std::vector<SymVal> Offs(C.Buffers.size());
+    KernelCall K;
+    K.In = C.In;
+    K.Epilogue = C.Epilogue.get();
     for (size_t I = 0; I < C.Buffers.size(); ++I) {
       const BufferRef &R = C.Buffers[I];
       if (R.BufferId < 0 || R.BufferId >= static_cast<int>(F.Buffers.size()))
         return err(Where,
                    formatString("%s buffer arg %zu references unknown "
                                 "buffer %d",
-                                intrinsicName(C.In), I, R.BufferId));
+                                Row.Name, I, R.BufferId));
       const BufferDecl &B = F.buffer(R.BufferId);
-      if (ExpectTy[I] != kAnyTy && B.ElemTy != ExpectTy[I])
+      const DataType Want = C.Epilogue ? Slots[I].Ty : Row.Bufs[I].Ty;
+      if (Want != kAnyType && B.ElemTy != Want)
         return err(Where,
                    formatString("%s buffer arg %zu (%s) has element type "
                                 "%s, kernel expects %s",
-                                intrinsicName(C.In), I, B.Name.c_str(),
-                                dataTypeName(B.ElemTy),
-                                dataTypeName(ExpectTy[I])));
-      Offs[I] = SymVal::constant(0);
+                                Row.Name, I, B.Name.c_str(),
+                                dataTypeName(B.ElemTy), dataTypeName(Want)));
+      SymVal Off = SymVal::constant(0);
       if (R.Offset)
-        if (Status S = evalExpr(R.Offset, Where, Offs[I]); !S.isOk())
+        if (Status S = evalExpr(R.Offset, Where, Off); !S.isOk())
           return S;
       // Base offset must itself be inside the buffer whenever provable.
-      const Interval OffR = Ctx.range(Offs[I]);
+      const Interval OffR = Ctx.range(Off);
       if (OffR.bounded() && (OffR.Lo < 0 || OffR.Hi >= B.numElements()))
         return err(Where,
                    formatString("%s buffer arg %zu offset range "
                                 "[%lld, %lld] is outside %s's %lld "
                                 "elements",
-                                intrinsicName(C.In), I, (long long)OffR.Lo,
+                                Row.Name, I, (long long)OffR.Lo,
                                 (long long)OffR.Hi, B.Name.c_str(),
                                 (long long)B.numElements()));
+      K.Bufs.push_back(R.BufferId);
+      K.Offs.push_back(std::move(Off));
     }
-
-    std::vector<SymVal> Sc(C.Scalars.size());
+    K.Scalars.resize(C.Scalars.size());
     for (size_t I = 0; I < C.Scalars.size(); ++I)
-      if (Status S = evalExpr(C.Scalars[I], Where, Sc[I]); !S.isOk())
+      if (Status S = evalExpr(C.Scalars[I], Where, K.Scalars[I]); !S.isOk())
         return S;
 
-    // Footprint proofs per family (scalar layout per tir/intrinsics.h).
-    const auto Buf = [&](size_t I) -> const BufferDecl & {
-      return F.buffer(C.Buffers[I].BufferId);
-    };
-    const SymVal One = SymVal::constant(1);
-    switch (C.In) {
-    case Intrinsic::EpilogueTile:
-      break; // checkEpilogueCall
-    case Intrinsic::ReluTile:
-    case Intrinsic::ExpTile:
-    case Intrinsic::TanhTile:
-    case Intrinsic::SqrtTile:
-    case Intrinsic::RecipTile:
-    case Intrinsic::SquareTile:
-    case Intrinsic::SigmoidTile:
-    case Intrinsic::AffineTile:
-    case Intrinsic::FillTile:
-      return checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1], Sc[2], Where,
-                                "X");
-    case Intrinsic::AddTile:
-    case Intrinsic::SubTile:
-    case Intrinsic::MulTile:
-    case Intrinsic::DivTile:
-    case Intrinsic::MaxTile:
-    case Intrinsic::MinTile:
-      if (Status S = checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1],
-                                        Sc[2], Where, "X");
-          !S.isOk())
-        return S;
-      return checkTileFootprint(Buf(1), Offs[1], Sc[0], Sc[1], Sc[3], Where,
-                                "Y");
-    case Intrinsic::AddRowVecTile:
-    case Intrinsic::SubRowVecTile:
-    case Intrinsic::MulRowVecTile:
-      if (Status S = checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1],
-                                        Sc[2], Where, "X");
-          !S.isOk())
-        return S;
-      return checkFlatFootprint(Buf(1), Offs[1], Sc[1], Where, "V");
-    case Intrinsic::AddColVecTile:
-    case Intrinsic::SubColVecTile:
-    case Intrinsic::MulColVecTile:
-    case Intrinsic::DivColVecTile:
-      if (Status S = checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1],
-                                        Sc[2], Where, "X");
-          !S.isOk())
-        return S;
-      return checkFlatFootprint(Buf(1), Offs[1], Sc[0], Where, "V");
-    case Intrinsic::ReduceSumRowsTile:
-    case Intrinsic::ReduceMaxRowsTile:
-      if (Status S = checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1],
-                                        Sc[2], Where, "X");
-          !S.isOk())
-        return S;
-      return checkFlatFootprint(Buf(1), Offs[1], Sc[0], Where, "Out");
-    case Intrinsic::CopyTile:
-      if (Status S = checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1],
-                                        Sc[2], Where, "D");
-          !S.isOk())
-        return S;
-      return checkTileFootprint(Buf(1), Offs[1], Sc[0], Sc[1], Sc[3], Where,
-                                "S");
-    case Intrinsic::CopyTileRaw:
-      // B[D,S] S[Rows,Cols,LdD,LdS,ElemSize]: same tile shape both sides.
-      if (Status S = checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1],
-                                        Sc[2], Where, "D");
-          !S.isOk())
-        return S;
-      return checkTileFootprint(Buf(1), Offs[1], Sc[0], Sc[1], Sc[3], Where,
-                                "S");
-    case Intrinsic::TransposeTile:
-      // Dst is Rows x Cols; Src is read as Src[c*LdS + r].
-      if (Status S = checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1],
-                                        Sc[2], Where, "D");
-          !S.isOk())
-        return S;
-      return checkTileFootprint(Buf(1), Offs[1], Sc[1], Sc[0], Sc[3], Where,
-                                "S");
-    case Intrinsic::Permute0213: {
-      // 4-D [A,B,C,D] -> [A,C,B,D]: both sides touch exactly the flat
-      // product of the four extents.
-      const SymVal Prod =
-          Ctx.mul(Ctx.mul(Sc[0], Sc[1]), Ctx.mul(Sc[2], Sc[3]));
-      if (Status S = checkFlatFootprint(Buf(0), Offs[0], Prod, Where, "D");
-          !S.isOk())
-        return S;
-      return checkFlatFootprint(Buf(1), Offs[1], Prod, Where, "S");
-    }
-    case Intrinsic::QuantU8Tile:
-    case Intrinsic::QuantS8Tile:
-    case Intrinsic::DequantU8Tile:
-    case Intrinsic::CastS32F32Tile:
-      if (Status S = checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1],
-                                        Sc[2], Where, "D");
-          !S.isOk())
-        return S;
-      return checkTileFootprint(Buf(1), Offs[1], Sc[0], Sc[1], Sc[3], Where,
-                                "S");
-    case Intrinsic::DequantS8PerChannelTile:
-      if (Status S = checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1],
-                                        Sc[2], Where, "D");
-          !S.isOk())
-        return S;
-      if (Status S = checkTileFootprint(Buf(1), Offs[1], Sc[0], Sc[1],
-                                        Sc[3], Where, "S");
-          !S.isOk())
-        return S;
-      return checkFlatFootprint(Buf(2), Offs[2], Sc[1], Where, "Scale");
-    case Intrinsic::DequantAccTile:
-      if (Status S = checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1],
-                                        Sc[2], Where, "D");
-          !S.isOk())
-        return S;
-      if (Status S = checkTileFootprint(Buf(1), Offs[1], Sc[0], Sc[1],
-                                        Sc[3], Where, "S");
-          !S.isOk())
-        return S;
-      if (Status S = checkFlatFootprint(Buf(2), Offs[2], Sc[1], Where,
-                                        "Comp");
-          !S.isOk())
-        return S;
-      return checkFlatFootprint(Buf(3), Offs[3], Sc[1], Where, "Scale");
-    case Intrinsic::BrgemmF32:
-    case Intrinsic::BrgemmU8S8: {
-      // C tile: M x N on stride Ldc (both layouts keep Ldc at S[5]).
-      if (Status S = checkTileFootprint(Buf(2), Offs[2], Sc[0], Sc[1],
-                                        Sc[5], Where, "C");
-          !S.isOk())
-        return S;
-      // A flat span: (Batch-1)*AStrideB + (M-1)*Lda + K.
-      const SymVal BatchM1 = Ctx.add(Sc[8], SymVal::constant(-1));
-      const SymVal ALen = Ctx.add(
-          Ctx.mul(BatchM1, Sc[6]),
-          Ctx.add(Ctx.mul(Ctx.sub(Sc[0], One), Sc[3]), Sc[2]));
-      if (Status S = checkFlatFootprint(Buf(0), Offs[0], ALen, Where, "A");
-          !S.isOk())
-        return S;
-      // B flat span: f32 reads (K-1)*Ldb + N per batch; the VNNI layout
-      // reads ceil(K/4) row groups of 4*NPadded.
-      SymVal BLen;
-      if (C.In == Intrinsic::BrgemmF32) {
-        BLen = Ctx.add(Ctx.mul(BatchM1, Sc[7]),
-                       Ctx.add(Ctx.mul(Ctx.sub(Sc[2], One), Sc[4]), Sc[1]));
-      } else {
-        int64_t KC;
-        // ceil(K/4)*4 <= K+3 bounds the non-constant case soundly.
-        const int64_t KGroups4 =
-            Sc[2].isConstant(KC) ? ((KC + 3) / 4) * 4 : -1;
-        const SymVal KPad = KGroups4 >= 0
-                                ? SymVal::constant(KGroups4)
-                                : Ctx.add(Sc[2], SymVal::constant(3));
-        BLen = Ctx.add(Ctx.mul(BatchM1, Sc[7]), Ctx.mul(KPad, Sc[4]));
-      }
-      return checkFlatFootprint(Buf(1), Offs[1], BLen, Where, "B");
-    }
-    case Intrinsic::PackAF32:
-    case Intrinsic::PackAU8: {
-      // S[M,K,SrcLd,MB,KB,Transposed]: src tile is M x K (or K x M when
-      // transposed) on SrcLd. The packed dest covers its whole buffer by
-      // construction; its base-offset check above is the documented
-      // precision limit.
-      int64_t Tr;
-      if (!Sc[5].isConstant(Tr)) {
-        noteBoundsUndecided();
-        return Status::ok();
-      }
-      return checkTileFootprint(Buf(1), Offs[1], Tr ? Sc[1] : Sc[0],
-                                Tr ? Sc[0] : Sc[1], Sc[2], Where, "S");
-    }
-    case Intrinsic::PackBF32:
-    case Intrinsic::PackBS8Vnni: {
-      // S[K,N,SrcLd,KB,NB,Transposed]: src tile is K x N (or N x K).
-      int64_t Tr;
-      if (!Sc[5].isConstant(Tr)) {
-        noteBoundsUndecided();
-        return Status::ok();
-      }
-      return checkTileFootprint(Buf(1), Offs[1], Tr ? Sc[1] : Sc[0],
-                                Tr ? Sc[0] : Sc[1], Sc[2], Where, "S");
-    }
-    case Intrinsic::UnpackAF32:
-    case Intrinsic::UnpackAU8:
-      // S[M,K,MB,KB,DstLd]: dest tile is M x K on DstLd; the packed src
-      // is read whole (base-offset check only, same limit as pack dest).
-      return checkTileFootprint(Buf(0), Offs[0], Sc[0], Sc[1], Sc[4], Where,
-                                "D");
+    for (const Footprint &FP : callFootprints(Ctx, K)) {
+      const BufferDecl &B = F.buffer(FP.Buffer);
+      Interval Reach;
+      if (!footprintInBounds(Ctx, FP, B.numElements(), Reach))
+        return escapes(B, Reach, Where, FP.Site);
     }
     return Status::ok();
   }

@@ -371,50 +371,81 @@ TEST(ArtifactCodec, ByteFlipSweepParsesSafely) {
   EXPECT_GT(Accepted, 0u);
 }
 
+/// y = layernorm(x): its row statistics run as one-buffer per-row vector
+/// calls (affine, sqrt, recip) between the epilogue segments.
+Graph buildLayerNorm() {
+  Graph G;
+  const int64_t X = G.addTensor(DataType::F32, {6, 16}, "x");
+  const int64_t Gamma = G.addTensor(DataType::F32, {16}, "g");
+  const int64_t Beta = G.addTensor(DataType::F32, {16}, "b");
+  G.markInput(X);
+  G.markInput(Gamma);
+  G.markInput(Beta);
+  G.markOutput(G.addOp(OpKind::LayerNorm, {X, Gamma, Beta}, DataType::F32,
+                       {6, 16}, {{"epsilon", 1e-5}}));
+  return G;
+}
+
+/// Deserializes \p Payload with the intrinsic byte of \p Call XORed by
+/// \p Mask. The call is found by its encoding up to its scalars, as
+/// writeProgram lays it out.
+Expected<std::shared_ptr<core::CompiledPartition>>
+flipIntrinsic(const std::vector<uint8_t> &Payload, const exec::CallDesc &Call,
+              uint8_t Mask) {
+  ByteWriter W;
+  W.u8(static_cast<uint8_t>(Call.In));
+  W.u8(Call.NumBufs);
+  W.u8(Call.NumDyn);
+  for (uint8_t I = 0; I < Call.NumBufs; ++I) {
+    W.i32(Call.Bufs[I].BufferId);
+    W.u16(Call.Bufs[I].OffsetReg);
+    W.u8(Call.Bufs[I].HasOffset ? 1 : 0);
+  }
+  for (int64_t S : Call.SI)
+    W.i64(S);
+  const auto At = std::search(Payload.begin(), Payload.end(),
+                              W.bytes().begin(), W.bytes().end());
+  if (At == Payload.end())
+    return Status::error(StatusCode::Internal, "call not found in payload");
+  auto T = std::make_shared<std::vector<uint8_t>>(Payload);
+  (*T)[static_cast<size_t>(At - Payload.begin())] ^= Mask;
+  return core::ArtifactCodec::deserialize(T->data(), T->size(), T,
+                                          core::globalThreadPool());
+}
+
 TEST(ArtifactCodec, IntrinsicFlipThatWidensACallIsRejected) {
   // Pins the flip class that once made the sweep above read out of bounds
   // under ASan: an intrinsic byte flipped into one whose layout takes more
   // buffers than the call carries, so footprints indexed by that layout
-  // read an unused slot. Here the MLP's three-slot epilogue call flips
-  // into the four-buffer DequantAccTile (EpilogueTile ^ 0x01).
-  const Graph G = buildMlp(8, 16, 8);
+  // read an unused slot. Here the layernorm's one-buffer recip_tile call
+  // flips into the two-buffer max_tile (RecipTile ^ 0x08).
   core::CompileOptions Opts;
   Opts.CacheMode = CacheMode::Off;
   std::shared_ptr<core::CompiledPartition> P =
-      test::compileOnePartition(G, Opts);
+      test::compileOnePartition(buildLayerNorm(), Opts);
   const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
   const std::vector<exec::CallDesc> &Calls = P->bytecode().Calls;
-  const auto Epi =
+  const auto Recip =
       std::find_if(Calls.begin(), Calls.end(), [](const exec::CallDesc &C) {
-        return C.In == tir::Intrinsic::EpilogueTile;
+        return C.In == tir::Intrinsic::RecipTile;
       });
-  ASSERT_NE(Epi, Calls.end());
-  ASSERT_EQ(static_cast<uint8_t>(Epi->In) ^ 0x01,
-            static_cast<uint8_t>(tir::Intrinsic::DequantAccTile));
-  ASSERT_LT(Epi->NumBufs,
-            tir::intrinsicNumBufs(tir::Intrinsic::DequantAccTile));
-  // The call's encoding up to its scalars, as writeProgram lays it out.
-  ByteWriter W;
-  W.u8(static_cast<uint8_t>(Epi->In));
-  W.u8(Epi->NumBufs);
-  W.u8(Epi->NumDyn);
-  for (uint8_t I = 0; I < Epi->NumBufs; ++I) {
-    W.i32(Epi->Bufs[I].BufferId);
-    W.u16(Epi->Bufs[I].OffsetReg);
-    W.u8(Epi->Bufs[I].HasOffset ? 1 : 0);
-  }
-  for (int64_t S : Epi->SI)
-    W.i64(S);
-  const auto At = std::search(Payload.begin(), Payload.end(),
-                              W.bytes().begin(), W.bytes().end());
-  ASSERT_NE(At, Payload.end());
-  auto T = std::make_shared<std::vector<uint8_t>>(Payload);
-  (*T)[static_cast<size_t>(At - Payload.begin())] ^= 0x01;
+  ASSERT_NE(Recip, Calls.end());
+  ASSERT_EQ(static_cast<uint8_t>(Recip->In) ^ 0x08,
+            static_cast<uint8_t>(tir::Intrinsic::MaxTile));
+  ASSERT_LT(Recip->NumBufs,
+            tir::intrinsicInfo(tir::Intrinsic::MaxTile).NumBufs);
   Expected<std::shared_ptr<core::CompiledPartition>> R =
-      core::ArtifactCodec::deserialize(T->data(), T->size(), T,
-                                       core::globalThreadPool());
+      flipIntrinsic(Payload, *Recip, 0x08);
   ASSERT_FALSE(R.hasValue());
   EXPECT_NE(R.status().message().find("call buffer count"), std::string::npos)
+      << R.status().toString();
+
+  // RecipTile ^ 0x20 lands on a retired id: past the table, so the codec
+  // rejects the id itself.
+  ASSERT_GE(static_cast<uint8_t>(Recip->In) ^ 0x20, tir::kNumIntrinsics);
+  R = flipIntrinsic(Payload, *Recip, 0x20);
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_NE(R.status().message().find("call intrinsic"), std::string::npos)
       << R.status().toString();
 }
 

@@ -195,7 +195,9 @@ TEST(CompilerE2E, MhaF32FastSoftmax) {
   Spec.Seed = 13;
   // Fast softmax drops the max subtraction; with moderate logits the
   // results still match the stable reference closely.
-  expectClose(runBoth(workloads::buildMha(Spec), defaultOpts()), 5e-3);
+  CompileOptions Opts = defaultOpts();
+  Opts.FastSoftmax = true;
+  expectClose(runBoth(workloads::buildMha(Spec), Opts), 5e-3);
 }
 
 TEST(CompilerE2E, MhaF32NoMask) {

@@ -211,6 +211,26 @@ TEST(VerifyFunc, CallDtypeRejected) {
                  {"element type", "s32"});
 }
 
+TEST(VerifyFunc, UnknownIntrinsicRejected) {
+  // Ids without a row: one far past the table, and the first retired id
+  // (kNumIntrinsics itself). Neither may reach a kernel adapter.
+  for (const unsigned Id : {200u, unsigned{tir::kNumIntrinsics}}) {
+    const auto In = static_cast<tir::Intrinsic>(Id);
+    tir::Func F;
+    const int A = F.addBuffer("a", DataType::F32, {64},
+                              tir::BufferScope::Param, 0);
+    const int B = F.addBuffer("b", DataType::F32, {64},
+                              tir::BufferScope::Param, 1);
+    F.Body.push_back(tir::makeCall(In,
+                                   {tir::BufferRef(A, tir::makeInt(0)),
+                                    tir::BufferRef(B, tir::makeInt(0))},
+                                   {}));
+    expectRejected(verifyFunc(F), StatusCode::Internal,
+                   {"body[0]", "unknown intrinsic"});
+    EXPECT_EQ(exec::kernelAdapter(In), nullptr) << "id " << Id;
+  }
+}
+
 TEST(VerifyFunc, ArenaOverflowRejected) {
   tir::Func F = smallFunc();
   F.Buffers[0].Scope = tir::BufferScope::Temp;

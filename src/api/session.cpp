@@ -9,6 +9,7 @@
 #include "support/common.h"
 #include "support/env.h"
 #include "support/fault.h"
+#include "support/serial.h"
 #include "support/str.h"
 #include "verify/verify.h"
 
@@ -713,10 +714,12 @@ detail::SessionState::compile(const std::shared_ptr<SessionState> &State,
           if (CompiledOr) {
             Compiled = CompiledOr.value();
             if (StoreLock) {
-              const std::vector<uint8_t> Payload =
-                  core::ArtifactCodec::serialize(*Compiled);
-              if (State->Disk->store(DiskKey, Payload.data(), Payload.size())
-                      .isOk())
+              // The payload streams into the entry's temp file as the
+              // codec writes it, under the per-key lock taken above.
+              const auto Encode = [&](ByteWriter &W) {
+                core::ArtifactCodec::encode(*Compiled, W);
+              };
+              if (State->Disk->store(DiskKey, Encode).isOk())
                 State->DiskStores.fetch_add(1);
             }
           } else if (CompiledOr.status().code() == StatusCode::Unsupported) {

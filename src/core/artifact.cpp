@@ -955,7 +955,7 @@ uint64_t artifactCacheKey(uint64_t GraphFingerprint,
 // Codec
 //===----------------------------------------------------------------------===//
 
-std::vector<uint8_t> ArtifactCodec::serialize(CompiledPartition &P) {
+void ArtifactCodec::encode(CompiledPartition &P, ByteWriter &W) {
   assert(P.Prog.Bytecode && "partition without a bytecode program");
   // Folded-constants section (payload v2). The fold is deterministic, so
   // running it at store time and shipping its outputs lets every warm
@@ -973,42 +973,44 @@ std::vector<uint8_t> ArtifactCodec::serialize(CompiledPartition &P) {
   const int32_t ParallelNests = P.LoadedParallelNests >= 0
                                     ? P.LoadedParallelNests
                                     : tirpass::countParallelNests(P.Prog.Entry);
-  const auto Write = [&](ByteWriter &W) {
-    W.u32(kArtifactPayloadVersion);
-    writeGraph(W, P.OptimizedG, &ExecConsts);
-    writeGraph(W, P.Prog.FoldGraph, nullptr);
-    W.i64vec(P.Prog.FoldOutputs);
-    writeFunc(W, P.Prog.Entry);
-    writeProgram(W, *P.Prog.Bytecode);
-    W.u64(P.Prog.Bindings.size());
-    for (const lower::Binding &B : P.Prog.Bindings) {
-      W.i32(B.BufferId);
-      W.i64(B.TensorId);
-      W.u8(static_cast<uint8_t>(B.Kind));
-    }
-    W.i32(P.Prog.CoarseGrainMerges);
-    W.i64(P.Prog.ReuseStats.PeakBytesWithReuse);
-    W.i64(P.Prog.ReuseStats.PeakBytesWithoutReuse);
-    W.i32(P.Prog.ReuseStats.BuffersPlaced);
-    W.i32(P.Prog.ReuseStats.BuffersReused);
-    W.i32(ParallelNests);
-    W.u64(P.Prog.FoldOutputs.size());
-    for (int64_t Id : P.Prog.FoldOutputs) {
-      const TensorData *D = P.Cache.get(Id);
-      assert(D && "fold output missing after running the fold graph");
-      W.i64(Id);
-      W.u8(static_cast<uint8_t>(D->dtype()));
-      W.i64vec(D->shape());
-      W.blob(D->data(), static_cast<size_t>(D->numBytes()));
-    }
-  };
-  // A sizing pass first, so the payload is allocated once at its final
-  // size instead of regrown (and copied) as the weights stream in.
-  ByteWriter Sizer = ByteWriter::sizing();
-  Write(Sizer);
+  W.u32(kArtifactPayloadVersion);
+  writeGraph(W, P.OptimizedG, &ExecConsts);
+  writeGraph(W, P.Prog.FoldGraph, nullptr);
+  W.i64vec(P.Prog.FoldOutputs);
+  writeFunc(W, P.Prog.Entry);
+  writeProgram(W, *P.Prog.Bytecode);
+  W.u64(P.Prog.Bindings.size());
+  for (const lower::Binding &B : P.Prog.Bindings) {
+    W.i32(B.BufferId);
+    W.i64(B.TensorId);
+    W.u8(static_cast<uint8_t>(B.Kind));
+  }
+  W.i32(P.Prog.CoarseGrainMerges);
+  W.i64(P.Prog.ReuseStats.PeakBytesWithReuse);
+  W.i64(P.Prog.ReuseStats.PeakBytesWithoutReuse);
+  W.i32(P.Prog.ReuseStats.BuffersPlaced);
+  W.i32(P.Prog.ReuseStats.BuffersReused);
+  W.i32(ParallelNests);
+  W.u64(P.Prog.FoldOutputs.size());
+  for (int64_t Id : P.Prog.FoldOutputs) {
+    const TensorData *D = P.Cache.get(Id);
+    assert(D && "fold output missing after running the fold graph");
+    W.i64(Id);
+    W.u8(static_cast<uint8_t>(D->dtype()));
+    W.i64vec(D->shape());
+    W.blob(D->data(), static_cast<size_t>(D->numBytes()));
+  }
+}
+
+std::vector<uint8_t> ArtifactCodec::serialize(CompiledPartition &P) {
+  // A counting pass first (a writer whose sink drops the bytes), so the
+  // payload is allocated once at its final size instead of regrown (and
+  // copied) as the weights stream in.
+  ByteWriter Counter([](const void *, size_t) { return true; });
+  encode(P, Counter);
   ByteWriter W;
-  W.reserve(Sizer.size());
-  Write(W);
+  W.reserve(Counter.size());
+  encode(P, W);
   return W.take();
 }
 

@@ -46,6 +46,9 @@
 #include <vector>
 
 namespace gc {
+
+class ByteWriter;
+
 namespace core {
 
 /// Version of the payload encoding this binary reads and writes. Bumped on
@@ -89,11 +92,15 @@ uint64_t artifactCacheKey(uint64_t GraphFingerprint,
 /// struct (befriended by CompiledPartition) rather than free functions so
 /// the partition exposes its internals to exactly one named type.
 struct ArtifactCodec {
-  /// Flattens \p P into a self-contained payload (no file envelope — the
-  /// caller hands it to runtime::ArtifactCache::store). The bytecode
-  /// program ships; the Tensor IR body is not serialized. Runs \p P's fold
-  /// function through ensureFolded() when it has not run yet, so the
-  /// partition keeps the folded weights it ships.
+  /// Writes \p P as a self-contained payload (no file envelope) into
+  /// \p W. The bytecode program ships; the Tensor IR body is not
+  /// serialized. Runs \p P's fold function through ensureFolded() when it
+  /// has not run yet, so the partition keeps the folded weights it ships.
+  /// A cache-writing compile hands this to runtime::ArtifactCache::store,
+  /// which streams it into the entry's file.
+  static void encode(CompiledPartition &P, ByteWriter &W);
+
+  /// encode() into memory: the payload as one byte vector.
   static std::vector<uint8_t> serialize(CompiledPartition &P);
 
   /// Rebuilds a ready-to-execute partition from an untrusted payload

@@ -168,7 +168,7 @@ public:
   /// Runs the fold function (constant weight packing) now if it has not
   /// run yet; otherwise a no-op. execute() pays this lazily on its first
   /// call — services that want the first request served at full speed
-  /// call this at load time instead. ArtifactCodec::serialize calls it
+  /// call this at load time instead. ArtifactCodec::encode calls it
   /// too, so a cache-writing compile leaves the partition folded.
   /// Partitions deserialized from the artifact cache arrive with the fold
   /// pre-fired from the payload's shipped outputs, so for them this never

@@ -10,7 +10,6 @@
 #include "graph/graph.h"
 #include "graph/reference.h"
 #include "passes/pass.h"
-#include "support/str.h"
 
 #include <unordered_map>
 #include <unordered_set>
@@ -26,28 +25,42 @@ namespace {
 // CSE
 //===----------------------------------------------------------------------===//
 
-/// Structural key of an op: kind + attrs + input ids. Deterministic because
-/// AttrMap is ordered.
+/// Appends the object representation of \p V to \p Key.
+template <typename T> void appendRaw(std::string &Key, const T &V) {
+  Key.append(reinterpret_cast<const char *>(&V), sizeof V);
+}
+
+/// Appends \p N followed by the object representation of \p N elements.
+template <typename T>
+void appendCounted(std::string &Key, const T *Data, size_t N) {
+  appendRaw(Key, static_cast<uint64_t>(N));
+  Key.append(reinterpret_cast<const char *>(Data), N * sizeof(T));
+}
+
+/// Structural key of an op: the exact byte image of its kind, input ids
+/// and attributes (name, variant index, value), every string and vector
+/// length-prefixed. The encoding is injective, so equal keys mean equal
+/// ops; comparing bytes keeps -0.0 apart from 0.0, merges NaNs only when
+/// their bits match, and keeps same-valued attributes of different types
+/// (int 1, double 1.0, string "1") apart. Deterministic because AttrMap
+/// is ordered.
 std::string opKey(const Op &O) {
-  std::string Key = opKindName(O.kind());
-  for (int64_t In : O.inputs())
-    Key += formatString(",%lld", (long long)In);
-  Key += "|";
+  std::string Key;
+  appendRaw(Key, O.kind());
+  appendCounted(Key, O.inputs().data(), O.inputs().size());
   for (const auto &[Name, Value] : O.attrs()) {
-    Key += Name + "=";
+    appendCounted(Key, Name.data(), Name.size());
+    Key.push_back(static_cast<char>(Value.index()));
     if (const int64_t *V = std::get_if<int64_t>(&Value))
-      Key += formatString("%lld", (long long)*V);
+      appendRaw(Key, *V);
     else if (const double *V = std::get_if<double>(&Value))
-      Key += formatString("%.17g", *V);
+      appendRaw(Key, *V);
     else if (const std::string *V = std::get_if<std::string>(&Value))
-      Key += *V;
+      appendCounted(Key, V->data(), V->size());
     else if (const auto *V = std::get_if<std::vector<int64_t>>(&Value))
-      Key += shapeToString(*V);
-    else if (const auto *V = std::get_if<std::vector<double>>(&Value)) {
-      for (double D : *V)
-        Key += formatString("%.17g;", D);
-    }
-    Key += ";";
+      appendCounted(Key, V->data(), V->size());
+    else if (const auto *V = std::get_if<std::vector<double>>(&Value))
+      appendCounted(Key, V->data(), V->size());
   }
   return Key;
 }

@@ -46,10 +46,26 @@ static_assert(sizeof(ArtifactHeader) == 40, "artifact header layout");
 static_assert(sizeof(ArtifactHeader) % 8 == 0,
               "payload must start 8-aligned for zero-copy constant views");
 
-Status ioError(const char *What, const std::string &Path) {
+Status ioError(const char *What, const std::string &Path, int Err = errno) {
   return Status::error(StatusCode::Internal,
                        formatString("artifact cache: %s '%s': %s", What,
-                                    Path.c_str(), std::strerror(errno)));
+                                    Path.c_str(), std::strerror(Err)));
+}
+
+/// write(2) until all \p Bytes are out, retrying on EINTR.
+bool writeAll(int Fd, const void *Data, size_t Bytes) {
+  const auto *P = static_cast<const uint8_t *>(Data);
+  while (Bytes > 0) {
+    const ssize_t W = ::write(Fd, P, Bytes);
+    if (W < 0) {
+      if (errno == EINTR)
+        continue;
+      return false;
+    }
+    P += W;
+    Bytes -= static_cast<size_t>(W);
+  }
+  return true;
 }
 
 Status corruptError(const std::string &Path, const std::string &Why) {
@@ -213,22 +229,13 @@ Expected<LoadedArtifact> ArtifactCache::load(uint64_t Key) const {
   return A;
 }
 
-Status ArtifactCache::store(uint64_t Key, const void *Payload,
-                            size_t Bytes) const {
+Status ArtifactCache::store(uint64_t Key, const PayloadWriter &Write) const {
   if (!writable())
     return Status::error(StatusCode::Unsupported,
                          "artifact cache is not writable");
-  if (Bytes == 0)
-    return Status::error(StatusCode::InvalidArgument,
-                         "artifact cache: refusing to store empty payload");
   if (fault::shouldFail(fault::kCacheWrite))
     return fault::failStatus(fault::kCacheWrite, StatusCode::Unavailable,
                              "artifact-cache store");
-  ArtifactHeader H;
-  H.Key = Key;
-  H.PayloadBytes = Bytes;
-  H.Checksum = fnv1aBytesBulk(Payload, Bytes);
-
   const std::string Final = entryPath(Key);
   const std::string Tmp =
       formatString("%s.tmp.%ld", Final.c_str(), (long)::getpid());
@@ -236,27 +243,46 @@ Status ArtifactCache::store(uint64_t Key, const void *Payload,
                         0644);
   if (Fd < 0)
     return ioError("create temp", Tmp);
-  auto writeAll = [&](const void *P, size_t N) {
-    const auto *B = static_cast<const uint8_t *>(P);
-    while (N > 0) {
-      const ssize_t W = ::write(Fd, B, N);
-      if (W < 0) {
-        if (errno == EINTR)
-          continue;
-        return false;
-      }
-      B += W;
-      N -= static_cast<size_t>(W);
-    }
-    return true;
-  };
-  if (!writeAll(&H, sizeof H) || !writeAll(Payload, Bytes) ||
-      ::fsync(Fd) != 0) {
-    const Status S = ioError("write", Tmp);
+  const auto Abandon = [&](Status S) {
     ::close(Fd);
     ::unlink(Tmp.c_str());
     return S;
-  }
+  };
+  // The placeholder reserves the header's bytes; the real one, which
+  // needs the payload's length and checksum, overwrites it at the end.
+  ArtifactHeader H;
+  H.Key = Key;
+  if (!writeAll(Fd, &H, sizeof H))
+    return Abandon(ioError("write", Tmp));
+  Fnv1aBulk Sum;
+  int WriteErrno = 0;
+  bool Injected = false;
+  ByteWriter W([&](const void *Data, size_t Bytes) {
+    if (fault::shouldFail(fault::kCacheWrite)) {
+      Injected = true;
+      return false;
+    }
+    Sum.update(Data, Bytes);
+    if (writeAll(Fd, Data, Bytes))
+      return true;
+    WriteErrno = errno;
+    return false;
+  });
+  Write(W);
+  if (!W.flush())
+    return Abandon(Injected ? fault::failStatus(fault::kCacheWrite,
+                                                StatusCode::Unavailable,
+                                                "artifact-cache store write")
+                            : ioError("write", Tmp, WriteErrno));
+  if (W.size() == 0)
+    return Abandon(Status::error(
+        StatusCode::InvalidArgument,
+        "artifact cache: refusing to store empty payload"));
+  H.PayloadBytes = W.size();
+  H.Checksum = Sum.digest();
+  if (::pwrite(Fd, &H, sizeof H, 0) != static_cast<ssize_t>(sizeof H) ||
+      ::fsync(Fd) != 0)
+    return Abandon(ioError("write", Tmp));
   ::close(Fd);
   // Atomic publish: a rename over an existing entry replaces it in one
   // step; concurrent readers see either the old complete file (their
@@ -268,6 +294,11 @@ Status ArtifactCache::store(uint64_t Key, const void *Payload,
   }
   collectGarbage();
   return Status::ok();
+}
+
+Status ArtifactCache::store(uint64_t Key, const void *Payload,
+                            size_t Bytes) const {
+  return store(Key, [&](ByteWriter &W) { W.raw(Payload, Bytes); });
 }
 
 Expected<std::shared_ptr<FileLock>>

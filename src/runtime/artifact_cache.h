@@ -23,9 +23,10 @@
 /// full payload checksum, and hands the payload span to the codec — a
 /// truncated, bit-flipped, version-skewed or zero-length entry is rejected
 /// here with a located Status and the caller falls back to a fresh
-/// compile. Stores write to a temp file, fsync, and atomically rename, so
-/// concurrent readers only ever observe complete entries and a crashed
-/// writer leaves no partial artifact under the final name.
+/// compile. Stores stream the payload into a temp file, fsync, and
+/// atomically rename, so concurrent readers only ever observe complete
+/// entries and a crashed writer leaves no partial artifact under the
+/// final name.
 ///
 /// Environment (resolved by Config::fromEnv, used by core::CompileOptions):
 ///   GC_CACHE=off|read|rw      mode (default off)
@@ -44,11 +45,15 @@
 #include "support/status.h"
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace gc {
+
+class ByteWriter;
+
 namespace runtime {
 
 /// What the process is allowed to do with the on-disk cache.
@@ -109,9 +114,21 @@ public:
   /// entry's mtime is bumped so LRU eviction sees the use.
   Expected<LoadedArtifact> load(uint64_t Key) const;
 
-  /// Stores \p Payload under \p Key crash-safely: temp file in the same
-  /// directory, fsync, atomic rename. Then runs the byte-cap GC. Fails
-  /// (without corrupting anything) on I/O errors or when not writable.
+  /// Writes one artifact payload into the writer it is given.
+  using PayloadWriter = std::function<void(ByteWriter &)>;
+
+  /// Stores the payload \p Write produces under \p Key crash-safely. A
+  /// temp file in the same directory gets a placeholder header; the
+  /// payload then streams into it through a ByteWriter sink, checksummed
+  /// as it goes (Fnv1aBulk), so it is never held in memory whole. The
+  /// final header is written over the placeholder, then fsync and atomic
+  /// rename. Then runs the byte-cap GC. Fails on I/O errors, an empty
+  /// payload, or when not writable, without corrupting anything and
+  /// without leaving the temp file behind. The "cache.write" fault seam
+  /// fires on entry and before each sink write.
+  Status store(uint64_t Key, const PayloadWriter &Write) const;
+
+  /// Stores an in-memory \p Payload through the streamed store.
   Status store(uint64_t Key, const void *Payload, size_t Bytes) const;
 
   /// Acquires the cross-process compile lock for \p Key, waiting at most

@@ -60,7 +60,8 @@ inline constexpr const char *kPoolSubmit = "pool.submit";
 inline constexpr const char *kCacheOpen = "cache.open";
 /// Artifact-cache mmap/envelope validation (after a successful open).
 inline constexpr const char *kCacheMmap = "cache.mmap";
-/// Artifact-cache store (temp write + rename).
+/// Artifact-cache store: evaluated on entry and before each write of the
+/// streamed payload into the temp file.
 inline constexpr const char *kCacheWrite = "cache.write";
 /// Artifact-cache per-key flock acquisition.
 inline constexpr const char *kCacheLock = "cache.flock";

@@ -2,7 +2,8 @@
 ///
 /// \file
 /// Little building blocks for the persistent artifact cache: an appending
-/// byte writer and a bounds-checked reader over an untrusted byte span.
+/// byte writer (in memory, or streaming into a sink), the payload
+/// checksum, and a bounds-checked reader over an untrusted byte span.
 /// The reader never aborts on malformed input — every primitive read
 /// checks the remaining length, and the first failure latches a located
 /// Status that all subsequent reads observe, so deserializers can perform
@@ -24,8 +25,10 @@
 #include "support/status.h"
 #include "support/str.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -65,40 +68,84 @@ inline uint64_t fnv1aBytes(const void *Data, size_t Bytes,
 /// detection needs (a corrupted word changes its lane's digest, which
 /// changes the fold). Digests are NOT interchangeable with fnv1aBytes;
 /// producers and consumers of a field must agree on the variant.
-inline uint64_t fnv1aBytesBulk(const void *Data, size_t Bytes) {
-  constexpr uint64_t kPrime = 1099511628211ull;
-  const auto *P = static_cast<const uint8_t *>(Data);
-  uint64_t H0 = 1469598103934665603ull;
-  uint64_t H1 = H0 ^ 0x9e3779b97f4a7c15ull;
-  uint64_t H2 = H0 ^ 0xc2b2ae3d27d4eb4full;
-  uint64_t H3 = H0 ^ 0x165667b19e3779f9ull;
-  size_t I = 0;
-  for (; I + 32 <= Bytes; I += 32) {
-    uint64_t W0, W1, W2, W3;
-    std::memcpy(&W0, P + I, 8);
-    std::memcpy(&W1, P + I + 8, 8);
-    std::memcpy(&W2, P + I + 16, 8);
-    std::memcpy(&W3, P + I + 24, 8);
-    H0 = (H0 ^ W0) * kPrime;
-    H1 = (H1 ^ W1) * kPrime;
-    H2 = (H2 ^ W2) * kPrime;
-    H3 = (H3 ^ W3) * kPrime;
+///
+/// This is the incremental form: feeding a span through update() in any
+/// split and then calling digest() gives fnv1aBytesBulk() of the whole
+/// span, so a streamed store checksums its payload as it writes it.
+class Fnv1aBulk {
+public:
+  void update(const void *Data, size_t Bytes) {
+    if (Bytes == 0)
+      return; // Data may be null
+    const auto *P = static_cast<const uint8_t *>(Data);
+    if (Pending > 0) {
+      const size_t Take = std::min(Bytes, sizeof Tail - Pending);
+      std::memcpy(Tail + Pending, P, Take);
+      Pending += Take;
+      P += Take;
+      Bytes -= Take;
+      if (Pending < sizeof Tail)
+        return;
+      step(Lanes, Tail);
+    }
+    // Lanes in a local array the compiler keeps in registers: stores
+    // through this could alias P's bytes and would pin them to memory.
+    uint64_t L[4] = {Lanes[0], Lanes[1], Lanes[2], Lanes[3]};
+    for (; Bytes >= sizeof Tail; P += sizeof Tail, Bytes -= sizeof Tail)
+      step(L, P);
+    std::memcpy(Lanes, L, sizeof L);
+    std::memcpy(Tail, P, Bytes);
+    Pending = Bytes;
   }
-  const uint64_t Lanes[4] = {H0, H1, H2, H3};
-  return fnv1aBytes(P + I, Bytes - I, fnv1aBytes(Lanes, sizeof Lanes));
+
+  uint64_t digest() const {
+    return fnv1aBytes(Tail, Pending, fnv1aBytes(Lanes, sizeof Lanes));
+  }
+
+private:
+  /// Folds one 32-byte group, one 8-byte word per lane.
+  static void step(uint64_t (&L)[4], const uint8_t *P) {
+    for (int I = 0; I < 4; ++I) {
+      uint64_t W;
+      std::memcpy(&W, P + 8 * I, 8);
+      L[I] = (L[I] ^ W) * 1099511628211ull;
+    }
+  }
+
+  static constexpr uint64_t kBasis = 1469598103934665603ull;
+  uint64_t Lanes[4] = {kBasis, kBasis ^ 0x9e3779b97f4a7c15ull,
+                       kBasis ^ 0xc2b2ae3d27d4eb4full,
+                       kBasis ^ 0x165667b19e3779f9ull};
+  uint8_t Tail[32] = {};
+  size_t Pending = 0;
+};
+
+inline uint64_t fnv1aBytesBulk(const void *Data, size_t Bytes) {
+  Fnv1aBulk H;
+  H.update(Data, Bytes);
+  return H.digest();
 }
 
-/// Appending byte-stream writer. A sizing writer (ByteWriter::sizing())
-/// stores nothing and only counts, so a producer can run its write
-/// sequence once to learn the exact size and reserve() it before the real
-/// pass.
+/// Appending byte-stream writer. By default it collects the stream in
+/// memory (bytes(), take()). A streaming writer instead hands the stream
+/// to its Sink in order: small fields collect in a fixed staging buffer
+/// that goes to the sink whenever it fills, and spans of kDirectBytes or
+/// more go to the sink straight from the caller's memory, so a weight
+/// blob is never copied. The first failed sink call latches: later
+/// writes only count, and flush() reports the failure.
 class ByteWriter {
 public:
-  static ByteWriter sizing() {
-    ByteWriter W;
-    W.Sizing = true;
-    return W;
+  /// Receives a streaming writer's bytes; returns false when the write
+  /// failed.
+  using Sink = std::function<bool(const void *Data, size_t Bytes)>;
+  static constexpr size_t kStageBytes = 64 << 10;
+  static constexpr size_t kDirectBytes = 4 << 10;
+
+  ByteWriter() = default;
+  explicit ByteWriter(Sink Out) : Out(std::move(Out)) {
+    Buf.reserve(kStageBytes);
   }
+
   void reserve(size_t Bytes) { Buf.reserve(Bytes); }
 
   void u8(uint8_t V) { raw(&V, 1); }
@@ -132,23 +179,41 @@ public:
     raw(Data, Bytes);
   }
 
-  /// Pads with zero bytes to the next multiple of \p A (power of two).
+  /// Pads with zero bytes to the next multiple of \p A (a power of two,
+  /// at most 8).
   void alignTo(size_t A) {
-    const size_t Pad = (A - Size % A) % A;
-    Size += Pad;
-    if (!Sizing)
-      Buf.insert(Buf.end(), Pad, 0);
+    static const uint8_t Zeros[8] = {};
+    raw(Zeros, (A - Size % A) % A);
   }
 
   void raw(const void *Data, size_t Bytes) {
     Size += Bytes;
-    if (Sizing)
-      return;
     const auto *P = static_cast<const uint8_t *>(Data);
+    if (Out) {
+      if (Bytes >= kDirectBytes) {
+        flush();
+        emit(P, Bytes);
+        return;
+      }
+      if (Buf.size() + Bytes > kStageBytes)
+        flush();
+    }
     Buf.insert(Buf.end(), P, P + Bytes);
   }
 
+  /// Hands the staged bytes to the sink (nothing to do in memory).
+  /// Returns false once any sink call has failed.
+  bool flush() {
+    if (Out && !Buf.empty()) {
+      emit(Buf.data(), Buf.size());
+      Buf.clear();
+    }
+    return !Failed;
+  }
+
+  /// Bytes written so far, staged or not.
   size_t size() const { return Size; }
+  /// The stream of an in-memory writer.
   const std::vector<uint8_t> &bytes() const { return Buf; }
   std::vector<uint8_t> take() {
     Size = 0;
@@ -156,9 +221,15 @@ public:
   }
 
 private:
+  void emit(const void *Data, size_t Bytes) {
+    if (!Failed && !Out(Data, Bytes))
+      Failed = true;
+  }
+
   std::vector<uint8_t> Buf;
   size_t Size = 0;
-  bool Sizing = false;
+  Sink Out;
+  bool Failed = false;
 };
 
 /// Bounds-checked reader over an untrusted byte span. After the first

@@ -21,6 +21,7 @@
 #include "kernels/cpu_features.h"
 #include "runtime/artifact_cache.h"
 #include "support/serial.h"
+#include "workloads/bert.h"
 #include "workloads/mlp.h"
 #include "test_utils.h"
 
@@ -447,6 +448,145 @@ TEST(ArtifactCodec, IntrinsicFlipThatWidensACallIsRejected) {
   ASSERT_FALSE(R.hasValue());
   EXPECT_NE(R.status().message().find("call intrinsic"), std::string::npos)
       << R.status().toString();
+}
+
+//===----------------------------------------------------------------------===//
+// Streamed store: the digest, the sink writer, and the entry it writes
+//===----------------------------------------------------------------------===//
+
+TEST(ArtifactStream, IncrementalDigestMatchesBulkInAnySplit) {
+  Rng R(5);
+  const auto Random = [&](size_t Bytes) {
+    std::vector<uint8_t> V(Bytes);
+    for (uint8_t &B : V)
+      B = static_cast<uint8_t>(R.uniformInt(0, 255));
+    return V;
+  };
+  // Feeds \p Data in random pieces of at most \p MaxPiece bytes (empty
+  // pieces included) and returns the incremental digest.
+  const auto Split = [&](const std::vector<uint8_t> &Data, int64_t MaxPiece) {
+    Fnv1aBulk H;
+    size_t Off = 0;
+    while (Off < Data.size()) {
+      const size_t Piece = std::min(
+          Data.size() - Off, static_cast<size_t>(R.uniformInt(0, MaxPiece)));
+      H.update(Data.data() + Off, Piece);
+      Off += Piece;
+    }
+    H.update(Data.data(), 0);
+    return H.digest();
+  };
+  for (size_t Len = 0; Len <= 100; ++Len) {
+    const std::vector<uint8_t> Data = Random(Len);
+    const uint64_t Want = fnv1aBytesBulk(Data.data(), Data.size());
+    for (int64_t MaxPiece : {1, 7, 31, 33, 100})
+      EXPECT_EQ(Split(Data, MaxPiece), Want) << "length " << Len;
+  }
+  const std::vector<uint8_t> Big = Random(7u << 20);
+  const uint64_t Want = fnv1aBytesBulk(Big.data(), Big.size());
+  for (int64_t MaxPiece : {63, 4099, 1 << 20})
+    EXPECT_EQ(Split(Big, MaxPiece), Want) << "7 MiB, pieces <= " << MaxPiece;
+}
+
+TEST(ArtifactStream, SinkWriterEmitsTheInMemoryBytes) {
+  // Small fields fill the staging buffer several times over; blobs below
+  // and at the direct-write threshold, and a 1 MiB one, interleave.
+  std::vector<uint8_t> Blob(1u << 20);
+  for (size_t I = 0; I < Blob.size(); ++I)
+    Blob[I] = static_cast<uint8_t>(I * 13 + 1);
+  std::vector<uint8_t> Sunk;
+  size_t LargestStaged = 0, DirectWrites = 0;
+  ByteWriter Streamed([&](const void *Data, size_t Bytes) {
+    const auto *P = static_cast<const uint8_t *>(Data);
+    Sunk.insert(Sunk.end(), P, P + Bytes);
+    // A direct write hands over the caller's memory, not a staged copy.
+    if (P >= Blob.data() && P < Blob.data() + Blob.size())
+      ++DirectWrites;
+    else
+      LargestStaged = std::max(LargestStaged, Bytes);
+    return true;
+  });
+  ByteWriter InMemory;
+  for (ByteWriter *W : {&Streamed, &InMemory}) {
+    for (int I = 0; I < 40000; ++I) {
+      W->u8(static_cast<uint8_t>(I));
+      W->i64(I);
+      if (I % 5000 == 0)
+        W->str("field " + std::to_string(I));
+      if (I % 9000 == 0)
+        W->blob(Blob.data(), ByteWriter::kDirectBytes - 1);
+      if (I % 11000 == 0)
+        W->blob(Blob.data(), ByteWriter::kDirectBytes);
+    }
+    W->blob(Blob.data(), Blob.size());
+    W->u32(0xfeedu);
+    EXPECT_TRUE(W->flush());
+  }
+  EXPECT_EQ(Streamed.size(), InMemory.size());
+  EXPECT_EQ(Sunk, InMemory.bytes());
+  EXPECT_EQ(DirectWrites, 5u);
+  EXPECT_LE(LargestStaged, ByteWriter::kStageBytes);
+}
+
+namespace {
+
+/// Streams \p P's payload into \p Cache under \p Key and checks the entry
+/// file byte for byte: the 40-byte header (magic "GCAC", format version
+/// 2, the key, the payload length, the bulk checksum of the payload, a
+/// zero reserved word) followed by exactly serialize()'s bytes.
+void expectStreamedEntryIsHeaderAndPayload(core::CompiledPartition &P,
+                                           const ArtifactCache &Cache,
+                                           uint64_t Key) {
+  const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(P);
+  const Status Stored = Cache.store(
+      Key, [&](ByteWriter &W) { core::ArtifactCodec::encode(P, W); });
+  ASSERT_TRUE(Stored.isOk()) << Stored.toString();
+  const std::vector<uint8_t> File = readFile(Cache.entryPath(Key));
+  ASSERT_EQ(File.size(), 40 + Payload.size());
+  uint32_t Magic = 0, Version = 0;
+  uint64_t HeaderKey = 0, Bytes = 0, Sum = 0, Reserved = 1;
+  std::memcpy(&Magic, File.data(), 4);
+  std::memcpy(&Version, File.data() + 4, 4);
+  std::memcpy(&HeaderKey, File.data() + 8, 8);
+  std::memcpy(&Bytes, File.data() + 16, 8);
+  std::memcpy(&Sum, File.data() + 24, 8);
+  std::memcpy(&Reserved, File.data() + 32, 8);
+  EXPECT_EQ(Magic, 0x43414347u);
+  EXPECT_EQ(Version, 2u);
+  EXPECT_EQ(HeaderKey, Key);
+  EXPECT_EQ(Bytes, Payload.size());
+  EXPECT_EQ(Sum, fnv1aBytesBulk(Payload.data(), Payload.size()));
+  EXPECT_EQ(Reserved, 0u);
+  EXPECT_TRUE(std::equal(Payload.begin(), Payload.end(), File.begin() + 40))
+      << "the streamed payload differs from serialize()'s bytes";
+  EXPECT_TRUE(Cache.load(Key).hasValue());
+}
+
+} // namespace
+
+TEST(ArtifactStream, StoredFileIsHeaderThenSerializedBytes) {
+  TempDir Dir;
+  ArtifactCache Cache = makeCache(Dir);
+  core::CompileOptions Opts;
+  Opts.CacheMode = CacheMode::Off;
+
+  // A BERT int8 layer: weight blobs from 16 to 64 KiB, past the
+  // direct-write threshold, between runs of small fields.
+  workloads::BertLayerSpec Bert;
+  Bert.Batch = 1;
+  Bert.SeqLen = 32;
+  Bert.Hidden = 128;
+  Bert.Heads = 2;
+  Bert.FfnDim = 512;
+  Bert.Int8 = true;
+  std::shared_ptr<core::CompiledPartition> BertP =
+      test::compileOnePartition(workloads::buildBertLayer(Bert), Opts);
+  expectStreamedEntryIsHeaderAndPayload(*BertP, Cache, 0xb0);
+
+  std::shared_ptr<core::CompiledPartition> MlpP =
+      test::compileOnePartition(buildMlp(32, 128, 96), Opts);
+  expectStreamedEntryIsHeaderAndPayload(*MlpP, Cache, 0xa1);
+  EXPECT_EQ(Dir.numEntries(), 2u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -952,6 +952,48 @@ TEST(CacheChaos, StoreFailureLeavesNoEntryAndCompileSucceeds) {
   expectClose(Outs, Want, "store-failure compile");
 }
 
+TEST(CacheChaos, MidStreamStoreFailureLeavesNoTempAndNoEntry) {
+  // "cache.write" fires on the store's entry and before each sink write,
+  // so "cache.write:N" fails the store's (N-1)th write into the temp file:
+  // N = 2 before any payload byte is in it, N = 3 after the first chunk.
+  // The 128 KiB weight streams as its own write after the staged fields.
+  const Graph G = buildMlpGraph(16, 256, 128);
+  std::vector<runtime::TensorData> Ins = makeInputs(G, 93);
+  const std::vector<runtime::TensorData> Want = referenceOutputs(G, Ins);
+  for (int N : {2, 3}) {
+    SCOPED_TRACE("cache.write:" + std::to_string(N));
+    TempDir Dir;
+    core::CompileOptions Opts;
+    Opts.Threads = 1;
+    Opts.CacheMode = runtime::CacheMode::ReadWrite;
+    Opts.CacheDir = Dir.Path;
+
+    FaultScope F(std::string(fault::kCacheWrite) + ":" + std::to_string(N));
+    api::Session S(Opts);
+    auto CGOr = S.compile(G);
+    ASSERT_TRUE(CGOr.hasValue()) << CGOr.status().toString();
+    EXPECT_EQ(fault::stats(fault::kCacheWrite).Injected, 1u);
+    EXPECT_EQ(S.diskCacheStores(), 0u);
+    std::vector<std::string> Left;
+    if (DIR *D = opendir(Dir.Path.c_str())) {
+      while (dirent *E = readdir(D)) {
+        const std::string Name = E->d_name;
+        if (Name.find(".gca") != std::string::npos)
+          Left.push_back(Name);
+      }
+      closedir(D);
+    }
+    EXPECT_TRUE(Left.empty())
+        << "left behind: " << ::testing::PrintToString(Left);
+
+    std::vector<runtime::TensorData> Outs = makeOutputs(G);
+    std::vector<runtime::TensorData *> OutPtrs = ptrs(Outs);
+    api::Stream Str = S.stream();
+    ASSERT_TRUE(Str.execute(**CGOr, ptrs(Ins), OutPtrs).isOk());
+    expectClose(Outs, Want, "mid-stream store failure");
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Destruction races: drop every handle mid-flight, under injection
 //===----------------------------------------------------------------------===//

@@ -15,6 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 using namespace gc;
 using namespace gc::graph;
 using namespace gc::passes;
@@ -201,6 +204,95 @@ TEST(CsePass, AttrsDistinguishOps) {
   runPass(createCsePass(), G);
   EXPECT_EQ(countKind(G, OpKind::Quantize), 2)
       << "different scales must not merge";
+}
+
+namespace {
+
+/// One ReLU of a shared input per entry of \p Attrs, all summed into the
+/// graph output; returns how many ReLUs are left after CSE and DCE.
+int relusLeftAfterCse(const std::vector<AttrMap> &Attrs) {
+  Graph G;
+  const int64_t X = G.addTensor(DataType::F32, {4, 8}, "x");
+  G.markInput(X);
+  int64_t Sum = -1;
+  for (const AttrMap &A : Attrs) {
+    const int64_t R = G.addOp(OpKind::ReLU, {X}, DataType::F32, {4, 8}, A);
+    Sum = Sum < 0 ? R
+                  : G.addOp(OpKind::Add, {Sum, R}, DataType::F32, {4, 8});
+  }
+  G.markOutput(Sum);
+  runPass(createCsePass(), G);
+  runPass(createDcePass(), G);
+  return countKind(G, OpKind::ReLU);
+}
+
+/// One per-channel quantize of a shared [4, 768] input per scale vector,
+/// each cast and summed into the output; returns how many quantizes are
+/// left after CSE and DCE.
+int quantizesLeftAfterCse(const std::vector<std::vector<double>> &Scales) {
+  Graph G;
+  const int64_t X = G.addTensor(DataType::F32, {4, 768}, "x");
+  G.markInput(X);
+  int64_t Sum = -1;
+  for (const std::vector<double> &S : Scales) {
+    const int64_t Q =
+        G.addOp(OpKind::Quantize, {X}, DataType::U8, {4, 768},
+                {{"scales", S}, {"zp", int64_t(0)}, {"axis", int64_t(1)}});
+    const int64_t C = G.addOp(OpKind::Cast, {Q}, DataType::S32, {4, 768});
+    Sum = Sum < 0 ? C
+                  : G.addOp(OpKind::Add, {Sum, C}, DataType::S32, {4, 768});
+  }
+  G.markOutput(Sum);
+  runPass(createCsePass(), G);
+  runPass(createDcePass(), G);
+  return countKind(G, OpKind::Quantize);
+}
+
+AttrMap tag(AttrValue V) { return {{"tag", std::move(V)}}; }
+
+double nanWithPayload(uint64_t Payload) {
+  const uint64_t Bits = 0x7ff8000000000000ull | Payload;
+  double D;
+  std::memcpy(&D, &Bits, sizeof D);
+  return D;
+}
+
+} // namespace
+
+// CSE keys ops on the exact bytes of their attributes: equal values of
+// one type merge, and anything that differs in a bit or in type does not.
+TEST(CsePass, KeyIsExactBytes) {
+  std::vector<double> Scales(768);
+  for (size_t I = 0; I < Scales.size(); ++I)
+    Scales[I] = 0.002 + 1e-6 * static_cast<double>(I);
+  std::vector<double> LastDiffers = Scales;
+  LastDiffers.back() = std::nextafter(LastDiffers.back(), 1.0);
+  EXPECT_EQ(quantizesLeftAfterCse({Scales, Scales}), 1);
+  EXPECT_EQ(quantizesLeftAfterCse({Scales, LastDiffers}), 2)
+      << "scales differing in their last element must not merge";
+
+  EXPECT_EQ(relusLeftAfterCse({tag(std::vector<int64_t>{3, 1, 2}),
+                               tag(std::vector<int64_t>{3, 1, 2})}),
+            1);
+  EXPECT_EQ(relusLeftAfterCse({tag(std::vector<double>{0.5, -1.25}),
+                               tag(std::vector<double>{0.5, -1.25})}),
+            1);
+  EXPECT_EQ(relusLeftAfterCse({tag(0.0), tag(-0.0)}), 2)
+      << "0.0 and -0.0 must not merge";
+  EXPECT_EQ(relusLeftAfterCse(
+                {tag(int64_t(1)), tag(1.0), tag(std::string("1"))}),
+            3)
+      << "int 1, double 1.0 and string \"1\" must not merge";
+  EXPECT_EQ(relusLeftAfterCse({tag(std::vector<int64_t>{}),
+                               tag(std::vector<double>{}),
+                               tag(std::string())}),
+            3)
+      << "empty values of different types must not merge";
+  EXPECT_EQ(relusLeftAfterCse({tag(nanWithPayload(1)), tag(nanWithPayload(2))}),
+            2)
+      << "NaNs with different payloads must not merge";
+  EXPECT_EQ(relusLeftAfterCse({tag(nanWithPayload(1)), tag(nanWithPayload(1))}),
+            1);
 }
 
 TEST(DcePass, RemovesUnreachableChains) {

@@ -119,8 +119,7 @@ bool readAttr(ByteReader &R, AttrValue &V) {
 /// exactly once. Execution reads packed weights from the folded-constants
 /// section and raw bytes only through ConstData bindings, so fold-input
 /// weights — which a loaded partition never folds again — would otherwise
-/// ride along (twice: optimized graph + fold graph) purely as checksum
-/// and page-in ballast on every warm start.
+/// ride along purely as checksum and page-in ballast on every warm start.
 void writeGraph(ByteWriter &W, const Graph &G,
                 const std::unordered_set<int64_t> *ShipConsts) {
   const std::vector<int64_t> TIds = G.tensorIds();
@@ -771,38 +770,6 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
 // Semantic cross-checks over the restored pieces
 //===----------------------------------------------------------------------===//
 
-/// True when \p Id is structurally available in the fold graph: produced
-/// by an op, carrying constant data, or declared a constant tensor. The
-/// payload ships the fold's *outputs*, so a loaded partition never runs
-/// the fold graph and its constant inputs travel without data — the
-/// closure check proves the graph is well-formed (every referenced id
-/// exists and is produced-or-constant), not that the fold could re-run.
-bool foldAvailable(const Graph &FG, int64_t Id) {
-  return FG.producerOf(Id) >= 0 || FG.constantData(Id) != nullptr ||
-         (FG.hasTensor(Id) &&
-          FG.tensor(Id).Property == TensorProperty::Constant);
-}
-
-Status checkFoldClosure(const Graph &FG,
-                        const std::vector<int64_t> &FoldOutputs) {
-  for (int64_t OpId : FG.opIds())
-    for (int64_t In : FG.op(OpId).inputs())
-      if (!foldAvailable(FG, In))
-        return Status::error(
-            StatusCode::InvalidArgument,
-            formatString("artifact fold graph: op %lld reads t%lld, which "
-                         "is neither produced nor constant",
-                         (long long)OpId, (long long)In));
-  for (int64_t Out : FoldOutputs)
-    if (!foldAvailable(FG, Out))
-      return Status::error(
-          StatusCode::InvalidArgument,
-          formatString("artifact fold output t%lld is neither produced nor "
-                       "constant",
-                       (long long)Out));
-  return Status::ok();
-}
-
 /// Bytes a binding target can legally provide: the padded logical extent
 /// of the graph tensor (callers bind plain logical tensors; fold outputs
 /// may be block-padded).
@@ -819,7 +786,7 @@ bool contains(const std::vector<int64_t> &V, int64_t Id) {
 /// every buffer whose scope requires an execution-time pointer gets one —
 /// an unbound Param buffer would hand the executor a null base.
 Status checkBindings(const std::vector<lower::Binding> &Bindings,
-                     const exec::Program &P, const Graph &G, const Graph &FG,
+                     const exec::Program &P, const Graph &G,
                      const std::vector<int64_t> &FoldOutputs) {
   std::vector<bool> Bound(P.Buffers.size(), false);
   for (const lower::Binding &B : Bindings) {
@@ -864,7 +831,7 @@ Status checkBindings(const std::vector<lower::Binding> &Bindings,
         return Status::error(
             StatusCode::InvalidArgument,
             "artifact folded binding on a non-FoldedConst buffer");
-      Avail = tensorBytes(FG, B.TensorId);
+      Avail = tensorBytes(G, B.TensorId);
       break;
     case lower::BindingKind::ConstData: {
       const TensorData *CD = G.constantData(B.TensorId);
@@ -975,7 +942,6 @@ void ArtifactCodec::encode(CompiledPartition &P, ByteWriter &W) {
                                     : tirpass::countParallelNests(P.Prog.Entry);
   W.u32(kArtifactPayloadVersion);
   writeGraph(W, P.OptimizedG, &ExecConsts);
-  writeGraph(W, P.Prog.FoldGraph, nullptr);
   W.i64vec(P.Prog.FoldOutputs);
   writeFunc(W, P.Prog.Entry);
   writeProgram(W, *P.Prog.Bytecode);
@@ -1030,14 +996,9 @@ ArtifactCodec::deserialize(const void *Payload, size_t Bytes,
   std::shared_ptr<CompiledPartition> P(new CompiledPartition());
   if (Status S = readGraph(R, P->OptimizedG, 0); !S.isOk())
     return S;
-  if (Status S = readGraph(R, P->Prog.FoldGraph, 0); !S.isOk())
-    return S;
   P->Prog.FoldOutputs = R.i64vec();
   if (!R.ok())
     return R.err();
-  if (Status S = checkFoldClosure(P->Prog.FoldGraph, P->Prog.FoldOutputs);
-      !S.isOk())
-    return S;
   if (Status S = readFunc(R, P->Prog.Entry); !S.isOk())
     return S;
   auto Prog = std::make_shared<exec::Program>();
@@ -1070,10 +1031,11 @@ ArtifactCodec::deserialize(const void *Payload, size_t Bytes,
   }
 
   // Folded-constants section: one pre-computed tensor per fold output,
-  // served as zero-copy views into the payload. Each id must name a fold
-  // output exactly once, carry the fold graph's data type, and span the
-  // tensor's padded extent — the byte budget checkBindings later grants
-  // FoldedConst buffers.
+  // served as zero-copy views into the payload. Each id must name a
+  // tensor of the optimized graph and a fold output exactly once, carry
+  // that tensor's data type, and span its padded extent — the byte budget
+  // checkBindings later grants FoldedConst buffers. With the count equal
+  // to the fold outputs', every fold output is checked here.
   const uint64_t NumFolded = R.u64();
   if (!R.ok() || NumFolded != P->Prog.FoldOutputs.size()) {
     R.fail("folded constant count");
@@ -1087,16 +1049,16 @@ ArtifactCodec::deserialize(const void *Payload, size_t Bytes,
     TensorData View;
     if (!readTensorBlob(R, "folded constant", View))
       return R.err();
-    if (!contains(P->Prog.FoldOutputs, Id) || !SeenFold.insert(Id).second) {
+    if (!P->OptimizedG.hasTensor(Id) || !contains(P->Prog.FoldOutputs, Id) ||
+        !SeenFold.insert(Id).second) {
       R.fail("folded constant id");
       return R.err();
     }
-    const LogicalTensor &T = P->Prog.FoldGraph.tensor(Id);
-    if (View.dtype() != T.Ty) {
+    if (View.dtype() != P->OptimizedG.tensor(Id).Ty) {
       R.fail("folded constant data type");
       return R.err();
     }
-    if (View.numBytes() != tensorBytes(P->Prog.FoldGraph, Id)) {
+    if (View.numBytes() != tensorBytes(P->OptimizedG, Id)) {
       R.fail("folded constant byte extent");
       return R.err();
     }
@@ -1109,18 +1071,15 @@ ArtifactCodec::deserialize(const void *Payload, size_t Bytes,
   }
 
   if (Status S = checkBindings(P->Prog.Bindings, *Prog, P->OptimizedG,
-                               P->Prog.FoldGraph, P->Prog.FoldOutputs);
+                               P->Prog.FoldOutputs);
       !S.isOk())
     return S;
 
-  // The restored graphs and program earn the full static proofs before the
+  // The restored graph and program earn the full static proofs before the
   // partition can reach the executor's unchecked dispatch loop — always,
   // independent of GC_VERIFY (this is untrusted disk input, not our own
   // pipeline's output).
   if (Status S = verify::verifyGraph(P->OptimizedG, "artifact load");
-      !S.isOk())
-    return S;
-  if (Status S = verify::verifyGraph(P->Prog.FoldGraph, "artifact fold load");
       !S.isOk())
     return S;
   if (Status S = verify::verifyLoadedProgram(*Prog, "artifact load");

@@ -8,8 +8,8 @@
 ///
 /// A serialized artifact carries everything execution needs and nothing
 /// the compiler needs: the optimized Graph IR (boundary + constants, for
-/// binding resolution and the fold function), the fold graph and its
-/// output ids, the entry function's buffer table and baked constants
+/// binding resolution), the fold function's output ids, the entry
+/// function's buffer table and baked constants
 /// (no Tensor IR body — the bytecode replaces it), the bytecode Program
 /// with kernel calls recorded symbolically (tir::Intrinsic, relinked to
 /// function pointers at load), the execution-time bindings, the
@@ -66,7 +66,11 @@ namespace core {
 ///
 /// v4 renumbered the intrinsics: the 24 with a row in tir/intrinsics.h's
 /// table come first, and the 19 retired ids past them are rejected.
-constexpr uint32_t kArtifactPayloadVersion = 4;
+///
+/// v5 retired 15 more intrinsics (the 9 live ones are renumbered from 0)
+/// and dropped the fold graph: a loaded partition never runs it, and the
+/// optimized graph already holds every tensor it names.
+constexpr uint32_t kArtifactPayloadVersion = 5;
 
 /// Identity hash of this binary's compilation pipeline: payload version,
 /// compiler identification and build timestamp. Two processes agree on it

@@ -249,7 +249,7 @@ private:
   /// compiled in-process, derive from Prog.Entry.
   int LoadedParallelNests = -1;
   /// Pins the mmap'd cache entry backing zero-copy constant views
-  /// (OptimizedG/FoldGraph payloads, Entry.Baked) for this partition's
+  /// (OptimizedG payload, Entry.Baked) for this partition's
   /// lifetime. Null for in-process compiles.
   std::shared_ptr<void> MappedPin;
 };

@@ -55,16 +55,6 @@ namespace {
 
 using namespace kernels;
 
-/// Buffer 0 as a Rows x Cols tile on Ld (S[0], S[1], S[2]).
-inline TileF32 tileArg(void *const *Ptrs, const int64_t *SI) {
-  TileF32 T;
-  T.Data = static_cast<float *>(Ptrs[0]);
-  T.Rows = SI[0];
-  T.Cols = SI[1];
-  T.Ld = SI[2];
-  return T;
-}
-
 void adBrgemmF32(void *const *Ptrs, const int64_t *SI, const double *) {
   BrgemmF32Args A;
   A.A = static_cast<const float *>(Ptrs[0]);
@@ -89,62 +79,6 @@ void adBrgemmU8S8(void *const *Ptrs, const int64_t *SI, const double *) {
   brgemmU8S8(A);
 }
 
-void adReluTile(void *const *P, const int64_t *SI, const double *) {
-  reluTile(tileArg(P, SI));
-}
-void adExpTile(void *const *P, const int64_t *SI, const double *) {
-  expTile(tileArg(P, SI));
-}
-void adTanhTile(void *const *P, const int64_t *SI, const double *) {
-  tanhTile(tileArg(P, SI));
-}
-void adSqrtTile(void *const *P, const int64_t *SI, const double *) {
-  sqrtTile(tileArg(P, SI));
-}
-void adRecipTile(void *const *P, const int64_t *SI, const double *) {
-  recipTile(tileArg(P, SI));
-}
-void adSquareTile(void *const *P, const int64_t *SI, const double *) {
-  squareTile(tileArg(P, SI));
-}
-void adSigmoidTile(void *const *P, const int64_t *SI, const double *) {
-  sigmoidTile(tileArg(P, SI));
-}
-void adAffineTile(void *const *P, const int64_t *SI, const double *SF) {
-  affineTile(tileArg(P, SI), static_cast<float>(SF[3]),
-             static_cast<float>(SF[4]));
-}
-
-/// Buffer 1 as a tile of buffer 0's shape on Ld S[3].
-inline ConstTileF32 rhsArg(void *const *Ptrs, const int64_t *SI) {
-  ConstTileF32 Y;
-  Y.Data = static_cast<const float *>(Ptrs[1]);
-  Y.Ld = SI[3];
-  return Y;
-}
-
-void adAddTile(void *const *P, const int64_t *SI, const double *) {
-  addTile(tileArg(P, SI), rhsArg(P, SI));
-}
-void adSubTile(void *const *P, const int64_t *SI, const double *) {
-  subTile(tileArg(P, SI), rhsArg(P, SI));
-}
-void adMulTile(void *const *P, const int64_t *SI, const double *) {
-  mulTile(tileArg(P, SI), rhsArg(P, SI));
-}
-void adDivTile(void *const *P, const int64_t *SI, const double *) {
-  divTile(tileArg(P, SI), rhsArg(P, SI));
-}
-void adMaxTile(void *const *P, const int64_t *SI, const double *) {
-  maxTile(tileArg(P, SI), rhsArg(P, SI));
-}
-void adMinTile(void *const *P, const int64_t *SI, const double *) {
-  minTile(tileArg(P, SI), rhsArg(P, SI));
-}
-
-void adCopyTile(void *const *P, const int64_t *SI, const double *) {
-  copyTile(tileArg(P, SI), rhsArg(P, SI));
-}
 void adCopyTileRaw(void *const *P, const int64_t *SI, const double *) {
   copyTileRaw(P[0], SI[2], P[1], SI[3], SI[0], SI[1], SI[4]);
 }

@@ -586,13 +586,5 @@ void permute0213(void *Dst, const void *Src, int64_t A, int64_t B, int64_t C,
                     static_cast<size_t>(RowBytes));
 }
 
-void transposeTile(const TileF32 &Dst, const ConstTileF32 &Src) {
-  for (int64_t R = 0; R < Dst.Rows; ++R) {
-    float *DRow = Dst.Data + R * Dst.Ld;
-    for (int64_t C = 0; C < Dst.Cols; ++C)
-      DRow[C] = Src.Data[C * Src.Ld + R];
-  }
-}
-
 } // namespace kernels
 } // namespace gc

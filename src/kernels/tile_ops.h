@@ -1,11 +1,11 @@
 //===- tile_ops.h - Tile-granularity fusible-op kernels ---------*- C++ -*-===//
 ///
 /// \file
-/// The kernel vocabulary that Fusible OPs lower to at template anchor points
-/// (§IV). Each kernel transforms one tensor slice ("tile") described by a
-/// base pointer, a row/column extent and a leading dimension, so executing
-/// Tensor IR moves whole tiles per statement — mirroring how the paper's
-/// generated code keeps the per-element work inside compiled loops.
+/// Per-op kernels over one tensor slice ("tile") described by a base
+/// pointer, a row/column extent and a leading dimension. Compiled
+/// partitions run every Fusible OP as a step of the fused epilogue
+/// (epilogue.h); these kernels are its test oracle, one op at a time, and
+/// the kernels of the loop-nest baseline (baseline/loopnest.h).
 ///
 /// Naming: suffix RowVec means a length-Cols vector broadcast across rows
 /// (bias/scale per output channel); suffix ColVec means a length-Rows vector
@@ -29,12 +29,11 @@
 /// before it is rounded, so any magnitude, +-inf included, lands on the
 /// nearest end of the range.
 ///
-/// The fused epilogue (epilogue.h) runs these kernels' vector operations,
-/// in the same order per element, in one pass: it matches the per-op
-/// sequence bit for bit at every tier, and these kernels stay its test
-/// oracle. The kernels themselves keep gradual denormals (vexp included);
-/// compiled partitions call them with FTZ/DAZ set in MXCSR, where a
-/// denormal result reads back as zero. The library builds with
+/// The fused epilogue runs these kernels' vector operations, in the same
+/// order per element, in one pass: it matches the per-op sequence bit for
+/// bit at every tier. The kernels themselves keep gradual denormals (vexp
+/// included); compiled partitions run the epilogue with FTZ/DAZ set in
+/// MXCSR, where a denormal result reads back as zero. The library builds with
 /// -ffp-contract=off, so no tier fuses a multiply and an add the source
 /// does not spell as one fma.
 ///
@@ -130,8 +129,6 @@ void copyTile(const TileF32 &Dst, const ConstTileF32 &Src);
 /// \p ElemSize bytes); used when moving s32/u8 tiles.
 void copyTileRaw(void *Dst, int64_t DstLd, const void *Src, int64_t SrcLd,
                  int64_t Rows, int64_t Cols, int64_t ElemSize);
-/// Dst[r][c] = Src[c][r] for a Rows x Cols destination tile.
-void transposeTile(const TileF32 &Dst, const ConstTileF32 &Src);
 /// 4-D permutation [A,B,C,D] -> [A,C,B,D] (the BSHD <-> BHSD layout move
 /// of transformer graphs), type-agnostic.
 void permute0213(void *Dst, const void *Src, int64_t A, int64_t B, int64_t C,

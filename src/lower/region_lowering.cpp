@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -71,6 +72,83 @@ struct StripVal {
   int64_t Zp = 0;
   bool Signed = false;
 };
+
+/// The epilogue step of a unary elementwise op.
+kernels::EpOp unaryStep(OpKind Kind) {
+  using kernels::EpOp;
+  switch (Kind) {
+  case OpKind::ReLU: return EpOp::Relu;
+  case OpKind::Exp: return EpOp::Exp;
+  case OpKind::Tanh: return EpOp::Tanh;
+  case OpKind::Sqrt: return EpOp::Sqrt;
+  case OpKind::Reciprocal: return EpOp::Recip;
+  case OpKind::Square: return EpOp::Square;
+  case OpKind::Sigmoid: return EpOp::Sigmoid;
+  default: fatalError("unsupported unary op in fused region");
+  }
+}
+
+/// The epilogue step of a binary elementwise op.
+kernels::EpOp binaryStep(OpKind Kind) {
+  using kernels::EpOp;
+  switch (Kind) {
+  case OpKind::Add: return EpOp::Add;
+  case OpKind::Sub: return EpOp::Sub;
+  case OpKind::Mul: return EpOp::Mul;
+  case OpKind::Div: return EpOp::Div;
+  case OpKind::Max: return EpOp::Max;
+  case OpKind::Min: return EpOp::Min;
+  default: fatalError("not a binary op");
+  }
+}
+
+/// Appends R[Dst] = R[Src] op Sc (Sc op R[Src] when \p Swapped) as affine
+/// steps; Sc / x takes 1 / x first.
+void appendScalarSteps(std::vector<kernels::EpStep> &Steps, OpKind Kind,
+                       bool Swapped, double Sc, int Src, int Dst) {
+  using kernels::EpOp;
+  const auto step = [&](EpOp Op, int From, double Mul, double Add) {
+    kernels::EpStep S;
+    S.Op = Op;
+    S.Dst = static_cast<uint8_t>(Dst);
+    S.A = static_cast<uint8_t>(From);
+    S.F0 = static_cast<float>(Mul);
+    S.F1 = static_cast<float>(Add);
+    Steps.push_back(S);
+  };
+  switch (Kind) {
+  case OpKind::Add:
+    step(EpOp::Affine, Src, 1.0, Sc);
+    break;
+  case OpKind::Mul:
+    step(EpOp::Affine, Src, Sc, 0.0);
+    break;
+  case OpKind::Sub:
+    step(EpOp::Affine, Src, Swapped ? -1.0 : 1.0, Swapped ? Sc : -Sc);
+    break;
+  case OpKind::Div:
+    if (!Swapped) {
+      step(EpOp::Affine, Src, 1.0 / Sc, 0.0);
+    } else {
+      step(EpOp::Recip, Src, 0.0, 0.0);
+      step(EpOp::Affine, Dst, Sc, 0.0);
+    }
+    break;
+  default:
+    fatalError("unsupported scalar binary");
+  }
+}
+
+/// An EpilogueTile call running \p D over \p Slots.
+Stmt epilogueCall(kernels::EpilogueDesc D, std::vector<BufferRef> Slots,
+                  Expr Rows, Expr Cols, Expr Accumulate) {
+  D.NumBufs = static_cast<uint8_t>(Slots.size());
+  auto Call = std::static_pointer_cast<CallNode>(
+      makeCall(Intrinsic::EpilogueTile, std::move(Slots),
+               {std::move(Rows), std::move(Cols), std::move(Accumulate)}));
+  Call->Epilogue = std::make_shared<const kernels::EpilogueDesc>(std::move(D));
+  return Call;
+}
 
 //===----------------------------------------------------------------------===//
 // RegionLowerer
@@ -333,7 +411,7 @@ private:
         // per strip. Close the segment if it feeds on an open vec.
         if (ReadsOpenVec)
           closeSegment();
-        emitVecOp(O, Anchor);
+        emitVecOp(O);
         continue;
       }
       if (ReadsOpenVec || segmentFull(isReduction(O.kind())))
@@ -364,11 +442,8 @@ private:
       (void)OutT;
       // Region output is a row-reduction vector ([..., M, 1] plain).
       Expr VecOff = (BtE ? BtE * makeInt(MDim) : makeInt(0)) + RowBaseE;
-      Anchor.push_back(makeCall(
-          Intrinsic::CopyTile,
-          {BufferRef(Ctx.BufferFor(OuterOuts[I]), VecOff),
-           BufferRef(OutV.BufferId, makeInt(0))},
-          {ValidRowsE, makeInt(1), makeInt(1), makeInt(1)}));
+      emitVecCall(BufferRef(OutV.BufferId, makeInt(0)), {},
+                  BufferRef(Ctx.BufferFor(OuterOuts[I]), VecOff));
     }
     return std::move(Anchor);
   }
@@ -457,16 +532,10 @@ private:
       V.K = StripVal::Kind::Strip;
       V.BufferId = Strip;
     }
-    if (!Steps.Steps.empty()) {
-      Steps.NumBufs = static_cast<uint8_t>(Slots.size());
-      auto Call = std::static_pointer_cast<CallNode>(makeCall(
-          Intrinsic::EpilogueTile, std::move(Slots),
-          {ValidRowsE, ValidColsOf(Expr(Nsi)),
-           minExpr(Expr(Nsi), makeInt(1))}));
-      Call->Epilogue =
-          std::make_shared<const kernels::EpilogueDesc>(std::move(Steps));
-      SegmentBody.push_back(std::move(Call));
-    }
+    if (!Steps.Steps.empty())
+      SegmentBody.push_back(epilogueCall(std::move(Steps), std::move(Slots),
+                                         ValidRowsE, ValidColsOf(Expr(Nsi)),
+                                         minExpr(Expr(Nsi), makeInt(1))));
     Steps = kernels::EpilogueDesc();
     Slots.clear();
     BusyRegs = 0;
@@ -483,145 +552,89 @@ private:
     Nsi = makeVar(formatString("nsi_s%d", ++SegmentCounter));
   }
 
-  /// Emits a vector-valued op (operands are per-row vectors, scalars, or
-  /// external colvecs); executed once per strip.
-  void emitVecOp(const Op &O, StmtList &Out) {
-    const int64_t OutT = O.output(0);
-    const auto vecTile = [&](int Buf) {
-      return BufferRef(Buf, makeInt(0));
-    };
-    const std::vector<Expr> VecScalars = {ValidRowsE, makeInt(1),
-                                          makeInt(1)};
-    // Resolve the first operand into an owned vec buffer.
-    const auto ownedVec = [&](int64_t In) -> int {
-      auto EnvIt = Env.find(In);
-      if (EnvIt != Env.end()) {
-        assert(EnvIt->second.K == StripVal::Kind::RedVec &&
-               "vec op operand must be a row vector");
-        if (UseCount[In] <= 1)
-          return EnvIt->second.BufferId;
-        const int Fresh = scratch("vec", DataType::F32, {TileRows});
-        Out.push_back(makeCall(Intrinsic::CopyTile,
-                               {vecTile(Fresh),
-                                vecTile(EnvIt->second.BufferId)},
-                               {ValidRowsE, makeInt(1), makeInt(1),
-                                makeInt(1)}));
-        return Fresh;
-      }
-      const ExtRef &E = Ext.at(In);
-      assert(E.K == ExtKind::ColVec && "vec operand must be a colvec");
-      const int Fresh = scratch("vec", DataType::F32, {TileRows});
-      Out.push_back(makeCall(Intrinsic::CopyTile,
-                             {vecTile(Fresh),
-                              BufferRef(E.BufferId, extColVecOffset(E))},
-                             {ValidRowsE, makeInt(1), makeInt(1),
-                              makeInt(1)}));
-      return Fresh;
-    };
-
-    if (isUnaryElementwise(O.kind())) {
-      const int Vec = ownedVec(O.input(0));
-      consume(O.input(0));
-      Intrinsic In;
-      switch (O.kind()) {
-      case OpKind::Sqrt: In = Intrinsic::SqrtTile; break;
-      case OpKind::Reciprocal: In = Intrinsic::RecipTile; break;
-      case OpKind::Exp: In = Intrinsic::ExpTile; break;
-      case OpKind::Tanh: In = Intrinsic::TanhTile; break;
-      case OpKind::Square: In = Intrinsic::SquareTile; break;
-      case OpKind::ReLU: In = Intrinsic::ReluTile; break;
-      case OpKind::Sigmoid: In = Intrinsic::SigmoidTile; break;
-      default: fatalError("unsupported unary vec op");
-      }
-      Out.push_back(makeCall(In, {vecTile(Vec)}, VecScalars));
-      StripVal V;
-      V.K = StripVal::Kind::RedVec;
-      V.BufferId = Vec;
-      Env[OutT] = V;
-      return;
+  /// A per-row vector operand at the strip's first row: an interior
+  /// reduction vector or an external column vector.
+  BufferRef vecRef(int64_t SubTensor) const {
+    auto EnvIt = Env.find(SubTensor);
+    if (EnvIt != Env.end()) {
+      assert(EnvIt->second.K == StripVal::Kind::RedVec &&
+             "vec op operand must be a row vector");
+      return BufferRef(EnvIt->second.BufferId, makeInt(0));
     }
-    if (isBinaryElementwise(O.kind())) {
+    const ExtRef &E = Ext.at(SubTensor);
+    assert(E.K == ExtKind::ColVec && "vec operand must be a colvec");
+    return BufferRef(E.BufferId, extColVecOffset(E));
+  }
+
+  /// Emits one EpilogueTile call over per-row vectors, once per strip:
+  /// the strip's ValidRows values of a vector lie in one 1 x ValidRows
+  /// row. The call loads \p Src into register 0 (slot 0), runs \p Ops on
+  /// it and stores it into \p Dst (slot 1); \p Operand, when given, is
+  /// slot 2, which a binary step reads as its row vector.
+  void emitVecCall(BufferRef Src, std::vector<kernels::EpStep> Ops,
+                   BufferRef Dst, std::optional<BufferRef> Operand = {}) {
+    using kernels::EpOp;
+    kernels::EpilogueDesc D;
+    D.Steps.resize(1);
+    D.Steps[0].Op = EpOp::LoadF32;
+    D.Steps[0].Ld = TileRows;
+    D.Steps.insert(D.Steps.end(), Ops.begin(), Ops.end());
+    kernels::EpStep &Store = D.Steps.emplace_back();
+    Store.Op = EpOp::StoreF32;
+    Store.Arg = 1;
+    Store.Ld = TileRows;
+    std::vector<BufferRef> Slots = {std::move(Src), std::move(Dst)};
+    if (Operand)
+      Slots.push_back(std::move(*Operand));
+    Anchor.push_back(epilogueCall(std::move(D), std::move(Slots), makeInt(1),
+                                  ValidRowsE, makeInt(0)));
+  }
+
+  /// Emits a vector-valued op (operands are per-row vectors, scalars, or
+  /// external colvecs) as one vector call into a fresh vector.
+  void emitVecOp(const Op &O) {
+    std::vector<kernels::EpStep> Ops;
+    std::optional<BufferRef> Operand;
+    int64_t Lhs = O.input(0);
+    if (isUnaryElementwise(O.kind())) {
+      Ops.emplace_back().Op = unaryStep(O.kind());
+    } else if (isBinaryElementwise(O.kind())) {
       // Normalize: vec side first.
-      int64_t Lhs = O.input(0), Rhs = O.input(1);
-      auto isVecOperand = [&](int64_t T) {
+      const auto isVecOperand = [&](int64_t T) {
         auto It = Env.find(T);
         if (It != Env.end())
           return It->second.K == StripVal::Kind::RedVec;
         auto E = Ext.find(T);
         return E != Ext.end() && E->second.K == ExtKind::ColVec;
       };
-      bool Swapped = false;
-      if (!isVecOperand(Lhs)) {
+      int64_t Rhs = O.input(1);
+      const bool Swapped = !isVecOperand(Lhs);
+      if (Swapped)
         std::swap(Lhs, Rhs);
-        Swapped = true;
-      }
-      const int Vec = ownedVec(Lhs);
-      consume(Lhs);
       // RHS: scalar const or another vec.
       const auto ExtIt = Ext.find(Rhs);
       if (ExtIt != Ext.end() && ExtIt->second.K == ExtKind::Scalar) {
-        const double S = ExtIt->second.ScalarValue;
-        consume(Rhs);
-        switch (O.kind()) {
-        case OpKind::Add:
-          Out.push_back(makeCall(Intrinsic::AffineTile, {vecTile(Vec)},
-                                 {ValidRowsE, makeInt(1), makeInt(1),
-                                  makeFloat(1.0), makeFloat(S)}));
-          break;
-        case OpKind::Mul:
-          Out.push_back(makeCall(Intrinsic::AffineTile, {vecTile(Vec)},
-                                 {ValidRowsE, makeInt(1), makeInt(1),
-                                  makeFloat(S), makeFloat(0.0)}));
-          break;
-        case OpKind::Sub:
-          Out.push_back(makeCall(
-              Intrinsic::AffineTile, {vecTile(Vec)},
-              {ValidRowsE, makeInt(1), makeInt(1),
-               makeFloat(Swapped ? -1.0 : 1.0),
-               makeFloat(Swapped ? S : -S)}));
-          break;
-        case OpKind::Div:
-          if (!Swapped) {
-            Out.push_back(makeCall(Intrinsic::AffineTile, {vecTile(Vec)},
-                                   {ValidRowsE, makeInt(1), makeInt(1),
-                                    makeFloat(1.0 / S), makeFloat(0.0)}));
-          } else {
-            Out.push_back(
-                makeCall(Intrinsic::RecipTile, {vecTile(Vec)}, VecScalars));
-            Out.push_back(makeCall(Intrinsic::AffineTile, {vecTile(Vec)},
-                                   {ValidRowsE, makeInt(1), makeInt(1),
-                                    makeFloat(S), makeFloat(0.0)}));
-          }
-          break;
-        default:
-          fatalError("unsupported scalar vec binary");
-        }
+        appendScalarSteps(Ops, O.kind(), Swapped, ExtIt->second.ScalarValue,
+                          0, 0);
       } else {
-        const int Other = ownedVec(Rhs); // read-only use; owned is fine
-        consume(Rhs);
-        Intrinsic In;
-        switch (O.kind()) {
-        case OpKind::Add: In = Intrinsic::AddTile; break;
-        case OpKind::Sub: In = Intrinsic::SubTile; break;
-        case OpKind::Mul: In = Intrinsic::MulTile; break;
-        case OpKind::Div: In = Intrinsic::DivTile; break;
-        case OpKind::Max: In = Intrinsic::MaxTile; break;
-        case OpKind::Min: In = Intrinsic::MinTile; break;
-        default: fatalError("unsupported vec binary");
-        }
-        assert(!Swapped || O.kind() == OpKind::Add ||
-               O.kind() == OpKind::Mul);
-        Out.push_back(makeCall(In, {vecTile(Vec), vecTile(Other)},
-                               {ValidRowsE, makeInt(1), makeInt(1),
-                                makeInt(1)}));
+        kernels::EpStep &S = Ops.emplace_back();
+        S.Op = binaryStep(O.kind());
+        S.BKind = kernels::EpOperand::RowVec;
+        S.Arg = 2;
+        Operand = vecRef(Rhs);
       }
-      StripVal V;
-      V.K = StripVal::Kind::RedVec;
-      V.BufferId = Vec;
-      Env[OutT] = V;
-      return;
+      consume(Rhs);
+    } else {
+      fatalError("unsupported vector-valued op in fused region");
     }
-    fatalError("unsupported vector-valued op in fused region");
+    const BufferRef Src = vecRef(Lhs);
+    consume(Lhs);
+    StripVal V;
+    V.K = StripVal::Kind::RedVec;
+    V.BufferId = scratch("vec", DataType::F32, {TileRows});
+    emitVecCall(Src, std::move(Ops), BufferRef(V.BufferId, makeInt(0)),
+                std::move(Operand));
+    Env[O.output(0)] = V;
   }
 
   /// Trip count of an anchor nsi loop (clamped NSN for tunable, 1 for
@@ -841,18 +854,7 @@ private:
 
     // Unary elementwise.
     if (isUnaryElementwise(Kind)) {
-      EpOp Op;
-      switch (Kind) {
-      case OpKind::ReLU: Op = EpOp::Relu; break;
-      case OpKind::Exp: Op = EpOp::Exp; break;
-      case OpKind::Tanh: Op = EpOp::Tanh; break;
-      case OpKind::Sqrt: Op = EpOp::Sqrt; break;
-      case OpKind::Reciprocal: Op = EpOp::Recip; break;
-      case OpKind::Square: Op = EpOp::Square; break;
-      case OpKind::Sigmoid: Op = EpOp::Sigmoid; break;
-      default: fatalError("unsupported unary op in fused region");
-      }
-      emitUnary(Op, O.input(0), OutT);
+      emitUnary(unaryStep(Kind), O.input(0), OutT);
       return;
     }
 
@@ -909,23 +911,12 @@ private:
         Kind == OpKind::Add || Kind == OpKind::Mul || Kind == OpKind::Max ||
         Kind == OpKind::Min;
 
-    EpOp Op;
-    switch (Kind) {
-    case OpKind::Add: Op = EpOp::Add; break;
-    case OpKind::Sub: Op = EpOp::Sub; break;
-    case OpKind::Mul: Op = EpOp::Mul; break;
-    case OpKind::Div: Op = EpOp::Div; break;
-    case OpKind::Max: Op = EpOp::Max; break;
-    case OpKind::Min: Op = EpOp::Min; break;
-    default: fatalError("not a binary op");
-    }
-
     bool TempA;
     const int A = valueReg(Lhs, TempA);
     // Second operand: a register (interior value or loaded Full tile),
     // or a vector slot.
     kernels::EpStep S;
-    S.Op = Op;
+    S.Op = binaryStep(Kind);
     S.A = static_cast<uint8_t>(A);
     int TempB = -1;
     auto EnvIt = Env.find(Rhs);
@@ -1002,43 +993,12 @@ private:
   /// strip OP scalar (or scalar OP strip when swapped) as affine steps.
   void emitScalarBinary(OpKind Kind, bool Swapped, double Sc, int64_t Lhs,
                         int64_t Rhs, int A, bool TempA, int64_t Out) {
-    using kernels::EpOp;
     consume(Lhs);
     consume(Rhs);
     if (TempA)
       freeReg(A);
     const int D = allocReg();
-    const auto affine = [&](int Src, double Mul, double Add) {
-      kernels::EpStep &S = addStep(EpOp::Affine);
-      S.Dst = static_cast<uint8_t>(D);
-      S.A = static_cast<uint8_t>(Src);
-      S.F0 = static_cast<float>(Mul);
-      S.F1 = static_cast<float>(Add);
-    };
-    switch (Kind) {
-    case OpKind::Add:
-      affine(A, 1.0, Sc);
-      break;
-    case OpKind::Mul:
-      affine(A, Sc, 0.0);
-      break;
-    case OpKind::Sub:
-      affine(A, Swapped ? -1.0 : 1.0, Swapped ? Sc : -Sc);
-      break;
-    case OpKind::Div:
-      if (!Swapped) {
-        affine(A, 1.0 / Sc, 0.0);
-      } else {
-        // scalar / strip.
-        kernels::EpStep &R = addStep(EpOp::Recip);
-        R.Dst = static_cast<uint8_t>(D);
-        R.A = static_cast<uint8_t>(A);
-        affine(D, Sc, 0.0);
-      }
-      break;
-    default:
-      fatalError("unsupported scalar binary");
-    }
+    appendScalarSteps(Steps.Steps, Kind, Swapped, Sc, A, D);
     defineReg(Out, D);
   }
 

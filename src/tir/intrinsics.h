@@ -4,10 +4,11 @@
 /// The intrinsic vocabulary of Tensor IR. "The intrinsic function is used to
 /// represent a microkernel, which is carefully hand-tuned and fulfills a
 /// subtask of a DNN OP with data in the fastest cache on a single CPU core"
-/// (§II). Beyond the brgemm microkernel, the fused-op template commits the
-/// Fusible OPs at its post-op anchors as one EpilogueTile call per anchor
-/// segment (kernels/epilogue.h); the per-op tile intrinsics serve the per-row
-/// vector ops between segments, the layout moves and the packs.
+/// (§II). Beyond the brgemm microkernel, the fused-op template commits
+/// every Fusible OP at its post-op anchors as a step of an EpilogueTile
+/// call (kernels/epilogue.h): one call per anchor segment, and one per
+/// per-row vector op between segments. The rest are the layout moves and
+/// the packs.
 ///
 /// A CallStmt carries an ordered buffer-reference list and an ordered scalar
 /// list. GC_INTRINSIC_TABLE states each intrinsic's contract once, as one
@@ -144,32 +145,6 @@ constexpr IntrinsicInfo make(const char *Name, const char *Scalars,
     "M N K Lda NPadded Ldc AStrideB BStrideB Batch InitC",                    \
     (in("A", U8, brgemmA()), in("B", S8, brgemmB()),                          \
      out("C", S32, tile(0, 1, 5))))                                           \
-  X(ReluTile, "relu_tile", "Rows Cols Ld", (out("X", F32, tile(0, 1, 2))))    \
-  X(ExpTile, "exp_tile", "Rows Cols Ld", (out("X", F32, tile(0, 1, 2))))      \
-  X(TanhTile, "tanh_tile", "Rows Cols Ld", (out("X", F32, tile(0, 1, 2))))    \
-  X(SqrtTile, "sqrt_tile", "Rows Cols Ld", (out("X", F32, tile(0, 1, 2))))    \
-  X(RecipTile, "recip_tile", "Rows Cols Ld", (out("X", F32, tile(0, 1, 2))))  \
-  X(SquareTile, "square_tile", "Rows Cols Ld",                                \
-    (out("X", F32, tile(0, 1, 2))))                                           \
-  X(SigmoidTile, "sigmoid_tile", "Rows Cols Ld",                              \
-    (out("X", F32, tile(0, 1, 2))))                                           \
-  /* x = x * A + B; A and B are f64 scalars. */                               \
-  X(AffineTile, "affine_tile", "Rows Cols Ld A B",                            \
-    (out("X", F32, tile(0, 1, 2))))                                           \
-  X(AddTile, "add_tile", "Rows Cols LdX LdY",                                 \
-    (out("X", F32, tile(0, 1, 2)), in("Y", F32, tile(0, 1, 3))))              \
-  X(SubTile, "sub_tile", "Rows Cols LdX LdY",                                 \
-    (out("X", F32, tile(0, 1, 2)), in("Y", F32, tile(0, 1, 3))))              \
-  X(MulTile, "mul_tile", "Rows Cols LdX LdY",                                 \
-    (out("X", F32, tile(0, 1, 2)), in("Y", F32, tile(0, 1, 3))))              \
-  X(DivTile, "div_tile", "Rows Cols LdX LdY",                                 \
-    (out("X", F32, tile(0, 1, 2)), in("Y", F32, tile(0, 1, 3))))              \
-  X(MaxTile, "max_tile", "Rows Cols LdX LdY",                                 \
-    (out("X", F32, tile(0, 1, 2)), in("Y", F32, tile(0, 1, 3))))              \
-  X(MinTile, "min_tile", "Rows Cols LdX LdY",                                 \
-    (out("X", F32, tile(0, 1, 2)), in("Y", F32, tile(0, 1, 3))))              \
-  X(CopyTile, "copy_tile", "Rows Cols LdD LdS",                               \
-    (out("D", F32, tile(0, 1, 2)), in("S", F32, tile(0, 1, 3))))              \
   /* Type-agnostic strided copy of ElemSize-byte elements. */                 \
   X(CopyTileRaw, "copy_tile_raw", "Rows Cols LdD LdS ElemSize",               \
     (out("D", Any, tile(0, 1, 2)), in("S", Any, tile(0, 1, 3))))              \
@@ -196,6 +171,13 @@ enum class Intrinsic : uint8_t {
   // no row, adapter or name, so every range check rejects them; the
   // enumerators stay only because perfbench/src/trace.cpp still names
   // them in its per-intrinsic switches.
+  AddTile,
+  SubTile,
+  MulTile,
+  DivTile,
+  MaxTile,
+  MinTile,
+  CopyTile,
   AddRowVecTile,
   SubRowVecTile,
   MulRowVecTile,

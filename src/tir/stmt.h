@@ -97,7 +97,7 @@ class CallNode : public StmtNode {
 public:
   CallNode() : StmtNode(Kind::Call) {}
 
-  Intrinsic In = Intrinsic::CopyTile;
+  Intrinsic In = Intrinsic::CopyTileRaw;
   std::vector<BufferRef> Buffers;
   std::vector<Expr> Scalars;
   /// EpilogueTile only: the step list; Buffers are its slots in order.

@@ -372,21 +372,6 @@ TEST(ArtifactCodec, ByteFlipSweepParsesSafely) {
   EXPECT_GT(Accepted, 0u);
 }
 
-/// y = layernorm(x): its row statistics run as one-buffer per-row vector
-/// calls (affine, sqrt, recip) between the epilogue segments.
-Graph buildLayerNorm() {
-  Graph G;
-  const int64_t X = G.addTensor(DataType::F32, {6, 16}, "x");
-  const int64_t Gamma = G.addTensor(DataType::F32, {16}, "g");
-  const int64_t Beta = G.addTensor(DataType::F32, {16}, "b");
-  G.markInput(X);
-  G.markInput(Gamma);
-  G.markInput(Beta);
-  G.markOutput(G.addOp(OpKind::LayerNorm, {X, Gamma, Beta}, DataType::F32,
-                       {6, 16}, {{"epsilon", 1e-5}}));
-  return G;
-}
-
 /// Deserializes \p Payload with the intrinsic byte of \p Call XORed by
 /// \p Mask. The call is found by its encoding up to its scalars, as
 /// writeProgram lays it out.
@@ -418,33 +403,35 @@ TEST(ArtifactCodec, IntrinsicFlipThatWidensACallIsRejected) {
   // Pins the flip class that once made the sweep above read out of bounds
   // under ASan: an intrinsic byte flipped into one whose layout takes more
   // buffers than the call carries, so footprints indexed by that layout
-  // read an unused slot. Here the layernorm's one-buffer recip_tile call
-  // flips into the two-buffer max_tile (RecipTile ^ 0x08).
+  // read an unused slot. Here an MLP's two-buffer pack_a_f32 call flips
+  // into the three-buffer brgemm_f32 (PackAF32 ^ 0x05).
+  workloads::MlpSpec Spec;
+  Spec.LayerDims = workloads::mlp1Dims();
   core::CompileOptions Opts;
   Opts.CacheMode = CacheMode::Off;
   std::shared_ptr<core::CompiledPartition> P =
-      test::compileOnePartition(buildLayerNorm(), Opts);
+      test::compileOnePartition(workloads::buildMlp(Spec), Opts);
   const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
   const std::vector<exec::CallDesc> &Calls = P->bytecode().Calls;
-  const auto Recip =
+  const auto Pack =
       std::find_if(Calls.begin(), Calls.end(), [](const exec::CallDesc &C) {
-        return C.In == tir::Intrinsic::RecipTile;
+        return C.In == tir::Intrinsic::PackAF32;
       });
-  ASSERT_NE(Recip, Calls.end());
-  ASSERT_EQ(static_cast<uint8_t>(Recip->In) ^ 0x08,
-            static_cast<uint8_t>(tir::Intrinsic::MaxTile));
-  ASSERT_LT(Recip->NumBufs,
-            tir::intrinsicInfo(tir::Intrinsic::MaxTile).NumBufs);
+  ASSERT_NE(Pack, Calls.end());
+  ASSERT_EQ(static_cast<uint8_t>(Pack->In) ^ 0x05,
+            static_cast<uint8_t>(tir::Intrinsic::BrgemmF32));
+  ASSERT_LT(Pack->NumBufs,
+            tir::intrinsicInfo(tir::Intrinsic::BrgemmF32).NumBufs);
   Expected<std::shared_ptr<core::CompiledPartition>> R =
-      flipIntrinsic(Payload, *Recip, 0x08);
+      flipIntrinsic(Payload, *Pack, 0x05);
   ASSERT_FALSE(R.hasValue());
   EXPECT_NE(R.status().message().find("call buffer count"), std::string::npos)
       << R.status().toString();
 
-  // RecipTile ^ 0x20 lands on a retired id: past the table, so the codec
+  // PackAF32 ^ 0x20 lands on a retired id: past the table, so the codec
   // rejects the id itself.
-  ASSERT_GE(static_cast<uint8_t>(Recip->In) ^ 0x20, tir::kNumIntrinsics);
-  R = flipIntrinsic(Payload, *Recip, 0x20);
+  ASSERT_GE(static_cast<uint8_t>(Pack->In) ^ 0x20, tir::kNumIntrinsics);
+  R = flipIntrinsic(Payload, *Pack, 0x20);
   ASSERT_FALSE(R.hasValue());
   EXPECT_NE(R.status().message().find("call intrinsic"), std::string::npos)
       << R.status().toString();

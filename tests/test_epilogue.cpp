@@ -5,9 +5,9 @@
 // run once fused and once as the per-op TileOpsTable sequence the lowering
 // used to emit, and every output byte (tails, reductions, zero-padded
 // blocks, and the sentinel padding both must leave alone) has to match.
-// Then the lowering (one call per anchor segment), the load-time
-// rejection of malformed step lists, and the denormal flushing compiled
-// partitions run under.
+// Then the lowering (one call per anchor segment, and one per per-row
+// vector op), the load-time rejection of malformed step lists, and the
+// denormal flushing compiled partitions run under.
 //
 //===----------------------------------------------------------------------===//
 
@@ -509,6 +509,8 @@ void diffSweep(const std::vector<int64_t> &ColsList, int64_t Rows,
 
 TEST(EpilogueDiff, RandomStepListsMatchPerOpKernels) {
   diffSweep({1, 15, 17, 63, 65}, 7, 24);
+  // One row: the shape of the per-row vector calls.
+  diffSweep({1, 15, 17, 32, 33, 63, 65}, 1, 24);
 }
 
 TEST(EpilogueDiff, WideRowsSpanSeveralChunks) {
@@ -600,7 +602,11 @@ TEST(EpilogueDiff, MalformedStepListsAreRejected) {
 // Lowering: one call per anchor segment
 //===----------------------------------------------------------------------===//
 
-void collectSegments(const tir::StmtList &L, std::vector<int> &CallsPerSeg) {
+/// Counts the calls of each post_anchor_seg loop in \p L, and the
+/// EpilogueTile calls outside them: the per-row vector calls, each over a
+/// 1 x ValidRows tile.
+void collectSegments(const tir::StmtList &L, std::vector<int> &CallsPerSeg,
+                     int &VecCalls) {
   for (const tir::Stmt &S : L) {
     switch (S->kind()) {
     case tir::StmtNode::Kind::For: {
@@ -610,14 +616,24 @@ void collectSegments(const tir::StmtList &L, std::vector<int> &CallsPerSeg) {
         for (const tir::Stmt &B : F.Body)
           Calls += B->kind() == tir::StmtNode::Kind::Call;
         CallsPerSeg.push_back(Calls);
+      } else {
+        collectSegments(F.Body, CallsPerSeg, VecCalls);
       }
-      collectSegments(F.Body, CallsPerSeg);
       break;
     }
     case tir::StmtNode::Kind::Seq:
       collectSegments(static_cast<const tir::SeqNode &>(*S).Body,
-                      CallsPerSeg);
+                      CallsPerSeg, VecCalls);
       break;
+    case tir::StmtNode::Kind::Call: {
+      const auto &C = static_cast<const tir::CallNode &>(*S);
+      int64_t Rows = 0;
+      if (C.In == tir::Intrinsic::EpilogueTile) {
+        ++VecCalls;
+        EXPECT_TRUE(tir::asConstInt(C.Scalars[0], Rows) && Rows == 1);
+      }
+      break;
+    }
     default:
       break;
     }
@@ -639,18 +655,22 @@ TEST(EpilogueLowering, BertInt8LayerHasOneCallPerSegment) {
   Opts.CacheMode = runtime::CacheMode::Off;
   auto P = test::compileOnePartition(workloads::buildBertLayer(Spec), Opts);
   std::vector<int> CallsPerSeg;
-  collectSegments(P->entry().Body, CallsPerSeg);
+  int VecCalls = 0;
+  collectSegments(P->entry().Body, CallsPerSeg, VecCalls);
   // QKV, scores + softmax (3 segments), context, output projection +
   // residual + layernorm (3), FFN1, FFN2 + layernorm (3), plus the
   // eltwise-only regions.
   ASSERT_GE(CallsPerSeg.size(), 12u);
   for (int Calls : CallsPerSeg)
     EXPECT_EQ(Calls, 1);
+  // Each layernorm's row statistics between its segments: the mean and
+  // variance scalings, + epsilon, sqrt and 1 / x, one call each.
+  EXPECT_EQ(VecCalls, 2 * 5);
   // Every one of them is the fused epilogue.
   int Epilogues = 0;
   for (const exec::CallDesc &C : P->bytecode().Calls)
     Epilogues += C.In == tir::Intrinsic::EpilogueTile;
-  EXPECT_EQ(Epilogues, static_cast<int>(CallsPerSeg.size()));
+  EXPECT_EQ(Epilogues, static_cast<int>(CallsPerSeg.size()) + VecCalls);
 }
 
 TEST(EpilogueLowering, WideRegionsSplitIntoCallsThatFit) {
@@ -696,6 +716,171 @@ TEST(EpilogueLowering, WideRegionsSplitIntoCallsThatFit) {
   const float *Ref = Want[0].dataAs<float>();
   for (int64_t I = 0; I < M * N; ++I)
     ASSERT_NEAR(Got[I], Ref[I], 1e-4) << "element " << I;
+}
+
+/// The per-row vector op graphs: x [70, 33] is two row strips, the
+/// second ragged, and each graph builds one vector op from x's row sums.
+constexpr int64_t kVecRows = 70, kVecCols = 33;
+
+int64_t vecOp(graph::Graph &G, graph::OpKind K, std::vector<int64_t> Ins,
+              graph::AttrMap Attrs = {}) {
+  return G.addOp(K, std::move(Ins), DataType::F32, {kVecRows, 1},
+                 std::move(Attrs));
+}
+
+/// rowsum(x), signed.
+int64_t signedSum(graph::Graph &G, int64_t X) {
+  return vecOp(G, graph::OpKind::ReduceSum, {X},
+               {{"axes", std::vector<int64_t>{-1}},
+                {"keep_dims", int64_t(1)}});
+}
+
+/// rowsum(x * x), positive.
+int64_t positiveSum(graph::Graph &G, int64_t X) {
+  const int64_t Sq = G.addOp(graph::OpKind::Square, {X}, DataType::F32,
+                             {kVecRows, kVecCols});
+  return signedSum(G, Sq);
+}
+
+struct VecCase {
+  std::string Name;
+  graph::Graph G;
+};
+
+/// One graph per kind of per-row vector op: the vector op \p Build
+/// makes from x, carried back into a strip as x * v or, with \p VecOnly,
+/// stored as the graph's only output. Then a layernorm, and row norms of
+/// a batched matmul.
+std::vector<VecCase> rowVectorGraphs() {
+  using graph::OpKind;
+  std::vector<VecCase> Cases;
+  const auto add = [&](std::string Name,
+                       const std::function<int64_t(graph::Graph &, int64_t)>
+                           &Build,
+                       bool VecOnly = false) {
+    graph::Graph G;
+    const int64_t X = G.addTensor(DataType::F32, {kVecRows, kVecCols}, "x");
+    G.markInput(X);
+    const int64_t V = Build(G, X);
+    G.markOutput(VecOnly ? V
+                         : G.addOp(OpKind::Mul, {X, V}, DataType::F32,
+                                   {kVecRows, kVecCols}));
+    Cases.push_back({std::move(Name), std::move(G)});
+  };
+  for (OpKind K : {OpKind::ReLU, OpKind::Exp, OpKind::Tanh, OpKind::Sqrt,
+                   OpKind::Reciprocal, OpKind::Square, OpKind::Sigmoid})
+    add(graph::opKindName(K), [K](graph::Graph &G, int64_t X) {
+      const bool Positive = K == OpKind::Sqrt || K == OpKind::Reciprocal;
+      return vecOp(G, K, {Positive ? positiveSum(G, X) : signedSum(G, X)});
+    });
+  for (OpKind K : {OpKind::Add, OpKind::Mul, OpKind::Sub, OpKind::Div})
+    for (bool VecFirst : {true, false})
+      add(std::string("scalar ") + graph::opKindName(K) +
+              (VecFirst ? ", vector first" : ", scalar first"),
+          [K, VecFirst](graph::Graph &G, int64_t X) {
+            const int64_t C = G.addTensor(DataType::F32, {1}, "c",
+                                          graph::TensorProperty::Constant);
+            runtime::TensorData Data(DataType::F32, {1});
+            Data.dataAs<float>()[0] = 1.5f;
+            G.setConstantData(C, std::move(Data));
+            const int64_t Q = positiveSum(G, X);
+            return vecOp(G, K, VecFirst ? std::vector<int64_t>{Q, C}
+                                        : std::vector<int64_t>{C, Q});
+          });
+  for (OpKind K : {OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div,
+                   OpKind::Max, OpKind::Min})
+    add(std::string("vector ") + graph::opKindName(K),
+        [K](graph::Graph &G, int64_t X) {
+          return vecOp(G, K, {signedSum(G, X), positiveSum(G, X)});
+        });
+  add("vector read twice", [](graph::Graph &G, int64_t X) {
+    const int64_t S = signedSum(G, X);
+    return vecOp(G, OpKind::Mul, {S, vecOp(G, OpKind::Exp, {S})});
+  });
+  add("external [M, 1] operand", [](graph::Graph &G, int64_t X) {
+    const int64_t E = G.addTensor(DataType::F32, {kVecRows, 1}, "e");
+    G.markInput(E);
+    const int64_t D = vecOp(G, OpKind::Sub, {E, signedSum(G, X)});
+    return vecOp(G, OpKind::Mul, {D, E});
+  });
+  add("reduction vector output", signedSum, /*VecOnly=*/true);
+  add("vector op output",
+      [](graph::Graph &G, int64_t X) {
+        return vecOp(G, OpKind::Sqrt, {positiveSum(G, X)});
+      },
+      /*VecOnly=*/true);
+  {
+    graph::Graph G;
+    const int64_t X = G.addTensor(DataType::F32, {kVecRows, kVecCols}, "x");
+    const int64_t Gamma = G.addTensor(DataType::F32, {kVecCols}, "g");
+    const int64_t Beta = G.addTensor(DataType::F32, {kVecCols}, "b");
+    G.markInput(X);
+    G.markInput(Gamma);
+    G.markInput(Beta);
+    G.markOutput(G.addOp(graph::OpKind::LayerNorm, {X, Gamma, Beta},
+                         DataType::F32, {kVecRows, kVecCols},
+                         {{"epsilon", 1e-5}}));
+    Cases.push_back({"layernorm", std::move(G)});
+  }
+  {
+    // The matmul template with a batch dim: the vector output of each
+    // strip lands at its batch item's rows.
+    graph::Graph G;
+    const int64_t X = G.addTensor(DataType::F32, {2, 35, 24}, "x");
+    const int64_t W = G.addTensor(DataType::F32, {24, kVecCols}, "w",
+                                  graph::TensorProperty::Constant);
+    G.setConstantData(W, test::randomTensor(DataType::F32, {24, kVecCols}, 9));
+    G.markInput(X);
+    const int64_t Mm = G.addOp(OpKind::MatMul, {X, W}, DataType::F32,
+                               {2, 35, kVecCols});
+    const int64_t Sq =
+        G.addOp(OpKind::Square, {Mm}, DataType::F32, {2, 35, kVecCols});
+    const int64_t Q = G.addOp(OpKind::ReduceSum, {Sq}, DataType::F32,
+                              {2, 35, 1},
+                              {{"axes", std::vector<int64_t>{-1}},
+                               {"keep_dims", int64_t(1)}});
+    G.markOutput(G.addOp(OpKind::Sqrt, {Q}, DataType::F32, {2, 35, 1}));
+    Cases.push_back({"batched matmul row norms", std::move(G)});
+  }
+  return Cases;
+}
+
+TEST(EpilogueLowering, RowVectorOpsAreEpilogueCalls) {
+  for (const VecCase &C : rowVectorGraphs()) {
+    SCOPED_TRACE(C.Name);
+    std::vector<runtime::TensorData> Inputs;
+    std::vector<runtime::TensorData *> InPtrs;
+    graph::TensorMap Env;
+    for (int64_t In : C.G.inputs()) {
+      Inputs.push_back(test::randomTensor(DataType::F32, C.G.tensor(In).Shape,
+                                          60 + Inputs.size()));
+      Env[In] = Inputs.back().clone();
+    }
+    for (runtime::TensorData &T : Inputs)
+      InPtrs.push_back(&T);
+    const auto Want = graph::runGraphReference(C.G, std::move(Env));
+    for (int Threads : {1, 4}) {
+      SCOPED_TRACE(::testing::Message() << Threads << " threads");
+      core::CompileOptions Opts;
+      Opts.Threads = Threads;
+      auto P = test::compileOnePartition(C.G, Opts);
+      // Every post-op is an epilogue step; the rest is the matmul
+      // template's brgemm and packs.
+      for (const exec::CallDesc &Call : P->bytecode().Calls)
+        EXPECT_TRUE(Call.In == tir::Intrinsic::EpilogueTile ||
+                    Call.In == tir::Intrinsic::BrgemmF32 ||
+                    Call.In == tir::Intrinsic::PackAF32 ||
+                    Call.In == tir::Intrinsic::PackBF32)
+            << tir::intrinsicName(Call.In);
+      runtime::TensorData Out(DataType::F32, Want[0].shape());
+      ASSERT_TRUE(P->execute(InPtrs, {&Out}).isOk());
+      const float *Got = Out.dataAs<float>();
+      const float *Ref = Want[0].dataAs<float>();
+      for (int64_t I = 0; I < Out.numElements(); ++I)
+        ASSERT_NEAR(Got[I], Ref[I], 1e-4 * std::max(1.0f, std::fabs(Ref[I])))
+            << "element " << I;
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

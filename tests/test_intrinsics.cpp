@@ -45,13 +45,12 @@ namespace {
 constexpr size_t kSentinelBytes = 64;
 constexpr uint8_t kSentinel = 0xA5;
 
-/// One call of one row: its integer scalars S[...], the f64 views its
-/// adapter reads, the element size of type-agnostic buffers and the size
-/// of a Whole-recipe buffer (a pack destination).
+/// One call of one row: its integer scalars S[...], the element size of
+/// type-agnostic buffers and the size of a Whole-recipe buffer (a pack
+/// destination).
 struct Case {
   Intrinsic In = Intrinsic::BrgemmF32;
   std::vector<int64_t> S;
-  double SF[12] = {};
   int64_t ElemSize = 4;
   int64_t WholeElems = 0;
 };
@@ -70,25 +69,12 @@ std::vector<Case> casesFor(Intrinsic In) {
     Out.push_back(C);
     return Out.back();
   };
-  const bool Unary = L == "Rows Cols Ld" || L == "Rows Cols Ld A B";
-  const bool TwoTiles = L == "Rows Cols LdX LdY" || L == "Rows Cols LdD LdS";
-  if (Unary || TwoTiles || L == "Rows Cols LdD LdS ElemSize") {
+  if (L == "Rows Cols LdD LdS ElemSize") {
     for (int64_t Cols : {1, 15, 17, 63, 65})
       for (int64_t Pad : {0, 3})
-        for (int64_t Rows : {1, 3}) {
-          if (Unary) {
-            Case &C = Add({Rows, Cols, Cols + Pad, 0, 0});
-            C.S.resize(tir::intrinsicInfo(In).NumScalars);
-            C.SF[3] = 0.5; // AffineTile's A and B
-            C.SF[4] = -0.25;
-          } else if (TwoTiles) {
-            Add({Rows, Cols, Cols + Pad, Cols + 2 * Pad});
-          } else {
-            for (int64_t Elem : {1, 4})
-              Add({Rows, Cols, Cols + Pad, Cols + 2 * Pad, Elem}).ElemSize =
-                  Elem;
-          }
-        }
+        for (int64_t Rows : {1, 3})
+          for (int64_t Elem : {1, 4})
+            Add({Rows, Cols, Cols + Pad, Cols + 2 * Pad, Elem}).ElemSize = Elem;
   } else if (L == "A B C D ElemSize") {
     for (int64_t Elem : {1, 4}) {
       Add({2, 3, 5, 7, Elem}).ElemSize = Elem;
@@ -232,8 +218,9 @@ TEST(IntrinsicTable, FootprintsCoverKernelAccesses) {
         Ptrs[I] = Bufs.back().Mem.get();
       }
       int64_t SI[12] = {};
+      const double SF[12] = {};
       std::copy(C.S.begin(), C.S.end(), SI);
-      exec::kernelAdapter(In)(Ptrs, SI, C.SF);
+      exec::kernelAdapter(In)(Ptrs, SI, SF);
       for (int I = 0; I < Row.NumBufs; ++I)
         EXPECT_TRUE(Bufs[I].sentinelIntact())
             << describe(C) << ": wrote past the recipe of arg "

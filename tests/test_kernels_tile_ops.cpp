@@ -142,7 +142,7 @@ TEST(TileOps, ReduceMaxRows) {
   }
 }
 
-TEST(TileOps, CopyAndTranspose) {
+TEST(TileOps, StridedCopy) {
   StridedTile Src(13);
   std::vector<float> Dst(static_cast<size_t>(Rows * Cols), 0.0f);
   copyTile(TileF32{Dst.data(), Rows, Cols, Cols},
@@ -150,14 +150,6 @@ TEST(TileOps, CopyAndTranspose) {
   for (int64_t R = 0; R < Rows; ++R)
     for (int64_t C = 0; C < Cols; ++C)
       ASSERT_EQ(Dst[static_cast<size_t>(R * Cols + C)], Src.at(R, C));
-
-  // Transpose: Dst is Cols x Rows.
-  std::vector<float> DstT(static_cast<size_t>(Cols * Rows), 0.0f);
-  transposeTile(TileF32{DstT.data(), Cols, Rows, Rows},
-                ConstTileF32{Src.Data.data(), Ld});
-  for (int64_t R = 0; R < Cols; ++R)
-    for (int64_t C = 0; C < Rows; ++C)
-      ASSERT_EQ(DstT[static_cast<size_t>(R * Rows + C)], Src.at(C, R));
 }
 
 //===----------------------------------------------------------------------===//

@@ -185,8 +185,9 @@ TEST(VerifyFunc, CallArityRejected) {
   tir::Func F;
   const int B = F.addBuffer("b", DataType::F32, {64},
                             tir::BufferScope::Param, 0);
-  F.Body.push_back(tir::makeCall(tir::Intrinsic::ReluTile,
-                                 {tir::BufferRef(B, tir::makeInt(0))},
+  F.Body.push_back(tir::makeCall(tir::Intrinsic::CopyTileRaw,
+                                 {tir::BufferRef(B, tir::makeInt(0)),
+                                  tir::BufferRef(B, tir::makeInt(32))},
                                  {tir::makeInt(4), tir::makeInt(4)}));
   expectRejected(verifyFunc(F), StatusCode::Internal, {"scalar args"});
 }

@@ -535,10 +535,8 @@ void writeProgram(ByteWriter &W, const exec::Program &P) {
   W.u32(P.NumRegs);
   W.i64(P.ArenaBytes);
   W.u64(P.InitRegs.size());
-  for (const exec::Value &V : P.InitRegs) {
-    W.i64(V.I);
-    W.f64(V.F);
-  }
+  for (int64_t V : P.InitRegs)
+    W.i64(V);
   W.u64(P.Buffers.size());
   for (const exec::BufferInfo &B : P.Buffers) {
     W.i64(B.Bytes);
@@ -576,11 +574,8 @@ void writeProgram(ByteWriter &W, const exec::Program &P) {
     }
     for (int64_t S : C.SI)
       W.i64(S);
-    for (double S : C.SF)
-      W.f64(S);
     for (const exec::CallDesc::Dyn &D : C.Dyns) {
       W.u8(D.Idx);
-      W.u8(D.IsF64 ? 1 : 0);
       W.u16(D.Reg);
     }
     writeSteps(W, C);
@@ -610,10 +605,8 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
     return R.err();
   }
   P.InitRegs.resize(NumInit);
-  for (exec::Value &V : P.InitRegs) {
-    V.I = R.i64();
-    V.F = R.f64();
-  }
+  for (int64_t &V : P.InitRegs)
+    V = R.i64();
   const uint64_t NumBufs = R.u64();
   if (!R.ok() || NumBufs > kMaxCount) {
     R.fail("program buffer count");
@@ -667,7 +660,7 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
     I.Imm = R.i64();
     if (!R.ok())
       return R.err();
-    if (Op > static_cast<uint8_t>(exec::Opcode::ParallelFor)) {
+    if (Op >= exec::kNumOpcodes) {
       R.fail("opcode");
       return R.err();
     }
@@ -717,11 +710,8 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
     }
     for (int64_t &S : C.SI)
       S = R.i64();
-    for (double &S : C.SF)
-      S = R.f64();
     for (exec::CallDesc::Dyn &D : C.Dyns) {
       D.Idx = R.u8();
-      D.IsF64 = R.u8() != 0;
       D.Reg = R.u16();
     }
     if (!readSteps(R, C.NumBufs, C.Epilogue))

@@ -70,7 +70,12 @@ namespace core {
 /// v5 retired 15 more intrinsics (the 9 live ones are renumbered from 0)
 /// and dropped the fold graph: a loaded partition never runs it, and the
 /// optimized graph already holds every tensor it names.
-constexpr uint32_t kArtifactPayloadVersion = 5;
+///
+/// v6 made the bytecode integer-only: a register is one i64, a call
+/// carries no f64 scalars and no per-scalar type byte, and the 19 float,
+/// conversion, load and store opcodes are retired (the 13 that remain are
+/// renumbered from 0).
+constexpr uint32_t kArtifactPayloadVersion = 6;
 
 /// Identity hash of this binary's compilation pipeline: payload version,
 /// compiler identification and build timestamp. Two processes agree on it

@@ -9,7 +9,6 @@
 #include "support/common.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -193,7 +192,7 @@ Executor::Executor(std::shared_ptr<const Program> Prog,
   // never need a fresh frame.
   MainRegs = P->InitRegs;
   WorkerRegs.assign(static_cast<size_t>(NumWorkers),
-                    std::vector<Value>(P->NumRegs));
+                    std::vector<int64_t>(P->NumRegs));
 }
 
 void Executor::bindBuffer(int BufferId, void *Ptr) {
@@ -226,10 +225,10 @@ void Executor::run() {
 
 void Executor::runParallel(const Instr &In, Frame &Fr, uint32_t BodyBegin) {
   const ParDesc &D = P->Pars[static_cast<size_t>(In.Target)];
-  Value *R = Fr.Regs;
-  const int64_t Begin = R[D.BeginReg].I;
-  const int64_t End = R[D.EndReg].I;
-  const int64_t Step = R[D.StepReg].I;
+  const int64_t *R = Fr.Regs;
+  const int64_t Begin = R[D.BeginReg];
+  const int64_t End = R[D.EndReg];
+  const int64_t Step = R[D.StepReg];
   assert(Step > 0 && "parallel loop requires positive step");
   const int64_t Trips = Begin < End ? ceilDiv(End - Begin, Step) : 0;
   if (Trips <= 0)
@@ -243,7 +242,7 @@ void Executor::runParallel(const Instr &In, Frame &Fr, uint32_t BodyBegin) {
     // one-barrier-per-nest accounting.
     Pool.parallelFor(0, Trips, [&](int64_t I, int) {
       FlushDenormalsScope Flush;
-      Fr.Regs[D.VarReg].I = Begin + I * Step;
+      Fr.Regs[D.VarReg] = Begin + I * Step;
       runRange(BodyBegin, BodyEnd, Fr);
     });
     return;
@@ -261,90 +260,37 @@ void Executor::runParallel(const Instr &In, Frame &Fr, uint32_t BodyBegin) {
     Frame WFr;
     WFr.Regs = WorkerRegs[static_cast<size_t>(ThreadId)].data();
     WFr.Buffers = WorkerPtrs[static_cast<size_t>(ThreadId)].data();
-    WFr.Regs[D.VarReg].I = Begin + I * Step;
+    WFr.Regs[D.VarReg] = Begin + I * Step;
     runRange(BodyBegin, BodyEnd, WFr);
   });
 }
 
 void Executor::runRange(uint32_t PC, uint32_t End, Frame &Fr) {
   const Instr *Code = P->Code.data();
-  Value *R = Fr.Regs;
+  int64_t *R = Fr.Regs;
   void *const *Bufs = Fr.Buffers;
   const BufferInfo *BI = P->Buffers.data();
   while (PC < End) {
     const Instr &I = Code[PC];
     switch (I.Op) {
     case Opcode::Mov: R[I.A] = R[I.B]; break;
-    case Opcode::I2F: R[I.A].F = static_cast<double>(R[I.B].I); break;
-    case Opcode::F2I: R[I.A].I = static_cast<int64_t>(R[I.B].F); break;
-    case Opcode::AddI: R[I.A].I = R[I.B].I + R[I.C].I; break;
-    case Opcode::SubI: R[I.A].I = R[I.B].I - R[I.C].I; break;
-    case Opcode::MulI: R[I.A].I = R[I.B].I * R[I.C].I; break;
-    case Opcode::DivI: R[I.A].I = R[I.B].I / R[I.C].I; break;
-    case Opcode::ModI: R[I.A].I = R[I.B].I % R[I.C].I; break;
-    case Opcode::MinI: R[I.A].I = std::min(R[I.B].I, R[I.C].I); break;
-    case Opcode::MaxI: R[I.A].I = std::max(R[I.B].I, R[I.C].I); break;
-    case Opcode::AddF: R[I.A].F = R[I.B].F + R[I.C].F; break;
-    case Opcode::SubF: R[I.A].F = R[I.B].F - R[I.C].F; break;
-    case Opcode::MulF: R[I.A].F = R[I.B].F * R[I.C].F; break;
-    case Opcode::DivF: R[I.A].F = R[I.B].F / R[I.C].F; break;
-    case Opcode::ModF: R[I.A].F = std::fmod(R[I.B].F, R[I.C].F); break;
-    case Opcode::MinF: R[I.A].F = std::min(R[I.B].F, R[I.C].F); break;
-    case Opcode::MaxF: R[I.A].F = std::max(R[I.B].F, R[I.C].F); break;
-    case Opcode::AddImmI: R[I.A].I += I.Imm; break;
-    case Opcode::LoadF32:
-      R[I.A].F = *reinterpret_cast<const float *>(
-          static_cast<const char *>(Bufs[I.B]) + R[I.C].I * 4);
-      break;
-    case Opcode::LoadF64:
-      R[I.A].F = *reinterpret_cast<const double *>(
-          static_cast<const char *>(Bufs[I.B]) + R[I.C].I * 8);
-      break;
-    case Opcode::LoadS32:
-      R[I.A].I = *reinterpret_cast<const int32_t *>(
-          static_cast<const char *>(Bufs[I.B]) + R[I.C].I * 4);
-      break;
-    case Opcode::LoadS8:
-      R[I.A].I = *reinterpret_cast<const int8_t *>(
-          static_cast<const char *>(Bufs[I.B]) + R[I.C].I);
-      break;
-    case Opcode::LoadU8:
-      R[I.A].I = *reinterpret_cast<const uint8_t *>(
-          static_cast<const char *>(Bufs[I.B]) + R[I.C].I);
-      break;
-    case Opcode::StoreF32:
-      *reinterpret_cast<float *>(static_cast<char *>(Bufs[I.B]) +
-                                 R[I.C].I * 4) =
-          static_cast<float>(R[I.A].F);
-      break;
-    case Opcode::StoreF64:
-      *reinterpret_cast<double *>(static_cast<char *>(Bufs[I.B]) +
-                                  R[I.C].I * 8) = R[I.A].F;
-      break;
-    case Opcode::StoreS32:
-      *reinterpret_cast<int32_t *>(static_cast<char *>(Bufs[I.B]) +
-                                   R[I.C].I * 4) =
-          static_cast<int32_t>(R[I.A].I);
-      break;
-    case Opcode::StoreS8:
-      *reinterpret_cast<int8_t *>(static_cast<char *>(Bufs[I.B]) +
-                                  R[I.C].I) =
-          static_cast<int8_t>(std::clamp<int64_t>(R[I.A].I, -128, 127));
-      break;
-    case Opcode::StoreU8:
-      *reinterpret_cast<uint8_t *>(static_cast<char *>(Bufs[I.B]) +
-                                   R[I.C].I) =
-          static_cast<uint8_t>(std::clamp<int64_t>(R[I.A].I, 0, 255));
-      break;
+    case Opcode::AddI: R[I.A] = R[I.B] + R[I.C]; break;
+    case Opcode::SubI: R[I.A] = R[I.B] - R[I.C]; break;
+    case Opcode::MulI: R[I.A] = R[I.B] * R[I.C]; break;
+    case Opcode::DivI: R[I.A] = R[I.B] / R[I.C]; break;
+    case Opcode::ModI: R[I.A] = R[I.B] % R[I.C]; break;
+    case Opcode::MinI: R[I.A] = std::min(R[I.B], R[I.C]); break;
+    case Opcode::MaxI: R[I.A] = std::max(R[I.B], R[I.C]); break;
+    case Opcode::AddImmI: R[I.A] += I.Imm; break;
     case Opcode::JumpIfGeI:
-      if (R[I.A].I >= R[I.B].I) {
+      if (R[I.A] >= R[I.B]) {
         PC = static_cast<uint32_t>(static_cast<int64_t>(PC) + I.Target);
         continue;
       }
       break;
     case Opcode::LoopNext:
-      R[I.A].I += R[I.B].I;
-      if (R[I.A].I < R[I.C].I) {
+      R[I.A] += R[I.B];
+      if (R[I.A] < R[I.C]) {
         PC = static_cast<uint32_t>(static_cast<int64_t>(PC) + I.Target);
         continue;
       }
@@ -356,31 +302,21 @@ void Executor::runRange(uint32_t PC, uint32_t End, Frame &Fr) {
           const_cast<kernels::EpilogueDesc *>(D.Epilogue.get());
       for (uint8_t K = 0; K < D.NumBufs; ++K) {
         const CallDesc::Buf &BRef = D.Bufs[K];
-        const int64_t Off = BRef.HasOffset ? R[BRef.OffsetReg].I : 0;
+        const int64_t Off = BRef.HasOffset ? R[BRef.OffsetReg] : 0;
         Ptrs[K] =
             static_cast<char *>(Bufs[BRef.BufferId]) +
             Off * BI[BRef.BufferId].ElemSize;
       }
       if (D.NumDyn == 0) {
-        // Fully constant scalars: use the pre-marshalled views in place.
-        D.Fn(Ptrs, D.SI, D.SF);
+        // Fully constant scalars: use the pre-marshalled array in place.
+        D.Fn(Ptrs, D.SI, nullptr);
         break;
       }
       int64_t SI[12];
-      double SF[12];
       std::memcpy(SI, D.SI, sizeof(SI));
-      std::memcpy(SF, D.SF, sizeof(SF));
-      for (uint8_t K = 0; K < D.NumDyn; ++K) {
-        const CallDesc::Dyn &S = D.Dyns[K];
-        if (S.IsF64) {
-          SF[S.Idx] = R[S.Reg].F;
-          SI[S.Idx] = static_cast<int64_t>(R[S.Reg].F);
-        } else {
-          SI[S.Idx] = R[S.Reg].I;
-          SF[S.Idx] = static_cast<double>(R[S.Reg].I);
-        }
-      }
-      D.Fn(Ptrs, SI, SF);
+      for (uint8_t K = 0; K < D.NumDyn; ++K)
+        SI[D.Dyns[K].Idx] = R[D.Dyns[K].Reg];
+      D.Fn(Ptrs, SI, nullptr);
       break;
     }
     case Opcode::ParallelFor:

@@ -43,7 +43,7 @@ public:
 
 private:
   struct Frame {
-    Value *Regs = nullptr;
+    int64_t *Regs = nullptr;
     /// Buffer id -> base pointer (thread-specific for ThreadLocal).
     void *const *Buffers = nullptr;
   };
@@ -65,8 +65,8 @@ private:
 
   /// Main register frame plus one persistent frame per worker (copied
   /// from the submitting frame at each parallel nest entry).
-  std::vector<Value> MainRegs;
-  std::vector<std::vector<Value>> WorkerRegs;
+  std::vector<int64_t> MainRegs;
+  std::vector<std::vector<int64_t>> WorkerRegs;
 };
 
 } // namespace exec

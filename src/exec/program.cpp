@@ -38,9 +38,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstring>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -57,108 +54,40 @@ namespace {
 
 /// Evaluates \p E when it is a compile-time constant, with exactly the
 /// dispatch loop's arithmetic (so folded results match runtime results
-/// bit for bit). Returns false for anything touching a variable or memory.
-bool evalConst(const ExprNode *E, Value &Out) {
+/// bit for bit). Returns false for anything touching a variable.
+bool evalConst(const ExprNode *E, int64_t &Out) {
   switch (E->kind()) {
   case ExprNode::Kind::IntImm:
-    Out = Value();
-    Out.I = static_cast<const IntImmNode *>(E)->Value;
-    return true;
-  case ExprNode::Kind::FloatImm:
-    Out = Value();
-    Out.F = static_cast<const FloatImmNode *>(E)->Value;
+    Out = static_cast<const IntImmNode *>(E)->Value;
     return true;
   case ExprNode::Kind::Binary: {
     const auto *B = static_cast<const BinaryNode *>(E);
-    Value A, C;
+    int64_t A, C;
     if (!evalConst(B->A.get(), A) || !evalConst(B->B.get(), C))
       return false;
-    Value R;
-    if (B->type() == ScalarType::F64) {
-      const double X =
-          B->A->type() == ScalarType::F64 ? A.F : static_cast<double>(A.I);
-      const double Y =
-          B->B->type() == ScalarType::F64 ? C.F : static_cast<double>(C.I);
-      switch (B->Op) {
-      case BinOp::Add: R.F = X + Y; break;
-      case BinOp::Sub: R.F = X - Y; break;
-      case BinOp::Mul: R.F = X * Y; break;
-      case BinOp::Div: R.F = X / Y; break;
-      case BinOp::Mod: R.F = std::fmod(X, Y); break;
-      case BinOp::Min: R.F = std::min(X, Y); break;
-      case BinOp::Max: R.F = std::max(X, Y); break;
-      }
-      Out = R;
-      return true;
-    }
     switch (B->Op) {
-    case BinOp::Add: R.I = A.I + C.I; break;
-    case BinOp::Sub: R.I = A.I - C.I; break;
-    case BinOp::Mul: R.I = A.I * C.I; break;
+    case BinOp::Add: Out = A + C; return true;
+    case BinOp::Sub: Out = A - C; return true;
+    case BinOp::Mul: Out = A * C; return true;
     case BinOp::Div:
-      if (C.I == 0)
+      if (C == 0)
         return false; // leave the runtime behavior to the interpreter
-      R.I = A.I / C.I;
-      break;
+      Out = A / C;
+      return true;
     case BinOp::Mod:
-      if (C.I == 0)
+      if (C == 0)
         return false;
-      R.I = A.I % C.I;
-      break;
-    case BinOp::Min: R.I = std::min(A.I, C.I); break;
-    case BinOp::Max: R.I = std::max(A.I, C.I); break;
+      Out = A % C;
+      return true;
+    case BinOp::Min: Out = std::min(A, C); return true;
+    case BinOp::Max: Out = std::max(A, C); return true;
     }
-    Out = R;
-    return true;
+    return false;
   }
   case ExprNode::Kind::Var:
-  case ExprNode::Kind::Load:
     return false;
   }
   return false;
-}
-
-/// Integer-expression builder with local folding; used by the affine
-/// decomposition so "rest" expressions stay small and constant tails
-/// collapse to literals.
-Expr mkBin(BinOp Op, Expr A, Expr B) {
-  int64_t CA, CB;
-  const bool KA = asConstInt(A, CA);
-  const bool KB = asConstInt(B, CB);
-  if (KA && KB) {
-    switch (Op) {
-    case BinOp::Add: return makeInt(CA + CB);
-    case BinOp::Sub: return makeInt(CA - CB);
-    case BinOp::Mul: return makeInt(CA * CB);
-    case BinOp::Div:
-      if (CB != 0)
-        return makeInt(CA / CB);
-      break;
-    case BinOp::Mod:
-      if (CB != 0)
-        return makeInt(CA % CB);
-      break;
-    case BinOp::Min: return makeInt(std::min(CA, CB));
-    case BinOp::Max: return makeInt(std::max(CA, CB));
-    }
-  }
-  if (Op == BinOp::Add) {
-    if (KA && CA == 0)
-      return B;
-    if (KB && CB == 0)
-      return A;
-  }
-  if (Op == BinOp::Sub && KB && CB == 0)
-    return A;
-  if (Op == BinOp::Mul) {
-    if ((KA && CA == 0) || (KB && CB == 0))
-      return makeInt(0);
-    if (KA && CA == 1)
-      return B;
-    if (KB && CB == 1)
-      return A;
-  }
-  return makeBinary(Op, std::move(A), std::move(B));
 }
 
 //===----------------------------------------------------------------------===//
@@ -219,24 +148,14 @@ private:
     return static_cast<uint16_t>(V->Slot);
   }
 
-  uint16_t constReg(const Value &V) {
-    // Key the float half by bit pattern: value-keying would merge -0.0
-    // with +0.0 and make NaN compare equivalent to everything.
-    uint64_t FBits;
-    std::memcpy(&FBits, &V.F, sizeof(FBits));
-    const auto Key = std::make_pair(V.I, FBits);
-    auto It = ConstRegs.find(Key);
+  uint16_t constReg(int64_t V) {
+    auto It = ConstRegs.find(V);
     if (It != ConstRegs.end())
       return It->second;
     const uint16_t R = allocPermanent();
-    ConstRegs.emplace(Key, R);
+    ConstRegs.emplace(V, R);
     ConstPool.emplace_back(R, V);
     return R;
-  }
-  uint16_t intConstReg(int64_t I) {
-    Value V;
-    V.I = I;
-    return constReg(V);
   }
 
   // --- emission ---
@@ -264,11 +183,8 @@ private:
   };
 
   // --- expressions ---
-  Operand compileExpr(const ExprNode *E);
-  Operand compileExprAsInt(const Expr &E);
-  Operand compileExprAsFloat(const Expr &E);
+  Operand compileExpr(const Expr &E);
   Operand compileOffset(const Expr &E);
-  Operand compileLoadStoreOffset(int BufferId, const std::vector<Expr> &Idx);
 
   // --- affine analysis ---
   bool splitAffine(const Expr &E, const LoopCtx &Ctx, int64_t &Coeff,
@@ -280,7 +196,6 @@ private:
   void compileStmt(const StmtNode *S, bool InParallel);
   void compileFor(const ForNode *For, bool InParallel);
   void compileParallelFor(const ForNode *For);
-  void compileStore(const StoreNode *St);
   void compileCall(const CallNode *C);
 
   /// Records that \p V became bound inside every currently active loop.
@@ -294,8 +209,8 @@ private:
   std::vector<Instr> *Out = nullptr;
   uint32_t NextReg = 0;
   std::vector<uint16_t> FreeTemps;
-  std::map<std::pair<int64_t, uint64_t>, uint16_t> ConstRegs;
-  std::vector<std::pair<uint16_t, Value>> ConstPool;
+  std::unordered_map<int64_t, uint16_t> ConstRegs;
+  std::vector<std::pair<uint16_t, int64_t>> ConstPool;
   std::vector<LoopCtx> Loops;
   /// Let-bound variable -> defining expression (for affine inlining).
   std::unordered_map<const VarNode *, Expr> LetDefs;
@@ -307,52 +222,19 @@ private:
 // Expression compilation
 //===----------------------------------------------------------------------===//
 
-ProgramBuilder::Operand ProgramBuilder::compileExpr(const ExprNode *E) {
-  Value CV;
-  if (evalConst(E, CV))
+ProgramBuilder::Operand ProgramBuilder::compileExpr(const Expr &E) {
+  int64_t CV;
+  if (evalConst(E.get(), CV))
     return {constReg(CV), false};
   switch (E->kind()) {
   case ExprNode::Kind::IntImm:
-  case ExprNode::Kind::FloatImm:
     GC_UNREACHABLE("constants handled by evalConst");
   case ExprNode::Kind::Var:
-    return {slotReg(static_cast<const VarNode *>(E)), false};
+    return {slotReg(static_cast<const VarNode *>(E.get())), false};
   case ExprNode::Kind::Binary: {
-    const auto *B = static_cast<const BinaryNode *>(E);
-    Operand A = compileExpr(B->A.get());
-    Operand C = compileExpr(B->B.get());
-    if (B->type() == ScalarType::F64) {
-      // Convert each integer operand by its own static type: a float
-      // binary op never sees an integer register.
-      if (B->A->type() != ScalarType::F64) {
-        Operand Conv = allocTemp();
-        emit(Opcode::I2F, Conv.Reg, A.Reg);
-        release(A);
-        A = Conv;
-      }
-      if (B->B->type() != ScalarType::F64) {
-        Operand Conv = allocTemp();
-        emit(Opcode::I2F, Conv.Reg, C.Reg);
-        release(C);
-        C = Conv;
-      }
-      release(A);
-      release(C);
-      Operand R = allocTemp();
-      Opcode Op;
-      switch (B->Op) {
-      case BinOp::Add: Op = Opcode::AddF; break;
-      case BinOp::Sub: Op = Opcode::SubF; break;
-      case BinOp::Mul: Op = Opcode::MulF; break;
-      case BinOp::Div: Op = Opcode::DivF; break;
-      case BinOp::Mod: Op = Opcode::ModF; break;
-      case BinOp::Min: Op = Opcode::MinF; break;
-      case BinOp::Max: Op = Opcode::MaxF; break;
-      default: GC_UNREACHABLE("binop");
-      }
-      emit(Op, R.Reg, A.Reg, C.Reg);
-      return R;
-    }
+    const auto *B = static_cast<const BinaryNode *>(E.get());
+    Operand A = compileExpr(B->A);
+    Operand C = compileExpr(B->B);
     release(A);
     release(C);
     Operand R = allocTemp();
@@ -370,45 +252,8 @@ ProgramBuilder::Operand ProgramBuilder::compileExpr(const ExprNode *E) {
     emit(Op, R.Reg, A.Reg, C.Reg);
     return R;
   }
-  case ExprNode::Kind::Load: {
-    const auto *L = static_cast<const LoadNode *>(E);
-    Operand Off = compileLoadStoreOffset(L->BufferId, L->Indices);
-    release(Off);
-    Operand R = allocTemp();
-    Opcode Op;
-    switch (F.buffer(L->BufferId).ElemTy) {
-    case DataType::F32: Op = Opcode::LoadF32; break;
-    case DataType::F64: Op = Opcode::LoadF64; break;
-    case DataType::S32: Op = Opcode::LoadS32; break;
-    case DataType::S8: Op = Opcode::LoadS8; break;
-    case DataType::U8: Op = Opcode::LoadU8; break;
-    default: GC_UNREACHABLE("load dtype");
-    }
-    emit(Op, R.Reg, static_cast<uint16_t>(L->BufferId), Off.Reg);
-    return R;
-  }
   }
   GC_UNREACHABLE("unhandled expr kind");
-}
-
-ProgramBuilder::Operand ProgramBuilder::compileExprAsInt(const Expr &E) {
-  Operand O = compileExpr(E.get());
-  if (E->type() != ScalarType::F64)
-    return O;
-  release(O);
-  Operand R = allocTemp();
-  emit(Opcode::F2I, R.Reg, O.Reg);
-  return R;
-}
-
-ProgramBuilder::Operand ProgramBuilder::compileExprAsFloat(const Expr &E) {
-  Operand O = compileExpr(E.get());
-  if (E->type() == ScalarType::F64)
-    return O;
-  release(O);
-  Operand R = allocTemp();
-  emit(Opcode::I2F, R.Reg, O.Reg);
-  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -417,15 +262,13 @@ ProgramBuilder::Operand ProgramBuilder::compileExprAsFloat(const Expr &E) {
 
 bool ProgramBuilder::splitAffine(const Expr &E, const LoopCtx &Ctx,
                                  int64_t &Coeff, Expr &Rest, int Depth) {
-  if (!E || Depth > 64 || E->type() == ScalarType::F64)
+  if (!E || Depth > 64)
     return false;
   switch (E->kind()) {
   case ExprNode::Kind::IntImm:
     Coeff = 0;
     Rest = E;
     return true;
-  case ExprNode::Kind::FloatImm:
-    return false;
   case ExprNode::Kind::Var: {
     const auto *V = static_cast<const VarNode *>(E.get());
     if (V == Ctx.LoopVar) {
@@ -458,27 +301,27 @@ bool ProgramBuilder::splitAffine(const Expr &E, const LoopCtx &Ctx,
     switch (B->Op) {
     case BinOp::Add:
       Coeff = CA + CB;
-      Rest = mkBin(BinOp::Add, RA, RB);
+      Rest = RA + RB;
       return true;
     case BinOp::Sub:
       Coeff = CA - CB;
-      Rest = mkBin(BinOp::Sub, RA, RB);
+      Rest = RA - RB;
       return true;
     case BinOp::Mul: {
       if (CA == 0 && CB == 0) {
         Coeff = 0;
-        Rest = mkBin(BinOp::Mul, RA, RB);
+        Rest = RA * RB;
         return true;
       }
       int64_t K;
       if (CA != 0 && CB == 0 && asConstInt(RB, K)) {
         Coeff = CA * K;
-        Rest = mkBin(BinOp::Mul, RA, RB);
+        Rest = RA * RB;
         return true;
       }
       if (CB != 0 && CA == 0 && asConstInt(RA, K)) {
         Coeff = K * CB;
-        Rest = mkBin(BinOp::Mul, RA, RB);
+        Rest = RA * RB;
         return true;
       }
       return false;
@@ -489,16 +332,13 @@ bool ProgramBuilder::splitAffine(const Expr &E, const LoopCtx &Ctx,
     case BinOp::Max:
       if (CA == 0 && CB == 0) {
         Coeff = 0;
-        Rest = mkBin(B->Op, RA, RB);
+        Rest = makeBinary(B->Op, RA, RB);
         return true;
       }
       return false;
     }
     return false;
   }
-  case ExprNode::Kind::Load:
-    // Memory may be written inside the loop; never treat as invariant.
-    return false;
   }
   return false;
 }
@@ -512,8 +352,7 @@ bool mayTrap(const Expr &E) {
   if (!E || E->kind() != ExprNode::Kind::Binary)
     return false;
   const auto &B = static_cast<const BinaryNode &>(*E);
-  if ((B.Op == BinOp::Div || B.Op == BinOp::Mod) &&
-      B.type() != ScalarType::F64) {
+  if (B.Op == BinOp::Div || B.Op == BinOp::Mod) {
     int64_t D;
     if (!asConstInt(B.B, D) || D == 0)
       return true;
@@ -526,7 +365,6 @@ bool ProgramBuilder::tryStrengthReduce(const Expr &E, Operand &OutOp) {
     return false;
   // Trivial expressions gain nothing.
   if (E->kind() == ExprNode::Kind::IntImm ||
-      E->kind() == ExprNode::Kind::FloatImm ||
       E->kind() == ExprNode::Kind::Var)
     return false;
   int Install = -1;
@@ -573,13 +411,10 @@ bool ProgramBuilder::tryStrengthReduce(const Expr &E, Operand &OutOp) {
   // Entry value: rest + coeff*var with var at its begin value.
   Expr EntryE = InstallRest;
   if (InstallCoeff != 0)
-    EntryE = mkBin(BinOp::Add, EntryE,
-                   mkBin(BinOp::Mul, makeInt(InstallCoeff),
-                         std::static_pointer_cast<const ExprNode>(
-                             Ctx.VarHandle)));
+    EntryE = EntryE + makeInt(InstallCoeff) * Expr(Ctx.VarHandle);
   {
     EmitTo Guard(*this, &Ctx.Entry);
-    Operand V = compileExprAsInt(EntryE);
+    Operand V = compileExpr(EntryE);
     emit(Opcode::Mov, R, V.Reg);
     release(V);
   }
@@ -598,53 +433,10 @@ bool ProgramBuilder::tryStrengthReduce(const Expr &E, Operand &OutOp) {
 }
 
 ProgramBuilder::Operand ProgramBuilder::compileOffset(const Expr &E) {
-  if (!E)
-    return {intConstReg(0), false};
   Operand O;
   if (tryStrengthReduce(E, O))
     return O;
-  return compileExprAsInt(E);
-}
-
-ProgramBuilder::Operand
-ProgramBuilder::compileLoadStoreOffset(int BufferId,
-                                       const std::vector<Expr> &Idx) {
-  const BufferDecl &B = F.buffer(BufferId);
-  if (Idx.size() == 1)
-    return compileOffset(Idx[0]);
-  // Row-major flatten, symbolically, so the combined offset expression is
-  // eligible for folding and strength reduction as a whole.
-  bool AllInt = true;
-  for (const Expr &I : Idx)
-    AllInt = AllInt && I->type() != ScalarType::F64;
-  if (AllInt) {
-    Expr Flat;
-    int64_t Stride = 1;
-    for (int64_t D = static_cast<int64_t>(Idx.size()) - 1; D >= 0; --D) {
-      Expr Term = mkBin(BinOp::Mul, Idx[static_cast<size_t>(D)],
-                        makeInt(Stride));
-      Flat = Flat ? mkBin(BinOp::Add, Flat, Term) : Term;
-      Stride *= B.Dims[static_cast<size_t>(D)];
-    }
-    return compileOffset(Flat);
-  }
-  // Rare mixed-type indices: each index truncates to an integer on its
-  // own before the per-dimension accumulation.
-  Operand Acc = {intConstReg(0), false};
-  int64_t Stride = 1;
-  for (int64_t D = static_cast<int64_t>(Idx.size()) - 1; D >= 0; --D) {
-    Operand IO = compileExprAsInt(Idx[static_cast<size_t>(D)]);
-    Operand Scaled = allocTemp();
-    emit(Opcode::MulI, Scaled.Reg, IO.Reg, intConstReg(Stride));
-    release(IO);
-    Operand Sum = allocTemp();
-    emit(Opcode::AddI, Sum.Reg, Acc.Reg, Scaled.Reg);
-    release(Scaled);
-    release(Acc);
-    Acc = Sum;
-    Stride *= B.Dims[static_cast<size_t>(D)];
-  }
-  return Acc;
+  return compileExpr(E);
 }
 
 //===----------------------------------------------------------------------===//
@@ -663,16 +455,13 @@ void ProgramBuilder::compileStmt(const StmtNode *S, bool InParallel) {
     return;
   case StmtNode::Kind::Let: {
     const auto *L = static_cast<const LetNode *>(S);
-    Operand V = compileExpr(L->Value.get());
+    Operand V = compileExpr(L->Value);
     emit(Opcode::Mov, slotReg(L->BoundVar.get()), V.Reg);
     release(V);
     LetDefs[L->BoundVar.get()] = L->Value;
     markBound(L->BoundVar.get());
     return;
   }
-  case StmtNode::Kind::Store:
-    compileStore(static_cast<const StoreNode *>(S));
-    return;
   case StmtNode::Kind::Call:
     compileCall(static_cast<const CallNode *>(S));
     return;
@@ -688,9 +477,9 @@ void ProgramBuilder::compileFor(const ForNode *For, bool InParallel) {
     compileParallelFor(For);
     return;
   }
-  Operand B = compileExprAsInt(For->Begin);
-  Operand E = compileExprAsInt(For->End);
-  Operand S = compileExprAsInt(For->Step);
+  Operand B = compileExpr(For->Begin);
+  Operand E = compileExpr(For->End);
+  Operand S = compileExpr(For->Step);
   const uint16_t VarReg = slotReg(For->LoopVar.get());
   emit(Opcode::Mov, VarReg, B.Reg);
   const size_t GuardPos = Out->size();
@@ -701,10 +490,7 @@ void ProgramBuilder::compileFor(const ForNode *For, bool InParallel) {
   Ctx.LoopVar = For->LoopVar.get();
   Ctx.VarHandle = For->LoopVar;
   Ctx.Parallel = false;
-  Value StepV;
-  Ctx.StepIsConst = evalConst(For->Step.get(), StepV) &&
-                    For->Step->type() != ScalarType::F64;
-  Ctx.StepConst = StepV.I;
+  Ctx.StepIsConst = evalConst(For->Step.get(), Ctx.StepConst);
   Loops.push_back(std::move(Ctx));
 
   std::vector<Instr> BodyBuf;
@@ -738,9 +524,9 @@ void ProgramBuilder::compileFor(const ForNode *For, bool InParallel) {
 }
 
 void ProgramBuilder::compileParallelFor(const ForNode *For) {
-  Operand B = compileExprAsInt(For->Begin);
-  Operand E = compileExprAsInt(For->End);
-  Operand S = compileExprAsInt(For->Step);
+  Operand B = compileExpr(For->Begin);
+  Operand E = compileExpr(For->End);
+  Operand S = compileExpr(For->Step);
   const uint16_t VarReg = slotReg(For->LoopVar.get());
 
   markBound(For->LoopVar.get());
@@ -789,40 +575,6 @@ void ProgramBuilder::compileParallelFor(const ForNode *For) {
   release(S);
 }
 
-void ProgramBuilder::compileStore(const StoreNode *St) {
-  Operand Off = compileLoadStoreOffset(St->BufferId, St->Indices);
-  const DataType Ty = F.buffer(St->BufferId).ElemTy;
-  Opcode Op;
-  Operand V;
-  switch (Ty) {
-  case DataType::F32:
-    Op = Opcode::StoreF32;
-    V = compileExprAsFloat(St->Value);
-    break;
-  case DataType::F64:
-    Op = Opcode::StoreF64;
-    V = compileExprAsFloat(St->Value);
-    break;
-  case DataType::S32:
-    Op = Opcode::StoreS32;
-    V = compileExprAsInt(St->Value);
-    break;
-  case DataType::S8:
-    Op = Opcode::StoreS8;
-    V = compileExprAsInt(St->Value);
-    break;
-  case DataType::U8:
-    Op = Opcode::StoreU8;
-    V = compileExprAsInt(St->Value);
-    break;
-  default:
-    GC_UNREACHABLE("store dtype");
-  }
-  emit(Op, V.Reg, static_cast<uint16_t>(St->BufferId), Off.Reg);
-  release(V);
-  release(Off);
-}
-
 void ProgramBuilder::compileCall(const CallNode *C) {
   CallDesc D;
   D.Fn = kernelAdapter(C->In);
@@ -845,22 +597,11 @@ void ProgramBuilder::compileCall(const CallNode *C) {
   }
   for (size_t I = 0; I < C->Scalars.size(); ++I) {
     const Expr &E = C->Scalars[I];
-    Value CV;
-    if (evalConst(E.get(), CV)) {
-      // Pre-marshal both views exactly as a register operand would be.
-      if (E->type() == ScalarType::F64) {
-        D.SF[I] = CV.F;
-        D.SI[I] = static_cast<int64_t>(CV.F);
-      } else {
-        D.SI[I] = CV.I;
-        D.SF[I] = static_cast<double>(CV.I);
-      }
+    if (evalConst(E.get(), D.SI[I]))
       continue;
-    }
-    Operand O = compileExpr(E.get());
+    Operand O = compileExpr(E);
     CallDesc::Dyn &Dy = D.Dyns[D.NumDyn++];
     Dy.Idx = static_cast<uint8_t>(I);
-    Dy.IsF64 = E->type() == ScalarType::F64;
     Dy.Reg = O.Reg;
     Held.push_back(O);
   }
@@ -897,7 +638,7 @@ std::shared_ptr<const Program> ProgramBuilder::build() {
   compileStmtList(F.Body, /*InParallel=*/false);
 
   P.NumRegs = NextReg;
-  P.InitRegs.assign(P.NumRegs, Value());
+  P.InitRegs.assign(P.NumRegs, 0);
   for (const auto &KV : ConstPool)
     P.InitRegs[KV.first] = KV.second;
   return std::make_shared<const Program>(std::move(P));
@@ -914,12 +655,11 @@ std::shared_ptr<const Program> compileProgram(const Func &F) {
 //===----------------------------------------------------------------------===//
 
 std::string printProgram(const Program &P) {
-  static const char *Names[] = {
-      "mov",    "i2f",    "f2i",    "add.i",  "sub.i",  "mul.i",  "div.i",
-      "mod.i",  "min.i",  "max.i",  "add.f",  "sub.f",  "mul.f",  "div.f",
-      "mod.f",  "min.f",  "max.f",  "addimm", "ld.f32", "ld.f64", "ld.s32",
-      "ld.s8",  "ld.u8",  "st.f32", "st.f64", "st.s32", "st.s8",  "st.u8",
-      "jge",    "next",   "call",   "parfor"};
+  static const char *const Names[] = {
+      "mov",    "add.i", "sub.i", "mul.i", "div.i", "mod.i", "min.i",
+      "max.i",  "addimm", "jge",  "next",  "call",  "parfor"};
+  static_assert(sizeof(Names) / sizeof(Names[0]) == kNumOpcodes,
+                "one name per opcode");
   std::string S = formatString("program %s: %zu instrs, %u regs, %zu calls, "
                                "%zu parallel nests\n",
                                P.Name.c_str(), P.Code.size(), P.NumRegs,

@@ -15,11 +15,11 @@
 ///  * constant-folded scalar arithmetic, with all literals preloaded into
 ///    a constant register image copied once per frame;
 ///  * Lets become plain register moves (slots are registers 0..NumSlots);
-///  * affine Load/Store/BufferRef element offsets are strength-reduced
-///    into induction registers: initialized once per loop entry, advanced
-///    by a constant increment on the back edge, instead of re-evaluating
-///    the index expression every iteration (loop-invariant offsets hoist
-///    to the loop entry with increment 0);
+///  * affine buffer-argument element offsets are strength-reduced into
+///    induction registers: initialized once per loop entry, advanced by a
+///    constant increment on the back edge, instead of re-evaluating the
+///    index expression every iteration (loop-invariant offsets hoist to
+///    the loop entry with increment 0);
 ///  * kernel Calls bind to direct function pointers into kernels/ at
 ///    compile time — executing a call is argument marshalling from
 ///    registers plus one indirect call, with no intrinsic switch.
@@ -49,36 +49,23 @@
 namespace gc {
 namespace exec {
 
-/// Register value: an integer and a float view. Int<->float conversions
-/// are explicit I2F/F2I instructions, never implicit.
-struct Value {
-  int64_t I = 0;
-  double F = 0.0;
-};
-
-/// Bytecode operations. Register operands are indices into the frame's
-/// register array; A is the destination unless noted.
+/// Bytecode operations. Registers are int64_t; register operands are
+/// indices into the frame's register array, and A is the destination
+/// unless noted.
 enum class Opcode : uint8_t {
-  // Moves / conversions.
-  Mov,  ///< R[A] = R[B] (both fields)
-  I2F,  ///< R[A].F = double(R[B].I)
-  F2I,  ///< R[A].I = int64(R[B].F)
-  // Integer arithmetic: R[A].I = R[B].I op R[C].I.
+  Mov, ///< R[A] = R[B]
+  // Integer arithmetic: R[A] = R[B] op R[C].
   AddI, SubI, MulI, DivI, ModI, MinI, MaxI,
-  // Float arithmetic: R[A].F = R[B].F op R[C].F (Mod = fmod).
-  AddF, SubF, MulF, DivF, ModF, MinF, MaxF,
-  AddImmI, ///< R[A].I += Imm (induction advance on loop back edges)
-  // Scalar element loads: R[A] = Buffers[B][R[C].I] (typed).
-  LoadF32, LoadF64, LoadS32, LoadS8, LoadU8,
-  // Scalar element stores: Buffers[B][R[C].I] = R[A] (typed; S8/U8
-  // saturate the integer view to the type's range).
-  StoreF32, StoreF64, StoreS32, StoreS8, StoreU8,
+  AddImmI, ///< R[A] += Imm (induction advance on loop back edges)
   // Control flow (Target is a signed offset relative to this instruction).
-  JumpIfGeI, ///< if R[A].I >= R[B].I: PC += Target, else fall through
-  LoopNext,  ///< R[A].I += R[B].I; if R[A].I < R[C].I: PC += Target
+  JumpIfGeI, ///< if R[A] >= R[B]: PC += Target, else fall through
+  LoopNext,  ///< R[A] += R[B]; if R[A] < R[C]: PC += Target
   CallKernel,  ///< invoke Calls[Target]
   ParallelFor, ///< run Pars[Target]; body is the next BodyLen instructions
+  // ParallelFor stays last: the codec and the verifier reject any opcode
+  // past it.
 };
+constexpr uint8_t kNumOpcodes = static_cast<uint8_t>(Opcode::ParallelFor) + 1;
 
 /// One instruction. 24 bytes, laid out for the dispatch loop.
 struct Instr {
@@ -95,17 +82,19 @@ struct Instr {
 constexpr int kMaxCallBufs = kernels::kEpilogueMaxBufs;
 
 /// Kernel entry: pre-resolved buffer pointers (base + element offset
-/// already applied) plus the int/float views of the scalar arguments, in
-/// the order the intrinsic's table row declares (tir/intrinsics.h). Ptrs
-/// has kMaxCallBufs + 1 entries: Ptrs[kMaxCallBufs] is the call's
-/// epilogue step list (null for every other intrinsic).
+/// already applied) plus the scalar arguments, in the order the
+/// intrinsic's table row declares (tir/intrinsics.h). Ptrs has
+/// kMaxCallBufs + 1 entries: Ptrs[kMaxCallBufs] is the call's epilogue
+/// step list (null for every other intrinsic). The third argument is
+/// always null: no intrinsic takes a float scalar. It remains only
+/// because perfbench's instrumented trampolines forward it.
 using KernelFn = void (*)(void *const *Ptrs, const int64_t *SI,
-                          const double *SF);
+                          const double *);
 
 /// Compiled kernel call: direct function pointer + argument recipe.
-/// Compile-time-constant scalars are pre-marshalled into SI/SF; only the
+/// Compile-time-constant scalars are pre-marshalled into SI; only the
 /// (typically few) dynamic scalars are patched in from registers at
-/// dispatch, and a call with none uses the arrays in place.
+/// dispatch, and a call with none uses the array in place.
 struct CallDesc {
   KernelFn Fn = nullptr;
   /// Symbolic identity of Fn. Function pointers do not survive process
@@ -119,12 +108,10 @@ struct CallDesc {
     uint16_t OffsetReg = 0; ///< element offset register
     bool HasOffset = false; ///< false = offset 0 (no register read)
   } Bufs[kMaxCallBufs];
-  /// Pre-marshalled scalar views (constants filled at compile time).
+  /// Pre-marshalled scalars (constants filled at compile time).
   int64_t SI[12] = {0};
-  double SF[12] = {0};
   struct Dyn {
-    uint8_t Idx = 0;    ///< scalar position to patch
-    bool IsF64 = false; ///< marshal from the F view (else the I view)
+    uint8_t Idx = 0; ///< scalar position to patch
     uint16_t Reg = 0;
   } Dyns[12];
   /// EpilogueTile only: the step list, shared by every copy of the
@@ -162,7 +149,7 @@ struct Program {
   std::vector<CallDesc> Calls;
   std::vector<ParDesc> Pars;
   /// Initial register image (constants preloaded); frame setup is one copy.
-  std::vector<Value> InitRegs;
+  std::vector<int64_t> InitRegs;
   uint32_t NumRegs = 0;
   std::vector<BufferInfo> Buffers;
   int64_t ArenaBytes = 0;

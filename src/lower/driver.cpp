@@ -139,13 +139,17 @@ Expected<LoweredProgram> lowerGraph(const Graph &G,
       continue;
     const Op &O = G.op(OpId);
     switch (O.kind()) {
-    case OpKind::FusedOp:
+    case OpKind::FusedOp: {
       if (verboseAtLeast(2))
         std::fprintf(stderr, "lowering region op%lld\n%s",
                      (long long)OpId,
                      O.subgraph() ? O.subgraph()->toString().c_str() : "");
-      Prog.Entry.Body.push_back(lowerRegion(Ctx, OpId));
+      Expected<tir::Stmt> Region = lowerRegion(Ctx, OpId);
+      if (!Region)
+        return Region.status();
+      Prog.Entry.Body.push_back(Region.takeValue());
       continue;
+    }
     case OpKind::Reshape: {
       // Plain row-major data is shape-agnostic: one flat copy.
       const LogicalTensor &In = G.tensor(O.input(0));
@@ -209,14 +213,8 @@ Expected<LoweredProgram> lowerGraph(const Graph &G,
       if (Status S = verify::verifyFunc(Prog.Entry, "loop merge"); !S.isOk())
         return S;
   }
-  // Tensor-size optimization: the template lowering already emits
-  // strip-sized thread-local temporaries, so this mostly catches
-  // scalar-loop regions; it must run before buffer placement.
-  tirpass::shrinkTensors(Prog.Entry);
-  if (VerifyStages)
-    if (Status S = verify::verifyFunc(Prog.Entry, "tensor shrink");
-        !S.isOk())
-      return S;
+  // Tensor-size optimization needs no pass: the template lowering already
+  // emits strip-sized thread-local temporaries (RegionLowerer::scratch).
   Prog.ReuseStats = tirpass::reuseBuffers(Prog.Entry, Opts.EnableBufferReuse);
   tir::assignSlots(Prog.Entry);
   if (verify::verifyLevel() >= verify::VerifyLevel::All)

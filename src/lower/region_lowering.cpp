@@ -159,7 +159,7 @@ public:
   RegionLowerer(LoweringContext &Ctx, int64_t FusedOpId)
       : Ctx(Ctx), G(*Ctx.G), FO(G.op(FusedOpId)), Sub(*FO.subgraph()) {}
 
-  Stmt lower() {
+  Expected<Stmt> lower() {
     const int64_t MmId = findMatMul();
     if (MmId >= 0)
       return lowerTunable(MmId);
@@ -274,7 +274,10 @@ private:
   }
 
   /// Classifies a subgraph tensor that is external to the interior chain.
-  ExtRef classifyExternal(int64_t SubTensor) {
+  /// An operand that broadcasts as none of the epilogue's operand forms
+  /// (immediate, row vector, column vector, full tile) is Unsupported, and
+  /// the session runs the partition on the reference interpreter.
+  Expected<ExtRef> classifyExternal(int64_t SubTensor) {
     const LogicalTensor &T = Sub.tensor(SubTensor);
     ExtRef E;
     E.Ty = T.Ty;
@@ -285,13 +288,6 @@ private:
       E.K = ExtKind::Scalar;
       E.ScalarValue = Data->dataAs<float>()[0];
       return E;
-    }
-    // Resolve storage: cloned subgraph constants are baked; external
-    // inputs use the outer buffer.
-    if (Data) {
-      E.BufferId = bakeConst("cst", Data->clone());
-    } else {
-      E.BufferId = outerBufferFor(SubTensor);
     }
     // Broadcast classification against the output [lead..., M, N]. In the
     // eltwise path MDim is the flattened row count, so a [lead..., M, 1]
@@ -317,10 +313,22 @@ private:
       E.K = ExtKind::ColVec;
     else if (Last == FullN && (Second == MDim || RowsProd == MDim))
       E.K = ExtKind::Full;
-    else if (T.numElements() == 1)
-      E.K = ExtKind::Scalar; // non-const scalar: treated as rowvec of 1
+    else if (Data && T.numElements() == 1)
+      // A non-f32 single-element constant: dequant_acc's compensation,
+      // which no step reads while its a_zp is 0.
+      E.K = ExtKind::Scalar;
     else
-      fatalError("unsupported broadcast shape for fused extra input");
+      return Status::error(
+          StatusCode::Unsupported,
+          formatString("fused op%lld: operand %s broadcasts as neither a "
+                       "row vector, a column vector nor a full tile of the "
+                       "%lld x %lld output",
+                       (long long)FO.id(), shapeToString(T.Shape).c_str(),
+                       (long long)MDim, (long long)FullN));
+    // Resolve storage: cloned subgraph constants are baked; external
+    // inputs use the outer buffer.
+    E.BufferId = Data ? bakeConst("cst", Data->clone())
+                      : outerBufferFor(SubTensor);
     return E;
   }
 
@@ -1093,10 +1101,10 @@ private:
   // Tunable template (Fig. 2)
   //===--------------------------------------------------------------------===//
 
-  Stmt lowerTunable(int64_t MmId);
-  Stmt lowerEltwise();
+  Expected<Stmt> lowerTunable(int64_t MmId);
+  Expected<Stmt> lowerEltwise();
 
-  void setupExternals(int64_t MmId) {
+  Status setupExternals(int64_t MmId) {
     std::unordered_set<int64_t> Skip;
     if (MmId >= 0) {
       Skip.insert(Sub.op(MmId).input(0));
@@ -1112,12 +1120,17 @@ private:
         if (Skip.count(In) || Sub.producerOf(In) >= 0 ||
             (MmId >= 0 && In == Sub.op(MmId).output(0)))
           continue;
-        if (!Ext.count(In))
-          Ext.emplace(In, classifyExternal(In));
+        if (Ext.count(In))
+          continue;
+        Expected<ExtRef> E = classifyExternal(In);
+        if (!E)
+          return E.status();
+        Ext.emplace(In, E.takeValue());
       }
     }
     for (int64_t Out : Sub.outputs())
       ++UseCount[Out];
+    return Status::ok();
   }
 };
 
@@ -1125,7 +1138,7 @@ private:
 // Tunable path
 //===----------------------------------------------------------------------===//
 
-Stmt RegionLowerer::lowerTunable(int64_t MmId) {
+Expected<Stmt> RegionLowerer::lowerTunable(int64_t MmId) {
   const Op &Mm = Sub.op(MmId);
   assert(Mm.getAttrInt("transpose_a", 0) == 0 && "transpose_a unsupported");
   TransB = Mm.getAttrInt("transpose_b", 0) != 0;
@@ -1308,7 +1321,8 @@ Stmt RegionLowerer::lowerTunable(int64_t MmId) {
   };
   NsiEndE = NsiEndExpr;
 
-  setupExternals(MmId);
+  if (Status S = setupExternals(MmId); !S.isOk())
+    return S;
   // Seed the accumulator value.
   StripVal AccV;
   AccV.K = StripVal::Kind::Acc;
@@ -1357,7 +1371,7 @@ Stmt RegionLowerer::lowerTunable(int64_t MmId) {
 // Elementwise-only path
 //===----------------------------------------------------------------------===//
 
-Stmt RegionLowerer::lowerEltwise() {
+Expected<Stmt> RegionLowerer::lowerEltwise() {
   assert(Sub.outputs().size() >= 1 && "region without outputs");
   const int64_t OutSub = Sub.outputs()[0];
   const LogicalTensor &OutT = Sub.tensor(OutSub);
@@ -1386,7 +1400,8 @@ Stmt RegionLowerer::lowerEltwise() {
   StripTiles = 1;
   OutLeadDims.clear();
 
-  setupExternals(/*MmId=*/-1);
+  if (Status S = setupExternals(/*MmId=*/-1); !S.isOk())
+    return S;
   // Externals must broadcast over the flattened rows; batch-grouped row
   // vectors additionally constrain the row block so one strip never
   // straddles two groups.
@@ -1433,7 +1448,7 @@ Stmt RegionLowerer::lowerEltwise() {
 
 } // namespace
 
-Stmt lowerRegion(LoweringContext &Ctx, int64_t FusedOpId) {
+Expected<Stmt> lowerRegion(LoweringContext &Ctx, int64_t FusedOpId) {
   RegionLowerer Lowerer(Ctx, FusedOpId);
   return Lowerer.lower();
 }

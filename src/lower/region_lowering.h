@@ -12,7 +12,9 @@
 ///
 /// The returned statement is a Seq wrapping the nest; its contained
 /// parallel For carries the Mergeable flag when the Graph IR coarse-grain
-/// decision allows merging with the preceding nest.
+/// decision allows merging with the preceding nest. A region whose extra
+/// operand broadcasts in a way no epilogue operand form expresses is
+/// Unsupported, so the caller can run it on the reference interpreter.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +22,7 @@
 #define GC_LOWER_REGION_LOWERING_H
 
 #include "graph/graph.h"
+#include "support/status.h"
 #include "tir/function.h"
 
 #include <functional>
@@ -39,8 +42,9 @@ struct LoweringContext {
   int ScratchCounter = 0;
 };
 
-/// Lowers the FusedOp \p FusedOpId of Ctx.G. Returns the region statement.
-tir::Stmt lowerRegion(LoweringContext &Ctx, int64_t FusedOpId);
+/// Lowers the FusedOp \p FusedOpId of Ctx.G. Returns the region statement,
+/// or an Unsupported status.
+Expected<tir::Stmt> lowerRegion(LoweringContext &Ctx, int64_t FusedOpId);
 
 } // namespace lower
 } // namespace gc

@@ -1,11 +1,11 @@
 //===- expr.h - Tensor IR expressions ---------------------------*- C++ -*-===//
 ///
 /// \file
-/// Scalar expressions of the Tensor IR (§VI): constants, variables and
-/// arithmetic used for loop indices, tensor offsets and kernel parameters.
-/// Tensor IR is "close to C program semantics"; expressions are untyped
-/// beyond an int/float split because they only ever compute addresses,
-/// extents and immediate kernel scalars.
+/// Scalar expressions of the Tensor IR (§VI): integer constants, variables
+/// and arithmetic used for loop indices, tensor offsets and kernel
+/// parameters. Tensor IR is "close to C program semantics"; all tensor
+/// compute happens inside the microkernels it calls, so every expression
+/// is an i64 that computes an address, an extent or a kernel scalar.
 ///
 /// Expression nodes are immutable after construction; passes rewrite by
 /// replacing whole Expr pointers (never by mutating node internals), so
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace gc {
 namespace tir {
@@ -27,44 +26,30 @@ namespace tir {
 class ExprNode;
 using Expr = std::shared_ptr<const ExprNode>;
 
-/// Scalar type of a Tensor IR expression.
-enum class ScalarType : uint8_t { I64, F64 };
-
 /// Binary operators available on TIR scalars.
 enum class BinOp : uint8_t { Add, Sub, Mul, Div, Mod, Min, Max };
 
 /// Base of all expression nodes.
 class ExprNode {
 public:
-  enum class Kind : uint8_t { IntImm, FloatImm, Var, Binary, Load };
+  enum class Kind : uint8_t { IntImm, Var, Binary };
 
   Kind kind() const { return K; }
-  ScalarType type() const { return Ty; }
 
   virtual ~ExprNode() = default;
 
 protected:
-  ExprNode(Kind K, ScalarType Ty) : K(K), Ty(Ty) {}
+  explicit ExprNode(Kind K) : K(K) {}
 
 private:
   Kind K;
-  ScalarType Ty;
 };
 
 /// Integer literal.
 class IntImmNode : public ExprNode {
 public:
-  explicit IntImmNode(int64_t Value)
-      : ExprNode(Kind::IntImm, ScalarType::I64), Value(Value) {}
+  explicit IntImmNode(int64_t Value) : ExprNode(Kind::IntImm), Value(Value) {}
   int64_t Value;
-};
-
-/// Floating literal (carried as double; narrowed at kernel boundaries).
-class FloatImmNode : public ExprNode {
-public:
-  explicit FloatImmNode(double Value)
-      : ExprNode(Kind::FloatImm, ScalarType::F64), Value(Value) {}
-  double Value;
 };
 
 /// Scalar variable (loop index or let-bound value). Slot indices are
@@ -72,8 +57,8 @@ public:
 /// I, so execution reads frames by array index instead of name lookup.
 class VarNode : public ExprNode {
 public:
-  VarNode(std::string Name, ScalarType Ty)
-      : ExprNode(Kind::Var, Ty), Name(std::move(Name)) {}
+  explicit VarNode(std::string Name)
+      : ExprNode(Kind::Var), Name(std::move(Name)) {}
   std::string Name;
   /// Frame slot; -1 until slot assignment runs.
   mutable int Slot = -1;
@@ -86,28 +71,10 @@ using Var = std::shared_ptr<const VarNode>;
 class BinaryNode : public ExprNode {
 public:
   BinaryNode(BinOp Op, Expr A, Expr B)
-      : ExprNode(Kind::Binary,
-                 (A->type() == ScalarType::F64 || B->type() == ScalarType::F64)
-                     ? ScalarType::F64
-                     : ScalarType::I64),
-        Op(Op), A(std::move(A)), B(std::move(B)) {}
+      : ExprNode(Kind::Binary), Op(Op), A(std::move(A)), B(std::move(B)) {}
   BinOp Op;
   Expr A;
   Expr B;
-};
-
-/// Scalar element load from a buffer: Buffer[Indices...]. The scalar type
-/// is the int/float split of the buffer element type. Multi-dimensional
-/// until the flatten pass rewrites indices to a single offset.
-class LoadNode : public ExprNode {
-public:
-  LoadNode(int BufferId, std::vector<Expr> Indices, ScalarType Ty)
-      : ExprNode(Kind::Load, Ty), BufferId(BufferId),
-        Indices(std::move(Indices)) {}
-  int BufferId;
-  /// Mutable so the flatten pass can rewrite accesses in place (load nodes
-  /// are never shared across distinct accesses by construction).
-  mutable std::vector<Expr> Indices;
 };
 
 //===----------------------------------------------------------------------===//
@@ -115,10 +82,8 @@ public:
 //===----------------------------------------------------------------------===//
 
 inline Expr makeInt(int64_t V) { return std::make_shared<IntImmNode>(V); }
-inline Expr makeFloat(double V) { return std::make_shared<FloatImmNode>(V); }
-inline Var makeVar(std::string Name,
-                   ScalarType Ty = ScalarType::I64) {
-  return std::make_shared<VarNode>(std::move(Name), Ty);
+inline Var makeVar(std::string Name) {
+  return std::make_shared<VarNode>(std::move(Name));
 }
 
 Expr makeBinary(BinOp Op, Expr A, Expr B);

@@ -30,7 +30,6 @@ void collectVarsExpr(const Expr &E, CollectState &St) {
     return;
   switch (E->kind()) {
   case ExprNode::Kind::IntImm:
-  case ExprNode::Kind::FloatImm:
     return;
   case ExprNode::Kind::Var: {
     const auto *V = static_cast<const VarNode *>(E.get());
@@ -42,12 +41,6 @@ void collectVarsExpr(const Expr &E, CollectState &St) {
     const auto &B = static_cast<const BinaryNode &>(*E);
     collectVarsExpr(B.A, St);
     collectVarsExpr(B.B, St);
-    return;
-  }
-  case ExprNode::Kind::Load: {
-    const auto &L = static_cast<const LoadNode &>(*E);
-    for (const Expr &I : L.Indices)
-      collectVarsExpr(I, St);
     return;
   }
   }
@@ -71,13 +64,6 @@ void collectVarsStmt(const Stmt &S, CollectState &St) {
     if (St.Seen.insert(L.BoundVar.get()).second)
       St.Order.push_back(L.BoundVar.get());
     collectVarsExpr(L.Value, St);
-    return;
-  }
-  case StmtNode::Kind::Store: {
-    const auto &Store = static_cast<const StoreNode &>(*S);
-    for (const Expr &I : Store.Indices)
-      collectVarsExpr(I, St);
-    collectVarsExpr(Store.Value, St);
     return;
   }
   case StmtNode::Kind::Call: {

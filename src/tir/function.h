@@ -1,10 +1,11 @@
-//===- function.h - Tensor IR functions and modules -------------*- C++ -*-===//
+//===- function.h - Tensor IR functions -------------------------*- C++ -*-===//
 ///
 /// \file
-/// A Tensor IR function owns a buffer table and a statement body. A module
-/// is the unit of compilation: its entry function is the sequence of loop
-/// nests lowered from the graph of Fused OPs, plus an optional fold
-/// function holding the compile-time constant preprocessing (§V).
+/// A Tensor IR function owns a buffer table and a statement body. The
+/// lowering driver builds one per compiled partition: the entry function,
+/// the sequence of loop nests lowered from the graph of Fused OPs. The
+/// compile-time constant preprocessing of §V stays a graph (the driver's
+/// fold graph), not a Tensor IR function.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,7 +16,6 @@
 #include "support/dtype.h"
 #include "tir/stmt.h"
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,7 +43,8 @@ struct BufferDecl {
   int Id = -1;
   std::string Name;
   DataType ElemTy = DataType::F32;
-  /// Static dimensions. After the flatten pass every buffer is 1-D.
+  /// Static dimensions; intrinsic calls address the buffer by a flat
+  /// element offset, so only their product matters to execution.
   std::vector<int64_t> Dims;
   BufferScope Scope = BufferScope::Temp;
 
@@ -102,13 +103,6 @@ struct Func {
   const BufferDecl &buffer(int Id) const {
     return Buffers[static_cast<size_t>(Id)];
   }
-};
-
-/// A compiled Tensor IR module.
-struct Module {
-  Func Entry;
-  /// Constant-weight preprocessing function; executed once, outputs cached.
-  std::optional<Func> Fold;
 };
 
 /// Assigns frame slots to every distinct variable of \p F and records the

@@ -99,8 +99,6 @@ std::string printExpr(const Expr &E) {
   case ExprNode::Kind::IntImm:
     return formatString(
         "%lld", (long long)static_cast<const IntImmNode &>(*E).Value);
-  case ExprNode::Kind::FloatImm:
-    return formatString("%gf", static_cast<const FloatImmNode &>(*E).Value);
   case ExprNode::Kind::Var: {
     const auto &V = static_cast<const VarNode &>(*E);
     return V.Name;
@@ -112,14 +110,6 @@ std::string printExpr(const Expr &E) {
                           printExpr(B.A).c_str(), printExpr(B.B).c_str());
     return formatString("(%s %s %s)", printExpr(B.A).c_str(),
                         binOpName(B.Op), printExpr(B.B).c_str());
-  }
-  case ExprNode::Kind::Load: {
-    const auto &L = static_cast<const LoadNode &>(*E);
-    std::vector<std::string> Idx;
-    for (const Expr &I : L.Indices)
-      Idx.push_back(printExpr(I));
-    return formatString("b%d[%s]", L.BufferId,
-                        joinStrings(Idx, ", ").c_str());
   }
   }
   return "?";
@@ -146,15 +136,6 @@ std::string printStmt(const Stmt &S, int Indent) {
     return formatString("%slet %s = %s\n", Pad.c_str(),
                         L.BoundVar->Name.c_str(),
                         printExpr(L.Value).c_str());
-  }
-  case StmtNode::Kind::Store: {
-    const auto &St = static_cast<const StoreNode &>(*S);
-    std::vector<std::string> Idx;
-    for (const Expr &I : St.Indices)
-      Idx.push_back(printExpr(I));
-    return formatString("%sb%d[%s] = %s\n", Pad.c_str(), St.BufferId,
-                        joinStrings(Idx, ", ").c_str(),
-                        printExpr(St.Value).c_str());
   }
   case StmtNode::Kind::Call: {
     const auto &C = static_cast<const CallNode &>(*S);
@@ -214,13 +195,6 @@ std::string printFunc(const Func &F) {
   for (const Stmt &S : F.Body)
     Out += printStmt(S, 2);
   Out += "}\n";
-  return Out;
-}
-
-std::string printModule(const Module &M) {
-  std::string Out = printFunc(M.Entry);
-  if (M.Fold)
-    Out += "\n" + printFunc(*M.Fold);
   return Out;
 }
 

@@ -25,9 +25,6 @@ std::string printStmt(const Stmt &S, int Indent = 0);
 /// Renders a whole function (buffer table + body).
 std::string printFunc(const Func &F);
 
-/// Renders a module (entry + fold function).
-std::string printModule(const Module &M);
-
 } // namespace tir
 } // namespace gc
 

@@ -2,9 +2,9 @@
 ///
 /// \file
 /// Statements of the Tensor IR (§VI): loops (serial/parallel), scalar lets,
-/// tensor element load/store, and intrinsic calls that move whole tiles.
-/// Statement nodes are mutable so the Tensor IR passes (loop merging,
-/// tensor shrinking, flattening, buffer reuse) can rewrite in place.
+/// and intrinsic calls; every tensor element is read and written inside
+/// the microkernel an intrinsic call names. Statement nodes are mutable so
+/// the Tensor IR passes (loop merging, buffer reuse) can rewrite in place.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +40,7 @@ struct BufferRef {
 /// Base of all statement nodes.
 class StmtNode {
 public:
-  enum class Kind : uint8_t { For, Let, Store, Call, Seq };
+  enum class Kind : uint8_t { For, Let, Call, Seq };
 
   Kind kind() const { return K; }
   virtual ~StmtNode() = default;
@@ -78,17 +78,6 @@ public:
   LetNode() : StmtNode(Kind::Let) {}
 
   Var BoundVar;
-  Expr Value;
-};
-
-/// Scalar element store: Buffer[Indices...] = Value. Multi-dimensional
-/// until the flatten pass rewrites all accesses to 1-D offsets.
-class StoreNode : public StmtNode {
-public:
-  StoreNode() : StmtNode(Kind::Store) {}
-
-  int BufferId = -1;
-  std::vector<Expr> Indices;
   Expr Value;
 };
 
@@ -135,14 +124,6 @@ inline Stmt makeFor(Var LoopVar, Expr Begin, Expr End, Expr Step,
 inline Stmt makeLet(Var BoundVar, Expr Value) {
   auto S = std::make_shared<LetNode>();
   S->BoundVar = std::move(BoundVar);
-  S->Value = std::move(Value);
-  return S;
-}
-
-inline Stmt makeStore(int BufferId, std::vector<Expr> Indices, Expr Value) {
-  auto S = std::make_shared<StoreNode>();
-  S->BufferId = BufferId;
-  S->Indices = std::move(Indices);
   S->Value = std::move(Value);
   return S;
 }

@@ -31,66 +31,23 @@ using namespace tir;
 
 namespace {
 
-/// Collects buffer ids referenced by loads inside an expression.
-void collectBufferUsesExpr(const Expr &E, std::vector<bool> &Used) {
-  if (!E)
-    return;
-  switch (E->kind()) {
-  case ExprNode::Kind::IntImm:
-  case ExprNode::Kind::FloatImm:
-  case ExprNode::Kind::Var:
-    return;
-  case ExprNode::Kind::Binary: {
-    const auto &B = static_cast<const BinaryNode &>(*E);
-    collectBufferUsesExpr(B.A, Used);
-    collectBufferUsesExpr(B.B, Used);
-    return;
-  }
-  case ExprNode::Kind::Load: {
-    const auto &L = static_cast<const LoadNode &>(*E);
-    Used[static_cast<size_t>(L.BufferId)] = true;
-    for (const Expr &I : L.Indices)
-      collectBufferUsesExpr(I, Used);
-    return;
-  }
-  }
-}
-
-/// Collects the buffer ids referenced inside a statement tree (stores,
-/// intrinsic calls, and loads anywhere in expressions).
+/// Collects the buffer ids referenced inside a statement tree: only
+/// intrinsic calls name buffers.
 void collectBufferUses(const Stmt &S, std::vector<bool> &Used) {
   switch (S->kind()) {
-  case StmtNode::Kind::For: {
-    const auto &F = static_cast<const ForNode &>(*S);
-    collectBufferUsesExpr(F.Begin, Used);
-    collectBufferUsesExpr(F.End, Used);
-    collectBufferUsesExpr(F.Step, Used);
-    for (const Stmt &C : F.Body)
+  case StmtNode::Kind::For:
+    for (const Stmt &C : static_cast<const ForNode &>(*S).Body)
       collectBufferUses(C, Used);
     return;
-  }
-  case StmtNode::Kind::Seq: {
-    const auto &Q = static_cast<const SeqNode &>(*S);
-    for (const Stmt &C : Q.Body)
+  case StmtNode::Kind::Seq:
+    for (const Stmt &C : static_cast<const SeqNode &>(*S).Body)
       collectBufferUses(C, Used);
     return;
-  }
-  case StmtNode::Kind::Store: {
-    const auto &St = static_cast<const StoreNode &>(*S);
-    Used[static_cast<size_t>(St.BufferId)] = true;
-    for (const Expr &I : St.Indices)
-      collectBufferUsesExpr(I, Used);
-    collectBufferUsesExpr(St.Value, Used);
-    return;
-  }
-  case StmtNode::Kind::Call: {
-    const auto &C = static_cast<const CallNode &>(*S);
-    for (const BufferRef &B : C.Buffers)
+  case StmtNode::Kind::Call:
+    for (const BufferRef &B : static_cast<const CallNode &>(*S).Buffers)
       Used[static_cast<size_t>(B.BufferId)] = true;
     return;
-  }
   case StmtNode::Kind::Let:
-    collectBufferUsesExpr(static_cast<const LetNode &>(*S).Value, Used);
     return;
   }
 }

@@ -6,11 +6,13 @@
 ///    mechanically combining adjacent top-level parallel loop nests marked
 ///    mergeable ("Tensor IR merges two nested loops mechanically as guided
 ///    by the Graph IR optimizations"),
-///  * tensor-size shrinking - reduces temporary tensors whose accesses are
-///    local to a loop scope (the A'/C'' examples of §VI),
 ///  * memory buffer reuse - lifespan analysis over entry-scope temporaries
 ///    with most-recently-freed ("hot") reuse, packing them into one
 ///    scratch arena and minimizing peak bytes.
+///
+/// The third, tensor-size shrinking (the A'/C'' examples of §VI), needs no
+/// pass here: the fused-op template allocates its per-strip temporaries
+/// strip-sized and thread-local to begin with (lower/region_lowering.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,12 +32,6 @@ int mergeParallelLoops(tir::Func &F);
 /// Counts top-level parallel loop nests (before/after merging; used by the
 /// coarse-grain ablation to report barrier reduction).
 int countParallelNests(const tir::Func &F);
-
-/// Shrinks Temp/ThreadLocal buffers whose leading dimension is only ever
-/// indexed by a single loop variable whose loop encloses all accesses:
-/// the dimension carries no live data across iterations and is dropped
-/// (rewriting the accesses to index 0). Returns buffers shrunk.
-int shrinkTensors(tir::Func &F);
 
 /// Statistics reported by the buffer-reuse pass.
 struct BufferReuseStats {

@@ -5,11 +5,11 @@
 ///
 ///  1. A structural pass over every instruction and descriptor: opcode
 ///     validity, every register operand inside the register image, jump
-///     targets inside the code block, Load/Store buffer ids inside the
-///     buffer table, Call/Par descriptor indices valid, kernel pointers
-///     non-null, CallDesc buffer/dynamic-scalar counts within the
-///     marshalling limits, and buffer metadata consistent (element size,
-///     arena placement).
+///     targets inside the code block, Call/Par descriptor indices valid,
+///     kernel pointers non-null, CallDesc buffer ids inside the buffer
+///     table and buffer/dynamic-scalar counts within the marshalling
+///     limits, and buffer metadata consistent (element size, arena
+///     placement).
 ///
 ///  2. A structured abstract interpretation over the canonical control
 ///     flow the program builder emits (documented at the top of
@@ -20,15 +20,15 @@
 ///     bound-carrying symbols and strength-reduced induction registers
 ///     are reconstructed as entry + (Imm/Step)·(var − begin), so
 ///     correlated edge-tile offsets are proven exactly. Within that
-///     state, every scalar load/store offset register, every kernel-call
-///     buffer offset and every kernel-call tile/flat footprint is proven
-///     inside its buffer's element extent. Control flow that does not
+///     state, every kernel-call buffer offset and every kernel-call
+///     footprint is proven inside its buffer's element extent. Control
+///     flow that does not
 ///     fit the canonical shapes is rejected as unstructured — the
 ///     executor's dispatch loop has no checks, so only programs the
 ///     verifier can understand are accepted.
 ///
 ///  3. A static race proof per parallel loop: the body walk collects the
-///     load/store/kernel-call footprints of one abstract iteration, and
+///     kernel-call footprints of one abstract iteration, and
 ///     verify/relational.h proves every cross-iteration pair with a
 ///     write on a shared (non-thread-local) buffer disjoint, or rejects
 ///     with a Status naming the two conflicting footprints. Layers 2+3
@@ -58,8 +58,7 @@ using exec::Opcode;
 using exec::ParDesc;
 using exec::Program;
 
-/// Abstract frame: one symbolic value per register (I field only; float
-/// values are never used for addressing).
+/// Abstract frame: one symbolic value per register.
 using RegState = std::vector<SymVal>;
 
 class ProgramVerifier {
@@ -72,7 +71,7 @@ public:
       return S;
     RegState R(P.NumRegs, SymVal::top());
     for (size_t I = 0; I < P.InitRegs.size(); ++I)
-      R[I] = SymVal::constant(P.InitRegs[I].I);
+      R[I] = SymVal::constant(P.InitRegs[I]);
     return walkRegion(0, P.Code.size(), R);
   }
 
@@ -97,8 +96,6 @@ private:
   static int destReg(const Instr &I) {
     switch (I.Op) {
     case Opcode::Mov:
-    case Opcode::I2F:
-    case Opcode::F2I:
     case Opcode::AddI:
     case Opcode::SubI:
     case Opcode::MulI:
@@ -106,19 +103,7 @@ private:
     case Opcode::ModI:
     case Opcode::MinI:
     case Opcode::MaxI:
-    case Opcode::AddF:
-    case Opcode::SubF:
-    case Opcode::MulF:
-    case Opcode::DivF:
-    case Opcode::ModF:
-    case Opcode::MinF:
-    case Opcode::MaxF:
     case Opcode::AddImmI:
-    case Opcode::LoadF32:
-    case Opcode::LoadF64:
-    case Opcode::LoadS32:
-    case Opcode::LoadS8:
-    case Opcode::LoadU8:
     case Opcode::LoopNext:
       return I.A;
     default:
@@ -157,17 +142,10 @@ private:
     const auto RegOk = [&](uint16_t R) { return R < P.NumRegs; };
     for (size_t Pc = 0; Pc < P.Code.size(); ++Pc) {
       const Instr &I = P.Code[Pc];
-      if (static_cast<uint8_t>(I.Op) >
-          static_cast<uint8_t>(Opcode::ParallelFor))
+      if (static_cast<uint8_t>(I.Op) >= exec::kNumOpcodes)
         return err(Pc, formatString("invalid opcode %u",
                                     static_cast<unsigned>(I.Op)));
       switch (I.Op) {
-      case Opcode::Mov:
-      case Opcode::I2F:
-      case Opcode::F2I:
-        if (!RegOk(I.A) || !RegOk(I.B))
-          return err(Pc, "register operand outside the register image");
-        break;
       case Opcode::AddI:
       case Opcode::SubI:
       case Opcode::MulI:
@@ -175,13 +153,6 @@ private:
       case Opcode::ModI:
       case Opcode::MinI:
       case Opcode::MaxI:
-      case Opcode::AddF:
-      case Opcode::SubF:
-      case Opcode::MulF:
-      case Opcode::DivF:
-      case Opcode::ModF:
-      case Opcode::MinF:
-      case Opcode::MaxF:
       case Opcode::LoopNext:
         if (!RegOk(I.A) || !RegOk(I.B) || !RegOk(I.C))
           return err(Pc, "register operand outside the register image");
@@ -190,21 +161,7 @@ private:
         if (!RegOk(I.A))
           return err(Pc, "register operand outside the register image");
         break;
-      case Opcode::LoadF32:
-      case Opcode::LoadF64:
-      case Opcode::LoadS32:
-      case Opcode::LoadS8:
-      case Opcode::LoadU8:
-      case Opcode::StoreF32:
-      case Opcode::StoreF64:
-      case Opcode::StoreS32:
-      case Opcode::StoreS8:
-      case Opcode::StoreU8:
-        if (!RegOk(I.A) || !RegOk(I.C))
-          return err(Pc, "register operand outside the register image");
-        if (I.B >= P.Buffers.size())
-          return err(Pc, formatString("references unknown buffer %u", I.B));
-        break;
+      case Opcode::Mov:
       case Opcode::JumpIfGeI:
         if (!RegOk(I.A) || !RegOk(I.B))
           return err(Pc, "register operand outside the register image");
@@ -326,15 +283,6 @@ private:
     case Opcode::Mov:
       R[I.A] = R[I.B];
       return Status::ok();
-    case Opcode::I2F:
-      // Writes only the F view; the I view of A is PRESERVED by the
-      // executor (Value fields are independent) — but being conservative
-      // about Value-struct semantics costs nothing here.
-      R[I.A] = SymVal::top();
-      return Status::ok();
-    case Opcode::F2I:
-      R[I.A] = SymVal::top();
-      return Status::ok();
     case Opcode::AddI:
       R[I.A] = Ctx.add(R[I.B], R[I.C]);
       return Status::ok();
@@ -356,52 +304,9 @@ private:
     case Opcode::MaxI:
       R[I.A] = Ctx.max(R[I.B], R[I.C]);
       return Status::ok();
-    case Opcode::AddF:
-    case Opcode::SubF:
-    case Opcode::MulF:
-    case Opcode::DivF:
-    case Opcode::ModF:
-    case Opcode::MinF:
-    case Opcode::MaxF:
-      return Status::ok(); // float-only: the I view is untouched
     case Opcode::AddImmI:
       R[I.A] = Ctx.add(R[I.A], SymVal::constant(I.Imm));
       return Status::ok();
-    case Opcode::LoadF32:
-    case Opcode::LoadF64:
-    case Opcode::LoadS32:
-    case Opcode::LoadS8:
-    case Opcode::LoadU8:
-      if (Status S = checkOffset(Pc, I.B, R[I.C], "load"); !S.isOk())
-        return S;
-      if (Collect) {
-        Footprint F;
-        F.Buffer = I.B;
-        F.Write = false;
-        F.Sh = Footprint::Shape::Flat;
-        F.Off = R[I.C];
-        F.Len = SymVal::constant(1);
-        F.Site = formatString("instr %zu (load)", Pc);
-        record(std::move(F));
-      }
-      R[I.A] = SymVal::top();
-      return Status::ok();
-    case Opcode::StoreF32:
-    case Opcode::StoreF64:
-    case Opcode::StoreS32:
-    case Opcode::StoreS8:
-    case Opcode::StoreU8:
-      if (Collect) {
-        Footprint F;
-        F.Buffer = I.B;
-        F.Write = true;
-        F.Sh = Footprint::Shape::Flat;
-        F.Off = R[I.C];
-        F.Len = SymVal::constant(1);
-        F.Site = formatString("instr %zu (store)", Pc);
-        record(std::move(F));
-      }
-      return checkOffset(Pc, I.B, R[I.C], "store");
     case Opcode::CallKernel: {
       const CallDesc &C = P.Calls[static_cast<size_t>(I.Target)];
       for (uint8_t BI = 0; BI < C.NumBufs; ++BI)
@@ -417,8 +322,7 @@ private:
       for (int I = 0; I < 12; ++I)
         K.Scalars.push_back(SymVal::constant(C.SI[I]));
       for (uint8_t DI = 0; DI < C.NumDyn; ++DI)
-        if (!C.Dyns[DI].IsF64)
-          K.Scalars[C.Dyns[DI].Idx] = R[C.Dyns[DI].Reg];
+        K.Scalars[C.Dyns[DI].Idx] = R[C.Dyns[DI].Reg];
       for (uint8_t BI = 0; BI < C.NumBufs; ++BI) {
         K.Bufs.push_back(C.Bufs[BI].BufferId);
         K.Offs.push_back(C.Bufs[BI].HasOffset ? R[C.Bufs[BI].OffsetReg]

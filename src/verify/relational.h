@@ -4,7 +4,7 @@
 /// The shared engine behind the bytecode and memory-plan verifiers:
 /// buffer footprints described over the symbolic domain (symbolic.h), a
 /// 2-D-aware disjointness test between footprints, and the static race
-/// checker for parallel loops — given every load/store footprint of one
+/// checker for parallel loops — given every kernel-call footprint of one
 /// abstract iteration, it proves that any two DISTINCT iterations'
 /// footprints with at least one write on the same shared buffer are
 /// disjoint, by instantiating two ordered copies of the iteration symbol

@@ -4,9 +4,9 @@
 /// The Tensor IR verifier: buffer-table consistency, variable
 /// def-before-use in execution order, loop-bound sanity, intrinsic-call
 /// arity and element types against the intrinsic table (tir/intrinsics.h),
-/// and a bounds analysis proving every Load/Store/BufferRef element offset
-/// — and the footprints of intrinsic calls (verify/relational.h) — stays
-/// inside its buffer's extent for all loop iterations.
+/// and a bounds analysis proving every kernel call's buffer offsets and
+/// footprints (verify/relational.h) stay inside their buffers' extents
+/// for all loop iterations.
 ///
 /// The analysis runs over the symbolic domain of verify/symbolic.h:
 /// loop variables become symbols carrying their bounds as symbolic
@@ -110,15 +110,12 @@ private:
     return Status::ok();
   }
 
-  /// Evaluates the symbolic value of an integer expression, checking
-  /// def-before-use and any embedded Load bounds along the way.
+  /// Evaluates the symbolic value of an expression, checking
+  /// def-before-use along the way.
   Status evalExpr(const Expr &E, const std::string &Where, SymVal &Out) {
     switch (E->kind()) {
     case ExprNode::Kind::IntImm:
       Out = SymVal::constant(static_cast<const IntImmNode &>(*E).Value);
-      return Status::ok();
-    case ExprNode::Kind::FloatImm:
-      Out = SymVal::top(); // float values are not tracked
       return Status::ok();
     case ExprNode::Kind::Var: {
       const auto *V = static_cast<const VarNode *>(E.get());
@@ -132,7 +129,7 @@ private:
                    formatString("variable %s has slot %d outside the "
                                 "%d-slot frame",
                                 V->Name.c_str(), V->Slot, F.NumSlots));
-      Out = E->type() == ScalarType::I64 ? It->second : SymVal::top();
+      Out = It->second;
       return Status::ok();
     }
     case ExprNode::Kind::Binary: {
@@ -142,10 +139,6 @@ private:
         return S;
       if (Status S = evalExpr(B.B, Where, C); !S.isOk())
         return S;
-      if (E->type() == ScalarType::F64) {
-        Out = SymVal::top();
-        return Status::ok();
-      }
       switch (B.Op) {
       case BinOp::Add: Out = Ctx.add(A, C); break;
       case BinOp::Sub: Out = Ctx.sub(A, C); break;
@@ -155,14 +148,6 @@ private:
       case BinOp::Min: Out = Ctx.min(A, C); break;
       case BinOp::Max: Out = Ctx.max(A, C); break;
       }
-      return Status::ok();
-    }
-    case ExprNode::Kind::Load: {
-      const auto &L = static_cast<const LoadNode &>(*E);
-      if (Status S = checkAccess(L.BufferId, L.Indices, Where, "load");
-          !S.isOk())
-        return S;
-      Out = SymVal::top();
       return Status::ok();
     }
     }
@@ -180,45 +165,6 @@ private:
                             What.c_str(), B.Name.c_str(), (long long)Reach.Lo,
                             (long long)Reach.Hi,
                             (long long)B.numElements()));
-  }
-
-  /// Bounds-checks a (possibly multi-dimensional) element access against
-  /// the buffer extents via the row-major flattened offset, which is what
-  /// the executor actually computes.
-  Status checkAccess(int BufferId, const std::vector<Expr> &Indices,
-                     const std::string &Where, const char *What) {
-    if (BufferId < 0 || BufferId >= static_cast<int>(F.Buffers.size()))
-      return err(Where, formatString("%s references unknown buffer %d",
-                                     What, BufferId));
-    const BufferDecl &B = F.buffer(BufferId);
-    if (Indices.size() != B.Dims.size() && Indices.size() != 1)
-      return err(Where,
-                 formatString("%s of %s uses %zu indices for a rank-%zu "
-                              "buffer",
-                              What, B.Name.c_str(), Indices.size(),
-                              B.Dims.size()));
-    SymVal Flat = SymVal::constant(0);
-    if (Indices.size() == B.Dims.size()) {
-      int64_t Stride = 1;
-      std::vector<int64_t> Strides(B.Dims.size());
-      for (size_t D = B.Dims.size(); D-- > 0;) {
-        Strides[D] = Stride;
-        Stride = satMul(Stride, B.Dims[D]);
-      }
-      for (size_t D = 0; D < Indices.size(); ++D) {
-        SymVal Idx;
-        if (Status S = evalExpr(Indices[D], Where, Idx); !S.isOk())
-          return S;
-        Flat = Ctx.add(Flat, Ctx.scale(Idx, Strides[D]));
-      }
-    } else {
-      if (Status S = evalExpr(Indices[0], Where, Flat); !S.isOk())
-        return S;
-    }
-    const Interval Reach = Ctx.range(Flat);
-    return reachInBounds(Reach, B.numElements())
-               ? Status::ok()
-               : escapes(B, Reach, Where, What);
   }
 
   /// A kernel call: arity and element types against its intrinsic's row
@@ -317,16 +263,8 @@ private:
         return S;
       if (Status S = checkVar(Let.BoundVar, Path + ".let"); !S.isOk())
         return S;
-      Env[Let.BoundVar.get()] =
-          Let.BoundVar->type() == ScalarType::I64 ? V : SymVal::top();
+      Env[Let.BoundVar.get()] = V;
       return Status::ok();
-    }
-    case StmtNode::Kind::Store: {
-      const auto &S = static_cast<const StoreNode &>(*St);
-      SymVal V;
-      if (Status E = evalExpr(S.Value, Path + ".store", V); !E.isOk())
-        return E;
-      return checkAccess(S.BufferId, S.Indices, Path + ".store", "store");
     }
     case StmtNode::Kind::Call: {
       const auto &C = static_cast<const CallNode &>(*St);
@@ -351,8 +289,6 @@ private:
       if (StepR.boundedAbove() && StepR.Hi <= 0)
         return err(P, formatString("non-positive loop step %lld",
                                    (long long)StepR.Hi));
-      if (For.LoopVar->type() != ScalarType::I64)
-        return err(P, "loop variable must be an integer");
       if (Status S = checkVar(For.LoopVar, P); !S.isOk())
         return S;
       // Definitely-zero-trip loop: the body can never execute, so there

@@ -18,18 +18,17 @@
 ///    shapes, fused-op boundary agreement, recursively into subgraphs),
 ///    and dynamic-dim flow legality.
 ///  * verifyFunc — variable def-before-use in execution order, loop-bound
-///    sanity (integer bounds, positive constant steps), buffer-table
-///    consistency (ids, extents, arena placement), intrinsic call
-///    arity/shape-scalar conventions, and a symbolic affine analysis
-///    (verify/symbolic.h) proving every Load/Store/BufferRef element
-///    offset and every intrinsic tile/flat footprint stays inside its
-///    buffer's extent for all loop iterations, correlated
+///    sanity (positive constant steps), buffer-table consistency (ids,
+///    extents, arena placement), intrinsic call arity/shape-scalar
+///    conventions, and a symbolic affine analysis (verify/symbolic.h)
+///    proving every kernel call's buffer offsets and footprints stay
+///    inside their buffers' extents for all loop iterations, correlated
 ///    min(TILE, N - i) edge tiles included.
 ///  * verifyProgram — every register index within the register image,
 ///    jump targets within the code block, call/par descriptor indices
 ///    valid, a structured abstract interpretation of the canonical loop
 ///    shapes the program builder emits that bounds induction registers
-///    and proves strength-reduced load/store/call footprints stay inside
+///    and proves strength-reduced kernel-call footprints stay inside
 ///    their buffers, and a static race proof for every parallel loop
 ///    (verify/relational.h). A Program that passes is safe to hand to the
 ///    executor's unchecked dispatch loop (the precondition for

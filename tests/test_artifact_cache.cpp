@@ -437,6 +437,46 @@ TEST(ArtifactCodec, IntrinsicFlipThatWidensACallIsRejected) {
       << R.status().toString();
 }
 
+TEST(ArtifactCodec, RetiredOpcodeRejectedAtLoad) {
+  // Opcode 18 was LoadF32 until the bytecode became integer-only (payload
+  // v6). A stored instruction carrying it, or the first id past the
+  // table, must be rejected by the codec before the verifier or the
+  // dispatch loop sees it.
+  const Graph G = buildMlp();
+  core::CompileOptions Opts;
+  Opts.CacheMode = CacheMode::Off;
+  std::shared_ptr<core::CompiledPartition> P =
+      test::compileOnePartition(G, Opts);
+  const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
+  // The instruction stream as writeProgram lays it out: the count, then
+  // op, A, B, C, target and immediate of each instruction.
+  const std::vector<exec::Instr> &Code = P->bytecode().Code;
+  ByteWriter W;
+  W.u64(Code.size());
+  for (const exec::Instr &I : Code) {
+    W.u8(static_cast<uint8_t>(I.Op));
+    W.u16(I.A);
+    W.u16(I.B);
+    W.u16(I.C);
+    W.i32(I.Target);
+    W.i64(I.Imm);
+  }
+  const auto At = std::search(Payload.begin(), Payload.end(),
+                              W.bytes().begin(), W.bytes().end());
+  ASSERT_NE(At, Payload.end());
+  const size_t FirstOp = static_cast<size_t>(At - Payload.begin()) + 8;
+  for (const uint8_t Op : {uint8_t{18}, exec::kNumOpcodes}) {
+    auto T = std::make_shared<std::vector<uint8_t>>(Payload);
+    (*T)[FirstOp] = Op;
+    Expected<std::shared_ptr<core::CompiledPartition>> R =
+        core::ArtifactCodec::deserialize(T->data(), T->size(), T,
+                                         core::globalThreadPool());
+    ASSERT_FALSE(R.hasValue()) << "opcode " << unsigned{Op};
+    EXPECT_NE(R.status().message().find("opcode"), std::string::npos)
+        << R.status().toString();
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Streamed store: the digest, the sink writer, and the entry it writes
 //===----------------------------------------------------------------------===//

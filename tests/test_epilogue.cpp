@@ -18,6 +18,7 @@
 #include "kernels/tile_ops.h"
 #include "support/rng.h"
 #include "support/serial.h"
+#include "support/str.h"
 #include "tir/stmt.h"
 #include "workloads/bert.h"
 #include "test_utils.h"
@@ -880,6 +881,52 @@ TEST(EpilogueLowering, RowVectorOpsAreEpilogueCalls) {
         ASSERT_NEAR(Got[I], Ref[I], 1e-4 * std::max(1.0f, std::fabs(Ref[I])))
             << "element " << I;
     }
+  }
+}
+
+TEST(EpilogueLowering, RuntimeScalarOperandFallsBackToReference) {
+  // x[8,16] * s[1] with s a runtime input, in either operand order: a
+  // single element that is neither a row nor a column vector of the
+  // output has no epilogue operand form, so the region is Unsupported and
+  // the session runs it on the reference interpreter instead of
+  // computing with a zero. A per-batch scalar [2,1,1] against x[2,8,16]
+  // takes the same exit, which used to abort the process.
+  struct Case {
+    std::vector<int64_t> XShape, SShape;
+    bool ScalarFirst;
+  };
+  for (const Case &C : {Case{{8, 16}, {1}, false}, Case{{8, 16}, {1}, true},
+                        Case{{2, 8, 16}, {2, 1, 1}, false}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << shapeToString(C.XShape) << " x " << shapeToString(C.SShape)
+                 << (C.ScalarFirst ? ", scalar first" : ""));
+    graph::Graph G;
+    const int64_t X = G.addTensor(DataType::F32, C.XShape, "x");
+    const int64_t S = G.addTensor(DataType::F32, C.SShape, "s");
+    G.markInput(X);
+    G.markInput(S);
+    const std::vector<int64_t> Ins =
+        C.ScalarFirst ? std::vector<int64_t>{S, X} : std::vector<int64_t>{X, S};
+    G.markOutput(G.addOp(graph::OpKind::Mul, Ins, DataType::F32, C.XShape));
+
+    runtime::TensorData XV = test::randomTensor(DataType::F32, C.XShape, 7);
+    runtime::TensorData SV = test::randomTensor(DataType::F32, C.SShape, 8);
+    graph::TensorMap Env;
+    Env[X] = XV.clone();
+    Env[S] = SV.clone();
+    const auto Want = graph::runGraphReference(G, std::move(Env));
+
+    api::Session Sess;
+    Expected<api::CompiledGraphPtr> CG = Sess.compile(G);
+    ASSERT_TRUE(CG.hasValue()) << CG.status().toString();
+    EXPECT_EQ((*CG)->numPartitions(), 1u);
+    EXPECT_EQ((*CG)->numFallbackPartitions(), 1u);
+    runtime::TensorData Out(DataType::F32, C.XShape);
+    ASSERT_TRUE(Sess.stream().execute(**CG, {&XV, &SV}, {&Out}).isOk());
+    const float *Got = Out.dataAs<float>();
+    const float *Ref = Want[0].dataAs<float>();
+    for (int64_t I = 0; I < Out.numElements(); ++I)
+      ASSERT_EQ(Got[I], Ref[I]) << "element " << I;
   }
 }
 

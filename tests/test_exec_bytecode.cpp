@@ -5,8 +5,8 @@
 // interpreter over the full shape set. This suite pins what that check
 // cannot see: 4-thread execution is deterministic across runs and equal
 // to the single-thread result, the compiled program's structure and
-// barrier count, and hand-built scalar Tensor IR against closed-form
-// expected values.
+// barrier count, and hand-built loop nests whose kernel-call offsets
+// carry index arithmetic, against closed-form expected values.
 //
 //===----------------------------------------------------------------------===//
 
@@ -210,108 +210,117 @@ TEST(BytecodeProgram, BarrierCountMatchesProgramParallelNests) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Scalar loops, lets, loads/stores against closed forms
+// Loop nests and offset arithmetic against closed forms
 //===----------------------------------------------------------------------===//
 //
 // The graph-level sweep exercises the intrinsic-call path; this block
-// feeds hand-built Tensor IR with scalar element loads/stores and nested
-// serial loops through the executor, covering the opcode surface the
-// lowered templates rarely emit.
+// feeds hand-built Tensor IR whose 1 x 1 kernel calls carry lets, nested
+// serial loops and integer arithmetic in their buffer offsets through the
+// executor, covering the index arithmetic the lowered templates rarely
+// emit.
 
 namespace {
 
 using namespace gc::tir;
 
 TEST(BytecodeScalarOps, StridedAffineStoreMatchesClosedForm) {
-  // out[i*N + j] = in[i*N + j] * 2 + j  over a 2-D nest, with a let in
-  // between — exercises induction strength reduction on both loop levels.
+  // out[i*N + j] = in[2*(i*N + j) + 1] * 2 + 0.5 over a 2-D nest, with a
+  // let in between: both offsets strength-reduce to inductions on both
+  // loop levels.
   const int64_t M = 9, N = 13;
   Func F;
   F.Name = "scalar_nest";
-  const int In = F.addBuffer("in", DataType::F32, {M * N},
+  const int In = F.addBuffer("in", DataType::F32, {2 * M * N},
                              BufferScope::Param);
   const int Out = F.addBuffer("out", DataType::F32, {M * N},
                               BufferScope::Param);
   Var I = makeVar("i"), J = makeVar("j"), Base = makeVar("base");
-  Expr Loaded = std::make_shared<LoadNode>(
-      In, std::vector<Expr>{Expr(Base) + Expr(J)}, ScalarType::F64);
   Stmt Inner = makeFor(
       J, makeInt(0), makeInt(N), makeInt(1),
-      {makeStore(Out, {Expr(Base) + Expr(J)},
-                 Loaded * makeFloat(2.0) + Expr(J))});
+      {test::affineElem(In, (Expr(Base) + Expr(J)) * makeInt(2) + makeInt(1),
+                        Out, Expr(Base) + Expr(J), 2.0f, 0.5f)});
   Stmt Outer = makeFor(I, makeInt(0), makeInt(M), makeInt(1),
                        {makeLet(Base, Expr(I) * makeInt(N)), Inner});
   F.Body = {Outer};
   assignSlots(F);
 
-  std::vector<float> Input(static_cast<size_t>(M * N));
+  std::vector<float> Input(static_cast<size_t>(2 * M * N));
   for (size_t K = 0; K < Input.size(); ++K)
     Input[K] = 0.25f * static_cast<float>(K % 37) - 2.0f;
-  std::vector<float> Output(Input.size(), -1.0f);
+  std::vector<float> Output(static_cast<size_t>(M * N), -1.0f);
 
   runtime::ThreadPool Pool(1);
   test::runTir(F, Pool, {{In, Input.data()}, {Out, Output.data()}});
   for (size_t K = 0; K < Output.size(); ++K)
-    ASSERT_EQ(Output[K], Input[K] * 2.0f + static_cast<float>(K % N))
-        << "element " << K;
+    ASSERT_EQ(Output[K], Input[2 * K + 1] * 2.0f + 0.5f) << "element " << K;
 }
 
 TEST(BytecodeScalarOps, ZeroTripLoopNeverEvaluatesTrappingOffset) {
-  // A zero-trip inner loop whose offset divides by a runtime zero: a
+  // A zero-trip inner loop whose call offset divides by a runtime zero: a
   // zero-trip loop's body is never evaluated, so the bytecode compiler
   // must not hoist its offset to the (executing) outer loop's entry.
   const int64_t N = 8;
   Func F;
   F.Name = "zero_trip_trap";
+  const int In = F.addBuffer("in", DataType::F32, {N}, BufferScope::Param);
   const int Out = F.addBuffer("out", DataType::F32, {N}, BufferScope::Param);
   Var I = makeVar("i"), J = makeVar("j"), D = makeVar("d");
   Expr TrapOffset = makeInt(5) % Expr(D) + Expr(J);
-  Stmt Inner = makeFor(J, makeInt(0), makeInt(0), makeInt(1),
-                       {makeStore(Out, {TrapOffset}, makeFloat(1.0))});
-  Stmt Outer = makeFor(I, makeInt(0), makeInt(4), makeInt(1),
-                       {makeStore(Out, {Expr(I)}, makeFloat(2.0)), Inner});
+  Stmt Inner = makeFor(
+      J, makeInt(0), makeInt(0), makeInt(1),
+      {test::affineElem(In, Expr(J), Out, TrapOffset, 0.0f, 1.0f)});
+  Stmt Outer = makeFor(
+      I, makeInt(0), makeInt(4), makeInt(1),
+      {test::affineElem(In, Expr(I), Out, Expr(I), 0.0f, 2.0f), Inner});
   F.Body = {makeLet(D, makeInt(0)), Outer};
   assignSlots(F);
 
+  std::vector<float> Input(static_cast<size_t>(N), 1.0f);
   std::vector<float> Output(static_cast<size_t>(N), 0.0f);
   runtime::ThreadPool Pool(1);
-  test::runTir(F, Pool, {{Out, Output.data()}}); // must not SIGFPE
+  // Must not SIGFPE.
+  test::runTir(F, Pool, {{In, Input.data()}, {Out, Output.data()}});
   EXPECT_EQ(Output, (std::vector<float>{2, 2, 2, 2, 0, 0, 0, 0}));
 }
 
-TEST(BytecodeScalarOps, IntQuantClampAndMixedTypesMatchClosedForm) {
-  // s8 store with clamping plus integer min/max/div/mod arithmetic.
-  const int64_t N = 64;
+TEST(BytecodeScalarOps, IntegerOffsetArithmeticMatchesClosedForm) {
+  // out[i] = in[max(min((7i - 40) / 3 % 9 + 10, 15), 4)] with in[k] = k:
+  // truncating division and remainder of negative values, min and max,
+  // all evaluated by the dispatch loop (the offset depends on i, so
+  // nothing folds).
+  const int64_t N = 32;
   Func F;
-  F.Name = "clamp_mix";
-  const int In = F.addBuffer("in", DataType::S32, {N}, BufferScope::Param);
-  const int Out = F.addBuffer("out", DataType::S8, {N}, BufferScope::Param);
+  F.Name = "int_offsets";
+  const int In = F.addBuffer("in", DataType::S32, {16}, BufferScope::Param);
+  const int Out = F.addBuffer("out", DataType::S32, {N}, BufferScope::Param);
   Var I = makeVar("i");
-  Expr Loaded = std::make_shared<LoadNode>(In, std::vector<Expr>{Expr(I)},
-                                           ScalarType::I64);
-  // value = min(max((x*3) / 2 % 300, -200), 250) - stresses clamp on store.
-  Expr V = minExpr(maxExpr(Loaded * makeInt(3) / makeInt(2) % makeInt(300),
-                           makeInt(-200)),
-                   makeInt(250));
+  Expr Off = maxExpr(minExpr((Expr(I) * makeInt(7) - makeInt(40)) /
+                                     makeInt(3) % makeInt(9) +
+                                 makeInt(10),
+                             makeInt(15)),
+                     makeInt(4));
   F.Body = {makeFor(I, makeInt(0), makeInt(N), makeInt(1),
-                    {makeStore(Out, {Expr(I)}, V)})};
+                    {test::copyElem(Out, Expr(I), In, Off)})};
   assignSlots(F);
+  const std::shared_ptr<const exec::Program> P = exec::compileProgram(F);
+  for (const exec::Opcode Op :
+       {exec::Opcode::MulI, exec::Opcode::SubI, exec::Opcode::DivI,
+        exec::Opcode::ModI, exec::Opcode::AddI, exec::Opcode::MinI,
+        exec::Opcode::MaxI})
+    EXPECT_TRUE(std::any_of(P->Code.begin(), P->Code.end(),
+                            [&](const exec::Instr &X) { return X.Op == Op; }))
+        << "opcode " << static_cast<int>(Op) << " not emitted";
 
-  std::vector<int32_t> Input(static_cast<size_t>(N));
+  std::vector<int32_t> Input(16);
   for (size_t K = 0; K < Input.size(); ++K)
-    Input[K] = static_cast<int32_t>(K * 17) - 300;
-  std::vector<int8_t> Output(Input.size(), 1);
-
+    Input[K] = static_cast<int32_t>(K);
+  std::vector<int32_t> Output(static_cast<size_t>(N), -1);
   runtime::ThreadPool Pool(1);
   test::runTir(F, Pool, {{In, Input.data()}, {Out, Output.data()}});
-  for (size_t K = 0; K < Output.size(); ++K) {
-    // Truncating division and remainder, then the s8 store saturates.
-    const int64_t X = Input[K];
-    const int64_t Value = std::min<int64_t>(
-        std::max<int64_t>(X * 3 / 2 % 300, -200), 250);
-    ASSERT_EQ(Output[K], static_cast<int8_t>(std::clamp<int64_t>(
-                             Value, -128, 127)))
-        << "element " << K;
+  for (int64_t K = 0; K < N; ++K) {
+    const int64_t Want = std::max<int64_t>(
+        std::min<int64_t>((K * 7 - 40) / 3 % 9 + 10, 15), 4);
+    ASSERT_EQ(Output[static_cast<size_t>(K)], Want) << "element " << K;
   }
 }
 

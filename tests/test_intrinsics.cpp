@@ -218,9 +218,9 @@ TEST(IntrinsicTable, FootprintsCoverKernelAccesses) {
         Ptrs[I] = Bufs.back().Mem.get();
       }
       int64_t SI[12] = {};
-      const double SF[12] = {};
       std::copy(C.S.begin(), C.S.end(), SI);
-      exec::kernelAdapter(In)(Ptrs, SI, SF);
+      // The executor passes no float scalars; no adapter may read them.
+      exec::kernelAdapter(In)(Ptrs, SI, nullptr);
       for (int I = 0; I < Row.NumBufs; ++I)
         EXPECT_TRUE(Bufs[I].sentinelIntact())
             << describe(C) << ": wrote past the recipe of arg "

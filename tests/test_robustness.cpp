@@ -27,7 +27,7 @@ TEST(Robustness, UnboundEvaluatorBufferAborts) {
   tir::Var I = tir::makeVar("i");
   F.Body.push_back(tir::makeFor(
       I, tir::makeInt(0), tir::makeInt(4), tir::makeInt(1),
-      {tir::makeStore(In, {tir::Expr(I)}, tir::makeFloat(0.0))}));
+      {test::copyElem(In, tir::Expr(I), In, tir::makeInt(0))}));
   tir::assignSlots(F);
   runtime::ThreadPool Pool(1);
   // Param never bound.

@@ -1,9 +1,9 @@
 //===- test_tir_basic.cpp - Tensor IR construction & evaluation ----------------===//
 //
-// Expression folding, printing, slot assignment, scalar loops with
-// load/store, parallel loop execution through the thread pool, thread-local
-// scratch isolation, and end-to-end brgemm/tile-kernel intrinsic calls from
-// Tensor IR.
+// Expression folding, printing, slot assignment, loops whose kernel calls
+// carry index arithmetic in their buffer offsets, parallel loop execution
+// through the thread pool, thread-local scratch isolation, and end-to-end
+// brgemm/tile-kernel intrinsic calls from Tensor IR.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,113 +34,100 @@ TEST(TirExpr, ConstantFolding) {
   EXPECT_EQ(V, 0);
 }
 
+/// 0, 1, ..., N - 1: an s32 source whose element K holds K, so a copy
+/// out of it reads back the offset the kernel call computed.
+std::vector<int32_t> iota(int64_t N) {
+  std::vector<int32_t> V(static_cast<size_t>(N));
+  for (size_t K = 0; K < V.size(); ++K)
+    V[K] = static_cast<int32_t>(K);
+  return V;
+}
+
 TEST(TirPrinter, RendersLoopNest) {
   Var I = makeVar("i");
   Func F;
   F.Name = "demo";
-  const int Buf = F.addBuffer("x", DataType::F32, {16}, BufferScope::Param);
+  const int X = F.addBuffer("x", DataType::F32, {16}, BufferScope::Param);
+  const int Y = F.addBuffer("y", DataType::F32, {48}, BufferScope::Param);
   F.Body.push_back(makeFor(
       I, makeInt(0), makeInt(16), makeInt(1),
-      {makeStore(Buf, {Expr(I)}, makeFloat(1.0))}, /*Parallel=*/true));
+      {copyElem(X, Expr(I), Y, Expr(I) * makeInt(3)),
+       affineElem(Y, Expr(I) * makeInt(3), X, Expr(I), 2.0f, 1.0f)},
+      /*Parallel=*/true));
   const std::string Text = printFunc(F);
   EXPECT_NE(Text.find("parallel loop i = 0, 16, 1"), std::string::npos);
-  EXPECT_NE(Text.find("b0[i] = 1f"), std::string::npos);
+  EXPECT_NE(Text.find("copy_tile_raw(&b0[i], &b1[(i * 3)], 1, 1, 1, 1, 4)"),
+            std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find("epilogue_tile(&b1[(i * 3)], &b0[i], 1, 1, 0) { "
+                      "r0 = load_f32(s0 ld 1); "
+                      "r0 = affine(r0, 2f, 1f, zp 0); "
+                      "store_f32(s1 ld 1, r0) }"),
+            std::string::npos)
+      << Text;
   EXPECT_NE(Text.find("buffer b0 param f32[16] x"), std::string::npos);
 }
 
-TEST(TirEval, ScalarLoopStoreLoad) {
-  // out[i] = in[i] * 2 + 1 over a serial loop.
-  Func F;
-  F.Name = "axpy";
-  const int In = F.addBuffer("in", DataType::F32, {8}, BufferScope::Param);
-  const int Out = F.addBuffer("out", DataType::F32, {8}, BufferScope::Param);
-  Var I = makeVar("i");
-  Expr LoadIn = std::make_shared<LoadNode>(In, std::vector<Expr>{Expr(I)},
-                                           ScalarType::F64);
-  F.Body.push_back(makeFor(
-      I, makeInt(0), makeInt(8), makeInt(1),
-      {makeStore(Out, {Expr(I)}, LoadIn * makeFloat(2.0) + makeFloat(1.0))}));
-  assignSlots(F);
-  ASSERT_EQ(F.NumSlots, 1);
-
-  std::vector<float> InV = {0, 1, 2, 3, 4, 5, 6, 7};
-  std::vector<float> OutV(8, -1.0f);
-  runtime::ThreadPool Pool(1);
-  runTir(F, Pool, {{In, InV.data()}, {Out, OutV.data()}});
-  for (int K = 0; K < 8; ++K)
-    EXPECT_EQ(OutV[static_cast<size_t>(K)], 2.0f * K + 1.0f);
-}
-
-TEST(TirEval, MultiDimIndexingRowMajor) {
-  Func F;
-  const int Buf = F.addBuffer("m", DataType::S32, {3, 4}, BufferScope::Param);
-  Var I = makeVar("i"), J = makeVar("j");
-  F.Body.push_back(makeFor(
-      I, makeInt(0), makeInt(3), makeInt(1),
-      {makeFor(J, makeInt(0), makeInt(4), makeInt(1),
-               {makeStore(Buf, {Expr(I), Expr(J)},
-                          Expr(I) * makeInt(10) + Expr(J))})}));
-  assignSlots(F);
-  std::vector<int32_t> M(12, -1);
-  runtime::ThreadPool Pool(1);
-  runTir(F, Pool, {{Buf, M.data()}});
-  EXPECT_EQ(M[0], 0);
-  EXPECT_EQ(M[5], 11); // row 1 col 1
-  EXPECT_EQ(M[11], 23);
-}
-
 TEST(TirEval, ParallelLoopAcrossWorkers) {
+  // out[i] = in[3 * i]: each of the 128 iterations copies from an offset
+  // computed in its own worker's frame.
   Func F;
-  const int Buf =
+  const int In = F.addBuffer("in", DataType::S32, {384}, BufferScope::Param);
+  const int Out =
       F.addBuffer("out", DataType::S32, {128}, BufferScope::Param);
   Var I = makeVar("i");
   F.Body.push_back(makeFor(I, makeInt(0), makeInt(128), makeInt(1),
-                           {makeStore(Buf, {Expr(I)}, Expr(I) * makeInt(3))},
+                           {copyElem(Out, Expr(I), In, Expr(I) * makeInt(3))},
                            /*Parallel=*/true));
   assignSlots(F);
-  std::vector<int32_t> Out(128, 0);
+  std::vector<int32_t> InV = iota(384);
+  std::vector<int32_t> OutV(128, -1);
   runtime::ThreadPool Pool(4);
-  runTir(F, Pool, {{Buf, Out.data()}});
+  runTir(F, Pool, {{In, InV.data()}, {Out, OutV.data()}});
   for (int K = 0; K < 128; ++K)
-    ASSERT_EQ(Out[static_cast<size_t>(K)], 3 * K);
+    ASSERT_EQ(OutV[static_cast<size_t>(K)], 3 * K);
 }
 
 TEST(TirEval, ThreadLocalScratchIsolated) {
-  // Each parallel iteration writes its iteration id into a thread-local
-  // scratch cell and copies it to the output; with a shared cell this races.
+  // Each parallel iteration copies in[7 * i] into a thread-local scratch
+  // cell and from there to out[i]; with a shared cell this races.
   Func F;
+  const int In = F.addBuffer("in", DataType::S32, {448}, BufferScope::Param);
   const int Scratch =
       F.addBuffer("scratch", DataType::S32, {1}, BufferScope::ThreadLocal);
   const int Out = F.addBuffer("out", DataType::S32, {64}, BufferScope::Param);
   Var I = makeVar("i");
-  Expr LoadScratch = std::make_shared<LoadNode>(
-      Scratch, std::vector<Expr>{makeInt(0)}, ScalarType::I64);
   F.Body.push_back(makeFor(
       I, makeInt(0), makeInt(64), makeInt(1),
-      {makeStore(Scratch, {makeInt(0)}, Expr(I) * makeInt(7)),
-       makeStore(Out, {Expr(I)}, LoadScratch)},
+      {copyElem(Scratch, makeInt(0), In, Expr(I) * makeInt(7)),
+       copyElem(Out, Expr(I), Scratch, makeInt(0))},
       /*Parallel=*/true));
   assignSlots(F);
+  std::vector<int32_t> InV = iota(448);
   std::vector<int32_t> OutV(64, -1);
   runtime::ThreadPool Pool(4);
-  runTir(F, Pool, {{Out, OutV.data()}});
+  runTir(F, Pool, {{In, InV.data()}, {Out, OutV.data()}});
   for (int K = 0; K < 64; ++K)
     ASSERT_EQ(OutV[static_cast<size_t>(K)], 7 * K);
 }
 
 TEST(TirEval, LetBindsScalars) {
+  // out[i] = in[t + t] with t = 5 * i + 2 bound by a let.
   Func F;
+  const int In = F.addBuffer("in", DataType::S32, {36}, BufferScope::Param);
   const int Out = F.addBuffer("out", DataType::S32, {4}, BufferScope::Param);
   Var I = makeVar("i");
   Var T = makeVar("t");
   F.Body.push_back(makeFor(
       I, makeInt(0), makeInt(4), makeInt(1),
       {makeLet(T, Expr(I) * makeInt(5) + makeInt(2)),
-       makeStore(Out, {Expr(I)}, Expr(T) + Expr(T))}));
+       copyElem(Out, Expr(I), In, Expr(T) + Expr(T))}));
   assignSlots(F);
-  std::vector<int32_t> OutV(4, 0);
+  ASSERT_EQ(F.NumSlots, 2);
+  std::vector<int32_t> InV = iota(36);
+  std::vector<int32_t> OutV(4, -1);
   runtime::ThreadPool Pool(1);
-  runTir(F, Pool, {{Out, OutV.data()}});
+  runTir(F, Pool, {{In, InV.data()}, {Out, OutV.data()}});
   for (int K = 0; K < 4; ++K)
     ASSERT_EQ(OutV[static_cast<size_t>(K)], 2 * (5 * K + 2));
 }

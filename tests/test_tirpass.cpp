@@ -1,9 +1,9 @@
 //===- test_tirpass.cpp - Tensor IR pass tests ----------------------------------===//
 //
 // Unit tests of the §VI Tensor IR optimizations on hand-built IR:
-// coarse-grain loop merging (mechanics + guards), lifespan-based buffer
+// coarse-grain loop merging (mechanics + guards) and lifespan-based buffer
 // reuse (packing, MRU preference, peak accounting, correctness under
-// reuse), and temporary tensor shrinking (the A' example).
+// reuse).
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,16 +20,14 @@ using namespace gc::tirpass;
 
 namespace {
 
-/// One region: parallel loop writing Out[i] = In[i] * Mul + Addend.
-Stmt makeAffineNest([[maybe_unused]] Func &F, int In, int Out, int64_t N,
-                    double Mul,
-                    double Addend, bool Mergeable, const char *Tag) {
+/// One region: parallel loop writing Out[i] = In[i] * Mul + Addend, one
+/// 1 x 1 epilogue call per iteration.
+Stmt makeAffineNest(int In, int Out, int64_t N, float Mul, float Addend,
+                    bool Mergeable, const char *Tag) {
   Var I = makeVar(std::string(Tag) + "_i");
-  Expr LoadIn = std::make_shared<LoadNode>(In, std::vector<Expr>{Expr(I)},
-                                           ScalarType::F64);
   Stmt Loop = makeFor(I, makeInt(0), makeInt(N), makeInt(1),
-                      {makeStore(Out, {Expr(I)},
-                                 LoadIn * makeFloat(Mul) + makeFloat(Addend))},
+                      {test::affineElem(In, Expr(I), Out, Expr(I), Mul,
+                                        Addend)},
                       /*Parallel=*/true, Tag);
   static_cast<ForNode &>(*Loop).Mergeable = Mergeable;
   return makeSeq({Loop}, Tag);
@@ -41,8 +39,8 @@ TEST(LoopMerge, MergesMarkedAdjacentNests) {
   const int In = F.addBuffer("in", DataType::F32, {16}, BufferScope::Param);
   const int Mid = F.addBuffer("mid", DataType::F32, {16}, BufferScope::Temp);
   const int Out = F.addBuffer("out", DataType::F32, {16}, BufferScope::Param);
-  F.Body.push_back(makeAffineNest(F, In, Mid, 16, 2.0, 0.0, false, "op1"));
-  F.Body.push_back(makeAffineNest(F, Mid, Out, 16, 1.0, 1.0, true, "op2"));
+  F.Body.push_back(makeAffineNest(In, Mid, 16, 2.0, 0.0, false, "op1"));
+  F.Body.push_back(makeAffineNest(Mid, Out, 16, 1.0, 1.0, true, "op2"));
 
   EXPECT_EQ(countParallelNests(F), 2);
   EXPECT_EQ(mergeParallelLoops(F), 1);
@@ -66,10 +64,10 @@ TEST(LoopMerge, RefusesUnmarkedOrMismatchedNests) {
   const int B = F.addBuffer("b", DataType::F32, {16}, BufferScope::Param);
   const int C = F.addBuffer("c", DataType::F32, {8}, BufferScope::Param);
   // Unmarked second nest.
-  F.Body.push_back(makeAffineNest(F, A, B, 16, 1.0, 0.0, false, "n1"));
-  F.Body.push_back(makeAffineNest(F, A, B, 16, 1.0, 0.0, false, "n2"));
+  F.Body.push_back(makeAffineNest(A, B, 16, 1.0, 0.0, false, "n1"));
+  F.Body.push_back(makeAffineNest(A, B, 16, 1.0, 0.0, false, "n2"));
   // Marked but different trip count.
-  F.Body.push_back(makeAffineNest(F, A, C, 8, 1.0, 0.0, true, "n3"));
+  F.Body.push_back(makeAffineNest(A, C, 8, 1.0, 0.0, true, "n3"));
   EXPECT_EQ(mergeParallelLoops(F), 0);
   EXPECT_EQ(countParallelNests(F), 3);
 }
@@ -80,9 +78,9 @@ TEST(LoopMerge, ChainsThreeNests) {
   const int T1 = F.addBuffer("t1", DataType::F32, {8}, BufferScope::Temp);
   const int T2 = F.addBuffer("t2", DataType::F32, {8}, BufferScope::Temp);
   const int Out = F.addBuffer("out", DataType::F32, {8}, BufferScope::Param);
-  F.Body.push_back(makeAffineNest(F, In, T1, 8, 2.0, 0.0, false, "a"));
-  F.Body.push_back(makeAffineNest(F, T1, T2, 8, 3.0, 0.0, true, "b"));
-  F.Body.push_back(makeAffineNest(F, T2, Out, 8, 5.0, 0.0, true, "c"));
+  F.Body.push_back(makeAffineNest(In, T1, 8, 2.0, 0.0, false, "a"));
+  F.Body.push_back(makeAffineNest(T1, T2, 8, 3.0, 0.0, true, "b"));
+  F.Body.push_back(makeAffineNest(T2, Out, 8, 5.0, 0.0, true, "c"));
   EXPECT_EQ(mergeParallelLoops(F), 2);
   EXPECT_EQ(countParallelNests(F), 1);
 }
@@ -104,13 +102,13 @@ struct ChainFixture {
       const int T = F.addBuffer(formatString("t%d", S), DataType::F32,
                                 {Elems}, BufferScope::Temp);
       Temps.push_back(T);
-      F.Body.push_back(makeAffineNest(F, Cur, T, Elems, 2.0, 0.0, false,
+      F.Body.push_back(makeAffineNest(Cur, T, Elems, 2.0, 0.0, false,
                                       formatString("s%d", S).c_str()));
       Cur = T;
     }
     Out = F.addBuffer("out", DataType::F32, {Elems}, BufferScope::Param);
     F.Body.push_back(
-        makeAffineNest(F, Cur, Out, Elems, 2.0, 0.0, false, "last"));
+        makeAffineNest(Cur, Out, Elems, 2.0, 0.0, false, "last"));
   }
 };
 
@@ -160,77 +158,14 @@ TEST(BufferReuse, PrefersMostRecentlyFreedBlock) {
   const int Out = F.addBuffer("out", DataType::F32, {64}, BufferScope::Param);
   // Region 0: write both temps. Region 1: read t_early only (t_early dies
   // after 1... actually t_early dies first).
-  F.Body.push_back(makeAffineNest(F, In, TEarly, 64, 1.0, 0.0, false, "r0"));
-  F.Body.push_back(makeAffineNest(F, TEarly, TLate, 64, 1.0, 0.0, false, "r1"));
-  F.Body.push_back(makeAffineNest(F, TLate, TNew, 64, 1.0, 0.0, false, "r2"));
-  F.Body.push_back(makeAffineNest(F, TNew, Out, 64, 1.0, 0.0, false, "r3"));
+  F.Body.push_back(makeAffineNest(In, TEarly, 64, 1.0, 0.0, false, "r0"));
+  F.Body.push_back(makeAffineNest(TEarly, TLate, 64, 1.0, 0.0, false, "r1"));
+  F.Body.push_back(makeAffineNest(TLate, TNew, 64, 1.0, 0.0, false, "r2"));
+  F.Body.push_back(makeAffineNest(TNew, Out, 64, 1.0, 0.0, false, "r3"));
   reuseBuffers(F);
   // t_new is born in r2 where t_early (freed at r2) is the most recently
   // freed block.
   EXPECT_EQ(F.buffer(TNew).ArenaOffset, F.buffer(TEarly).ArenaOffset);
-}
-
-//===----------------------------------------------------------------------===//
-// Tensor shrinking
-//===----------------------------------------------------------------------===//
-
-TEST(TensorShrink, WellFormedShrinkExecutes) {
-  // Clean variant: produce and consume in the same j loop.
-  Func F;
-  const int In = F.addBuffer("in", DataType::F32, {4, 8}, BufferScope::Param);
-  const int APrime =
-      F.addBuffer("a_prime", DataType::F32, {4, 8}, BufferScope::Temp);
-  const int Out = F.addBuffer("out", DataType::F32, {4, 8}, BufferScope::Param);
-  Var Msi = makeVar("msi");
-  Var J = makeVar("j");
-  Expr LoadIn = std::make_shared<LoadNode>(
-      In, std::vector<Expr>{Expr(Msi), Expr(J)}, ScalarType::F64);
-  Expr LoadA = std::make_shared<LoadNode>(
-      APrime, std::vector<Expr>{Expr(Msi), Expr(J)}, ScalarType::F64);
-  F.Body.push_back(makeFor(
-      Msi, makeInt(0), makeInt(4), makeInt(1),
-      {makeFor(J, makeInt(0), makeInt(8), makeInt(1),
-               {makeStore(APrime, {Expr(Msi), Expr(J)},
-                          LoadIn * makeFloat(3.0)),
-                makeStore(Out, {Expr(Msi), Expr(J)}, LoadA)})}));
-  EXPECT_EQ(shrinkTensors(F), 1);
-  EXPECT_EQ(F.buffer(APrime).Dims[0], 1);
-  assignSlots(F);
-  std::vector<float> InV(32), OutV(32, 0.0f);
-  for (int I = 0; I < 32; ++I)
-    InV[static_cast<size_t>(I)] = static_cast<float>(I);
-  runtime::ThreadPool Pool(1);
-  test::runTir(F, Pool, {{In, InV.data()}, {Out, OutV.data()}});
-  for (int I = 0; I < 32; ++I)
-    ASSERT_EQ(OutV[static_cast<size_t>(I)], 3.0f * I);
-}
-
-TEST(TensorShrink, RefusesInconsistentLeadIndex) {
-  // Accesses disagree on the leading index -> no shrink.
-  Func F;
-  const int T = F.addBuffer("t", DataType::F32, {4, 8}, BufferScope::Temp);
-  Var I = makeVar("i");
-  F.Body.push_back(makeFor(
-      I, makeInt(0), makeInt(4), makeInt(1),
-      {makeStore(T, {Expr(I), makeInt(0)}, makeFloat(1.0)),
-       makeStore(T, {makeInt(0), Expr(I)}, makeFloat(2.0))}));
-  EXPECT_EQ(shrinkTensors(F), 0);
-  EXPECT_EQ(F.buffer(T).Dims[0], 4);
-}
-
-TEST(TensorShrink, RefusesAccessOutsideLoop) {
-  // A read after the loop keeps the dimension (live across iterations).
-  Func F;
-  const int T = F.addBuffer("t", DataType::F32, {4, 8}, BufferScope::Temp);
-  const int Out = F.addBuffer("out", DataType::F32, {1}, BufferScope::Param);
-  Var I = makeVar("i");
-  F.Body.push_back(
-      makeFor(I, makeInt(0), makeInt(4), makeInt(1),
-              {makeStore(T, {Expr(I), makeInt(0)}, makeFloat(1.0))}));
-  Expr LoadT = std::make_shared<LoadNode>(
-      T, std::vector<Expr>{Expr(I), makeInt(0)}, ScalarType::F64);
-  F.Body.push_back(makeStore(Out, {makeInt(0)}, LoadT));
-  EXPECT_EQ(shrinkTensors(F), 0);
 }
 
 } // namespace

@@ -2,9 +2,10 @@
 ///
 /// \file
 /// Helpers shared by the test suite: deterministic tensor filling, naive
-/// matrix products used as local oracles, tolerance constants, a
-/// one-call runner for hand-built Tensor IR, and the one-partition
-/// compile that tests inspecting a CompiledPartition go through.
+/// matrix products used as local oracles, tolerance constants, 1 x 1
+/// kernel calls and a one-call runner for hand-built Tensor IR, and the
+/// one-partition compile that tests inspecting a CompiledPartition go
+/// through.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -148,6 +149,46 @@ inline runtime::TensorData randomTensor(DataType Ty,
   Rng R(Seed);
   T.fillRandom(R);
   return T;
+}
+
+/// A 1 x 1 copy_tile_raw call: Dst[DstOff] = Src[SrcOff], one element of
+/// \p ElemSize bytes.
+inline tir::Stmt copyElem(int Dst, tir::Expr DstOff, int Src,
+                          tir::Expr SrcOff, int64_t ElemSize = 4) {
+  using tir::makeInt;
+  return tir::makeCall(tir::Intrinsic::CopyTileRaw,
+                       {tir::BufferRef(Dst, std::move(DstOff)),
+                        tir::BufferRef(Src, std::move(SrcOff))},
+                       {makeInt(1), makeInt(1), makeInt(1), makeInt(1),
+                        makeInt(ElemSize)});
+}
+
+/// A 1 x 1 epilogue_tile call over f32 buffers: Out[OutOff] =
+/// In[InOff] * Mul + Addend, as the steps LoadF32, Affine, StoreF32.
+inline tir::Stmt affineElem(int In, tir::Expr InOff, int Out,
+                            tir::Expr OutOff, float Mul, float Addend) {
+  using kernels::EpOp;
+  const auto Step = [](EpOp Op, uint8_t Arg) {
+    kernels::EpStep S;
+    S.Op = Op;
+    S.Arg = Arg;
+    S.Ld = 1;
+    return S;
+  };
+  auto D = std::make_shared<kernels::EpilogueDesc>();
+  D->NumBufs = 2;
+  D->Steps.push_back(Step(EpOp::LoadF32, 0));
+  D->Steps.push_back(Step(EpOp::Affine, 0));
+  D->Steps.back().F0 = Mul;
+  D->Steps.back().F1 = Addend;
+  D->Steps.push_back(Step(EpOp::StoreF32, 1));
+  tir::Stmt Call = tir::makeCall(
+      tir::Intrinsic::EpilogueTile,
+      {tir::BufferRef(In, std::move(InOff)),
+       tir::BufferRef(Out, std::move(OutOff))},
+      {tir::makeInt(1), tir::makeInt(1), tir::makeInt(0)});
+  static_cast<tir::CallNode &>(*Call).Epilogue = std::move(D);
+  return Call;
 }
 
 /// Compiles slot-assigned \p F to bytecode and runs it once on \p Pool

@@ -24,8 +24,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 using namespace gc;
 using namespace gc::graph;
@@ -136,17 +138,26 @@ TEST(VerifyGraph, ErrorNamesTheOp) {
 // Tensor IR verifier
 //===----------------------------------------------------------------------===//
 
-/// for i in [0, 8): buf[i] = 1.0 — a minimal well-formed function.
+/// for i in [0, 8): buf[i] = src[0] — a minimal well-formed function,
+/// one 1 x 1 copy per iteration.
 tir::Func smallFunc(int64_t Elems = 8, int64_t Trip = 8) {
   tir::Func F;
   F.Name = "tf";
-  const int B = F.addBuffer("buf", DataType::F64, {Elems},
+  const int B = F.addBuffer("buf", DataType::F32, {Elems},
                             tir::BufferScope::Param, 0);
+  const int Src = F.addBuffer("src", DataType::F32, {1},
+                              tir::BufferScope::Param, 1);
   tir::Var I = tir::makeVar("i");
   F.Body.push_back(tir::makeFor(
       I, tir::makeInt(0), tir::makeInt(Trip), tir::makeInt(1),
-      {tir::makeStore(B, {tir::Expr(I)}, tir::makeFloat(1.0))}));
+      {test::copyElem(B, tir::Expr(I), Src, tir::makeInt(0))}));
   return F;
+}
+
+/// The buffer-argument offset of the copy into buf in smallFunc.
+tir::Expr &storeOffset(tir::Func &F) {
+  auto &For = static_cast<tir::ForNode &>(*F.Body[0]);
+  return static_cast<tir::CallNode &>(*For.Body[0]).Buffers[0].Offset;
 }
 
 TEST(VerifyFunc, ValidFuncPasses) {
@@ -155,9 +166,7 @@ TEST(VerifyFunc, ValidFuncPasses) {
 
 TEST(VerifyFunc, UseBeforeDefRejected) {
   tir::Func F = smallFunc();
-  auto &For = static_cast<tir::ForNode &>(*F.Body[0]);
-  auto &St = static_cast<tir::StoreNode &>(*For.Body[0]);
-  St.Indices = {tir::Expr(tir::makeVar("ghost"))};
+  storeOffset(F) = tir::Expr(tir::makeVar("ghost"));
   expectRejected(verifyFunc(F), StatusCode::Internal, {"ghost"});
 }
 
@@ -169,8 +178,7 @@ TEST(VerifyFunc, NonPositiveStepRejected) {
 
 TEST(VerifyFunc, ConstOobStoreRejected) {
   tir::Func F = smallFunc();
-  auto &For = static_cast<tir::ForNode &>(*F.Body[0]);
-  static_cast<tir::StoreNode &>(*For.Body[0]).Indices = {tir::makeInt(8)};
+  storeOffset(F) = tir::makeInt(8);
   expectRejected(verifyFunc(F), StatusCode::Internal, {"buf", "8 elements"});
 }
 
@@ -236,7 +244,7 @@ TEST(VerifyFunc, ArenaOverflowRejected) {
   tir::Func F = smallFunc();
   F.Buffers[0].Scope = tir::BufferScope::Temp;
   F.Buffers[0].ArenaOffset = 0;
-  F.ArenaBytes = 16; // 8 f64 elements need 64
+  F.ArenaBytes = 16; // 8 f32 elements need 32
   expectRejected(verifyFunc(F), StatusCode::Internal, {"arena"});
 }
 
@@ -244,26 +252,46 @@ TEST(VerifyFunc, ArenaOverflowRejected) {
 // Bytecode program verifier
 //===----------------------------------------------------------------------===//
 
+/// Appends a 1 x 1 copy_tile_raw call buf[r<OffsetReg>] = src[0] to \p P
+/// (buffer 0 is buf, buffer 1 src) and returns its descriptor index.
+int32_t addCopyCall(exec::Program &P, uint16_t OffsetReg) {
+  exec::CallDesc C;
+  C.In = tir::Intrinsic::CopyTileRaw;
+  C.Fn = exec::kernelAdapter(C.In);
+  C.NumBufs = 2;
+  C.Bufs[0] = {0, OffsetReg, true};
+  C.Bufs[1] = {1, 0, false};
+  const int64_t Scalars[] = {1, 1, 1, 1, 4}; // Rows Cols LdD LdS ElemSize
+  std::copy(std::begin(Scalars), std::end(Scalars), C.SI);
+  P.Calls.push_back(C);
+  return static_cast<int32_t>(P.Calls.size() - 1);
+}
+
+/// buf (8 f32 elements) and src (1) of the hand-built programs.
+void addBuffers(exec::Program &P, int64_t BufElems) {
+  exec::BufferInfo B;
+  B.Bytes = 4 * BufElems;
+  B.ElemSize = 4;
+  B.Scope = tir::BufferScope::Param;
+  P.Buffers.push_back(B);
+  B.Bytes = 4;
+  P.Buffers.push_back(B);
+}
+
 /// Minimal canonical serial loop: for (r0 = r1; r0 < r2; r0 += r3)
-/// buf[r0] = r1 — exactly the shape the program builder emits.
+/// buf[r0] = src[0] — exactly the shape the program builder emits.
 exec::Program smallProgram() {
   using exec::Instr;
   using exec::Opcode;
   exec::Program P;
   P.Name = "tp";
   P.NumRegs = 4;
-  P.InitRegs.resize(4);
-  P.InitRegs[1].I = 0; // begin
-  P.InitRegs[2].I = 8; // end
-  P.InitRegs[3].I = 1; // step
-  exec::BufferInfo B;
-  B.Bytes = 32; // 8 f32 elements
-  B.ElemSize = 4;
-  B.Scope = tir::BufferScope::Param;
-  P.Buffers.push_back(B);
+  P.InitRegs = {0, 0, 8, 1}; // r1 begin, r2 end, r3 step
+  addBuffers(P, 8);
+  const int32_t Call = addCopyCall(P, /*OffsetReg=*/0);
   P.Code.push_back(Instr{Opcode::Mov, 0, 1, 0, 0, 0});
   P.Code.push_back(Instr{Opcode::JumpIfGeI, 0, 2, 0, 3, 0});
-  P.Code.push_back(Instr{Opcode::StoreF32, 1, 0, 0, 0, 0});
+  P.Code.push_back(Instr{Opcode::CallKernel, 0, 0, 0, Call, 0});
   P.Code.push_back(Instr{Opcode::LoopNext, 0, 3, 2, -1, 0});
   return P;
 }
@@ -275,9 +303,16 @@ TEST(VerifyProgram, ValidProgramPasses) {
 
 TEST(VerifyProgram, BadRegisterIndexRejected) {
   exec::Program P = smallProgram();
-  P.Code[2].C = 9; // offset register outside the 4-register image
+  P.Calls[0].Bufs[0].OffsetReg = 9; // outside the 4-register image
   expectRejected(verifyProgram(P), StatusCode::Internal,
                  {"register image", "instr 2"});
+}
+
+TEST(VerifyProgram, UnknownOpcodeRejected) {
+  exec::Program P = smallProgram();
+  P.Code[0].Op = static_cast<exec::Opcode>(exec::kNumOpcodes);
+  expectRejected(verifyProgram(P), StatusCode::Internal,
+                 {"invalid opcode", "instr 0"});
 }
 
 TEST(VerifyProgram, InitImageSizeMismatchRejected) {
@@ -302,16 +337,15 @@ TEST(VerifyProgram, BadCallDescriptorIndexRejected) {
 
 TEST(VerifyProgram, NullKernelPointerRejected) {
   exec::Program P = smallProgram();
-  P.Calls.emplace_back(); // Fn left null
-  P.Code[2] = exec::Instr{exec::Opcode::CallKernel, 0, 0, 0, 0, 0};
+  P.Calls[0].Fn = nullptr;
   expectRejected(verifyProgram(P), StatusCode::Internal, {"null function"});
 }
 
 TEST(VerifyProgram, ConstOobStoreRejected) {
   exec::Program P = smallProgram();
-  P.InitRegs[2].I = 12; // loop now runs r0 over [0, 12) against 8 elements
+  P.InitRegs[2] = 12; // loop now runs r0 over [0, 12) against 8 elements
   expectRejected(verifyProgram(P), StatusCode::Internal,
-                 {"store offset", "8 elements"});
+                 {"kernel-call buffer offset", "8 elements"});
 }
 
 TEST(VerifyProgram, StrayBackEdgeRejected) {
@@ -450,14 +484,16 @@ TEST(VerifyMemPlan, DuplicateProducerRejected) {
 // Symbolic bounds: Tensor IR edge tiles
 //===----------------------------------------------------------------------===//
 
-/// for i in [0,3): for j in [0, min(4, N - 4*i)): buf[4*i + j] = 1.0 —
-/// a correlated edge-tile pattern plain intervals cannot decide (the
+/// for i in [0,3): for j in [0, min(4, N - 4*i)): buf[4*i + j] = src[0]
+/// — a correlated edge-tile pattern plain intervals cannot decide (the
 /// inner extent's interval is [*, 4], so 4*i + j would reach 11).
 tir::Func edgeTileFunc(int64_t Elems, int64_t N) {
   tir::Func F;
   F.Name = "edge";
   const int B = F.addBuffer("buf", DataType::F32, {Elems},
                             tir::BufferScope::Param, 0);
+  const int Src = F.addBuffer("src", DataType::F32, {1},
+                              tir::BufferScope::Param, 1);
   tir::Var I = tir::makeVar("i");
   tir::Var J = tir::makeVar("j");
   tir::Expr Extent = tir::minExpr(
@@ -466,8 +502,8 @@ tir::Func edgeTileFunc(int64_t Elems, int64_t N) {
   F.Body.push_back(tir::makeFor(
       I, tir::makeInt(0), tir::makeInt(3), tir::makeInt(1),
       {tir::makeFor(J, tir::makeInt(0), std::move(Extent), tir::makeInt(1),
-                    {tir::makeStore(B, {std::move(Idx)},
-                                    tir::makeFloat(1.0))})}));
+                    {test::copyElem(B, std::move(Idx), Src,
+                                    tir::makeInt(0))})}));
   return F;
 }
 
@@ -496,24 +532,17 @@ TEST(VerifyFuncRelational, EdgeTileOffByOneRejected) {
 // Static race analysis over bytecode
 //===----------------------------------------------------------------------===//
 
-/// Parallel loop over r0 in [0,4) whose body stores buf[r0] and, when
-/// \p Racy, also buf[r0 + 1] — iterations i and i+1 then collide on
-/// element i+1.
+/// Parallel loop over r0 in [0,4) whose body copies into buf[r0] and,
+/// when \p Racy, also into buf[r0 + 1] — iterations i and i+1 then
+/// collide on element i+1.
 exec::Program parallelStoreProgram(bool Racy) {
   using exec::Instr;
   using exec::Opcode;
   exec::Program P;
   P.Name = "pp";
   P.NumRegs = 5;
-  P.InitRegs.resize(5);
-  P.InitRegs[1].I = 0; // begin
-  P.InitRegs[2].I = 4; // end
-  P.InitRegs[3].I = 1; // step
-  exec::BufferInfo B;
-  B.Bytes = 20; // 5 f32 elements
-  B.ElemSize = 4;
-  B.Scope = tir::BufferScope::Param;
-  P.Buffers.push_back(B);
+  P.InitRegs = {0, 0, 4, 1, 0}; // r1 begin, r2 end, r3 step
+  addBuffers(P, 5);
   exec::ParDesc D;
   D.VarReg = 0;
   D.BeginReg = 1;
@@ -522,11 +551,13 @@ exec::Program parallelStoreProgram(bool Racy) {
   D.BodyLen = Racy ? 4 : 1;
   P.Pars.push_back(D);
   P.Code.push_back(Instr{Opcode::ParallelFor, 0, 0, 0, 0, 0});
-  P.Code.push_back(Instr{Opcode::StoreF32, 1, 0, 0, 0, 0}); // buf[r0]
+  P.Code.push_back(
+      Instr{Opcode::CallKernel, 0, 0, 0, addCopyCall(P, 0), 0}); // buf[r0]
   if (Racy) {
     P.Code.push_back(Instr{Opcode::Mov, 4, 0, 0, 0, 0});
     P.Code.push_back(Instr{Opcode::AddImmI, 4, 0, 0, 0, 1}); // r4 = r0+1
-    P.Code.push_back(Instr{Opcode::StoreF32, 1, 0, 4, 0, 0}); // buf[r0+1]
+    P.Code.push_back(
+        Instr{Opcode::CallKernel, 0, 0, 0, addCopyCall(P, 4), 0}); // buf[r4]
   }
   return P;
 }
@@ -544,7 +575,8 @@ TEST(VerifyProgramRelational, OverlappingParallelStoresRejected) {
   const VerifyLevel Prev = setVerifyLevel(VerifyLevel::All);
   expectRejected(verifyProgram(parallelStoreProgram(/*Racy=*/true)),
                  StatusCode::Internal,
-                 {"static race", "instr 1 (store)", "instr 4 (store)"});
+                 {"static race", "instr 1 (copy_tile_raw arg D)",
+                  "instr 4 (copy_tile_raw arg D)"});
   setVerifyLevel(Prev);
 }
 
@@ -556,7 +588,8 @@ TEST(VerifyLoadedProgram, RacingArtifactRejectedEvenAtOff) {
   expectRejected(verifyLoadedProgram(parallelStoreProgram(/*Racy=*/true),
                                      "cache load"),
                  StatusCode::Internal,
-                 {"static race", "instr 1 (store)", "instr 4 (store)"});
+                 {"static race", "instr 1 (copy_tile_raw arg D)",
+                  "instr 4 (copy_tile_raw arg D)"});
   setVerifyLevel(Prev);
 }
 

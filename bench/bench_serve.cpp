@@ -16,7 +16,7 @@
 //             that offered load (informational — open-loop latency is
 //             the serving story, closed-loop throughput is the gate).
 //
-// Emits one JSON object per line for scripts/compare_serve_bench.py:
+// Emits one JSON object per line for `scripts/bench_gate.py serve`:
 //
 //   {"bench":"serve_mlp1_int8","mode":"batch","clients":4,"qps":...,
 //    "p50_us":...,"p95_us":...,"p99_us":...,"batches":...,

@@ -202,7 +202,7 @@ graph::Graph buildDynMlp(int64_t Batch, int64_t Width = 96,
 }
 
 /// Sweeps batch sizes through ONE batch-polymorphic compiled graph
-/// (scripts/compare_dynbatch_bench.py, the dynamic-batch CI gate). Per
+/// (the dynbatch gate of scripts/bench_gate.py). Per
 /// batch, three timings: "cold_us" — first execution at that batch's
 /// bucket, paying the lazy specialization compile; "us_per_iter" — the
 /// steady state, served from the specialization cache; "exact_us" — an
@@ -210,12 +210,12 @@ graph::Graph buildDynMlp(int64_t Batch, int64_t Width = 96,
 /// bound on what the bucketed execution may cost.
 void runDynBatchCase(const char *Name) {
   // The dynbatch sweep takes 4 steady-state measurements per batch; cap
-  // its per-measurement budget so the sibling perf-gate scripts (which
-  // re-run this whole binary many times at their own GC_BENCH_MIN_TIME)
-  // do not pay 20x that budget for cases they ignore. The dedicated
+  // its per-measurement budget so the other bench gates (which re-run
+  // this whole binary many times at their own GC_BENCH_MIN_TIME) do not
+  // pay 20x that budget for cases they ignore. The dedicated
   // GC_BENCH_DYNBATCH_MIN_TIME override wins over the cap — it is what
-  // compare_dynbatch_bench.py --min-time passes through, so raising that
-  // knob really does stabilize this gate on a noisy host.
+  // the dynbatch gate sets, so raising that knob really does stabilize
+  // this gate on a noisy host.
   const std::string DynBudget = getEnvString("GC_BENCH_DYNBATCH_MIN_TIME", "");
   double Budget = std::min(minMeasureTime(), 0.05);
   if (!DynBudget.empty()) {
@@ -299,7 +299,7 @@ void runDynBatchCase(const char *Name) {
   }
 }
 
-/// Cold-start probes (scripts/compare_cache_bench.py, BENCH_7): the time
+/// Cold-start probes (scripts/bench_gate.py cache, BENCH_7): the time
 /// a fresh process needs to reach its first inference result, without and
 /// with a populated persistent artifact cache. "cold_start_us" is a fresh
 /// session compiling from source (disk cache off) plus the first execute
@@ -569,7 +569,7 @@ int main() {
   runCase(S, "mlp1_f32_recompile", workloads::buildMlp(Mlp1));
 
   // Multi-partition branch cases for the scheduler comparison
-  // (scripts/compare_sched_bench.py, BENCH_4.json): a dedicated session
+  // (scripts/bench_gate.py sched, BENCH_4.json): a dedicated session
   // splits independent branches into their own partitions; GC_SCHED
   // selects serial vs async execution of the same compiled graph.
   core::CompileOptions BranchOpts;
@@ -583,13 +583,13 @@ int main() {
                           /*MlpLayers=*/1, /*MhaS=*/48, /*MhaD=*/32));
 
   // Batch-polymorphic sweep: one compile served at five batch sizes
-  // (scripts/compare_dynbatch_bench.py gates warm-vs-cold and
+  // (scripts/bench_gate.py dynbatch gates warm-vs-cold and
   // warm-vs-exact).
   runDynBatchCase("dynbatch_mlp_f32");
 
   // Persistent artifact-cache cold-start probes: compile-from-source vs
   // mmap-deserialize-from-disk in a fresh session
-  // (scripts/compare_cache_bench.py gates the speedup and bit-identical
+  // (scripts/bench_gate.py cache gates the speedup and bit-identical
   // numerics; BENCH_7.json).
   runColdStartCase("coldstart_mlp1_f32", buildColdStartMlp);
   runColdStartCase("coldstart_mha_f32", buildColdStartMha);

@@ -23,21 +23,12 @@ bool Partitioner::isCompilable(const Graph &G, const Op &O) {
     return true;
   if (O.getAttrString("impl") == "reference")
     return false;
-  switch (O.kind()) {
-  case OpKind::Transpose: {
-    // The lowering driver only implements the transformer BSHD<->BHSD
-    // permute; every other permutation interprets.
-    const std::vector<int64_t> Perm = O.getAttrIntVec("perm");
-    return Perm == std::vector<int64_t>{0, 2, 1, 3} &&
+  // The lowering driver only implements the transformer BSHD<->BHSD
+  // permute; every other permutation interprets.
+  if (O.kind() == OpKind::Transpose)
+    return O.getAttrIntVec("perm") == std::vector<int64_t>{0, 2, 1, 3} &&
            G.tensor(O.input(0)).rank() == 4;
-  }
-  case OpKind::Sigmoid_:
-    // Reserved kind with no semantics anywhere; never compilable (and the
-    // partition builder rejects it before the interpreter would).
-    return false;
-  default:
-    return true;
-  }
+  return true;
 }
 
 namespace {

@@ -1090,7 +1090,6 @@ ArtifactCodec::deserialize(const void *Payload, size_t Bytes,
   std::call_once(P->FoldOnce, [&] {
     for (auto &KV : Folded)
       P->Cache.put(KV.first, std::move(KV.second));
-    P->Cache.markPopulated();
     P->FoldDone.store(true, std::memory_order_release);
   });
   return P;

@@ -75,7 +75,11 @@ namespace core {
 /// carries no f64 scalars and no per-scalar type byte, and the 19 float,
 /// conversion, load and store opcodes are retired (the 13 that remain are
 /// renumbered from 0).
-constexpr uint32_t kArtifactPayloadVersion = 6;
+///
+/// v7 retired the reserved op kind between gelu and batchnorm (every later
+/// op-kind byte shifts down by one), and an entry no longer bakes the
+/// single-element compensation constants that no call reads.
+constexpr uint32_t kArtifactPayloadVersion = 7;
 
 /// Identity hash of this binary's compilation pipeline: payload version,
 /// compiler identification and build timestamp. Two processes agree on it

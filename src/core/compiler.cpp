@@ -246,7 +246,6 @@ void runFoldGraph(const Graph &FoldGraph,
       fatalError("fold output was not computed");
     Cache.put(OutId, std::move(It->second));
   }
-  Cache.markPopulated();
 }
 
 //===----------------------------------------------------------------------===//
@@ -311,14 +310,10 @@ Expected<CompiledPartition::ExecState> CompiledPartition::acquireExecState() {
 
 namespace {
 
-/// Idle ExecState pool cap: GC_EXEC_POOL (default 8, min 1). Raising it
-/// helps sustained bursts of overlapping submissions of one partition;
-/// each idle state pins its register frames and scratch arenas.
-size_t execStatePoolCap() {
-  static const size_t Cap = static_cast<size_t>(std::min<int64_t>(
-      std::max<int64_t>(1, getEnvInt("GC_EXEC_POOL", 8)), 4096));
-  return Cap;
-}
+/// Idle ExecState pool cap. The pool only grows to the peak number of
+/// overlapping executions of one partition; each idle state pins its
+/// register frames and scratch arenas.
+constexpr size_t kExecStatePoolCap = 8;
 
 } // namespace
 
@@ -327,7 +322,7 @@ void CompiledPartition::releaseExecState(ExecState State) {
   // scratch arena per peak-concurrent execute for the partition's
   // lifetime; execution states beyond the cap are simply dropped.
   std::lock_guard<std::mutex> Lock(EvalMutex);
-  if (IdleExecs.size() < execStatePoolCap())
+  if (IdleExecs.size() < kExecStatePoolCap)
     IdleExecs.push_back(std::move(State));
 }
 
@@ -337,7 +332,7 @@ size_t CompiledPartition::idleExecStates() const {
 }
 
 void CompiledPartition::prewarmExecStates(size_t N) {
-  N = std::min(N, execStatePoolCap());
+  N = std::min(N, kExecStatePoolCap);
   for (;;) {
     {
       std::lock_guard<std::mutex> Lock(EvalMutex);

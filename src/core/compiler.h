@@ -186,8 +186,7 @@ public:
   /// cache-writing compile already did.
   PartitionStats stats() const;
   /// Execution states currently idle in the lease pool (diagnostics; the
-  /// peak equals the peak number of overlapping executions, capped by
-  /// GC_EXEC_POOL).
+  /// peak equals the peak number of overlapping executions, capped at 8).
   size_t idleExecStates() const;
   /// Pre-builds up to \p N idle execution states (bounded by the pool
   /// cap) so a burst of overlapping submissions skips the first-use

@@ -61,7 +61,6 @@ enum class OpKind : uint8_t {
   // Complex (decomposed before optimization).
   Softmax,
   GELU,
-  Sigmoid_, ///< reserved; kept to freeze enum numbering across versions
   BatchNorm,
   LayerNorm,
   Quantize,
@@ -110,7 +109,6 @@ constexpr OpCategory opCategory(OpKind Kind) {
     return OpCategory::Fusible;
   case OpKind::Softmax:
   case OpKind::GELU:
-  case OpKind::Sigmoid_:
   case OpKind::BatchNorm:
   case OpKind::LayerNorm:
   case OpKind::Quantize:
@@ -151,7 +149,6 @@ constexpr const char *opKindName(OpKind Kind) {
   case OpKind::DequantAcc: return "dequant_acc";
   case OpKind::Softmax: return "softmax";
   case OpKind::GELU: return "gelu";
-  case OpKind::Sigmoid_: return "sigmoid_reserved";
   case OpKind::BatchNorm: return "batchnorm";
   case OpKind::LayerNorm: return "layernorm";
   case OpKind::Quantize: return "quantize";

@@ -544,8 +544,6 @@ evalOpReference(const Graph &G, const Op &O,
       Outs.push_back(SubEnv.at(OutId).clone());
     return Outs;
   }
-  case OpKind::Sigmoid_:
-    break;
   }
   GC_UNREACHABLE("unhandled op kind in reference evaluator");
 }

@@ -313,11 +313,12 @@ private:
       E.K = ExtKind::ColVec;
     else if (Last == FullN && (Second == MDim || RowsProd == MDim))
       E.K = ExtKind::Full;
-    else if (Data && T.numElements() == 1)
+    else if (Data && T.numElements() == 1) {
       // A non-f32 single-element constant: dequant_acc's compensation,
-      // which no step reads while its a_zp is 0.
+      // which no step reads while its a_zp is 0, so it gets no buffer.
       E.K = ExtKind::Scalar;
-    else
+      return E;
+    } else
       return Status::error(
           StatusCode::Unsupported,
           formatString("fused op%lld: operand %s broadcasts as neither a "
@@ -785,6 +786,7 @@ private:
       if (AZp != 0) {
         // Compensation vector (FoldedConst outer input).
         const ExtRef &Comp = Ext.at(O.input(1));
+        assert(Comp.BufferId >= 0 && "compensation operand has no buffer");
         S.Arg2 = static_cast<uint8_t>(
             addSlot(Comp.BufferId, extRowVecOffset(Comp, Expr(Nsi))));
       }

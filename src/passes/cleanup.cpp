@@ -139,11 +139,16 @@ public:
 // Constant folding
 //===----------------------------------------------------------------------===//
 
+/// Results larger than this stay in the fold function (executed at first
+/// run) instead of being folded at compile time, mirroring the paper's
+/// "weight data buffer might not be available during the compilation".
+constexpr int64_t kFoldMaxElements = 4096;
+
 class ConstantFoldPass : public Pass {
 public:
   const char *name() const override { return "constant-fold"; }
 
-  bool run(Graph &G, const PassOptions &Opts) override {
+  bool run(Graph &G, const PassOptions &) override {
     bool Changed = false;
     for (int64_t OpId : G.topologicalOrder()) {
       const Op &O = G.op(OpId);
@@ -172,7 +177,7 @@ public:
       // Leave big results to the fold function (constant weight
       // preprocessing executes them at first run).
       const LogicalTensor &OutT = G.tensor(O.output(0));
-      if (OutT.numElements() > Opts.FoldMaxElements)
+      if (OutT.numElements() > kFoldMaxElements)
         continue;
       std::vector<runtime::TensorData> Outs = evalOpReference(G, O, Inputs);
       const int64_t OutId = O.output(0);

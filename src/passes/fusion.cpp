@@ -29,6 +29,13 @@ using namespace graph;
 
 namespace {
 
+/// Region growth limits (§V: "the region stops growing when a limit is
+/// reached"): ops per region, fused last-axis reductions, and bytes of
+/// non-constant inputs from outside the region.
+constexpr int kMaxPostOps = 24;
+constexpr int kMaxPostOpReductions = 2;
+constexpr int64_t kMaxExtraInputBytes = int64_t{1} << 22;
+
 /// True for op kinds that may join a region as post-ops.
 bool isPostOpFusible(OpKind Kind) {
   if (isUnaryElementwise(Kind) || isBinaryElementwise(Kind))
@@ -129,7 +136,7 @@ private:
     int Reductions = 0;
     int64_t ExtraBytes = 0;
     bool Grew = true;
-    while (Grew && static_cast<int>(Region.size()) < Opts.MaxPostOps) {
+    while (Grew && static_cast<int>(Region.size()) < kMaxPostOps) {
       Grew = false;
       // Deterministic candidate scan: consumers of region tensors in
       // ascending op id.
@@ -159,7 +166,7 @@ private:
           const int64_t Rank = G.tensor(C.input(0)).rank();
           const bool LastAxis =
               Axes.size() == 1 && (Axes[0] == -1 || Axes[0] == Rank - 1);
-          if (!LastAxis || Reductions >= Opts.MaxPostOpReductions)
+          if (!LastAxis || Reductions >= kMaxPostOpReductions)
             continue;
         }
         // All inputs must be region tensors, constants, or affordable
@@ -180,7 +187,7 @@ private:
           }
           CandExtraBytes += T.numElements() * dataTypeSize(T.Ty);
         }
-        if (!Ok || ExtraBytes + CandExtraBytes > Opts.MaxExtraInputBytes)
+        if (!Ok || ExtraBytes + CandExtraBytes > kMaxExtraInputBytes)
           continue;
         // Join.
         Region.push_back(Cand);
@@ -191,7 +198,7 @@ private:
           ++Reductions;
         ExtraBytes += CandExtraBytes;
         Grew = true;
-        if (static_cast<int>(Region.size()) >= Opts.MaxPostOps)
+        if (static_cast<int>(Region.size()) >= kMaxPostOps)
           break;
       }
     }

@@ -42,17 +42,6 @@ struct PassOptions {
   /// weights but keeps every activation plain (each primitive repacks its
   /// own A panel).
   bool PrimitivesMode = false;
-  /// Constant-folding size cap: tensors larger than this stay in the fold
-  /// function (executed at first run) instead of being folded at compile
-  /// time, mirroring the paper's "weight data buffer might not be
-  /// available during the compilation".
-  int64_t FoldMaxElements = 4096;
-  /// Fusion growth limits (§V: "the region stops growing when a limit is
-  /// reached").
-  int MaxPostOps = 24;
-  int MaxPostOpReorders = 1;
-  int MaxPostOpReductions = 2;
-  int64_t MaxExtraInputBytes = 1 << 22;
 };
 
 /// A Graph IR transformation.
@@ -102,8 +91,9 @@ std::unique_ptr<Pass> createCsePass();
 /// Removes ops whose results cannot reach a graph output.
 std::unique_ptr<Pass> createDcePass();
 
-/// Evaluates ops whose inputs are all compile-time constants, subject to
-/// the FoldMaxElements cap.
+/// Evaluates ops whose inputs are all compile-time constants and whose
+/// result has at most 4096 elements (larger results stay in the fold
+/// function).
 std::unique_ptr<Pass> createConstantFoldPass();
 
 /// Rewrites Dequantize -> MatMul -> ... -> Quantize chains into int8

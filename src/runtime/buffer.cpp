@@ -157,14 +157,5 @@ void *PlanArena::at(size_t Offset) {
   return static_cast<char *>(Storage.data()) + Offset;
 }
 
-void *BumpArena::allocate(size_t Bytes, size_t Alignment) {
-  size_t Aligned = (Offset + Alignment - 1) / Alignment * Alignment;
-  if (Aligned + Bytes > Storage.size())
-    fatalError("bump arena exhausted (lowering under-computed scratch size)");
-  void *Ptr = static_cast<char *>(Storage.data()) + Aligned;
-  Offset = Aligned + Bytes;
-  return Ptr;
-}
-
 } // namespace runtime
 } // namespace gc

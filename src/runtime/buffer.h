@@ -1,13 +1,9 @@
 //===- buffer.h - Aligned memory buffers and arenas -------------*- C++ -*-===//
 ///
 /// \file
-/// Cache-line/vector aligned allocation for tensor data, plus two arena
-/// flavours: a bump arena used for per-thread template scratch (the C'
-/// accumulation buffers of Fig. 2) and for the single shared scratch
-/// region the memory-buffer-reuse pass (§VI) packs temporary tensors
-/// into, and an offset-addressed plan arena backing the cross-partition
-/// intermediate memory plan (api/session.h) that streams recycle across
-/// executions.
+/// Cache-line/vector aligned allocation for tensor data, plus an
+/// offset-addressed plan arena backing the cross-partition intermediate
+/// memory plan (api/session.h) that streams recycle across executions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -80,37 +76,6 @@ public:
   static void release(size_t Bytes);
   /// Bytes currently charged (diagnostics/tests).
   static size_t chargedBytes();
-};
-
-/// Bump allocator over a preallocated aligned region. allocate() never
-/// touches the system allocator after construction, so it is safe and cheap
-/// inside parallel loop bodies. reset() recycles the whole region.
-class BumpArena {
-public:
-  BumpArena() = default;
-  explicit BumpArena(size_t Bytes) { Storage.resize(Bytes); }
-
-  /// Grows the backing store to at least \p Bytes (only call outside
-  /// parallel regions).
-  void reserve(size_t Bytes) {
-    if (Bytes > Storage.size())
-      Storage.resize(Bytes);
-  }
-
-  /// Returns an aligned chunk of \p Bytes. Aborts if the arena is too
-  /// small -- capacity is computed at compile (lowering) time, so running
-  /// out indicates a compiler bug.
-  void *allocate(size_t Bytes, size_t Alignment = kDefaultAlignment);
-
-  /// Frees everything allocated since construction or the previous reset.
-  void reset() { Offset = 0; }
-
-  size_t capacity() const { return Storage.size(); }
-  size_t used() const { return Offset; }
-
-private:
-  AlignedBuffer Storage;
-  size_t Offset = 0;
 };
 
 /// Offset-addressed execution arena for the partition memory plan

@@ -25,7 +25,6 @@ int64_t ConstCache::totalBytes() const {
 
 void ConstCache::clear() {
   Cache.clear();
-  Populated = false;
 }
 
 } // namespace runtime

@@ -24,12 +24,6 @@ namespace runtime {
 /// tensor id. One instance lives in each compiled partition.
 class ConstCache {
 public:
-  /// True when the fold function already ran for this partition.
-  bool isPopulated() const { return Populated; }
-
-  /// Marks the fold function as executed.
-  void markPopulated() { Populated = true; }
-
   /// Inserts (or replaces) the folded tensor for \p TensorId.
   void put(int64_t TensorId, TensorData Data);
 
@@ -47,7 +41,6 @@ public:
 
 private:
   std::unordered_map<int64_t, TensorData> Cache;
-  bool Populated = false;
 };
 
 } // namespace runtime

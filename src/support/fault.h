@@ -22,8 +22,8 @@
 ///   GC_FAULT="cache.open:2,pool.submit:p0.5"
 ///
 /// Cost discipline: when no fault spec is active, shouldFail() is one
-/// relaxed atomic load (the bench-parity gate
-/// scripts/compare_fault_bench.py holds this to noise). The slow path —
+/// relaxed atomic load (the fault gate of scripts/bench_gate.py holds
+/// this to noise). The slow path —
 /// counters, RNG, the site table — only runs while a spec is armed, which
 /// is a test-only situation.
 ///

@@ -19,7 +19,6 @@
 #include "verify/verify.h"
 
 #include "support/str.h"
-#include "verify/relational.h"
 
 #include <unordered_map>
 #include <unordered_set>
@@ -172,28 +171,6 @@ Status verifyMemoryPlan(const MemoryPlanView &Plan, const char *Context) {
     return true;
   };
 
-  // Pairs whose safety rests on byte-range disjointness (no dies-before
-  // ordering either way) are re-proven with the symbolic engine over an
-  // UNKNOWN arena base: the base symbol cancels in the affine difference,
-  // so the proof shows the packing is translation-invariant rather than
-  // a coincidence of concrete offsets.
-  constexpr int64_t kBaseHi = int64_t{1} << 47;
-  SymCtx Ctx;
-  const int32_t Base = Ctx.addSym("arena", Interval{0, kBaseHi}, nullptr,
-                                  nullptr);
-  const int64_t ArenaElems = kBaseHi + static_cast<int64_t>(Plan.ArenaBytes);
-  const auto SlotFootprint = [&](const MemoryPlanView::Slot &S) {
-    Footprint F;
-    F.Buffer = 0;
-    F.Write = true;
-    F.Sh = Footprint::Shape::Flat;
-    F.Off = Ctx.add(Ctx.leaf(Base),
-                    SymVal::constant(static_cast<int64_t>(S.Offset)));
-    F.Len = SymVal::constant(static_cast<int64_t>(S.Bytes));
-    F.Site = formatString("slot t%lld", (long long)S.TensorId);
-    return F;
-  };
-
   for (size_t A = 0; A < Plan.Slots.size(); ++A) {
     for (size_t B = A + 1; B < Plan.Slots.size(); ++B) {
       const MemoryPlanView::Slot &SA = Plan.Slots[A];
@@ -211,14 +188,6 @@ Status verifyMemoryPlan(const MemoryPlanView &Plan, const char *Context) {
                          (unsigned long long)(SA.Offset + SA.Bytes),
                          (long long)SB.TensorId, (unsigned long long)SB.Offset,
                          (unsigned long long)(SB.Offset + SB.Bytes)));
-      if (!footprintsDisjoint(Ctx, SlotFootprint(SA), SlotFootprint(SB),
-                              ArenaElems))
-        return planErr(
-            Context,
-            formatString("symbolic arena re-check could not prove slots "
-                         "for t%lld and t%lld disjoint over an unknown "
-                         "base (packer/engine inconsistency)",
-                         (long long)SA.TensorId, (long long)SB.TensorId));
     }
   }
   return Status::ok();

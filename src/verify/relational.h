@@ -143,8 +143,7 @@ Status checkParallelRaces(SymCtx &Ctx, const ParallelRaceQuery &Q);
 
 /// Disjointness of two footprints over the SAME buffer in \p Ctx:
 /// true only when the engine can PROVE no element is shared. Used by
-/// the race checker per case split and by the memory-plan verifier's
-/// symbolic arena re-check.
+/// the race checker per case split.
 bool footprintsDisjoint(SymCtx &Ctx, const Footprint &A, const Footprint &B,
                         int64_t BufferElems);
 

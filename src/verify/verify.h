@@ -38,8 +38,7 @@
 ///    produced earlier), topological partition order, and an independent
 ///    recomputation of cross-partition lifetimes proving that any two
 ///    arena slots whose lifetimes can coexist under ANY schedule
-///    consistent with the partition DAG occupy disjoint byte ranges,
-///    re-proven symbolically over an unknown arena base.
+///    consistent with the partition DAG occupy disjoint byte ranges.
 ///
 /// Verification level is resolved once from GC_VERIFY
 /// (off | graph | passes | all); Debug builds default to "all", Release

@@ -8,11 +8,15 @@
 
 #include "baseline/loopnest.h"
 #include "core/compiler.h"
+#include "exec/program.h"
 #include "graph/reference.h"
 #include "workloads/bert.h"
+#include "workloads/mha.h"
 #include "test_utils.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_set>
 
 using namespace gc;
 using namespace gc::graph;
@@ -104,6 +108,36 @@ TEST(BertLayer, CompilerInt8) {
 TEST(BertLayer, BaselineInt8) {
   runAndCompare(workloads::buildBertLayer(tinySpec(true)), false, 0.0,
                 16.0);
+}
+
+/// Names of the entry's Const buffers that no kernel call reads.
+std::vector<std::string> unreadConstBuffers(const core::CompiledPartition &P) {
+  std::unordered_set<int> Read;
+  for (const exec::CallDesc &C : P.bytecode().Calls)
+    for (int I = 0; I < C.NumBufs; ++I)
+      Read.insert(C.Bufs[I].BufferId);
+  std::vector<std::string> Unread;
+  for (const tir::BufferDecl &B : P.entry().Buffers)
+    if (B.Scope == tir::BufferScope::Const && !Read.count(B.Id))
+      Unread.push_back(B.Name);
+  return Unread;
+}
+
+TEST(BakedConstants, Int8EntriesBakeOnlyWhatACallReads) {
+  // dequant_acc's single-element s32 compensation is read by no step
+  // while its a_zp is 0, so it must not become a baked Const buffer.
+  const Graph Graphs[] = {
+      workloads::buildMha(workloads::mhaTableSpec(1, 1, /*Int8=*/true)),
+      workloads::buildBertLayer(tinySpec(true))};
+  for (const Graph &G : Graphs) {
+    core::CompileOptions Opts;
+    Opts.Threads = 1;
+    // entry() and bytecode() of a freshly lowered partition.
+    Opts.CacheMode = runtime::CacheMode::Off;
+    auto Partition = test::compileOnePartition(G, Opts);
+    EXPECT_EQ(unreadConstBuffers(*Partition), std::vector<std::string>{});
+    runAndCompare(G, true, 8e-2, 16.0);
+  }
 }
 
 TEST(BertLayer, CompilerStatsShowFusionAndFolding) {

@@ -394,8 +394,8 @@ Graph buildInt8Mlp(int64_t M, const std::vector<int64_t> &Dims, bool TransB,
 TEST(FoldGraph, KernelFoldMatchesReferenceInt8) {
   // K and N are multiples of neither 4 nor any block size, so every
   // packed tile has a K or N tail. Each weight exceeds the constant-fold
-  // pass's cap (FoldMaxElements), so its compensation chain reaches the
-  // fold graph.
+  // pass's 4096-element cap (kFoldMaxElements), so its compensation chain
+  // reaches the fold graph.
   for (bool TransB : {false, true}) {
     SCOPED_TRACE(TransB ? "transpose_b" : "plain weights");
     CompileOptions Opts = defaultOpts();

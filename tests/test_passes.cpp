@@ -335,9 +335,7 @@ TEST(ConstantFoldPass, FoldsSmallRespectsCap) {
       G.addOp(OpKind::Add, {X, Red}, DataType::F32, {128, 8});
   G.markOutput(O2);
 
-  PassOptions Opts = defaultOpts();
-  Opts.FoldMaxElements = 4096;
-  runPass(createConstantFoldPass(), G, Opts);
+  runPass(createConstantFoldPass(), G);
   EXPECT_EQ(countKind(G, OpKind::Square), 1)
       << "only the big square (128x128 > cap) remains";
   ASSERT_NE(G.constantData(SmallSq), nullptr);

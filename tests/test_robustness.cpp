@@ -48,12 +48,6 @@ TEST(Robustness, GraphCycleAborts) {
   EXPECT_DEATH((void)G.topologicalOrder(), "cycle");
 }
 
-TEST(Robustness, BumpArenaExhaustionAborts) {
-  runtime::BumpArena Arena(128);
-  (void)Arena.allocate(100);
-  EXPECT_DEATH((void)Arena.allocate(100), "arena exhausted");
-}
-
 TEST(Robustness, DegenerateOneByOneMatmul) {
   // M = N = K = 1: every loop in the template is a single iteration.
   const Graph G = workloads::buildSingleMatmul(1, 1, 1, false, 70);

@@ -186,18 +186,6 @@ TEST(ThreadPool, ForkJoinStillCompletesWhileTasksAreQueued) {
   EXPECT_EQ(TaskRuns.load(), 8);
 }
 
-TEST(BumpArena, SequentialAllocationsDisjoint) {
-  BumpArena Arena(4096);
-  char *P1 = static_cast<char *>(Arena.allocate(100));
-  char *P2 = static_cast<char *>(Arena.allocate(200));
-  EXPECT_GE(P2, P1 + 100);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(P1) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(P2) % 64, 0u);
-  Arena.reset();
-  char *P3 = static_cast<char *>(Arena.allocate(50));
-  EXPECT_EQ(P3, P1) << "reset must recycle from the start";
-}
-
 TEST(PlanArena, ZeroSizePlanAllocatesNothing) {
   PlanArena Arena;
   EXPECT_EQ(Arena.capacity(), 0u);
@@ -278,18 +266,15 @@ TEST(TensorData, DiffHelpers) {
 
 TEST(ConstCache, PutGetAndStats) {
   ConstCache Cache;
-  EXPECT_FALSE(Cache.isPopulated());
   EXPECT_EQ(Cache.get(7), nullptr);
   TensorData T(DataType::F32, {8});
   T.fillConstant(3.0);
   Cache.put(7, std::move(T));
-  Cache.markPopulated();
   ASSERT_NE(Cache.get(7), nullptr);
   EXPECT_EQ(Cache.get(7)->dataAs<float>()[0], 3.0f);
   EXPECT_EQ(Cache.size(), 1u);
   EXPECT_EQ(Cache.totalBytes(), 32);
   Cache.clear();
-  EXPECT_FALSE(Cache.isPopulated());
   EXPECT_EQ(Cache.get(7), nullptr);
 }
 

@@ -43,10 +43,16 @@ using namespace gc::bench;
 
 namespace {
 
+/// This binary's scheduling mode, from GC_SCHED ("serial" | "async",
+/// default "serial"): under "async" every static multi-partition graph
+/// is timed through submit(...).wait(), which overlaps independent
+/// partitions on the pool; every other graph, and every graph under
+/// "serial", through execute(), which walks the partitions in order.
+/// scripts/bench_gate.py sched compares the two modes.
+const bool AsyncMode = getEnvString("GC_SCHED", "serial") == "async";
+
 /// Measures one graph through a Session stream; prints the JSON line.
-/// "sched" reports the execute() scheduling policy (GC_SCHED /
-/// CompileOptions::AsyncExec): "serial" walks partitions in order,
-/// "async" overlaps independent partitions on the pool.
+/// "sched" reports AsyncMode.
 void runCase(api::Session &S, const char *Name, graph::Graph G) {
   Instance W(std::move(G));
   const uint64_t HitsBefore = S.cacheHits();
@@ -58,17 +64,24 @@ void runCase(api::Session &S, const char *Name, graph::Graph G) {
                 CompiledOr.status().toString().c_str());
     return;
   }
-  const api::CompiledGraph &CG = **CompiledOr;
+  const api::CompiledGraphPtr &CGPtr = *CompiledOr;
+  const api::CompiledGraph &CG = *CGPtr;
   api::Stream Str = S.stream();
-  const double Secs = measureSeconds(
-      [&] { (void)Str.execute(CG, W.InPtrs, W.OutPtrs); });
+  const bool Submit =
+      AsyncMode && !CG.isPolymorphic() && CG.numPartitions() > 1;
+  const double Secs = measureSeconds([&] {
+    if (Submit)
+      (void)Str.submit(CGPtr, W.InPtrs, W.OutPtrs).wait();
+    else
+      (void)Str.execute(CG, W.InPtrs, W.OutPtrs);
+  });
   std::printf("{\"bench\":\"%s\",\"sched\":\"%s\","
               "\"isa\":\"%s\","
               "\"kernels\":\"%s\",\"threads\":%d,"
               "\"partitions\":%zu,\"fallback_partitions\":%zu,"
               "\"compile_us\":%.2f,"
               "\"us_per_iter\":%.2f,\"cache_hit\":%d}\n",
-              Name, S.options().AsyncExec ? "async" : "serial",
+              Name, AsyncMode ? "async" : "serial",
               kernels::isaName().c_str(),
               kernels::kernelTierName(kernels::activeKernelTier()),
               S.threadPool().numThreads(), CG.numPartitions(),
@@ -149,12 +162,12 @@ int64_t addMhaBranch(graph::Graph &G, int64_t S, int64_t D,
 
 /// The dependency-DAG scheduler probes (BENCH_4): independent MLP and
 /// MHA branches compiled as separate partitions
-/// (SplitIndependentPartitions). Under GC_SCHED=serial each branch runs
-/// in order with parallel nests (paying one fork/join barrier per
-/// nest); under GC_SCHED=async the branches overlap on the pool as
-/// single tasks with serial nests — the win the async scheduler is
-/// built for. The nest-rich MHA branches (softmax, binary ops) are
-/// where the serial barrier cost bites most.
+/// (SplitIndependentPartitions). Under GC_SCHED=serial, execute() runs
+/// each branch in order with parallel nests (paying one fork/join
+/// barrier per nest); under GC_SCHED=async, submit().wait() overlaps the
+/// branches on the pool as single tasks with serial nests — the win the
+/// async scheduler is built for. The nest-rich MHA branches (softmax,
+/// binary ops) are where the serial barrier cost bites most.
 graph::Graph buildMlpMhaPipe(int BranchesEach, int64_t MlpM, int64_t MlpK,
                              int MlpLayers, int64_t MhaS, int64_t MhaD) {
   graph::Graph G;
@@ -286,7 +299,7 @@ void runDynBatchCase(const char *Name) {
         "\"batch\":%lld,\"bucket\":%lld,\"specializations\":%zu,"
         "\"cold_us\":%.2f,\"exact_us\":%.2f,\"us_per_iter\":%.2f,"
         "\"cache_hit\":%d}\n",
-        Name, (long long)Batch, PolyS.options().AsyncExec ? "async" : "serial",
+        Name, (long long)Batch, AsyncMode ? "async" : "serial",
         kernels::isaName().c_str(),
         kernels::kernelTierName(kernels::activeKernelTier()),
         PolyS.threadPool().numThreads(),
@@ -571,7 +584,7 @@ int main() {
   // Multi-partition branch cases for the scheduler comparison
   // (scripts/bench_gate.py sched, BENCH_4.json): a dedicated session
   // splits independent branches into their own partitions; GC_SCHED
-  // selects serial vs async execution of the same compiled graph.
+  // selects execute() or submit().wait() for the same compiled graph.
   core::CompileOptions BranchOpts;
   BranchOpts.SplitIndependentPartitions = true;
   api::Session SBranch(BranchOpts);

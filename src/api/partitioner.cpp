@@ -96,35 +96,11 @@ Partitioner::partition(bool SplitIndependent) const {
   // rejects dynamic constants and fold-side admission below requires
   // all-constant inputs.
 
-  // Fold-side ops (all transitive inputs constant, not producing a graph
-  // output) are compilable regardless of kind: the lowering driver routes
-  // them to the fold graph, where the reference executor handles any op —
-  // mirroring lower/driver.cpp computeFoldSide(). Without this, a
-  // constant-side transpose would needlessly re-interpret every execution.
-  std::unordered_set<int64_t> FoldOps;
-  {
-    std::unordered_set<int64_t> FoldTensors;
-    for (int64_t OpId : Topo) {
-      const Op &O = G.op(OpId);
-      bool AllConst = !O.inputs().empty();
-      for (int64_t In : O.inputs())
-        if (!G.tensor(In).isConstant() && !FoldTensors.count(In)) {
-          AllConst = false;
-          break;
-        }
-      if (!AllConst || O.getAttrString("impl") == "reference")
-        continue;
-      bool ProducesOutput = false;
-      for (int64_t Out : O.outputs())
-        if (G.isOutput(Out))
-          ProducesOutput = true;
-      if (ProducesOutput)
-        continue;
-      FoldOps.insert(OpId);
-      for (int64_t Out : O.outputs())
-        FoldTensors.insert(Out);
-    }
-  }
+  // Fold-side ops are compilable regardless of kind: the lowering driver
+  // routes them to the fold graph, where the reference executor handles
+  // any op. Without this, a constant-side transpose would needlessly
+  // re-interpret every execution.
+  std::unordered_set<int64_t> FoldOps = foldSideOps(G, Topo);
 
   // Group assignment: an op joins the latest same-kind group whose index
   // is >= the max group of its producers; edges then always point from a
@@ -132,10 +108,10 @@ Partitioner::partition(bool SplitIndependent) const {
   //
   // Run to fixpoint: a fold-admitted op of non-compilable kind whose
   // output crosses its group boundary would become a subgraph output,
-  // which the lowering driver refuses to fold (lower/driver.cpp) — that
-  // would demote the whole compiled group. Strip such ops from FoldOps
-  // and regroup; each iteration removes at least one op, so this
-  // terminates in <= |FoldOps| rounds.
+  // which foldSideOps() keeps off the fold side when the driver lowers
+  // the subgraph — that would demote the whole compiled group. Strip
+  // such ops from FoldOps and regroup; each iteration removes at least
+  // one op, so this terminates in <= |FoldOps| rounds.
   std::vector<std::vector<int64_t>> Groups;
   std::vector<bool> GroupCompilable;
   std::unordered_map<int64_t, int> GroupOf; // op id -> group index

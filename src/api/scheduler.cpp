@@ -180,30 +180,34 @@ Status Submission::runPartition(
   const CompiledGraph::Part &Part = CG.Parts[I];
   if (Part.Compiled)
     return Part.Compiled->execute(Ins, Outs);
+  return runReference(Part.Spec.Subgraph, Ins, Outs);
+}
 
-  // Reference fallback: interpret the subgraph on plain tensors. Inputs
-  // and constants are wrapped as views (no copy; constants are read-only
-  // during evaluation); outputs are copied into their destination
-  // buffers.
-  const Graph &Sub = Part.Spec.Subgraph;
+Status
+Submission::runReference(const Graph &G,
+                         const std::vector<runtime::TensorData *> &Ins,
+                         const std::vector<runtime::TensorData *> &Outs) {
+  // Inputs and constants are wrapped as views (no copy; constants are
+  // read-only during evaluation); outputs are copied into their
+  // destination buffers.
   TensorMap Env;
-  for (int64_t TId : Sub.tensorIds())
-    if (const runtime::TensorData *Data = Sub.constantData(TId))
+  for (int64_t TId : G.tensorIds())
+    if (const runtime::TensorData *Data = G.constantData(TId))
       Env[TId] = runtime::TensorData::view(
           Data->dtype(), Data->shape(), const_cast<void *>(Data->data()));
-  const std::vector<int64_t> &SubIns = Sub.inputs();
-  for (size_t J = 0; J < SubIns.size(); ++J) {
-    const LogicalTensor &Meta = Sub.tensor(SubIns[J]);
-    Env[SubIns[J]] =
+  const std::vector<int64_t> &GIns = G.inputs();
+  for (size_t J = 0; J < GIns.size(); ++J) {
+    const LogicalTensor &Meta = G.tensor(GIns[J]);
+    Env[GIns[J]] =
         runtime::TensorData::view(Meta.Ty, Meta.Shape, Ins[J]->data());
   }
-  evalGraphReference(Sub, Env);
-  const std::vector<int64_t> &SubOuts = Sub.outputs();
-  for (size_t J = 0; J < SubOuts.size(); ++J) {
-    const runtime::TensorData &Result = Env.at(SubOuts[J]);
+  evalGraphReference(G, Env);
+  const std::vector<int64_t> &GOuts = G.outputs();
+  for (size_t J = 0; J < GOuts.size(); ++J) {
+    const runtime::TensorData &Result = Env.at(GOuts[J]);
     if (Result.numBytes() != Outs[J]->numBytes())
       return Status::error(StatusCode::Internal,
-                           "fallback output size mismatch");
+                           "reference output size mismatch");
     std::memcpy(Outs[J]->data(), Result.data(),
                 static_cast<size_t>(Result.numBytes()));
   }
@@ -474,14 +478,13 @@ std::shared_ptr<Submission> Submission::completed(Status S) {
 }
 
 std::shared_ptr<Submission>
-Submission::launch(const CompiledGraph &CG, CompiledGraphPtr Owned,
-                   std::shared_ptr<StreamState> SS,
+Submission::launch(CompiledGraphPtr Compiled, std::shared_ptr<StreamState> SS,
                    const std::vector<runtime::TensorData *> &Inputs,
                    const std::vector<runtime::TensorData *> &Outputs,
                    int64_t TimeoutMs) {
   auto Sub = std::make_shared<Submission>();
-  Sub->CG = &CG;
-  Sub->Owned = std::move(Owned);
+  Sub->CG = std::move(Compiled);
+  const CompiledGraph &CG = *Sub->CG;
   Sub->Pool = SS->Pool;
   Sub->SS = std::move(SS);
   Sub->Inputs = Inputs;
@@ -505,8 +508,7 @@ Submission::launch(const CompiledGraph &CG, CompiledGraphPtr Owned,
   Sub->Arena = ArenaOr.takeValue();
   buildScratchViews(CG, *Sub->Arena, Sub->ScratchViews);
 
-  // Both Stream entry points route graphs with <= 1 partition elsewhere
-  // (Direct fast path / synchronous submit shortcut).
+  // submit() runs graphs with <= 1 partition synchronously instead.
   const size_t N = CG.Parts.size();
   assert(N > 1 && "launch() requires a multi-partition graph");
 

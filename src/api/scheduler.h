@@ -42,15 +42,12 @@ namespace api {
 namespace detail {
 
 /// Shared state behind a Stream and its copies: the session pool handle,
-/// the execute() scheduling policy, and the free list of execution arenas
+/// the session's health counters, and the free list of execution arenas
 /// recycled across executions ("per-stream arena"). Concurrent executions
 /// on one stream each lease their own arena; the list is bounded so a
 /// burst does not pin arenas forever.
 struct StreamState {
   std::shared_ptr<runtime::ThreadPool> Pool;
-  /// Route multi-partition execute() through the async scheduler
-  /// (CompileOptions::AsyncExec / GC_SCHED=async).
-  bool AsyncExec = false;
   /// The owning session's fault-tolerance counters (shared; never null
   /// for states minted by Session::stream()).
   std::shared_ptr<HealthState> Health;
@@ -80,8 +77,7 @@ struct Submission {
     uint32_t Index = 0;
   };
 
-  const CompiledGraph *CG = nullptr;
-  CompiledGraphPtr Owned; ///< lifetime pin (null for borrowed sync runs)
+  CompiledGraphPtr CG; ///< pinned until the submission retires
   std::shared_ptr<runtime::ThreadPool> Pool;
   std::shared_ptr<StreamState> SS;
   std::unique_ptr<runtime::PlanArena> Arena;
@@ -127,9 +123,16 @@ struct Submission {
 
   /// Runs partition \p I of \p CG on the calling thread with the given
   /// resolved arguments (compiled -> CompiledPartition::execute, fallback
-  /// -> reference interpreter). Shared by the serial path and the
-  /// scheduler tasks.
+  /// -> runReference). Shared by the serial path and the scheduler tasks.
   static Status runPartition(const CompiledGraph &CG, size_t I,
+                             const std::vector<runtime::TensorData *> &Ins,
+                             const std::vector<runtime::TensorData *> &Outs);
+
+  /// Interprets \p G with the reference evaluator: \p Ins / \p Outs bind
+  /// G's inputs / outputs in order. Runs fallback partitions, and the
+  /// exact batch of a polymorphic execution whose bucket specialization
+  /// could not be produced.
+  static Status runReference(const graph::Graph &G,
                              const std::vector<runtime::TensorData *> &Ins,
                              const std::vector<runtime::TensorData *> &Outs);
 
@@ -150,19 +153,18 @@ struct Submission {
                            const std::vector<runtime::TensorData *> &Inputs,
                            const std::vector<runtime::TensorData *> &Outputs);
 
-  /// Launches the DAG: leases the arena, seeds the dependency counters
-  /// and enqueues every root partition. The caller must have run
-  /// validateBoundary() already (both Stream entry points do — exactly
-  /// once). Returns the submission, possibly already complete:
+  /// Launches the DAG of multi-partition \p Compiled: leases the arena,
+  /// seeds the dependency counters and enqueues every root partition.
+  /// The caller (Stream::submit) must have run validateBoundary()
+  /// already. Returns the submission, possibly already complete:
   /// single-worker pools drain the whole DAG during the enqueues, and an
   /// arena-lease failure yields an already-failed submission.
   /// \p TimeoutMs > 0 arms the deadline (milliseconds from now).
   static std::shared_ptr<Submission>
-  launch(const CompiledGraph &CG, CompiledGraphPtr Owned,
-         std::shared_ptr<StreamState> SS,
+  launch(CompiledGraphPtr Compiled, std::shared_ptr<StreamState> SS,
          const std::vector<runtime::TensorData *> &Inputs,
          const std::vector<runtime::TensorData *> &Outputs,
-         int64_t TimeoutMs = 0);
+         int64_t TimeoutMs);
 
   /// An already-complete submission carrying \p S (for early failures and
   /// the synchronous single-partition shortcut).

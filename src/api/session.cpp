@@ -4,7 +4,6 @@
 
 #include "api/scheduler.h"
 #include "core/artifact.h"
-#include "graph/reference.h"
 #include "runtime/buffer.h"
 #include "support/common.h"
 #include "support/env.h"
@@ -26,7 +25,7 @@ using namespace graph;
 namespace detail {
 
 /// Shared compile-side state behind a Session: options, the execution
-/// thread pool, and the compiled-partition cache (positive and negative).
+/// thread pool, and the compiled-partition cache.
 /// Held by shared_ptr so batch-polymorphic CompiledGraphs can keep
 /// compiling specializations — through the same cache and statistics —
 /// after the Session object itself is gone.
@@ -41,13 +40,6 @@ struct SessionState {
   mutable std::mutex CacheMutex;
   std::unordered_map<uint64_t, std::shared_ptr<core::CompiledPartition>>
       Cache;
-  /// Negative cache: subgraph fingerprints the compiler already rejected
-  /// as Unsupported, each stored with the rejected subgraph's boundary
-  /// signature. Later compiles demote straight to fallback without
-  /// re-running the pass pipeline — but only when the signature agrees,
-  /// so a fingerprint collision with an unsupported subgraph cannot
-  /// silently demote a compilable partition forever.
-  std::unordered_map<uint64_t, std::vector<int64_t>> UnsupportedKeys;
   std::atomic<uint64_t> Hits{0};
   std::atomic<uint64_t> Misses{0};
 
@@ -64,22 +56,6 @@ struct SessionState {
   static Expected<CompiledGraphPtr>
   compile(const std::shared_ptr<SessionState> &State, const Graph &G);
 };
-
-std::vector<int64_t> boundarySignature(const Graph &G) {
-  std::vector<int64_t> Sig;
-  auto add = [&](const std::vector<int64_t> &Ids) {
-    Sig.push_back(static_cast<int64_t>(Ids.size()));
-    for (int64_t Id : Ids) {
-      const LogicalTensor &T = G.tensor(Id);
-      Sig.push_back(static_cast<int64_t>(T.Ty));
-      Sig.push_back(T.rank());
-      Sig.insert(Sig.end(), T.Shape.begin(), T.Shape.end());
-    }
-  };
-  add(G.inputs());
-  add(G.outputs());
-  return Sig;
-}
 
 void HealthState::warnOnce(const char *Axis, const char *Detail) {
   // The fixed degradation-axis list; one WarnedAxes bit each. Warning
@@ -514,20 +490,11 @@ uint64_t Session::diskCacheStores() const {
 void Session::clearCache() {
   std::lock_guard<std::mutex> Lock(State->CacheMutex);
   State->Cache.clear();
-  State->UnsupportedKeys.clear();
-}
-
-void Session::injectUnsupportedKeyForTesting(uint64_t Key,
-                                             const Graph &Boundary) {
-  std::lock_guard<std::mutex> Lock(State->CacheMutex);
-  State->UnsupportedKeys.insert_or_assign(
-      Key, detail::boundarySignature(Boundary));
 }
 
 Stream Session::stream() {
   auto StreamSt = std::make_shared<detail::StreamState>();
   StreamSt->Pool = State->Pool;
-  StreamSt->AsyncExec = State->Opts.AsyncExec;
   StreamSt->Health = State->Health;
   return Stream(std::move(StreamSt));
 }
@@ -640,10 +607,6 @@ detail::SessionState::compile(const std::shared_ptr<SessionState> &State,
     CompiledGraph::Part Part;
     if (Spec.Kind == PartitionKind::Compiled) {
       const uint64_t Key = Spec.Subgraph.fingerprint();
-      // Filled only off the positive-hit path: warm compiles must not pay
-      // a per-partition signature allocation for a value they never read.
-      std::vector<int64_t> Sig;
-      bool KnownUnsupported = false;
       {
         std::lock_guard<std::mutex> Lock(State->CacheMutex);
         auto It = State->Cache.find(Key);
@@ -651,23 +614,9 @@ detail::SessionState::compile(const std::shared_ptr<SessionState> &State,
             boundaryMatches(Spec.Subgraph, *It->second)) {
           State->Hits.fetch_add(1);
           Part.Compiled = It->second;
-        } else {
-          // Miss path: the signature is needed here (negative-cache
-          // guard) and by the Unsupported insert below.
-          Sig = boundarySignature(Spec.Subgraph);
-          // The signature guard mirrors boundaryMatches() on the positive
-          // path: a bare fingerprint match with a previously rejected
-          // subgraph is not proof this one is unsupported — without it, a
-          // collision would demote a compilable partition to the
-          // interpreter forever.
-          if (auto UIt = State->UnsupportedKeys.find(Key);
-              UIt != State->UnsupportedKeys.end() && UIt->second == Sig)
-            KnownUnsupported = true;
         }
       }
-      if (KnownUnsupported) {
-        Spec.Kind = PartitionKind::Fallback;
-      } else if (!Part.Compiled) {
+      if (!Part.Compiled) {
         State->Misses.fetch_add(1);
         // Persistent artifact cache: on an in-memory miss, try the disk
         // before paying a compile.
@@ -724,12 +673,10 @@ detail::SessionState::compile(const std::shared_ptr<SessionState> &State,
             }
           } else if (CompiledOr.status().code() == StatusCode::Unsupported) {
             // The partitioner's static screen was too optimistic; run this
-            // partition on the interpreter instead of failing the graph,
-            // and remember the verdict (keyed with the boundary signature)
-            // so identical subgraphs skip the attempt.
+            // partition on the interpreter instead of failing the graph.
+            // The verdict is not cached: a later compile of the same
+            // subgraph tries the pipeline again.
             Spec.Kind = PartitionKind::Fallback;
-            std::lock_guard<std::mutex> Lock(State->CacheMutex);
-            State->UnsupportedKeys.try_emplace(Key, Sig);
           } else if (isTransient(CompiledOr.status().code())) {
             // Graceful degradation: a transient compile failure (injection
             // at "compile.bytecode", resource pressure) serves this
@@ -836,9 +783,15 @@ Status Stream::execute(const CompiledGraph &CG,
                        const std::vector<runtime::TensorData *> &Outputs)
     const {
   // Batch-polymorphic shells resolve to a static specialization first
-  // (with their own dynamic-aware boundary validation).
-  if (CG.Polymorphic)
-    return executePolymorphic(CG, Inputs, Outputs);
+  // (with their own dynamic-aware boundary validation); only a
+  // bucket-exact batch comes back to run here.
+  if (CG.Polymorphic) {
+    Expected<CompiledGraphPtr> ExactOr =
+        resolvePolymorphic(CG, Inputs, Outputs);
+    if (!ExactOr)
+      return ExactOr.status();
+    return *ExactOr ? execute(**ExactOr, Inputs, Outputs) : Status::ok();
+  }
 
   if (Status S = detail::Submission::validateBoundary(CG, Inputs, Outputs);
       !S.isOk())
@@ -848,27 +801,6 @@ Status Stream::execute(const CompiledGraph &CG,
   // without touching the plan machinery.
   if (CG.Direct)
     return CG.Parts[0].Compiled->execute(Inputs, Outputs);
-
-  // GC_SCHED=async: overlap independent partitions even for synchronous
-  // callers by routing through the scheduler and waiting.
-  if (State->AsyncExec && CG.Parts.size() > 1) {
-    // The CompiledGraph is borrowed, not pinned: safe because wait()
-    // returns before execute() does.
-    Status S = Event(detail::Submission::launch(CG, nullptr, State, Inputs,
-                                                Outputs))
-                   .wait();
-    if (S.isOk() || !isTransient(S.code()))
-      return S;
-    // Graceful degradation, async -> serial: a transient scheduler
-    // failure reruns the whole execution on the serial walk below. Safe
-    // to rerun: partitions only write boundary outputs and arena
-    // scratch — never the caller inputs — and every byte they write is
-    // fully rewritten by the retry.
-    if (State->Health) {
-      State->Health->DegradedToSerial.fetch_add(1);
-      State->Health->warnOnce("async-serial", S.toString().c_str());
-    }
-  }
 
   // Serial in-order walk over the execution plan: partition arguments
   // resolve by precomputed index, cross-partition intermediates live in
@@ -913,7 +845,7 @@ Status Stream::execute(const CompiledGraph &CG,
   return Result;
 }
 
-Status Stream::executePolymorphic(
+Expected<CompiledGraphPtr> Stream::resolvePolymorphic(
     const CompiledGraph &CG,
     const std::vector<runtime::TensorData *> &Inputs,
     const std::vector<runtime::TensorData *> &Outputs) const {
@@ -942,38 +874,16 @@ Status Stream::executePolymorphic(
     Expected<Graph> ExactOr = core::specializeForBatch(CG.SourceG, Batch);
     if (!ExactOr)
       return SpecOr.status();
-    const Graph &Exact = *ExactOr;
-    TensorMap Env;
-    for (int64_t TId : Exact.tensorIds())
-      if (const runtime::TensorData *Data = Exact.constantData(TId))
-        Env[TId] = runtime::TensorData::view(
-            Data->dtype(), Data->shape(), const_cast<void *>(Data->data()));
-    for (size_t I = 0; I < CG.InputIds.size(); ++I) {
-      const LogicalTensor &Meta = Exact.tensor(CG.InputIds[I]);
-      Env[CG.InputIds[I]] =
-          runtime::TensorData::view(Meta.Ty, Meta.Shape, Inputs[I]->data());
-    }
-    evalGraphReference(Exact, Env);
-    for (size_t I = 0; I < CG.OutputIds.size(); ++I) {
-      const runtime::TensorData &Result = Env.at(CG.OutputIds[I]);
-      if (Result.numBytes() != Outputs[I]->numBytes())
-        return Status::error(StatusCode::Internal,
-                             "reference fallback output size mismatch");
-      std::memcpy(Outputs[I]->data(), Result.data(),
-                  static_cast<size_t>(Result.numBytes()));
-    }
-    return Status::ok();
+    if (Status S = detail::Submission::runReference(*ExactOr, Inputs,
+                                                    Outputs);
+        !S.isOk())
+      return S;
+    return CompiledGraphPtr();
   }
-  return executeResolved(CG, **SpecOr, Batch, Bucket, Inputs, Outputs);
-}
-
-Status Stream::executeResolved(
-    const CompiledGraph &CG, const CompiledGraph &Spec, int64_t Batch,
-    int64_t Bucket, const std::vector<runtime::TensorData *> &Inputs,
-    const std::vector<runtime::TensorData *> &Outputs) const {
-  // Bucket-exact batches bind the caller tensors directly.
+  // Bucket-exact batches bind the caller tensors directly; the caller
+  // runs the specialization its own way.
   if (Bucket == Batch)
-    return execute(Spec, Inputs, Outputs);
+    return SpecOr;
 
   // Padded execution: dynamic inputs are copied into zero-padded
   // bucket-sized buffers, dynamic outputs computed into bucket-sized
@@ -1000,14 +910,14 @@ Status Stream::executeResolved(
     PaddedOut.emplace_back(Outputs[Idx]->dtype(), std::move(Shape));
     Outs[Idx] = &PaddedOut.back();
   }
-  if (Status S = execute(Spec, Ins, Outs); !S.isOk())
+  if (Status S = execute(**SpecOr, Ins, Outs); !S.isOk())
     return S;
   for (size_t I = 0; I < CG.DynamicOutputs.size(); ++I) {
     runtime::TensorData *Dst = Outputs[CG.DynamicOutputs[I]];
     std::memcpy(Dst->data(), PaddedOut[I].data(),
                 static_cast<size_t>(Dst->numBytes()));
   }
-  return Status::ok();
+  return CompiledGraphPtr();
 }
 
 Event Stream::submit(const CompiledGraphPtr &CG,
@@ -1033,24 +943,17 @@ Event Stream::submit(const CompiledGraphPtr &CG,
         StatusCode::DeadlineExceeded,
         "submit: deadline already expired at submission")));
   }
-  // Polymorphic shells: bucket-exact batches submit the specialization
-  // itself (fully asynchronous); padded batches run synchronously — the
-  // padded buffers live on this stack frame — and return a completed
-  // event.
+  // Polymorphic shells: a bucket-exact batch submits its specialization
+  // (fully asynchronous, deadline armed). A padded or reference-degraded
+  // batch has already run synchronously inside resolvePolymorphic() —
+  // the padded buffers live on its stack frame — and returns a
+  // completed event.
   if (CG->Polymorphic) {
-    Expected<int64_t> BatchOr =
-        detail::Submission::resolveDynamicBatch(*CG, Inputs, Outputs);
-    if (!BatchOr)
-      return Event(detail::Submission::completed(BatchOr.status()));
-    const int64_t Bucket = core::batchBucket(*BatchOr, CG->Bucketing);
-    Expected<CompiledGraphPtr> SpecOr =
-        CG->specializationForBucket(Bucket);
-    if (!SpecOr)
-      return Event(detail::Submission::completed(SpecOr.status()));
-    if (Bucket == *BatchOr)
-      return submit(*SpecOr, Inputs, Outputs, Opts);
-    return Event(detail::Submission::completed(executeResolved(
-        *CG, **SpecOr, *BatchOr, Bucket, Inputs, Outputs)));
+    Expected<CompiledGraphPtr> ExactOr =
+        resolvePolymorphic(*CG, Inputs, Outputs);
+    if (ExactOr && *ExactOr)
+      return submit(*ExactOr, Inputs, Outputs, Opts);
+    return Event(detail::Submission::completed(ExactOr.status()));
   }
   // Single-partition graphs have nothing to overlap: run synchronously on
   // the caller, keeping full loop-level parallelism, and return a
@@ -1062,7 +965,7 @@ Event Stream::submit(const CompiledGraphPtr &CG,
   if (Status S = detail::Submission::validateBoundary(*CG, Inputs, Outputs);
       !S.isOk())
     return Event(detail::Submission::completed(std::move(S)));
-  return Event(detail::Submission::launch(*CG, CG, State, Inputs, Outputs,
+  return Event(detail::Submission::launch(CG, State, Inputs, Outputs,
                                           Opts.TimeoutMs));
 }
 

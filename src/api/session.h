@@ -66,13 +66,6 @@ struct Submission;
 struct StreamState;
 struct SessionState;
 
-/// Cheap structural signature of a subgraph boundary: input/output arity
-/// plus dtype and shape of every boundary tensor. Collision guard for the
-/// fingerprint-keyed caches — two subgraphs whose 64-bit fingerprints
-/// collide almost surely differ here, and comparing it costs nothing next
-/// to a recompile.
-std::vector<int64_t> boundarySignature(const graph::Graph &G);
-
 /// Live fault-tolerance counters shared by a Session, its Streams and
 /// their in-flight Submissions; snapshot through Session::healthStats().
 /// The counters record what the graceful-degradation policy did, the
@@ -104,12 +97,13 @@ struct HealthStats {
   /// Transient-classified failures observed anywhere in the stack
   /// (includes the ones a fallback then absorbed).
   uint64_t TransientFailures = 0;
-  /// Executions that fell back from the async scheduler to the serial
-  /// (or inline) schedule.
+  /// Times the async scheduler ran ready partitions inline on the
+  /// current thread because the pool refused the task submission.
   uint64_t DegradedToSerial = 0;
   /// Work served by the reference interpreter instead of compiled code:
   /// partitions whose compile failed transiently, and polymorphic
-  /// executions whose bucket specialization could not be produced.
+  /// executions (execute() or submit()) whose bucket specialization could
+  /// not be produced.
   uint64_t DegradedToReference = 0;
   /// Compiles that proceeded in-process because the disk artifact cache
   /// could not serve (I/O failure or lock timeout).
@@ -364,12 +358,17 @@ class Stream {
 public:
   /// \brief Executes \p CG synchronously. \p Inputs follow the source
   /// graph's input declaration order, \p Outputs its output order
-  /// (caller-allocated, plain row-major). Compiled partitions run on the
-  /// session's thread pool; fallback partitions interpret.
-  /// Cross-partition intermediates live in a packed arena leased from the
-  /// stream and recycled across executions. With CompileOptions::AsyncExec
-  /// (GC_SCHED=async), multi-partition graphs route through the async
-  /// scheduler and wait, so independent partitions overlap even here.
+  /// (caller-allocated, plain row-major). Partitions run one at a time in
+  /// plan (topological) order on the calling thread; compiled partitions
+  /// use the session's thread pool for their loop nests, fallback
+  /// partitions interpret. Cross-partition intermediates live in a packed
+  /// arena leased from the stream and recycled across executions. To
+  /// overlap independent partitions, use submit().
+  ///
+  /// A batch-polymorphic \p CG runs its bucket specialization (padded
+  /// when the batch is below the bucket). When that specialization cannot
+  /// be produced for a transient reason, the reference interpreter runs
+  /// the exact batch instead (HealthStats::DegradedToReference).
   Status execute(const CompiledGraph &CG,
                  const std::vector<runtime::TensorData *> &Inputs,
                  const std::vector<runtime::TensorData *> &Outputs) const;
@@ -384,8 +383,12 @@ public:
   ///
   /// Single-partition graphs (nothing to overlap) execute synchronously
   /// on the caller with full loop-level parallelism; the returned Event
-  /// is already complete. Argument errors are reported through the
-  /// Event's Status, never thrown or aborted.
+  /// is already complete. A batch-polymorphic \p CG submits its bucket
+  /// specialization when the batch fills the bucket exactly; a padded
+  /// batch, or one degraded to the reference interpreter as in
+  /// execute(), runs synchronously and returns a completed Event.
+  /// Argument errors are reported through the Event's Status, never
+  /// thrown or aborted.
   ///
   /// The submission keeps \p CG, the pool and the stream state alive; the
   /// caller must keep \p Inputs / \p Outputs storage alive and unmodified
@@ -408,23 +411,18 @@ private:
   explicit Stream(std::shared_ptr<detail::StreamState> State)
       : State(std::move(State)) {}
 
-  /// Polymorphic execute(): resolves the concrete batch from the bound
-  /// inputs, fetches/compiles the bucket specialization and runs it via
-  /// executeResolved().
-  Status executePolymorphic(
-      const CompiledGraph &CG,
-      const std::vector<runtime::TensorData *> &Inputs,
-      const std::vector<runtime::TensorData *> &Outputs) const;
-
-  /// Runs an already-resolved polymorphic execution: directly for
-  /// bucket-exact batches, otherwise on zero-padded inputs with
-  /// row-clipped outputs. Shared by executePolymorphic() and the padded
-  /// submit() path (which has already resolved batch and specialization).
-  Status executeResolved(const CompiledGraph &CG, const CompiledGraph &Spec,
-                         int64_t Batch, int64_t Bucket,
-                         const std::vector<runtime::TensorData *> &Inputs,
-                         const std::vector<runtime::TensorData *> &Outputs)
-      const;
+  /// Resolves a polymorphic execution for execute() and submit(): reads
+  /// the batch from the bound tensors and fetches its bucket's
+  /// specialization, compiling it on a miss. A bucket-exact batch returns
+  /// the specialization, for the caller to run on the caller's tensors.
+  /// Any other batch runs here, synchronously, and returns null: a batch
+  /// below its bucket on zero-padded inputs with row-clipped outputs, and
+  /// a batch whose specialization fails transiently on the reference
+  /// interpreter.
+  Expected<CompiledGraphPtr>
+  resolvePolymorphic(const CompiledGraph &CG,
+                     const std::vector<runtime::TensorData *> &Inputs,
+                     const std::vector<runtime::TensorData *> &Outputs) const;
 
   std::shared_ptr<detail::StreamState> State;
 };
@@ -459,7 +457,8 @@ public:
   /// session cache — and computes the execution plan (dependency DAG +
   /// packed intermediate arena). Partitions the compiler rejects as
   /// unsupported are demoted to reference fallback instead of failing the
-  /// compile.
+  /// compile; the verdict is not cached, so every compile of such a
+  /// subgraph tries the pipeline again.
   ///
   /// A graph carrying LogicalTensor::kDynamicDim returns a
   /// batch-polymorphic CompiledGraph whose specializations compile lazily
@@ -478,7 +477,7 @@ public:
   uint64_t cacheHits() const;
   /// \brief Times compile() had to run the full pipeline.
   uint64_t cacheMisses() const;
-  /// \brief Drops every cached partition and negative-cache entry.
+  /// \brief Drops every cached partition.
   void clearCache();
 
   /// \brief Times an in-memory miss was served from the persistent
@@ -494,13 +493,6 @@ public:
   /// observed and degradations taken (see HealthStats). All zeros on a
   /// healthy session.
   HealthStats healthStats() const;
-
-  /// \brief Test seam: seeds the negative (unsupported) cache with \p Key
-  /// bound to \p Boundary's signature, simulating a fingerprint collision
-  /// with a previously rejected subgraph. Production code never calls
-  /// this.
-  void injectUnsupportedKeyForTesting(uint64_t Key,
-                                      const graph::Graph &Boundary);
 
 private:
   friend class Stream;

@@ -25,10 +25,6 @@ bool defaultSplitPartitions() {
   return getEnvString("GC_PARTITION", "merge") == "split";
 }
 
-bool defaultAsyncExec() {
-  return getEnvString("GC_SCHED", "serial") == "async";
-}
-
 BatchBucketing defaultBatchBucketing() {
   return getEnvString("GC_BATCH_BUCKETS", "pow2") == "exact"
              ? BatchBucketing::Exact

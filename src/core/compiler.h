@@ -43,10 +43,6 @@ namespace core {
 /// the partitioner separates independent dataflow components into their
 /// own partitions (the async scheduler's parallelism source).
 bool defaultSplitPartitions();
-/// Resolves GC_SCHED ("serial" | "async", default "serial"): whether
-/// Stream::execute routes multi-partition graphs through the async
-/// dependency-DAG scheduler.
-bool defaultAsyncExec();
 
 /// How a batch-polymorphic CompiledGraph rounds a concrete batch to its
 /// compilation bucket.
@@ -103,11 +99,8 @@ struct CompileOptions {
   /// scheduler) instead of merging them into maximal partitions.
   /// Defaults from GC_PARTITION ("merge" | "split").
   bool SplitIndependentPartitions = defaultSplitPartitions();
-  /// Route api::Stream::execute of multi-partition graphs through the
-  /// async dependency-DAG scheduler (submit + wait) so independent
-  /// partitions overlap even for synchronous callers. Defaults from
-  /// GC_SCHED ("serial" | "async").
-  bool AsyncExec = defaultAsyncExec();
+  /// Read by nothing in src/; perfbench/src/{bench,models}.cpp still set it.
+  bool AsyncExec = false;
   /// Batch-bucket rounding policy for batch-polymorphic graphs. Defaults
   /// from GC_BATCH_BUCKETS ("pow2" | "exact").
   BatchBucketing Bucketing = defaultBatchBucketing();

@@ -842,5 +842,34 @@ std::string Graph::toString() const {
   return Out;
 }
 
+std::unordered_set<int64_t> foldSideOps(const Graph &G,
+                                        const std::vector<int64_t> &Topo) {
+  std::unordered_set<int64_t> FoldOps;
+  std::unordered_set<int64_t> FoldTensors;
+  for (int64_t OpId : Topo) {
+    const Op &O = G.op(OpId);
+    bool AllConst = !O.inputs().empty();
+    for (int64_t In : O.inputs())
+      if (!G.tensor(In).isConstant() && !FoldTensors.count(In)) {
+        AllConst = false;
+        break;
+      }
+    // Subgraph-bearing ops (a wrapped compensation chain) qualify too:
+    // their cloned constants make them self-contained.
+    if (!AllConst || O.getAttrString("impl") == "reference")
+      continue;
+    bool ProducesOutput = false;
+    for (int64_t Out : O.outputs())
+      if (G.isOutput(Out))
+        ProducesOutput = true;
+    if (ProducesOutput)
+      continue;
+    FoldOps.insert(OpId);
+    for (int64_t Out : O.outputs())
+      FoldTensors.insert(Out);
+  }
+  return FoldOps;
+}
+
 } // namespace graph
 } // namespace gc

@@ -22,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <variant>
 #include <vector>
 
@@ -299,6 +300,16 @@ private:
   int64_t NextOpId = 0;
   bool Finalized = false;
 };
+
+/// The fold side of \p G (§V constant weight preprocessing): ops whose
+/// transitive inputs are all compile-time constants, except ops that
+/// produce a graph output (their results must be written at execution)
+/// and ops pinned to the interpreter with impl="reference". The
+/// partitioner admits these ops into compiled partitions whatever their
+/// kind; the lowering driver moves them into the fold graph. \p Topo is
+/// a topological order of G's ops.
+std::unordered_set<int64_t> foldSideOps(const Graph &G,
+                                        const std::vector<int64_t> &Topo);
 
 } // namespace graph
 } // namespace gc

@@ -20,52 +20,14 @@ namespace lower {
 
 using namespace graph;
 
-namespace {
-
-/// Computes the set of fold-side ops: ops whose transitive inputs are all
-/// compile-time constants (§V constant weight preprocessing: "builds a
-/// special initial function that preprocesses the constant weight").
-std::unordered_set<int64_t> computeFoldSide(const Graph &G) {
-  std::unordered_set<int64_t> FoldOps;
-  std::unordered_set<int64_t> FoldTensors;
-  for (int64_t OpId : G.topologicalOrder()) {
-    const Op &O = G.op(OpId);
-    bool AllConst = !O.inputs().empty();
-    for (int64_t In : O.inputs()) {
-      const bool IsConst =
-          G.tensor(In).isConstant() || FoldTensors.count(In);
-      if (!IsConst) {
-        AllConst = false;
-        break;
-      }
-    }
-    // Subgraph-bearing ops can also be fold-side (e.g. a comp chain that
-    // got wrapped); their cloned constants make them self-contained.
-    if (!AllConst)
-      continue;
-    // Never fold ops producing graph outputs (keep execution semantics).
-    bool ProducesOutput = false;
-    for (int64_t Out : O.outputs())
-      if (G.isOutput(Out))
-        ProducesOutput = true;
-    if (ProducesOutput)
-      continue;
-    FoldOps.insert(OpId);
-    for (int64_t Out : O.outputs())
-      FoldTensors.insert(Out);
-  }
-  return FoldOps;
-}
-
-} // namespace
-
 Expected<LoweredProgram> lowerGraph(const Graph &G,
                                     const DriverOptions &Opts) {
   LoweredProgram Prog;
   Prog.Entry.Name = "entry";
 
   // ---- fold/main split ----
-  const std::unordered_set<int64_t> FoldOps = computeFoldSide(G);
+  const std::unordered_set<int64_t> FoldOps =
+      foldSideOps(G, G.topologicalOrder());
   std::unordered_set<int64_t> FoldTensors;
   for (int64_t OpId : FoldOps)
     for (int64_t Out : G.op(OpId).outputs())

@@ -399,29 +399,6 @@ TEST(AsyncDifferential, DiamondAndChainMatchSerialBitwise) {
   }
 }
 
-TEST(AsyncDifferential, AsyncExecOptionRoutesExecuteThroughScheduler) {
-  // With CompileOptions::AsyncExec (GC_SCHED=async), the synchronous
-  // execute() itself runs over the DAG; results must match the reference.
-  core::CompileOptions Opts;
-  Opts.Threads = 4;
-  Opts.SplitIndependentPartitions = true;
-  Opts.AsyncExec = true;
-  api::Session S(Opts);
-  Graph G = buildDiamondGraph();
-  auto CG = S.compile(G);
-  ASSERT_TRUE(CG.hasValue()) << CG.status().toString();
-
-  runtime::TensorData In = test::randomTensor(DataType::F32, {12, 16}, 91);
-  runtime::TensorData Out(DataType::F32, {12, 24});
-  ASSERT_TRUE(S.stream().execute(**CG, {&In}, {&Out}).isOk());
-
-  TensorMap Env;
-  Env[G.inputs()[0]] = In.clone();
-  const std::vector<runtime::TensorData> Want =
-      runGraphReference(G, std::move(Env));
-  EXPECT_LT(runtime::maxAbsDiff(Out, Want[0]), test::kF32LooseTol);
-}
-
 //===----------------------------------------------------------------------===//
 // Overlapping-submission stress
 //===----------------------------------------------------------------------===//

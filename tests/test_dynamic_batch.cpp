@@ -439,10 +439,12 @@ TEST(DynamicBatch, BoundaryErrorsAreStatuses) {
 namespace {
 
 /// Runs the polymorphic/exact differential sweep for one configuration.
+/// \p Async runs the polymorphic graph through submit(...).wait(), which
+/// schedules each bucket-exact specialization's partition DAG on the
+/// pool; otherwise through execute().
 void sweepBitIdentical(bool Async, int Threads, bool TwoBranch,
                        bool PinFallback = false) {
   core::CompileOptions Opts;
-  Opts.AsyncExec = Async;
   Opts.SplitIndependentPartitions = TwoBranch; // branch-level overlap
   Opts.Threads = Threads;
   api::Session PolyS(Opts);
@@ -455,10 +457,13 @@ void sweepBitIdentical(bool Async, int Threads, bool TwoBranch,
   for (int64_t Batch : {int64_t(1), int64_t(4), int64_t(7), int64_t(32),
                         int64_t(113)}) {
     BoundGraph PolyBound(DynG, Batch, /*Seed=*/7000 + Batch);
-    ASSERT_TRUE(
-        PolyStr.execute(**PolyOr, PolyBound.InPtrs, PolyBound.OutPtrs)
-            .isOk())
-        << "batch " << Batch;
+    const Status PolyRun =
+        Async ? PolyStr.submit(*PolyOr, PolyBound.InPtrs, PolyBound.OutPtrs)
+                    .wait()
+              : PolyStr.execute(**PolyOr, PolyBound.InPtrs,
+                                PolyBound.OutPtrs);
+    ASSERT_TRUE(PolyRun.isOk()) << "batch " << Batch << ": "
+                                << PolyRun.toString();
 
     // Fresh session + exact-shape graph: an independent compile of the
     // same function at this batch.

@@ -346,7 +346,6 @@ void sweepAllSites(bool Async, int Threads) {
                  "/threads=" + std::to_string(Threads));
     core::CompileOptions Opts;
     Opts.Threads = Threads;
-    Opts.AsyncExec = Async;
     Opts.SplitIndependentPartitions = Async;
     api::Session S(Opts);
     api::Stream Str = S.stream();
@@ -410,7 +409,6 @@ void probabilisticSoak(bool Async, int Threads, uint64_t Seed) {
 
   core::CompileOptions Opts;
   Opts.Threads = Threads;
-  Opts.AsyncExec = Async;
   Opts.SplitIndependentPartitions = Async;
   api::Session S(Opts);
   api::Stream Str = S.stream();
@@ -480,7 +478,6 @@ struct AsyncFixture {
   explicit AsyncFixture(Graph Graph_, int Threads = 2)
       : G(std::move(Graph_)) {
     Opts.Threads = Threads;
-    Opts.AsyncExec = true;
     Opts.SplitIndependentPartitions = true;
     S = std::make_unique<api::Session>(Opts);
     auto CGOr = S->compile(G);
@@ -663,16 +660,22 @@ TEST(MemLimit, SpecializationCacheDegradesToReference) {
 
   {
     // Too small to cache a specialization: the execution must still
-    // succeed via the reference interpreter, not fail.
+    // succeed via the reference interpreter, not fail, through execute()
+    // and submit() alike.
     BudgetScope Budget(1);
     std::vector<runtime::TensorData> Outs = makeOutputs(ExactG);
     std::vector<runtime::TensorData *> OutPtrs = ptrs(Outs);
     const Status Got = Str.execute(**CGOr, ptrs(Ins), OutPtrs);
     ASSERT_TRUE(Got.isOk()) << Got.toString();
     expectClose(Outs, Want, "degraded reference execution");
+
+    std::vector<runtime::TensorData> SubOuts = makeOutputs(ExactG);
+    const Status Sub = Str.submit(*CGOr, ptrs(Ins), ptrs(SubOuts)).wait();
+    ASSERT_TRUE(Sub.isOk()) << Sub.toString();
+    expectClose(SubOuts, Want, "degraded reference submission");
   }
   EXPECT_EQ((*CGOr)->numSpecializations(), 0u);
-  EXPECT_GE(S.healthStats().DegradedToReference, 1u);
+  EXPECT_GE(S.healthStats().DegradedToReference, 2u);
   EXPECT_GE(S.healthStats().MemLimitRejections, 1u);
 
   // Budget restored: the compiled path takes over and agrees.
@@ -814,6 +817,42 @@ TEST(Degrade, BucketSpecializationIsNotLatched) {
   ASSERT_EQ(Spec->numPartitions(), 1u);
   EXPECT_EQ(Spec->partitionKind(0), api::PartitionKind::Compiled);
   EXPECT_NE(Spec->compiledPartition(0), nullptr);
+}
+
+TEST(Degrade, PolymorphicSubmitFallsBackToReference) {
+  // submit() resolves a polymorphic batch through the same path as
+  // execute(): when the bucket specialization cannot be produced, the
+  // exact batch runs on the reference interpreter instead of failing the
+  // submission, and nothing is cached.
+  constexpr int64_t kDyn = LogicalTensor::kDynamicDim;
+  const int64_t Batch = 3;
+  const Graph DynG = buildMlpGraph(kDyn);
+  const Graph ExactG = buildMlpGraph(Batch);
+  api::Session S;
+  auto CGOr = S.compile(DynG);
+  ASSERT_TRUE(CGOr.hasValue()) << CGOr.status().toString();
+  ASSERT_TRUE((*CGOr)->isPolymorphic());
+  std::vector<runtime::TensorData> Ins = makeInputs(ExactG, 79);
+  const std::vector<runtime::TensorData> Want = referenceOutputs(ExactG, Ins);
+  api::Stream Str = S.stream();
+
+  {
+    FaultScope F(std::string(fault::kSpecCompile) + ":1");
+    std::vector<runtime::TensorData> Outs = makeOutputs(ExactG);
+    const Status Got = Str.submit(*CGOr, ptrs(Ins), ptrs(Outs)).wait();
+    ASSERT_TRUE(Got.isOk()) << Got.toString();
+    expectClose(Outs, Want, "reference-degraded submission");
+  }
+  EXPECT_GE(S.healthStats().DegradedToReference, 1u);
+  EXPECT_EQ((*CGOr)->numSpecializations(), 0u);
+
+  // Fault gone: the bucket compiles and serves the next submission.
+  std::vector<runtime::TensorData> Outs = makeOutputs(ExactG);
+  const Status After = Str.submit(*CGOr, ptrs(Ins), ptrs(Outs)).wait();
+  ASSERT_TRUE(After.isOk()) << After.toString();
+  expectClose(Outs, Want, "compiled bucket after the fault");
+  EXPECT_EQ((*CGOr)->numSpecializations(), 1u);
+  EXPECT_NE((*CGOr)->cachedSpecializationFor(Batch), nullptr);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1015,7 +1054,6 @@ TEST(DestructionRace, DropSessionStreamAndEventMidFlight) {
     {
       core::CompileOptions Opts;
       Opts.Threads = 4;
-      Opts.AsyncExec = true;
       Opts.SplitIndependentPartitions = true;
       api::Session S(Opts);
       auto CGOr = S.compile(G);

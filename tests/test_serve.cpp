@@ -2,8 +2,8 @@
 //
 // The serve::Server surface: differential bit-identity of every batched
 // response row against a single-request serial Stream::execute() oracle
-// (swept over arrival mixes, flush triggers, worker counts and scheduler
-// modes), concurrency/chaos hammering (no lost or duplicated responses,
+// (swept over arrival mixes, flush triggers and worker counts),
+// concurrency/chaos hammering (no lost or duplicated responses,
 // fault-degraded batches, shutdown races), deadline semantics (admission
 // rejection, mid-queue expiry without poisoning batchmates), stats
 // reconciliation, and the QuantileSketch underneath the latency
@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "graph/reference.h"
 #include "serve/server.h"
 #include "support/fault.h"
 #include "support/quantile.h"
@@ -99,16 +100,11 @@ struct Oracle {
 // Differential: every response row bit-identical to the serial oracle
 //===----------------------------------------------------------------------===//
 
-class ServeDifferential
-    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+class ServeDifferential : public ::testing::TestWithParam<int> {};
 
 TEST_P(ServeDifferential, BatchedRowsMatchSerialOracle) {
-  const int SessThreads = std::get<0>(GetParam());
-  const bool Async = std::get<1>(GetParam());
-
   core::CompileOptions CO;
-  CO.Threads = SessThreads;
-  CO.AsyncExec = Async;
+  CO.Threads = GetParam();
 
   serve::ServerOptions SO;
   SO.MaxBatch = 8;
@@ -152,14 +148,10 @@ TEST_P(ServeDifferential, BatchedRowsMatchSerialOracle) {
   EXPECT_EQ(St.BatchedRows, 1u + 3 + 7 + 32 + 1 + 1 + 3 + 7 + 1 + 3);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ThreadsXSched, ServeDifferential,
-    ::testing::Combine(::testing::Values(1, 4), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<int, bool>> &Info) {
-      return std::string("threads") +
-             std::to_string(std::get<0>(Info.param)) +
-             (std::get<1>(Info.param) ? "_async" : "_serial");
-    });
+INSTANTIATE_TEST_SUITE_P(Threads, ServeDifferential, ::testing::Values(1, 4),
+                         [](const ::testing::TestParamInfo<int> &Info) {
+                           return "threads" + std::to_string(Info.param);
+                         });
 
 TEST(ServeFlushTriggers, SizeTriggerFiresBeforeLinger) {
   serve::ServerOptions SO;
@@ -459,6 +451,34 @@ TEST(ServeChaos, DegradedBatchesStillAnswerEveryRequest) {
   // but keep the oracle clean regardless).
   Oracle O(buildServeMlp());
   (void)O;
+}
+
+TEST(ServeChaos, SpecializationFailureAnswersFromReference) {
+  // A batch whose bucket specialization cannot be compiled runs on the
+  // reference interpreter: the request is answered Ok with the reference
+  // rows instead of failing.
+  Req R(3, 611);
+  const Graph Exact = buildServeMlp(3);
+  TensorMap Env;
+  Env[Exact.inputs()[0]] = R.In.clone();
+  const std::vector<runtime::TensorData> Want =
+      runGraphReference(Exact, std::move(Env));
+
+  struct Disarm {
+    ~Disarm() { fault::reset(); }
+  } D;
+  ASSERT_TRUE(fault::configure("spec.compile:1", 0).isOk());
+  serve::ServerOptions SO;
+  SO.Workers = 1;
+  serve::Server Srv(SO);
+  auto MId = Srv.load(buildServeMlp());
+  ASSERT_TRUE(MId.hasValue()) << MId.status().toString();
+  auto T = Srv.submit(*MId, {&R.In}, {&R.Out});
+  ASSERT_TRUE(T.hasValue()) << T.status().toString();
+  const Status S = T->wait();
+  ASSERT_TRUE(S.isOk()) << S.toString();
+  EXPECT_TRUE(bitIdentical(R.Out, Want[0]));
+  EXPECT_EQ(Srv.stats().Failed, 0u);
 }
 
 TEST(ServeChaos, ShutdownWithRequestsInFlightAnswersEverything) {

@@ -90,9 +90,9 @@ void runCase(api::Session &S, const char *Name, graph::Graph G) {
   std::fflush(stdout);
 }
 
-/// Standalone softmax over [Rows, Cols]: almost all time is expTile +
-/// row reductions, so this case tracks the vectorized-transcendental win
-/// in isolation from the matmul kernels.
+/// Standalone softmax over [Rows, Cols]: almost all time is the exp and
+/// the row reductions, so this case tracks the vectorized-transcendental
+/// win in isolation from the matmul kernels.
 graph::Graph buildSoftmax(int64_t Rows, int64_t Cols) {
   graph::Graph G;
   const std::vector<int64_t> Shape = {Rows, Cols};

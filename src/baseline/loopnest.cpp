@@ -51,6 +51,60 @@ bool isEpilogueCandidate(const Graph &G, const Op &O,
   return G.tensor(O.output(0)).Shape == OutShape;
 }
 
+/// The tile-op table entries an elementwise op runs as, one per form of
+/// its operands; null where the op has no kernel of that form.
+struct EltwiseKernels {
+  /// The op on its only operand.
+  void (*Unary)(const TileF32 &) = nullptr;
+  /// Second operand of the tile's shape.
+  void (*Full)(const TileF32 &, const ConstTileF32 &) = nullptr;
+  /// Second operand y[c], broadcast across rows.
+  void (*RowVec)(const TileF32 &, const float *) = nullptr;
+  /// Second operand y[r], broadcast across columns.
+  void (*ColVec)(const TileF32 &, const float *) = nullptr;
+};
+
+EltwiseKernels eltwiseKernels(const kernels::TileOpsTable &Ops, OpKind Kind) {
+  switch (Kind) {
+  case OpKind::ReLU: return {Ops.Relu};
+  case OpKind::Exp: return {Ops.Exp};
+  case OpKind::Tanh: return {Ops.Tanh};
+  case OpKind::Sqrt: return {Ops.Sqrt};
+  case OpKind::Reciprocal: return {Ops.Recip};
+  case OpKind::Square: return {Ops.Square};
+  case OpKind::Sigmoid: return {Ops.Sigmoid};
+  case OpKind::Add: return {nullptr, Ops.Add, Ops.AddRowVec, Ops.AddColVec};
+  case OpKind::Sub: return {nullptr, Ops.Sub, Ops.SubRowVec, Ops.SubColVec};
+  case OpKind::Mul: return {nullptr, Ops.Mul, Ops.MulRowVec, Ops.MulColVec};
+  case OpKind::Div: return {nullptr, Ops.Div, nullptr, Ops.DivColVec};
+  case OpKind::Max: return {nullptr, Ops.Max};
+  case OpKind::Min: return {nullptr, Ops.Min};
+  default: return {};
+  }
+}
+
+/// x = x op S as one Affine call; false for an op without that form.
+bool applyScalar(const kernels::TileOpsTable &Ops, OpKind Kind,
+                 const TileF32 &X, float S) {
+  switch (Kind) {
+  case OpKind::Add: Ops.Affine(X, 1.0f, S); return true;
+  case OpKind::Sub: Ops.Affine(X, 1.0f, -S); return true;
+  case OpKind::Mul: Ops.Affine(X, S, 0.0f); return true;
+  case OpKind::Div: Ops.Affine(X, 1.0f / S, 0.0f); return true;
+  default: return false;
+  }
+}
+
+/// DequantAcc's per-output-channel scales, widened to \p N entries.
+std::vector<float> channelScales(const Op &O, int64_t N) {
+  const std::vector<double> Scales = O.getAttrFloatVec("scales");
+  std::vector<float> Out(static_cast<size_t>(N));
+  for (int64_t J = 0; J < N; ++J)
+    Out[static_cast<size_t>(J)] = static_cast<float>(
+        Scales.size() == 1 ? Scales[0] : Scales[static_cast<size_t>(J)]);
+  return Out;
+}
+
 /// Naive tiled f32 matmul for one row block: C[R0..R1) = A x B.
 void gemmBlockF32(const float *A, const float *B, float *C, int64_t R0,
                   int64_t R1, int64_t N, int64_t K, bool TransB) {
@@ -259,6 +313,7 @@ void LoopNestExecutor::executeMatmul(int64_t OpId) {
       Quantized ? std::vector<int32_t>(static_cast<size_t>(kRowBlock * N))
                 : std::vector<int32_t>());
 
+  const kernels::TileOpsTable &Ops = kernels::activeTileOps();
   Pool->parallelFor(0, Grid, [&](int64_t GI, int Tid) {
     const int64_t Bt = GI / RowBlocks;
     const int64_t Rb = GI % RowBlocks;
@@ -292,36 +347,30 @@ void LoopNestExecutor::executeMatmul(int64_t OpId) {
     TileF32 Block{BlockF, Rows, N, N};
     for (size_t CI = 0; CI < Chain.size(); ++CI) {
       const Op &E = G.op(Chain[CI]);
+      const EltwiseKernels EK = eltwiseKernels(Ops, E.kind());
+      if (EK.Unary) {
+        EK.Unary(Block);
+        continue;
+      }
       switch (E.kind()) {
       case OpKind::DequantAcc: {
         const int32_t *BlockI = ScratchI[static_cast<size_t>(Tid)].data();
         const TensorData &Comp = valueOf(E.input(1));
-        const std::vector<double> Scales = E.getAttrFloatVec("scales");
-        std::vector<float> ScaleVec(static_cast<size_t>(N));
-        for (int64_t J = 0; J < N; ++J)
-          ScaleVec[static_cast<size_t>(J)] = static_cast<float>(
-              Scales.size() == 1 ? Scales[0]
-                                 : Scales[static_cast<size_t>(J)]);
-        kernels::dequantAccTile(
-            BlockF, N, BlockI, N, Rows, N,
-            Comp.numElements() > 1 ? Comp.dataAs<int32_t>() : nullptr,
-            static_cast<int32_t>(E.getAttrInt("a_zp", 0)), ScaleVec.data());
+        const std::vector<float> ScaleVec = channelScales(E, N);
+        Ops.DequantAcc(BlockF, N, BlockI, N, Rows, N,
+                       Comp.numElements() > 1 ? Comp.dataAs<int32_t>()
+                                              : nullptr,
+                       static_cast<int32_t>(E.getAttrInt("a_zp", 0)),
+                       ScaleVec.data());
         break;
       }
-      case OpKind::ReLU: kernels::reluTile(Block); break;
-      case OpKind::Exp: kernels::expTile(Block); break;
-      case OpKind::Tanh: kernels::tanhTile(Block); break;
-      case OpKind::Sqrt: kernels::sqrtTile(Block); break;
-      case OpKind::Reciprocal: kernels::recipTile(Block); break;
-      case OpKind::Square: kernels::squareTile(Block); break;
-      case OpKind::Sigmoid: kernels::sigmoidTile(Block); break;
       case OpKind::Quantize: {
         // Must be last in the chain (writes the final u8 tensor).
         const float InvScale =
             1.0f / static_cast<float>(E.getAttrFloat("scale", 1.0));
         const int32_t Zp = static_cast<int32_t>(E.getAttrInt("zp", 0));
         uint8_t *Dst = Out.dataAs<uint8_t>() + (Bt * M + R0) * N;
-        kernels::quantizeU8Tile(Dst, N, BlockF, N, Rows, N, InvScale, Zp);
+        Ops.QuantizeU8(Dst, N, BlockF, N, Rows, N, InvScale, Zp);
         return; // block complete
       }
       case OpKind::Add:
@@ -340,23 +389,12 @@ void LoopNestExecutor::executeMatmul(int64_t OpId) {
         const LogicalTensor &ExtT = G.tensor(Other);
         const int64_t ExtElems = ExtT.numElements();
         if (ExtElems == 1) {
-          const float S = Ext.dataAs<float>()[0];
-          switch (E.kind()) {
-          case OpKind::Add: kernels::affineTile(Block, 1.0f, S); break;
-          case OpKind::Mul: kernels::affineTile(Block, S, 0.0f); break;
-          case OpKind::Sub: kernels::affineTile(Block, 1.0f, -S); break;
-          case OpKind::Div:
-            kernels::affineTile(Block, 1.0f / S, 0.0f);
-            break;
-          default: fatalError("baseline: scalar max/min epilogue");
-          }
+          if (!applyScalar(Ops, E.kind(), Block, Ext.dataAs<float>()[0]))
+            fatalError("baseline: scalar max/min epilogue");
         } else if (ExtT.Shape.back() == N && ExtElems == N) {
-          switch (E.kind()) {
-          case OpKind::Add: kernels::addRowVecTile(Block, Ext.dataAs<float>()); break;
-          case OpKind::Sub: kernels::subRowVecTile(Block, Ext.dataAs<float>()); break;
-          case OpKind::Mul: kernels::mulRowVecTile(Block, Ext.dataAs<float>()); break;
-          default: fatalError("baseline: rowvec epilogue op");
-          }
+          if (!EK.RowVec)
+            fatalError("baseline: rowvec epilogue op");
+          EK.RowVec(Block, Ext.dataAs<float>());
         } else if (ExtT.Shape.back() == N &&
                    ExtElems == ExtT.Shape.back() *
                                    (ExtT.rank() >= 2
@@ -368,32 +406,18 @@ void LoopNestExecutor::executeMatmul(int64_t OpId) {
           for (int64_t D = 0; D + 2 < ExtT.rank(); ++D)
             ExtLead *= ExtT.Shape[static_cast<size_t>(D)];
           const int64_t BtOff = ExtLead > 1 ? Bt * M * N : 0;
-          ConstTileF32 Y{Ext.dataAs<float>() + BtOff + R0 * N, N};
-          switch (E.kind()) {
-          case OpKind::Add: kernels::addTile(Block, Y); break;
-          case OpKind::Sub: kernels::subTile(Block, Y); break;
-          case OpKind::Mul: kernels::mulTile(Block, Y); break;
-          case OpKind::Div: kernels::divTile(Block, Y); break;
-          case OpKind::Max: kernels::maxTile(Block, Y); break;
-          case OpKind::Min: kernels::minTile(Block, Y); break;
-          default: fatalError("baseline: full epilogue op");
-          }
+          EK.Full(Block, ConstTileF32{Ext.dataAs<float>() + BtOff + R0 * N, N});
         } else {
           // Generic broadcast (e.g. [B,1,1,S] masks): per-row vector.
           assert(ExtT.Shape.back() == N && "epilogue operand width");
+          if (!EK.RowVec)
+            fatalError("baseline: broadcast epilogue op");
           int64_t ExtLead = 1;
           for (int64_t D = 0; D + 1 < ExtT.rank(); ++D)
             ExtLead *= ExtT.Shape[static_cast<size_t>(D)];
           int64_t BatchDiv = ExtLead > 1 ? Batch / ExtLead : 1;
-          const float *V =
-              Ext.dataAs<float>() +
-              (ExtLead > 1 ? (Bt / BatchDiv) * N : 0);
-          switch (E.kind()) {
-          case OpKind::Add: kernels::addRowVecTile(Block, V); break;
-          case OpKind::Sub: kernels::subRowVecTile(Block, V); break;
-          case OpKind::Mul: kernels::mulRowVecTile(Block, V); break;
-          default: fatalError("baseline: broadcast epilogue op");
-          }
+          EK.RowVec(Block, Ext.dataAs<float>() +
+                               (ExtLead > 1 ? (Bt / BatchDiv) * N : 0));
         }
         break;
       }
@@ -418,68 +442,34 @@ void LoopNestExecutor::executeStandalone(int64_t OpId) {
 
   // Fast full-tensor paths over the vectorized tile kernels; anything
   // unusual falls back to the reference interpreter at the end.
-  if (isUnaryElementwise(O.kind()) && OutT.Ty == DataType::F32) {
+  const kernels::TileOpsTable &Ops = kernels::activeTileOps();
+  const EltwiseKernels EK = eltwiseKernels(Ops, O.kind());
+  if (EK.Unary && OutT.Ty == DataType::F32) {
     const TensorData &X = valueOf(O.input(0));
     std::memcpy(Out.data(), X.data(), static_cast<size_t>(X.numBytes()));
-    switch (O.kind()) {
-    case OpKind::ReLU: kernels::reluTile(OutTile); return;
-    case OpKind::Exp: kernels::expTile(OutTile); return;
-    case OpKind::Tanh: kernels::tanhTile(OutTile); return;
-    case OpKind::Sqrt: kernels::sqrtTile(OutTile); return;
-    case OpKind::Reciprocal: kernels::recipTile(OutTile); return;
-    case OpKind::Square: kernels::squareTile(OutTile); return;
-    case OpKind::Sigmoid: kernels::sigmoidTile(OutTile); return;
-    default: break;
-    }
+    EK.Unary(OutTile);
+    return;
   }
 
   if (isBinaryElementwise(O.kind()) && OutT.Ty == DataType::F32) {
     const TensorData &A = valueOf(O.input(0));
-    const TensorData &B = valueOf(O.input(1));
+    const float *BV = valueOf(O.input(1)).dataAs<float>();
     const LogicalTensor &AT = G.tensor(O.input(0));
     const LogicalTensor &BT = G.tensor(O.input(1));
     if (AT.Shape == OutT.Shape) {
       std::memcpy(Out.data(), A.data(), static_cast<size_t>(A.numBytes()));
       const int64_t BElems = BT.numElements();
       bool Done = true;
-      if (BT.Shape == OutT.Shape) {
-        const ConstTileF32 Y{B.dataAs<float>(), Cols};
-        switch (O.kind()) {
-        case OpKind::Add: kernels::addTile(OutTile, Y); break;
-        case OpKind::Sub: kernels::subTile(OutTile, Y); break;
-        case OpKind::Mul: kernels::mulTile(OutTile, Y); break;
-        case OpKind::Div: kernels::divTile(OutTile, Y); break;
-        case OpKind::Max: kernels::maxTile(OutTile, Y); break;
-        case OpKind::Min: kernels::minTile(OutTile, Y); break;
-        default: Done = false;
-        }
-      } else if (BElems == 1) {
-        const float S = B.dataAs<float>()[0];
-        switch (O.kind()) {
-        case OpKind::Add: kernels::affineTile(OutTile, 1.0f, S); break;
-        case OpKind::Sub: kernels::affineTile(OutTile, 1.0f, -S); break;
-        case OpKind::Mul: kernels::affineTile(OutTile, S, 0.0f); break;
-        case OpKind::Div: kernels::affineTile(OutTile, 1.0f / S, 0.0f); break;
-        default: Done = false;
-        }
-      } else if (BElems == Cols && BT.Shape.back() == Cols) {
-        switch (O.kind()) {
-        case OpKind::Add: kernels::addRowVecTile(OutTile, B.dataAs<float>()); break;
-        case OpKind::Sub: kernels::subRowVecTile(OutTile, B.dataAs<float>()); break;
-        case OpKind::Mul: kernels::mulRowVecTile(OutTile, B.dataAs<float>()); break;
-        default: Done = false;
-        }
-      } else if (BElems == Rows && BT.Shape.back() == 1) {
-        switch (O.kind()) {
-        case OpKind::Add: kernels::addColVecTile(OutTile, B.dataAs<float>()); break;
-        case OpKind::Sub: kernels::subColVecTile(OutTile, B.dataAs<float>()); break;
-        case OpKind::Mul: kernels::mulColVecTile(OutTile, B.dataAs<float>()); break;
-        case OpKind::Div: kernels::divColVecTile(OutTile, B.dataAs<float>()); break;
-        default: Done = false;
-        }
-      } else {
+      if (BT.Shape == OutT.Shape)
+        EK.Full(OutTile, ConstTileF32{BV, Cols});
+      else if (BElems == 1)
+        Done = applyScalar(Ops, O.kind(), OutTile, BV[0]);
+      else if (BElems == Cols && BT.Shape.back() == Cols && EK.RowVec)
+        EK.RowVec(OutTile, BV);
+      else if (BElems == Rows && BT.Shape.back() == 1 && EK.ColVec)
+        EK.ColVec(OutTile, BV);
+      else
         Done = false;
-      }
       if (Done)
         return;
     }
@@ -496,9 +486,9 @@ void LoopNestExecutor::executeStandalone(int64_t OpId) {
       const int64_t R = InT.numElements() / C;
       const TileF32 In{const_cast<float *>(X.dataAs<float>()), R, C, C};
       if (O.kind() == OpKind::ReduceSum)
-        kernels::reduceSumRowsTile(In, Out.dataAs<float>(), false);
+        Ops.ReduceSumRows(In, Out.dataAs<float>(), false);
       else
-        kernels::reduceMaxRowsTile(In, Out.dataAs<float>(), false);
+        Ops.ReduceMaxRows(In, Out.dataAs<float>(), false);
       return;
     }
   }
@@ -506,20 +496,18 @@ void LoopNestExecutor::executeStandalone(int64_t OpId) {
   if (O.kind() == OpKind::Quantize && OutT.Ty == DataType::U8 &&
       !O.hasAttr("scales")) {
     const TensorData &X = valueOf(O.input(0));
-    kernels::quantizeU8Tile(Out.dataAs<uint8_t>(), Cols,
-                            X.dataAs<float>(), Cols, Rows, Cols,
-                            1.0f / static_cast<float>(
-                                       O.getAttrFloat("scale", 1.0)),
-                            static_cast<int32_t>(O.getAttrInt("zp", 0)));
+    Ops.QuantizeU8(Out.dataAs<uint8_t>(), Cols, X.dataAs<float>(), Cols,
+                   Rows, Cols,
+                   1.0f / static_cast<float>(O.getAttrFloat("scale", 1.0)),
+                   static_cast<int32_t>(O.getAttrInt("zp", 0)));
     return;
   }
   if (O.kind() == OpKind::Dequantize &&
       G.tensor(O.input(0)).Ty == DataType::U8 && !O.hasAttr("scales")) {
     const TensorData &X = valueOf(O.input(0));
-    kernels::dequantU8Tile(Out.dataAs<float>(), Cols, X.dataAs<uint8_t>(),
-                           Cols, Rows, Cols,
-                           static_cast<float>(O.getAttrFloat("scale", 1.0)),
-                           static_cast<int32_t>(O.getAttrInt("zp", 0)));
+    Ops.DequantU8(Out.dataAs<float>(), Cols, X.dataAs<uint8_t>(), Cols,
+                  Rows, Cols, static_cast<float>(O.getAttrFloat("scale", 1.0)),
+                  static_cast<int32_t>(O.getAttrInt("zp", 0)));
     return;
   }
   if (O.kind() == OpKind::Reshape) {
@@ -538,15 +526,12 @@ void LoopNestExecutor::executeStandalone(int64_t OpId) {
   if (O.kind() == OpKind::DequantAcc) {
     const TensorData &Acc = valueOf(O.input(0));
     const TensorData &Comp = valueOf(O.input(1));
-    const std::vector<double> Scales = O.getAttrFloatVec("scales");
-    std::vector<float> ScaleVec(static_cast<size_t>(Cols));
-    for (int64_t J = 0; J < Cols; ++J)
-      ScaleVec[static_cast<size_t>(J)] = static_cast<float>(
-          Scales.size() == 1 ? Scales[0] : Scales[static_cast<size_t>(J)]);
-    kernels::dequantAccTile(
-        Out.dataAs<float>(), Cols, Acc.dataAs<int32_t>(), Cols, Rows, Cols,
-        Comp.numElements() > 1 ? Comp.dataAs<int32_t>() : nullptr,
-        static_cast<int32_t>(O.getAttrInt("a_zp", 0)), ScaleVec.data());
+    const std::vector<float> ScaleVec = channelScales(O, Cols);
+    Ops.DequantAcc(Out.dataAs<float>(), Cols, Acc.dataAs<int32_t>(), Cols,
+                   Rows, Cols,
+                   Comp.numElements() > 1 ? Comp.dataAs<int32_t>() : nullptr,
+                   static_cast<int32_t>(O.getAttrInt("a_zp", 0)),
+                   ScaleVec.data());
     return;
   }
 

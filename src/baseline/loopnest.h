@@ -46,9 +46,6 @@ public:
   void execute(const std::vector<runtime::TensorData *> &Inputs,
                const std::vector<runtime::TensorData *> &Outputs);
 
-  /// The graph after baseline planning (tests inspect epilogue chains).
-  const graph::Graph &plannedGraph() const { return G; }
-
   /// Number of ops fused into matmul epilogues (test/report hook).
   int fusedEpilogueOps() const { return FusedOps; }
 

@@ -40,7 +40,6 @@ struct Layout {
   int64_t Block1 = 0;
 
   bool isPlain() const { return K == Kind::Plain; }
-  bool isAny() const { return K == Kind::Any; }
   bool isBlocked() const {
     return K == Kind::BlockedA || K == Kind::BlockedB ||
            K == Kind::BlockedBVnni;

@@ -19,7 +19,7 @@
 /// call is bit-identical to the per-op sequence at every tier; the
 /// EpilogueDiff tests hold each tier to that. Row reductions accumulate
 /// each row's column blocks in column order and mask the tail block
-/// exactly as reduceSumRowsTile / reduceMaxRowsTile do.
+/// exactly as the ReduceSumRows / ReduceMaxRows tile ops do.
 ///
 /// Buffer arguments are numbered slots; each slot is named by exactly one
 /// step field, so a slot has one role, one element type and one footprint
@@ -67,7 +67,7 @@ enum class EpOp : uint8_t {
   Recip,
   Square,
   Sigmoid,
-  /// R[A] * F0 + F1 (one fma on the SIMD tiers, as affineTile).
+  /// R[A] * F0 + F1 (one fma on the SIMD tiers, as the Affine tile op).
   Affine,
   /// Quantizes to the integer grid, kept as an integer-valued float:
   /// clamp(round(R[A] * F0), Lo - Zp, Hi - Zp) + Zp with [Lo, Hi] the u8
@@ -103,7 +103,7 @@ enum class EpOperand : uint8_t {
   Reg,         ///< R[B]
   RowVec,      ///< f32 vector at slot Arg, indexed by column
   ColVec,      ///< f32 vector at slot Arg, indexed by row (broadcast)
-  ColVecRecip, ///< 1 / ColVec, with Mul only (divColVecTile's form)
+  ColVecRecip, ///< 1 / ColVec, with Mul only (the DivColVec tile op's form)
 };
 constexpr uint8_t kNumEpOperands =
     static_cast<uint8_t>(EpOperand::ColVecRecip) + 1;

@@ -6,17 +6,17 @@
 /// compares/blends, the bit tricks the polynomial transcendentals need
 /// (abs/copysign, integral-power-of-two scaling) and horizontal reductions.
 ///
-/// Three backends implement the same static interface:
-///   VecF32Scalar   1 lane,  always available (the width-1 reference)
+/// Two backends implement the same static interface:
 ///   VecF32Avx2     8 lanes, compiled only in TUs built with -mavx2 -mfma
 ///   VecF32Avx512  16 lanes, compiled only in TUs built with -mavx512f ...
 ///
 /// Kernel bodies are templates over the backend (see tile_ops_simd.h,
 /// simd_math.h); each ISA translation unit instantiates them with its
-/// backend, so one source describes every width — the reproduction's
-/// analogue of the paper's per-ISA Xbyak templates.
+/// backend, so one source describes every SIMD width — the reproduction's
+/// analogue of the paper's per-ISA Xbyak templates. The scalar tier needs
+/// no backend: its kernels are plain loops over libm (tile_ops.cpp).
 ///
-/// Masks: `Mask` is backend-specific (bool / __m256 / __mmask16). Kernels
+/// Masks: `Mask` is backend-specific (__m256 / __mmask16). Kernels
 /// treat it as opaque and only pass it to blend().
 ///
 /// The AVX2 and AVX-512 backends also carry the integer side of the
@@ -31,7 +31,6 @@
 #ifndef GC_KERNELS_SIMD_H
 #define GC_KERNELS_SIMD_H
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 
@@ -42,97 +41,6 @@
 namespace gc {
 namespace kernels {
 namespace simd {
-
-//===----------------------------------------------------------------------===//
-// Scalar backend (width 1) — the semantic reference for the wider backends.
-//===----------------------------------------------------------------------===//
-
-struct VecF32Scalar {
-  float V;
-  static constexpr int64_t Width = 1;
-  using Mask = bool;
-
-  static VecF32Scalar set1(float X) { return {X}; }
-  static VecF32Scalar zero() { return {0.0f}; }
-  static VecF32Scalar load(const float *P) { return {*P}; }
-  static VecF32Scalar loadPartial(const float *P, int64_t N) {
-    return {N > 0 ? *P : 0.0f};
-  }
-  static VecF32Scalar loadPartialFill(const float *P, int64_t N, float Fill) {
-    return {N > 0 ? *P : Fill};
-  }
-  void store(float *P) const { *P = V; }
-  void storePartial(float *P, int64_t N) const {
-    if (N > 0)
-      *P = V;
-  }
-
-  static VecF32Scalar add(VecF32Scalar A, VecF32Scalar B) { return {A.V + B.V}; }
-  static VecF32Scalar sub(VecF32Scalar A, VecF32Scalar B) { return {A.V - B.V}; }
-  static VecF32Scalar mul(VecF32Scalar A, VecF32Scalar B) { return {A.V * B.V}; }
-  static VecF32Scalar div(VecF32Scalar A, VecF32Scalar B) { return {A.V / B.V}; }
-  static VecF32Scalar min_(VecF32Scalar A, VecF32Scalar B) {
-    return {A.V < B.V ? A.V : B.V};
-  }
-  static VecF32Scalar max_(VecF32Scalar A, VecF32Scalar B) {
-    return {A.V > B.V ? A.V : B.V};
-  }
-  /// Fused A*B+C (the scalar backend contracts via std::fma for parity with
-  /// the hardware fma of the wide backends).
-  static VecF32Scalar fma(VecF32Scalar A, VecF32Scalar B, VecF32Scalar C) {
-    return {std::fma(A.V, B.V, C.V)};
-  }
-  static VecF32Scalar sqrt_(VecF32Scalar A) { return {std::sqrt(A.V)}; }
-  static VecF32Scalar round(VecF32Scalar A) { return {std::nearbyintf(A.V)}; }
-  static VecF32Scalar abs(VecF32Scalar A) { return {std::fabs(A.V)}; }
-  static VecF32Scalar neg(VecF32Scalar A) { return {-A.V}; }
-
-  static VecF32Scalar andBits(VecF32Scalar A, VecF32Scalar B) {
-    uint32_t X, Y;
-    std::memcpy(&X, &A.V, 4);
-    std::memcpy(&Y, &B.V, 4);
-    X &= Y;
-    float R;
-    std::memcpy(&R, &X, 4);
-    return {R};
-  }
-  static VecF32Scalar orBits(VecF32Scalar A, VecF32Scalar B) {
-    uint32_t X, Y;
-    std::memcpy(&X, &A.V, 4);
-    std::memcpy(&Y, &B.V, 4);
-    X |= Y;
-    float R;
-    std::memcpy(&R, &X, 4);
-    return {R};
-  }
-  static VecF32Scalar bitsConst(uint32_t Bits) {
-    float R;
-    std::memcpy(&R, &Bits, 4);
-    return {R};
-  }
-
-  /// A with lanes [N, Width) replaced by Fill (a masked load's tail).
-  static VecF32Scalar keepFirst(VecF32Scalar A, int64_t N, float Fill) {
-    return {N > 0 ? A.V : Fill};
-  }
-
-  static Mask ltMask(VecF32Scalar A, VecF32Scalar B) { return A.V < B.V; }
-  static Mask isNanMask(VecF32Scalar A) { return A.V != A.V; }
-  /// M ? A : B, lanewise.
-  static VecF32Scalar blend(Mask M, VecF32Scalar A, VecF32Scalar B) {
-    return M ? A : B;
-  }
-
-  /// R * 2^n with n = lrintf(NF); NF must be integral and within
-  /// [-300, 300]. Implemented as a two-step exponent insertion on the wide
-  /// backends so results denormalize gradually instead of flushing.
-  static VecF32Scalar ldexpFast(VecF32Scalar R, VecF32Scalar NF) {
-    return {std::ldexp(R.V, static_cast<int>(std::lrintf(NF.V)))};
-  }
-
-  float hsum() const { return V; }
-  float hmax() const { return V; }
-};
 
 //===----------------------------------------------------------------------===//
 // AVX2 backend (width 8) — only in TUs compiled with -mavx2 -mfma.

@@ -3,29 +3,24 @@
 /// \file
 /// Polynomial, range-reduced f32 transcendentals written against the
 /// width-generic vector backends of simd.h. One template per function
-/// instantiates at every vector width, so the scalar, AVX2 and AVX-512
-/// tiers evaluate the *same* polynomial — the differential suite compares
-/// them against libm and against each other.
+/// instantiates at both vector widths, so the AVX2 and AVX-512 tiers
+/// evaluate the *same* polynomial; the scalar tier calls libm instead.
+/// The tiers reach these functions only through their tile ops and the
+/// fused epilogue (tile_ops_simd.h).
 ///
-/// Accuracy (validated by tests/test_simd_math.cpp against double libm):
+/// Accuracy (validated by tests/test_simd_math.cpp against double libm,
+/// through the AVX2 and AVX-512 tile-op tables):
 ///   vexp      <= 4 ULP on [-104, 89]; gradual denormals below -87.34;
 ///             exact 0 / +inf saturation outside; NaN propagates
 ///   vtanh     <= 8 ULP (Cephes split: odd polynomial for |x| < 0.625,
 ///             exp-based 1 - 2/(e^2|x|+1) above); +-1 saturation; NaN ok
 ///   vsigmoid  <= 8 ULP via vexp; exact 0/1 saturation; NaN propagates
-///   vgeluTanh relative <= 1e-5 (or abs <= 1e-30) vs the double tanh-form
-///             reference; formulated as x * sigmoid(2*inner) to avoid the
-///             1 + tanh cancellation of the naive form in the left tail
-///   verf      absolute <= 1e-6 (Abramowitz-Stegun 7.1.26 + vexp; measured
-///             max 5.2e-7 over [-6, 6]); +-1 saturation; NaN propagates.
-///             Not ULP-tight near 0.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GC_KERNELS_SIMD_MATH_H
 #define GC_KERNELS_SIMD_MATH_H
 
-#include "kernels/cpu_features.h"
 #include "kernels/simd.h"
 
 namespace gc {
@@ -91,63 +86,7 @@ template <typename V> inline V vsigmoid(V X) {
   return R;
 }
 
-/// Tanh-form GELU: 0.5 x (1 + tanh(c (x + 0.044715 x^3))) computed as
-/// x * sigmoid(2 c (x + 0.044715 x^3)) — algebraically identical, but
-/// immune to the catastrophic 1 + tanh(t) cancellation for t << 0.
-template <typename V> inline V vgeluTanh(V X) {
-  const V X3 = V::mul(V::mul(X, X), X);
-  const V Inner =
-      V::mul(V::set1(0.7978845608028654f), V::fma(X3, V::set1(0.044715f), X));
-  return V::mul(X, vsigmoid(V::add(Inner, Inner)));
-}
-
-/// erf(x), Abramowitz-Stegun 7.1.26: erf(|x|) = 1 - poly(t) exp(-x^2) with
-/// t = 1/(1 + 0.3275911 |x|); absolute error <= 1e-6 in f32 (1.5e-7 in
-/// exact arithmetic), sign restored bitwise. Saturates to +-1, NaN ok.
-template <typename V> inline V verf(V X) {
-  const V Ax = V::abs(X);
-  const V T = V::div(V::set1(1.0f),
-                     V::fma(Ax, V::set1(0.3275911f), V::set1(1.0f)));
-  V P = V::set1(1.061405429f);
-  P = V::fma(P, T, V::set1(-1.453152027f));
-  P = V::fma(P, T, V::set1(1.421413741f));
-  P = V::fma(P, T, V::set1(-0.284496736f));
-  P = V::fma(P, T, V::set1(0.254829592f));
-  P = V::mul(P, T);
-  const V E = vexp(V::neg(V::mul(Ax, Ax)));
-  V R = V::fma(V::neg(P), E, V::set1(1.0f));
-  R = V::orBits(R, V::andBits(X, V::bitsConst(0x80000000u)));
-  return V::blend(V::isNanMask(X), X, R);
-}
-
 } // namespace simd
-
-//===----------------------------------------------------------------------===//
-// Array entry points (per tier) — used by the ULP test suite and by code
-// that wants the vectorized math outside the tile-op vocabulary.
-//===----------------------------------------------------------------------===//
-
-/// In-place unary transform over a contiguous array.
-using UnaryArrayFn = void (*)(float *X, int64_t N);
-
-/// The vectorized math functions of one dispatch tier.
-struct SimdMathTable {
-  UnaryArrayFn Exp = nullptr;
-  UnaryArrayFn Tanh = nullptr;
-  UnaryArrayFn Sigmoid = nullptr;
-  UnaryArrayFn GeluTanh = nullptr;
-  UnaryArrayFn Erf = nullptr;
-  const char *Name = "";
-};
-
-/// Table for \p Tier, or nullptr when that tier is not available in this
-/// build / on this CPU. KernelTier::Scalar returns the width-1 instantiation
-/// of the same polynomials (always available).
-const SimdMathTable *simdMathTable(KernelTier Tier);
-
-/// Table of the active dispatch tier (never null).
-const SimdMathTable &activeSimdMath();
-
 } // namespace kernels
 } // namespace gc
 

@@ -466,93 +466,6 @@ const TileOpsTable &activeTileOps() {
 }
 
 //===----------------------------------------------------------------------===//
-// Public vocabulary: forward to the active tier
-//===----------------------------------------------------------------------===//
-
-void reluTile(const TileF32 &X) { activeTileOps().Relu(X); }
-void expTile(const TileF32 &X) { activeTileOps().Exp(X); }
-void tanhTile(const TileF32 &X) { activeTileOps().Tanh(X); }
-void sqrtTile(const TileF32 &X) { activeTileOps().Sqrt(X); }
-void recipTile(const TileF32 &X) { activeTileOps().Recip(X); }
-void affineTile(const TileF32 &X, float A, float B) {
-  activeTileOps().Affine(X, A, B);
-}
-void sigmoidTile(const TileF32 &X) { activeTileOps().Sigmoid(X); }
-void squareTile(const TileF32 &X) { activeTileOps().Square(X); }
-
-void addTile(const TileF32 &X, const ConstTileF32 &Y) {
-  activeTileOps().Add(X, Y);
-}
-void subTile(const TileF32 &X, const ConstTileF32 &Y) {
-  activeTileOps().Sub(X, Y);
-}
-void mulTile(const TileF32 &X, const ConstTileF32 &Y) {
-  activeTileOps().Mul(X, Y);
-}
-void divTile(const TileF32 &X, const ConstTileF32 &Y) {
-  activeTileOps().Div(X, Y);
-}
-void maxTile(const TileF32 &X, const ConstTileF32 &Y) {
-  activeTileOps().Max(X, Y);
-}
-void minTile(const TileF32 &X, const ConstTileF32 &Y) {
-  activeTileOps().Min(X, Y);
-}
-
-void addRowVecTile(const TileF32 &X, const float *V) {
-  activeTileOps().AddRowVec(X, V);
-}
-void subRowVecTile(const TileF32 &X, const float *V) {
-  activeTileOps().SubRowVec(X, V);
-}
-void mulRowVecTile(const TileF32 &X, const float *V) {
-  activeTileOps().MulRowVec(X, V);
-}
-void addColVecTile(const TileF32 &X, const float *V) {
-  activeTileOps().AddColVec(X, V);
-}
-void subColVecTile(const TileF32 &X, const float *V) {
-  activeTileOps().SubColVec(X, V);
-}
-void mulColVecTile(const TileF32 &X, const float *V) {
-  activeTileOps().MulColVec(X, V);
-}
-void divColVecTile(const TileF32 &X, const float *V) {
-  activeTileOps().DivColVec(X, V);
-}
-
-void reduceSumRowsTile(const TileF32 &X, float *Out, bool Accumulate) {
-  activeTileOps().ReduceSumRows(X, Out, Accumulate);
-}
-void reduceMaxRowsTile(const TileF32 &X, float *Out, bool Accumulate) {
-  activeTileOps().ReduceMaxRows(X, Out, Accumulate);
-}
-
-void dequantAccTile(float *Dst, int64_t DstLd, const int32_t *Src,
-                    int64_t SrcLd, int64_t Rows, int64_t Cols,
-                    const int32_t *Comp, int32_t AZp, const float *ScaleVec) {
-  activeTileOps().DequantAcc(Dst, DstLd, Src, SrcLd, Rows, Cols, Comp, AZp,
-                             ScaleVec);
-}
-void quantizeU8Tile(uint8_t *Dst, int64_t DstLd, const float *Src,
-                    int64_t SrcLd, int64_t Rows, int64_t Cols, float InvScale,
-                    int32_t Zp) {
-  activeTileOps().QuantizeU8(Dst, DstLd, Src, SrcLd, Rows, Cols, InvScale,
-                             Zp);
-}
-void dequantU8Tile(float *Dst, int64_t DstLd, const uint8_t *Src,
-                   int64_t SrcLd, int64_t Rows, int64_t Cols, float Scale,
-                   int32_t Zp) {
-  activeTileOps().DequantU8(Dst, DstLd, Src, SrcLd, Rows, Cols, Scale, Zp);
-}
-void dequantS8PerChannelTile(float *Dst, int64_t DstLd, const int8_t *Src,
-                             int64_t SrcLd, int64_t Rows, int64_t Cols,
-                             const float *ScaleVec) {
-  activeTileOps().DequantS8PerChannel(Dst, DstLd, Src, SrcLd, Rows, Cols,
-                                      ScaleVec);
-}
-
-//===----------------------------------------------------------------------===//
 // Data movement (shared across tiers)
 //===----------------------------------------------------------------------===//
 

@@ -2,23 +2,24 @@
 ///
 /// \file
 /// Per-op kernels over one tensor slice ("tile") described by a base
-/// pointer, a row/column extent and a leading dimension. Compiled
-/// partitions run every Fusible OP as a step of the fused epilogue
-/// (epilogue.h); these kernels are its test oracle, one op at a time, and
-/// the kernels of the loop-nest baseline (baseline/loopnest.h).
+/// pointer, a row/column extent and a leading dimension. The vocabulary is
+/// TileOpsTable: one table per kernel dispatch tier, and callers call its
+/// members (`const TileOpsTable &K = activeTileOps(); K.Exp(T);`).
+/// Compiled partitions run every Fusible OP as a step of the fused
+/// epilogue (epilogue.h); these kernels are its test oracle, one op at a
+/// time, and the kernels of the loop-nest baseline (baseline/loopnest.h).
 ///
 /// Naming: suffix RowVec means a length-Cols vector broadcast across rows
 /// (bias/scale per output channel); suffix ColVec means a length-Rows vector
 /// broadcast across columns (softmax denominators).
 ///
-/// NaN contract: for max/min-based kernels (maxTile, minTile,
-/// reduceMaxRowsTile, reluTile) the result on NaN *inputs* is
-/// tier-dependent — the scalar oracle keeps the first operand where
-/// hardware min/max instructions keep the second — so NaN tiles are out of
-/// the scalar-vs-simd parity contract. All other kernels propagate NaN
-/// identically at every tier, except quantizeU8Tile and quantizeS8Tile:
-/// an integer has no NaN, and which byte a NaN input yields is outside the
-/// contract.
+/// NaN contract: for the max/min-based entries (Max, Min, ReduceMaxRows,
+/// Relu) the result on NaN *inputs* is tier-dependent — the scalar oracle
+/// keeps the first operand where hardware min/max instructions keep the
+/// second — so NaN tiles are out of the scalar-vs-simd parity contract.
+/// All other entries propagate NaN identically at every tier, except
+/// QuantizeU8 and QuantizeS8: an integer has no NaN, and which byte a NaN
+/// input yields is outside the contract.
 ///
 /// Quantization bridges (the DequantAcc, Quantize{U8,S8}, DequantU8,
 /// DequantS8PerChannel and CastS32F32 table entries) dispatch through the
@@ -65,62 +66,7 @@ struct ConstTileF32 {
 };
 
 //===----------------------------------------------------------------------===//
-// Elementwise (unary)
-//===----------------------------------------------------------------------===//
-
-/// x = max(x, 0)
-void reluTile(const TileF32 &X);
-/// x = exp(x)
-void expTile(const TileF32 &X);
-/// x = tanh(x)
-void tanhTile(const TileF32 &X);
-/// x = sqrt(x)
-void sqrtTile(const TileF32 &X);
-/// x = 1 / x
-void recipTile(const TileF32 &X);
-/// x = x * A + B (affine; covers scalar mul and add)
-void affineTile(const TileF32 &X, float A, float B);
-/// x = sigmoid(x)
-void sigmoidTile(const TileF32 &X);
-/// x = x^2
-void squareTile(const TileF32 &X);
-
-//===----------------------------------------------------------------------===//
-// Elementwise (binary, second operand tile)
-//===----------------------------------------------------------------------===//
-
-void addTile(const TileF32 &X, const ConstTileF32 &Y);
-void subTile(const TileF32 &X, const ConstTileF32 &Y);
-void mulTile(const TileF32 &X, const ConstTileF32 &Y);
-void divTile(const TileF32 &X, const ConstTileF32 &Y);
-void maxTile(const TileF32 &X, const ConstTileF32 &Y);
-void minTile(const TileF32 &X, const ConstTileF32 &Y);
-
-//===----------------------------------------------------------------------===//
-// Broadcast binary
-//===----------------------------------------------------------------------===//
-
-/// x[r][c] op= v[c]
-void addRowVecTile(const TileF32 &X, const float *V);
-void subRowVecTile(const TileF32 &X, const float *V);
-void mulRowVecTile(const TileF32 &X, const float *V);
-/// x[r][c] op= v[r]
-void addColVecTile(const TileF32 &X, const float *V);
-void subColVecTile(const TileF32 &X, const float *V);
-void mulColVecTile(const TileF32 &X, const float *V);
-void divColVecTile(const TileF32 &X, const float *V);
-
-//===----------------------------------------------------------------------===//
-// Reductions (over the column axis of the tile)
-//===----------------------------------------------------------------------===//
-
-/// Out[r] (+)= sum_c x[r][c]; when !Accumulate Out is overwritten.
-void reduceSumRowsTile(const TileF32 &X, float *Out, bool Accumulate);
-/// Out[r] = max(Out[r], max_c x[r][c]); when !Accumulate Out is overwritten.
-void reduceMaxRowsTile(const TileF32 &X, float *Out, bool Accumulate);
-
-//===----------------------------------------------------------------------===//
-// Data movement
+// Data movement (shared across tiers)
 //===----------------------------------------------------------------------===//
 
 /// Dst tile = Src tile (strided 2-D copy).
@@ -135,86 +81,95 @@ void permute0213(void *Dst, const void *Src, int64_t A, int64_t B, int64_t C,
                  int64_t D, int64_t ElemSize);
 
 //===----------------------------------------------------------------------===//
-// Quantization bridges (int8 pipeline, §V low-precision conversion)
-//===----------------------------------------------------------------------===//
-
-/// Dequantizes an s32 accumulator tile into f32 with per-output-channel
-/// scales and asymmetric-activation compensation:
-///   Dst[r][c] = (Src[r][c] - AZp * Comp[c]) * ScaleVec[c]
-/// Comp[c] is the column sum of the s8 weight (precomputed constant);
-/// ScaleVec[c] = a_scale * b_scale[c] folded at compile time.
-void dequantAccTile(float *Dst, int64_t DstLd, const int32_t *Src,
-                    int64_t SrcLd, int64_t Rows, int64_t Cols,
-                    const int32_t *Comp, int32_t AZp, const float *ScaleVec);
-
-/// Quantizes f32 to u8: Dst = sat_u8(round(Src * InvScale) + Zp), rounding
-/// half to even.
-void quantizeU8Tile(uint8_t *Dst, int64_t DstLd, const float *Src,
-                    int64_t SrcLd, int64_t Rows, int64_t Cols, float InvScale,
-                    int32_t Zp);
-
-/// Dequantizes u8 to f32: Dst = (Src - Zp) * Scale.
-void dequantU8Tile(float *Dst, int64_t DstLd, const uint8_t *Src,
-                   int64_t SrcLd, int64_t Rows, int64_t Cols, float Scale,
-                   int32_t Zp);
-
-/// Dequantizes s8 to f32 with per-column scales (per-channel weights):
-/// Dst[r][c] = Src[r][c] * ScaleVec[c].
-void dequantS8PerChannelTile(float *Dst, int64_t DstLd, const int8_t *Src,
-                             int64_t SrcLd, int64_t Rows, int64_t Cols,
-                             const float *ScaleVec);
-
-//===----------------------------------------------------------------------===//
 // Dispatch tiers
 //===----------------------------------------------------------------------===//
 
 /// The tile-op vocabulary of one kernel dispatch tier: the f32 ops and the
-/// quantization bridges. The free functions above forward to the active
-/// tier's table (selected once per process from CPUID + GC_KERNELS); Fill,
-/// QuantizeS8 and CastS32F32 have no free function and serve only as the
-/// fused epilogue's oracle. Tests reach specific tiers directly through
+/// quantization bridges (§V low-precision conversion). Callers run the
+/// active tier's table (activeTileOps(), selected once per process from
+/// CPUID + GC_KERNELS); tests reach specific tiers directly through
 /// tileOpsTable() for scalar-vs-simd differential checks.
+///
+/// The quantization bridges take (Dst, DstLd, Src, SrcLd, Rows, Cols, ...)
+/// with leading dimensions in elements.
 struct TileOpsTable {
+  // ---- unary, in place ----
+  /// x = max(x, 0)
   void (*Relu)(const TileF32 &) = nullptr;
+  /// x = exp(x)
   void (*Exp)(const TileF32 &) = nullptr;
+  /// x = tanh(x)
   void (*Tanh)(const TileF32 &) = nullptr;
+  /// x = sqrt(x)
   void (*Sqrt)(const TileF32 &) = nullptr;
+  /// x = 1 / x
   void (*Recip)(const TileF32 &) = nullptr;
-  void (*Affine)(const TileF32 &, float, float) = nullptr;
+  /// x = x * A + B (affine; covers scalar mul and add)
+  void (*Affine)(const TileF32 &, float A, float B) = nullptr;
+  /// x = sigmoid(x)
   void (*Sigmoid)(const TileF32 &) = nullptr;
+  /// x = x^2
   void (*Square)(const TileF32 &) = nullptr;
+
+  // ---- binary, second operand a tile: x[r][c] op= y[r][c] ----
   void (*Add)(const TileF32 &, const ConstTileF32 &) = nullptr;
   void (*Sub)(const TileF32 &, const ConstTileF32 &) = nullptr;
   void (*Mul)(const TileF32 &, const ConstTileF32 &) = nullptr;
   void (*Div)(const TileF32 &, const ConstTileF32 &) = nullptr;
   void (*Max)(const TileF32 &, const ConstTileF32 &) = nullptr;
   void (*Min)(const TileF32 &, const ConstTileF32 &) = nullptr;
+
+  // ---- broadcast binary ----
+  /// x[r][c] op= v[c]
   void (*AddRowVec)(const TileF32 &, const float *) = nullptr;
   void (*SubRowVec)(const TileF32 &, const float *) = nullptr;
   void (*MulRowVec)(const TileF32 &, const float *) = nullptr;
+  /// x[r][c] op= v[r]; DivColVec multiplies by 1 / v[r].
   void (*AddColVec)(const TileF32 &, const float *) = nullptr;
   void (*SubColVec)(const TileF32 &, const float *) = nullptr;
   void (*MulColVec)(const TileF32 &, const float *) = nullptr;
   void (*DivColVec)(const TileF32 &, const float *) = nullptr;
-  void (*ReduceSumRows)(const TileF32 &, float *, bool) = nullptr;
-  void (*ReduceMaxRows)(const TileF32 &, float *, bool) = nullptr;
+
+  // ---- reductions over the column axis ----
+  /// Out[r] (+)= sum_c x[r][c]; when !Accumulate Out is overwritten.
+  void (*ReduceSumRows)(const TileF32 &, float *Out, bool Accumulate) =
+      nullptr;
+  /// Out[r] = max(Out[r], max_c x[r][c]); when !Accumulate Out is
+  /// overwritten.
+  void (*ReduceMaxRows)(const TileF32 &, float *Out, bool Accumulate) =
+      nullptr;
   /// x = Value.
-  void (*Fill)(const TileF32 &, float) = nullptr;
+  void (*Fill)(const TileF32 &, float Value) = nullptr;
+
+  // ---- quantization bridges ----
+  /// Dequantizes an s32 accumulator tile into f32 with per-output-channel
+  /// scales and asymmetric-activation compensation:
+  ///   Dst[r][c] = (Src[r][c] - AZp * Comp[c]) * ScaleVec[c]
+  /// Comp[c] is the column sum of the s8 weight (a folded constant), and
+  /// ScaleVec[c] = a_scale * b_scale[c]. Comp may be null, and is unread
+  /// when AZp == 0.
   void (*DequantAcc)(float *, int64_t, const int32_t *, int64_t, int64_t,
-                     int64_t, const int32_t *, int32_t,
-                     const float *) = nullptr;
+                     int64_t, const int32_t *Comp, int32_t AZp,
+                     const float *ScaleVec) = nullptr;
+  /// Dst = sat_u8(round(Src * InvScale) + Zp), rounding half to even; the
+  /// scaled value is clamped to [-Zp, 255 - Zp] before it is rounded.
   void (*QuantizeU8)(uint8_t *, int64_t, const float *, int64_t, int64_t,
-                     int64_t, float, int32_t) = nullptr;
-  /// Dst = sat_s8(round(Src * InvScale)), symmetric per tensor.
+                     int64_t, float InvScale, int32_t Zp) = nullptr;
+  /// Dst = sat_s8(round(Src * InvScale)), symmetric per tensor, rounding
+  /// and clamping as QuantizeU8 does.
   void (*QuantizeS8)(int8_t *, int64_t, const float *, int64_t, int64_t,
-                     int64_t, float) = nullptr;
+                     int64_t, float InvScale) = nullptr;
+  /// Dst = (Src - Zp) * Scale.
   void (*DequantU8)(float *, int64_t, const uint8_t *, int64_t, int64_t,
-                    int64_t, float, int32_t) = nullptr;
+                    int64_t, float Scale, int32_t Zp) = nullptr;
+  /// Dst[r][c] = Src[r][c] * ScaleVec[c] (per-channel s8 weights).
   void (*DequantS8PerChannel)(float *, int64_t, const int8_t *, int64_t,
-                              int64_t, int64_t, const float *) = nullptr;
+                              int64_t, int64_t,
+                              const float *ScaleVec) = nullptr;
   /// Dst = Src * Scale.
   void (*CastS32F32)(float *, int64_t, const int32_t *, int64_t, int64_t,
-                     int64_t, float) = nullptr;
+                     int64_t, float Scale) = nullptr;
+
   /// The fused epilogue (epilogue.h), this tier's ops in one pass.
   void (*Epilogue)(const EpilogueDesc &, void *const *, int64_t, int64_t,
                    bool) = nullptr;
@@ -227,7 +182,7 @@ struct TileOpsTable {
 /// always available.
 const TileOpsTable *tileOpsTable(KernelTier Tier);
 
-/// The table the free functions dispatch to (never null).
+/// The active tier's table (never null).
 const TileOpsTable &activeTileOps();
 
 } // namespace kernels

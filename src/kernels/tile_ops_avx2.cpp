@@ -1,8 +1,8 @@
-//===- tile_ops_avx2.cpp - AVX2 tile-op & math tables -------------------------===//
+//===- tile_ops_avx2.cpp - AVX2 tile-op table -----------------------------===//
 //
 // Instantiates the width-generic kernel bodies with the 8-lane AVX2 backend.
 // Compiled with -mavx2 -mfma (per-file flags in CMakeLists.txt); when the
-// toolchain cannot target AVX2 the providers return nullptr and dispatch
+// toolchain cannot target AVX2 the provider returns nullptr and dispatch
 // degrades to the scalar tier.
 //
 //===----------------------------------------------------------------------===//
@@ -23,19 +23,9 @@ const TileOpsTable *tileOpsTableAvx2() {
   return &Table;
 }
 
-const SimdMathTable *simdMathTableAvx2() {
-  const CpuFeatures &F = cpuFeatures();
-  if (!F.HasAvx2 || !F.HasFma)
-    return nullptr;
-  static const SimdMathTable Table =
-      SimdTileOps<simd::VecF32Avx2>::mathTable("avx2");
-  return &Table;
-}
-
 #else // !(__AVX2__ && __FMA__)
 
 const TileOpsTable *tileOpsTableAvx2() { return nullptr; }
-const SimdMathTable *simdMathTableAvx2() { return nullptr; }
 
 #endif
 

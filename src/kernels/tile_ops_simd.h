@@ -429,44 +429,6 @@ template <typename V> struct SimdTileOps {
     T.Tier = Tier;
     return T;
   }
-
-  // ---- array math (SimdMathTable entries) ------------------------------
-
-  template <typename Fn> static inline void mapArray(float *X, int64_t N, Fn F) {
-    const int64_t W = V::Width;
-    int64_t I = 0;
-    for (; I + W <= N; I += W)
-      F(V::load(X + I)).store(X + I);
-    if (I < N)
-      F(V::loadPartial(X + I, N - I)).storePartial(X + I, N - I);
-  }
-
-  static void expArray(float *X, int64_t N) {
-    mapArray(X, N, [](V A) { return simd::vexp(A); });
-  }
-  static void tanhArray(float *X, int64_t N) {
-    mapArray(X, N, [](V A) { return simd::vtanh(A); });
-  }
-  static void sigmoidArray(float *X, int64_t N) {
-    mapArray(X, N, [](V A) { return simd::vsigmoid(A); });
-  }
-  static void geluTanhArray(float *X, int64_t N) {
-    mapArray(X, N, [](V A) { return simd::vgeluTanh(A); });
-  }
-  static void erfArray(float *X, int64_t N) {
-    mapArray(X, N, [](V A) { return simd::verf(A); });
-  }
-
-  static SimdMathTable mathTable(const char *Name) {
-    SimdMathTable T;
-    T.Exp = expArray;
-    T.Tanh = tanhArray;
-    T.Sigmoid = sigmoidArray;
-    T.GeluTanh = geluTanhArray;
-    T.Erf = erfArray;
-    T.Name = Name;
-    return T;
-  }
 };
 
 } // namespace kernels

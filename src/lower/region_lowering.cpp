@@ -16,7 +16,6 @@
 
 #include "lower/region_lowering.h"
 
-#include "lower/anchors.h"
 #include "lower/blocking.h"
 #include "support/common.h"
 #include "support/str.h"
@@ -1218,11 +1217,7 @@ Expected<Stmt> RegionLowerer::lowerTunable(int64_t MmId) {
   // Pre-op packed operands.
   int APack = -1, BPack = -1;
   if (!ABlocked) {
-    // A pack committed at pre-op anchor #4, the Fig. 3 minimal-buffer
-    // choice (#5 only ties when NSN == 1, where the two are identical).
-    [[maybe_unused]] const PreAnchor AAnchor = choosePreAnchorA(P);
-    assert((AAnchor == PreAnchor::Pre4 || AAnchor == PreAnchor::Pre5) &&
-           "unexpected A pre-op anchor");
+    // A packs at pre#4 (Fig. 3): the smallest buffer packing A only once.
     APack = scratch("a_pack", Shape.ADtype, {P.BS, P.MB, P.KB});
   }
   if (!BBlocked) {
@@ -1311,6 +1306,7 @@ Expected<Stmt> RegionLowerer::lowerTunable(int64_t MmId) {
                             "k_reduction"));
 
   // ---- post-op anchor #1 ----
+  // Fig. 3's innermost C anchor; NPN == 1 gives row reductions full rows.
   BtE = Shape.Batch > 1 ? Expr(BtV) : Expr();
   RowBaseE = Expr(MpsiV) * makeInt(P.MB);
   ValidRowsE = Expr(MValidV);
@@ -1345,7 +1341,7 @@ Expected<Stmt> RegionLowerer::lowerTunable(int64_t MmId) {
       makeLet(MpiV, (Expr(GV) % makeInt(GridMN)) / makeInt(P.NPN)));
   GridBody.push_back(makeLet(NpiV, Expr(GV) % makeInt(P.NPN)));
   if (BPack >= 0) {
-    // Grid-level B pack (pre-op anchor #2 semantics; NPN == 1).
+    // B packs on the grid (pre#2 of Fig. 3; NPN == 1): once per core.
     Expr BBt = BBatched ? Expr(BtV) : makeInt(0);
     Expr SrcOff = BBt * makeInt(Shape.K * Shape.N);
     GridBody.push_back(makeCall(

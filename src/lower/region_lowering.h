@@ -5,8 +5,8 @@
 ///  * tunable regions instantiate the microkernel-based matmul template of
 ///    Fig. 2 (collapsed outer parallel grid, single-core msi/ksi/nsi loops,
 ///    brgemm in the innermost body) and commit the region's Fusible OPs at
-///    the anchors chosen by the Fig. 3 cost model (pre-op packs at pre#4 /
-///    the grid anchor, post-ops at post#1),
+///    fixed Fig. 3 anchors: A packs at pre#4, B packs on the parallel
+///    grid, post-ops run at post#1,
 ///  * elementwise regions lower to a parallel row-block loop applying the
 ///    same tile-kernel chain to full-width strips.
 ///

@@ -133,14 +133,6 @@ int64_t defaultCacheMaxBytes() {
   return getEnvInt("GC_CACHE_MAX_BYTES", 256ll << 20);
 }
 
-ArtifactCache::Config ArtifactCache::Config::fromEnv() {
-  Config Cfg;
-  Cfg.Mode = defaultCacheMode();
-  Cfg.Dir = defaultCacheDir();
-  Cfg.MaxBytes = defaultCacheMaxBytes();
-  return Cfg;
-}
-
 ArtifactCache::ArtifactCache(Config Cfg) : Cfg(std::move(Cfg)) {
   if (this->Cfg.Mode == CacheMode::Off || this->Cfg.Dir.empty())
     return;

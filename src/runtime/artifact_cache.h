@@ -28,7 +28,8 @@
 /// entries and a crashed writer leaves no partial artifact under the
 /// final name.
 ///
-/// Environment (resolved by Config::fromEnv, used by core::CompileOptions):
+/// Environment (resolved by defaultCacheMode, defaultCacheDir and
+/// defaultCacheMaxBytes, used by core::CompileOptions):
 ///   GC_CACHE=off|read|rw      mode (default off)
 ///   GC_CACHE_DIR=<path>       cache directory (default
 ///                             $XDG_CACHE_HOME/gc-artifacts or
@@ -90,9 +91,6 @@ public:
     CacheMode Mode = CacheMode::Off;
     std::string Dir;
     int64_t MaxBytes = 256ll << 20;
-
-    /// The GC_CACHE* environment resolution (see header comment).
-    static Config fromEnv();
   };
 
   /// Creates the cache over \p Cfg, creating the directory (parents

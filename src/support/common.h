@@ -31,12 +31,6 @@ inline constexpr int64_t roundUp(int64_t A, int64_t B) {
   return ceilDiv(A, B) * B;
 }
 
-/// Rounds \p A down to the previous multiple of \p B.
-inline constexpr int64_t roundDown(int64_t A, int64_t B) {
-  assert(B > 0 && "roundDown requires a positive divisor");
-  return (A / B) * B;
-}
-
 /// Prints a formatted message to stderr and aborts. Library code uses this
 /// for invariant violations that must survive NDEBUG builds.
 [[noreturn]] inline void fatalError(const char *Msg) {

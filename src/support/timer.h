@@ -26,9 +26,6 @@ public:
     return std::chrono::duration<double>(Clock::now() - Start).count();
   }
 
-  /// Milliseconds elapsed.
-  double millis() const { return seconds() * 1e3; }
-
 private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point Start;

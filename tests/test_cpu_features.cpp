@@ -9,7 +9,6 @@
 
 #include "kernels/brgemm.h"
 #include "kernels/cpu_features.h"
-#include "kernels/simd_math.h"
 #include "kernels/tile_ops.h"
 #include "support/env.h"
 
@@ -75,21 +74,18 @@ TEST(CpuFeatures, ActiveTierHonorsGcKernels) {
 TEST(CpuFeatures, AvailableTiersVendTables) {
   // The scalar tier always exists.
   ASSERT_NE(tileOpsTable(KernelTier::Scalar), nullptr);
-  ASSERT_NE(simdMathTable(KernelTier::Scalar), nullptr);
   ASSERT_NE(brgemmF32ForTier(KernelTier::Scalar), nullptr);
   ASSERT_NE(brgemmU8S8ForTier(KernelTier::Scalar), nullptr);
 
   const KernelTier Max = maxKernelTier();
   if (static_cast<int>(Max) >= static_cast<int>(KernelTier::Avx2)) {
     ASSERT_NE(tileOpsTable(KernelTier::Avx2), nullptr);
-    ASSERT_NE(simdMathTable(KernelTier::Avx2), nullptr);
     ASSERT_NE(brgemmF32ForTier(KernelTier::Avx2), nullptr);
     ASSERT_NE(brgemmU8S8ForTier(KernelTier::Avx2), nullptr);
     EXPECT_EQ(tileOpsTable(KernelTier::Avx2)->Tier, KernelTier::Avx2);
   }
   if (Max == KernelTier::Avx512) {
     ASSERT_NE(tileOpsTable(KernelTier::Avx512), nullptr);
-    ASSERT_NE(simdMathTable(KernelTier::Avx512), nullptr);
     ASSERT_NE(brgemmF32ForTier(KernelTier::Avx512), nullptr);
     // The 512-bit int8 kernel additionally needs VNNI (no exact non-VNNI
     // emulation exists at 512 bits; see brgemm.h).

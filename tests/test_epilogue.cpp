@@ -1089,6 +1089,34 @@ TEST(DenormalFlush, DefaultSoftmaxMatchesReferenceBelowExpUnderflow) {
   }
 }
 
+TEST(DenormalFlush, DefaultSoftmaxMatchesReferenceAboveExpClamp) {
+  // Every logit lies in [89, 200], above vexp's clamp at 89, where exp(x)
+  // is +inf: the fast form divides inf by inf, so default options must
+  // compile the stable form, whose exp(x - max) stays within [0, 1].
+  const int64_t Rows = 16, Cols = 33;
+  const graph::Graph G = softmaxGraph(Rows, Cols);
+  runtime::TensorData In(DataType::F32, {Rows, Cols});
+  Rng R(11);
+  float *P = In.dataAs<float>();
+  for (int64_t I = 0; I < Rows * Cols; ++I)
+    P[I] = R.uniform(89.0f, 200.0f);
+  graph::TensorMap Env;
+  Env[G.inputs()[0]] = In.clone();
+  const auto Want = graph::runGraphReference(G, std::move(Env));
+  const float *Ref = Want[0].dataAs<float>();
+  for (int Threads : {1, 4}) {
+    core::CompileOptions Opts;
+    Opts.Threads = Threads;
+    auto Part = test::compileOnePartition(G, Opts);
+    runtime::TensorData Out(DataType::F32, {Rows, Cols});
+    ASSERT_TRUE(Part->execute({&In}, {&Out}).isOk());
+    const float *Got = Out.dataAs<float>();
+    for (int64_t I = 0; I < Rows * Cols; ++I)
+      ASSERT_NEAR(Got[I], Ref[I], 1e-6 + 1e-5 * Ref[I])
+          << "threads " << Threads << " element " << I;
+  }
+}
+
 #if defined(__x86_64__) || defined(__i386__)
 TEST(DenormalFlush, CallerMxcsrIsUnchangedByExecute) {
   // The mode bits (flush, rounding, exception masks) are the caller's

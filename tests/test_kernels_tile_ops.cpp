@@ -45,7 +45,7 @@ void expectPaddingUntouched(const StridedTile &T, const StridedTile &Orig) {
 
 TEST(TileOps, Relu) {
   StridedTile T(1), Orig(1);
-  reluTile(T.tile());
+  activeTileOps().Relu(T.tile());
   for (int64_t R = 0; R < Rows; ++R)
     for (int64_t C = 0; C < Cols; ++C)
       ASSERT_EQ(T.at(R, C), std::max(Orig.at(R, C), 0.0f));
@@ -54,7 +54,7 @@ TEST(TileOps, Relu) {
 
 TEST(TileOps, Exp) {
   StridedTile T(2), Orig(2);
-  expTile(T.tile());
+  activeTileOps().Exp(T.tile());
   for (int64_t R = 0; R < Rows; ++R)
     for (int64_t C = 0; C < Cols; ++C)
       ASSERT_NEAR(T.at(R, C), std::exp(Orig.at(R, C)), kF32Tol);
@@ -63,7 +63,7 @@ TEST(TileOps, Exp) {
 
 TEST(TileOps, Affine) {
   StridedTile T(3), Orig(3);
-  affineTile(T.tile(), 2.5f, -1.25f);
+  activeTileOps().Affine(T.tile(), 2.5f, -1.25f);
   for (int64_t R = 0; R < Rows; ++R)
     for (int64_t C = 0; C < Cols; ++C)
       ASSERT_NEAR(T.at(R, C), Orig.at(R, C) * 2.5f - 1.25f, kF32Tol);
@@ -72,19 +72,19 @@ TEST(TileOps, Affine) {
 TEST(TileOps, BinaryOps) {
   StridedTile X(5), Y(6), OrigX(5);
   ConstTileF32 YT{Y.Data.data(), Ld};
-  addTile(X.tile(), YT);
+  activeTileOps().Add(X.tile(), YT);
   for (int64_t R = 0; R < Rows; ++R)
     for (int64_t C = 0; C < Cols; ++C)
       ASSERT_NEAR(X.at(R, C), OrigX.at(R, C) + Y.at(R, C), kF32Tol);
 
   StridedTile X2(5);
-  divTile(X2.tile(), YT);
+  activeTileOps().Div(X2.tile(), YT);
   for (int64_t R = 0; R < Rows; ++R)
     for (int64_t C = 0; C < Cols; ++C)
       ASSERT_NEAR(X2.at(R, C), OrigX.at(R, C) / Y.at(R, C), kF32Tol);
 
   StridedTile X3(5);
-  maxTile(X3.tile(), YT);
+  activeTileOps().Max(X3.tile(), YT);
   for (int64_t R = 0; R < Rows; ++R)
     for (int64_t C = 0; C < Cols; ++C)
       ASSERT_EQ(X3.at(R, C), std::max(OrigX.at(R, C), Y.at(R, C)));
@@ -93,7 +93,7 @@ TEST(TileOps, BinaryOps) {
 TEST(TileOps, RowVecBroadcast) {
   StridedTile X(7), Orig(7);
   const auto V = randomF32(Cols, 8);
-  mulRowVecTile(X.tile(), V.data());
+  activeTileOps().MulRowVec(X.tile(), V.data());
   for (int64_t R = 0; R < Rows; ++R)
     for (int64_t C = 0; C < Cols; ++C)
       ASSERT_NEAR(X.at(R, C), Orig.at(R, C) * V[static_cast<size_t>(C)],
@@ -105,7 +105,7 @@ TEST(TileOps, ColVecBroadcast) {
   auto V = randomF32(Rows, 10);
   for (float &F : V)
     F = std::abs(F) + 0.5f; // keep divisors away from zero
-  divColVecTile(X.tile(), V.data());
+  activeTileOps().DivColVec(X.tile(), V.data());
   for (int64_t R = 0; R < Rows; ++R)
     for (int64_t C = 0; C < Cols; ++C)
       ASSERT_NEAR(X.at(R, C), Orig.at(R, C) / V[static_cast<size_t>(R)],
@@ -115,7 +115,7 @@ TEST(TileOps, ColVecBroadcast) {
 TEST(TileOps, ReduceSumRows) {
   StridedTile X(11);
   std::vector<float> Out(Rows, 100.0f);
-  reduceSumRowsTile(X.tile(), Out.data(), /*Accumulate=*/false);
+  activeTileOps().ReduceSumRows(X.tile(), Out.data(), /*Accumulate=*/false);
   for (int64_t R = 0; R < Rows; ++R) {
     float Expected = 0.0f;
     for (int64_t C = 0; C < Cols; ++C)
@@ -124,7 +124,7 @@ TEST(TileOps, ReduceSumRows) {
   }
   // Accumulating form adds on top.
   std::vector<float> Out2 = Out;
-  reduceSumRowsTile(X.tile(), Out2.data(), /*Accumulate=*/true);
+  activeTileOps().ReduceSumRows(X.tile(), Out2.data(), /*Accumulate=*/true);
   for (int64_t R = 0; R < Rows; ++R)
     ASSERT_NEAR(Out2[static_cast<size_t>(R)],
                 2.0f * Out[static_cast<size_t>(R)], kF32Tol);
@@ -133,7 +133,7 @@ TEST(TileOps, ReduceSumRows) {
 TEST(TileOps, ReduceMaxRows) {
   StridedTile X(12);
   std::vector<float> Out(Rows, 0.0f);
-  reduceMaxRowsTile(X.tile(), Out.data(), /*Accumulate=*/false);
+  activeTileOps().ReduceMaxRows(X.tile(), Out.data(), /*Accumulate=*/false);
   for (int64_t R = 0; R < Rows; ++R) {
     float Expected = X.at(R, 0);
     for (int64_t C = 1; C < Cols; ++C)
@@ -161,10 +161,10 @@ TEST(TileOps, QuantDequantU8RoundTrip) {
   const float Scale = 0.02f;
   const int32_t Zp = 128;
   std::vector<uint8_t> Q(static_cast<size_t>(Rows * Cols));
-  quantizeU8Tile(Q.data(), Cols, X.Data.data(), Ld, Rows, Cols, 1.0f / Scale,
-                 Zp);
+  const TileOpsTable &K = activeTileOps();
+  K.QuantizeU8(Q.data(), Cols, X.Data.data(), Ld, Rows, Cols, 1.0f / Scale, Zp);
   std::vector<float> Back(static_cast<size_t>(Rows * Cols));
-  dequantU8Tile(Back.data(), Cols, Q.data(), Cols, Rows, Cols, Scale, Zp);
+  K.DequantU8(Back.data(), Cols, Q.data(), Cols, Rows, Cols, Scale, Zp);
   for (int64_t R = 0; R < Rows; ++R)
     for (int64_t C = 0; C < Cols; ++C)
       ASSERT_NEAR(Back[static_cast<size_t>(R * Cols + C)], X.at(R, C),
@@ -174,7 +174,7 @@ TEST(TileOps, QuantDequantU8RoundTrip) {
 TEST(TileOps, QuantU8Saturates) {
   std::vector<float> Big = {1e6f, -1e6f, 0.0f};
   std::vector<uint8_t> Q(3);
-  quantizeU8Tile(Q.data(), 3, Big.data(), 3, 1, 3, 1.0f, 10);
+  activeTileOps().QuantizeU8(Q.data(), 3, Big.data(), 3, 1, 3, 1.0f, 10);
   EXPECT_EQ(Q[0], 255);
   EXPECT_EQ(Q[1], 0);
   EXPECT_EQ(Q[2], 10);
@@ -218,8 +218,8 @@ TEST(TileOps, DequantAccMatchesFormula) {
   auto ScaleVec = randomF32(C, 15);
   const int32_t AZp = 7;
   std::vector<float> Out(static_cast<size_t>(R * C));
-  dequantAccTile(Out.data(), C, Acc.data(), C, R, C, Comp.data(), AZp,
-                 ScaleVec.data());
+  activeTileOps().DequantAcc(Out.data(), C, Acc.data(), C, R, C, Comp.data(),
+                             AZp, ScaleVec.data());
   for (int64_t RI = 0; RI < R; ++RI)
     for (int64_t CI = 0; CI < C; ++CI) {
       const int32_t Adj = Acc[static_cast<size_t>(RI * C + CI)] -
@@ -523,8 +523,8 @@ TEST(TileOps, DequantS8PerChannel) {
   auto Src = randomS8(R * C, 16);
   auto ScaleVec = randomF32(C, 17);
   std::vector<float> Out(static_cast<size_t>(R * C));
-  dequantS8PerChannelTile(Out.data(), C, Src.data(), C, R, C,
-                          ScaleVec.data());
+  activeTileOps().DequantS8PerChannel(Out.data(), C, Src.data(), C, R, C,
+                                      ScaleVec.data());
   for (int64_t RI = 0; RI < R; ++RI)
     for (int64_t CI = 0; CI < C; ++CI)
       ASSERT_NEAR(Out[static_cast<size_t>(RI * C + CI)],

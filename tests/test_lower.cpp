@@ -1,13 +1,11 @@
-//===- test_lower.cpp - blocking heuristic & anchor cost model ------------------===//
+//===- test_lower.cpp - blocking heuristic --------------------------------===//
 //
 // Properties of the §III heuristic (L1-resident microkernel working sets,
 // vector-width-aligned NB, int8 KB % 4, grid bounded by blocks and
-// threads, determinism, layout-negotiation fixing) and exact checks of
-// the §IV Fig. 3 anchor cost table.
+// threads, determinism, layout-negotiation fixing).
 //
 //===----------------------------------------------------------------------===//
 
-#include "lower/anchors.h"
 #include "lower/blocking.h"
 #include "test_utils.h"
 
@@ -139,106 +137,6 @@ TEST(Heuristic, DeepReductionsGetDeepBrgemmChunks) {
   const MatmulShape S = shape(128, 128, 2048);
   const BlockingParams P = chooseMatmulBlocking(S, 1);
   EXPECT_GE(P.KB * P.BS, 64) << P.toString();
-}
-
-//===----------------------------------------------------------------------===//
-// Fig. 3 anchor cost table
-//===----------------------------------------------------------------------===//
-
-BlockingParams exampleParams() {
-  // MSN=4, NSN=8, KSN=16, MB=32, NB=64, KB=64, BS=2, NPN=2.
-  BlockingParams P;
-  P.MB = 32;
-  P.NB = 64;
-  P.KB = 64;
-  P.BS = 2;
-  P.MPN = 1;
-  P.NPN = 2;
-  MatmulShape S = shape(4 * 32, 2 * 8 * 64, 16 * 64);
-  P.derive(S);
-  return P;
-}
-
-TEST(AnchorCosts, PreOpATableMatchesFig3) {
-  const BlockingParams P = exampleParams();
-  const int64_t ABlock = P.MB * P.KB;
-  const int64_t TotalA = P.MSN * P.MB * P.KSN * P.KB;
-
-  const AnchorCost A1 = preOpAnchorCostA(P, PreAnchor::Pre1);
-  EXPECT_EQ(A1.WorkingSetElems, P.MSN * P.KSN * ABlock);
-  EXPECT_EQ(A1.AccessTimesPerCore, 1);
-  EXPECT_EQ(A1.TotalAccessElems, TotalA);
-
-  const AnchorCost A3 = preOpAnchorCostA(P, PreAnchor::Pre3);
-  EXPECT_EQ(A3.WorkingSetElems, P.KSN * ABlock);
-  EXPECT_EQ(A3.AccessTimesPerCore, P.MSN);
-  EXPECT_EQ(A3.TotalAccessElems, TotalA);
-
-  const AnchorCost A4 = preOpAnchorCostA(P, PreAnchor::Pre4);
-  EXPECT_EQ(A4.WorkingSetElems, P.BS * ABlock);
-  EXPECT_EQ(A4.AccessTimesPerCore, P.MSN * (P.KSN / P.BS));
-  EXPECT_EQ(A4.TotalAccessElems, TotalA);
-
-  // Pre5 repacks per nsi: NSN-fold redundancy, same buffer as Pre4.
-  const AnchorCost A5 = preOpAnchorCostA(P, PreAnchor::Pre5);
-  EXPECT_EQ(A5.WorkingSetElems, A4.WorkingSetElems);
-  EXPECT_EQ(A5.TotalAccessElems, TotalA * P.NSN);
-}
-
-TEST(AnchorCosts, PreOpBTableMatchesFig3) {
-  const BlockingParams P = exampleParams();
-  const int64_t BBlock = P.NB * P.KB;
-  const int64_t NPSN = P.NSN * P.NPN;
-
-  const AnchorCost B1 = preOpAnchorCostB(P, PreAnchor::Pre1);
-  EXPECT_EQ(B1.WorkingSetElems, P.KSN * NPSN * BBlock);
-  EXPECT_EQ(B1.TotalAccessElems, NPSN * P.NB * P.KSN * P.KB);
-
-  const AnchorCost B2 = preOpAnchorCostB(P, PreAnchor::Pre2);
-  EXPECT_EQ(B2.TotalAccessElems, P.NSN * P.NB * P.KSN * P.KB);
-  EXPECT_LT(B2.TotalAccessElems, B1.TotalAccessElems)
-      << "per-core slice beats whole-panel when NPN > 1";
-
-  const AnchorCost B3 = preOpAnchorCostB(P, PreAnchor::Pre3);
-  EXPECT_EQ(B3.TotalAccessElems, P.MSN * B2.TotalAccessElems)
-      << "inner B anchors repack per msi (redundant)";
-}
-
-TEST(AnchorCosts, PostOpTableMatchesFig3) {
-  const BlockingParams P = exampleParams();
-  const int64_t MSBN = P.MB * P.MSN;
-  const int64_t NSBN = P.NB * P.NSN;
-  const int64_t N = 2 * 8 * 64;
-
-  const AnchorCost C1 = postOpAnchorCost(P, N, PostAnchor::Post1);
-  EXPECT_EQ(C1.WorkingSetElems, P.MB * NSBN);
-  EXPECT_EQ(C1.AccessTimesPerCore, P.MSN);
-  EXPECT_EQ(C1.TotalAccessElems, MSBN * NSBN);
-
-  const AnchorCost C2 = postOpAnchorCost(P, N, PostAnchor::Post2);
-  EXPECT_EQ(C2.WorkingSetElems, MSBN * NSBN);
-  EXPECT_EQ(C2.AccessTimesPerCore, 1);
-
-  const AnchorCost C3 = postOpAnchorCost(P, N, PostAnchor::Post3);
-  EXPECT_EQ(C3.WorkingSetElems, MSBN * N);
-  EXPECT_GE(C3.TotalAccessElems, C2.TotalAccessElems);
-}
-
-TEST(AnchorCosts, ChoosersFollowThePaper) {
-  const BlockingParams P = exampleParams();
-  // A pack: innermost minimal-buffer anchor (#4; #5 only when degenerate).
-  const PreAnchor A = choosePreAnchorA(P);
-  EXPECT_TRUE(A == PreAnchor::Pre4 ||
-              (A == PreAnchor::Pre5 && P.NSN == 1));
-  // B pack: the per-core slice anchor (no msi redundancy).
-  EXPECT_EQ(choosePreAnchorB(P), PreAnchor::Pre2);
-  // Post-ops: innermost unless a row reduction needs the full row under
-  // NPN > 1.
-  EXPECT_EQ(choosePostAnchor(P, false), PostAnchor::Post1);
-  EXPECT_EQ(choosePostAnchor(P, true), PostAnchor::Post3) << "NPN == 2";
-  BlockingParams P1 = P;
-  P1.NPN = 1;
-  EXPECT_EQ(choosePostAnchor(P1, true), PostAnchor::Post1);
 }
 
 } // namespace

@@ -1,21 +1,22 @@
 //===- test_simd_math.cpp - ULP accuracy of the vectorized math ---------------===//
 //
-// Validates every available tier of the polynomial transcendentals
-// (scalar / AVX2 / AVX-512 instantiations of the same templates) against
-// double-precision libm over dense sweeps and the edge cases: +-0,
-// denormals, the exp overflow/underflow boundaries (|x| >= 88), +-inf and
-// NaN. The bounds asserted here are the documented accuracy contract of
-// simd_math.h:
+// Validates the polynomial transcendentals of simd_math.h at every SIMD
+// width, through the Exp, Tanh and Sigmoid entries of the AVX2 and AVX-512
+// tile-op tables, against double-precision libm over dense sweeps and the
+// edge cases: +-0, denormals, the exp overflow/underflow boundaries
+// (|x| >= 88), +-inf and NaN. The bounds asserted here are the documented
+// accuracy contract of simd_math.h:
 //
 //   exp      <= 4 ULP     tanh    <= 8 ULP     sigmoid <= 8 ULP
-//   gelu     rel <= 1e-5 (abs <= 1e-30)        erf     abs <= 3e-7
 //
-// A cross-tier check pins all widths to within 1 ULP of each other, so the
-// masked-tail and ldexp paths cannot drift between instantiations.
+// A cross-width check pins AVX2 to within 1 ULP of AVX-512, so the
+// masked-tail and ldexp paths cannot drift between instantiations. Every
+// input list runs as one 1 x N tile, and the sweeps have an odd N, so the
+// masked tail runs too. The scalar tier calls libm and is not under test.
 //
 //===----------------------------------------------------------------------===//
 
-#include "kernels/simd_math.h"
+#include "kernels/tile_ops.h"
 
 #include <gtest/gtest.h>
 
@@ -52,10 +53,11 @@ uint64_t ulpDiff(float A, float B) {
   return static_cast<uint64_t>(D < 0 ? -D : D);
 }
 
-/// Dense linear sweep plus the shared edge values.
+/// Dense linear sweep of \p N points plus 21 edge values: an even N gives
+/// an odd tile width, so the sweep ends in a masked tail at every width.
 std::vector<float> sweepInputs(float Lo, float Hi, int N) {
   std::vector<float> X;
-  X.reserve(static_cast<size_t>(N) + 24);
+  X.reserve(static_cast<size_t>(N) + 21);
   for (int I = 0; I < N; ++I)
     X.push_back(Lo + (Hi - Lo) * static_cast<float>(I) /
                          static_cast<float>(N - 1));
@@ -68,28 +70,30 @@ std::vector<float> sweepInputs(float Lo, float Hi, int N) {
   return X;
 }
 
-/// The tiers available in this build / on this CPU (Scalar always is).
-std::vector<KernelTier> availableTiers() {
-  std::vector<KernelTier> T = {KernelTier::Scalar};
-  if (simdMathTable(KernelTier::Avx2))
-    T.push_back(KernelTier::Avx2);
-  if (simdMathTable(KernelTier::Avx512))
-    T.push_back(KernelTier::Avx512);
+/// The SIMD tiers available in this build / on this CPU.
+std::vector<KernelTier> simdTiers() {
+  std::vector<KernelTier> T;
+  for (KernelTier Tier : {KernelTier::Avx2, KernelTier::Avx512})
+    if (tileOpsTable(Tier))
+      T.push_back(Tier);
   return T;
 }
 
-/// Runs one tier's array function over X (odd length exercises the tail).
-std::vector<float> runTier(KernelTier Tier, UnaryArrayFn SimdMathTable::*Fn,
+using UnaryOp = void (*)(const TileF32 &);
+
+/// Runs one tier's tile op over X, as a single 1 x X.size() tile.
+std::vector<float> runTier(KernelTier Tier, UnaryOp TileOpsTable::*Fn,
                            const std::vector<float> &X) {
   std::vector<float> Y = X;
-  const SimdMathTable *T = simdMathTable(Tier);
-  (T->*Fn)(Y.data(), static_cast<int64_t>(Y.size()));
+  const int64_t N = static_cast<int64_t>(Y.size());
+  (tileOpsTable(Tier)->*Fn)(TileF32{Y.data(), 1, N, N});
   return Y;
 }
 
-void checkUlp(UnaryArrayFn SimdMathTable::*Fn, double (*Ref)(double),
+void checkUlp(UnaryOp TileOpsTable::*Fn, double (*Ref)(double),
               const std::vector<float> &X, uint64_t MaxUlp) {
-  for (KernelTier Tier : availableTiers()) {
+  ASSERT_EQ(X.size() % 2, 1u) << "the sweep must end in a masked tail";
+  for (KernelTier Tier : simdTiers()) {
     const std::vector<float> Y = runTier(Tier, Fn, X);
     for (size_t I = 0; I < X.size(); ++I) {
       const float Want = static_cast<float>(Ref(static_cast<double>(X[I])));
@@ -101,14 +105,14 @@ void checkUlp(UnaryArrayFn SimdMathTable::*Fn, double (*Ref)(double),
 }
 
 TEST(SimdMath, ExpUlp) {
-  checkUlp(&SimdMathTable::Exp, std::exp, sweepInputs(-105.0f, 90.0f, 30000),
+  checkUlp(&TileOpsTable::Exp, std::exp, sweepInputs(-105.0f, 90.0f, 30000),
            /*MaxUlp=*/4);
 }
 
 TEST(SimdMath, ExpEdges) {
-  for (KernelTier Tier : availableTiers()) {
+  for (KernelTier Tier : simdTiers()) {
     const std::vector<float> X = {kInf, -kInf, kNan, 89.0f, 1e30f, -1e30f};
-    const std::vector<float> Y = runTier(Tier, &SimdMathTable::Exp, X);
+    const std::vector<float> Y = runTier(Tier, &TileOpsTable::Exp, X);
     EXPECT_EQ(Y[0], kInf);
     EXPECT_EQ(Y[1], 0.0f);
     EXPECT_TRUE(std::isnan(Y[2]));
@@ -121,9 +125,9 @@ TEST(SimdMath, ExpEdges) {
 TEST(SimdMath, ExpDenormalOutputs) {
   // exp underflows gradually below ~-87.34; the two-step 2^n scaling must
   // produce denormals, not flush to zero.
-  for (KernelTier Tier : availableTiers()) {
+  for (KernelTier Tier : simdTiers()) {
     const std::vector<float> X = {-88.0f, -95.0f, -100.0f, -102.0f};
-    const std::vector<float> Y = runTier(Tier, &SimdMathTable::Exp, X);
+    const std::vector<float> Y = runTier(Tier, &TileOpsTable::Exp, X);
     for (size_t I = 0; I < X.size(); ++I) {
       const float Want = static_cast<float>(std::exp(double(X[I])));
       ASSERT_GT(Y[I], 0.0f) << "flushed to zero at x=" << X[I];
@@ -133,15 +137,15 @@ TEST(SimdMath, ExpDenormalOutputs) {
 }
 
 TEST(SimdMath, TanhUlp) {
-  checkUlp(&SimdMathTable::Tanh, std::tanh, sweepInputs(-12.0f, 12.0f, 30000),
+  checkUlp(&TileOpsTable::Tanh, std::tanh, sweepInputs(-12.0f, 12.0f, 30000),
            /*MaxUlp=*/8);
 }
 
 TEST(SimdMath, TanhSaturatesAndSigns) {
-  for (KernelTier Tier : availableTiers()) {
+  for (KernelTier Tier : simdTiers()) {
     const std::vector<float> X = {kInf, -kInf, 20.0f, -20.0f, 0.0f, -0.0f,
                                   kNan};
-    const std::vector<float> Y = runTier(Tier, &SimdMathTable::Tanh, X);
+    const std::vector<float> Y = runTier(Tier, &TileOpsTable::Tanh, X);
     EXPECT_EQ(Y[0], 1.0f);
     EXPECT_EQ(Y[1], -1.0f);
     EXPECT_EQ(Y[2], 1.0f);
@@ -154,14 +158,14 @@ TEST(SimdMath, TanhSaturatesAndSigns) {
 
 TEST(SimdMath, SigmoidUlp) {
   const auto Ref = [](double X) { return 1.0 / (1.0 + std::exp(-X)); };
-  checkUlp(&SimdMathTable::Sigmoid, +Ref, sweepInputs(-105.0f, 105.0f, 30000),
+  checkUlp(&TileOpsTable::Sigmoid, +Ref, sweepInputs(-105.0f, 105.0f, 30000),
            /*MaxUlp=*/8);
 }
 
 TEST(SimdMath, SigmoidEdges) {
-  for (KernelTier Tier : availableTiers()) {
+  for (KernelTier Tier : simdTiers()) {
     const std::vector<float> X = {kInf, -kInf, 200.0f, -200.0f, kNan};
-    const std::vector<float> Y = runTier(Tier, &SimdMathTable::Sigmoid, X);
+    const std::vector<float> Y = runTier(Tier, &TileOpsTable::Sigmoid, X);
     EXPECT_EQ(Y[0], 1.0f);
     EXPECT_EQ(Y[1], 0.0f);
     EXPECT_EQ(Y[2], 1.0f);
@@ -170,85 +174,18 @@ TEST(SimdMath, SigmoidEdges) {
   }
 }
 
-TEST(SimdMath, GeluTanhAccuracy) {
-  // Reference in the sigmoid form (algebraically identical to the tanh
-  // form): the naive double 1 + tanh(t) reference itself saturates to 0
-  // past t ~ -19 and would under-report the kernel's left-tail accuracy.
-  const auto Ref = [](double X) {
-    const double Inner = 0.7978845608028654 * (X + 0.044715 * X * X * X);
-    return X / (1.0 + std::exp(-2.0 * Inner));
-  };
-  const std::vector<float> X = sweepInputs(-10.0f, 10.0f, 20000);
-  for (KernelTier Tier : availableTiers()) {
-    const std::vector<float> Y = runTier(Tier, &SimdMathTable::GeluTanh, X);
-    for (size_t I = 0; I < X.size(); ++I) {
-      if (std::isnan(X[I]) || std::isinf(X[I]))
-        continue;
-      const double Want = Ref(static_cast<double>(X[I]));
-      const double Diff = std::abs(static_cast<double>(Y[I]) - Want);
-      ASSERT_TRUE(Diff <= 1e-5 * std::abs(Want) + 1e-30)
-          << "tier " << kernelTierName(Tier) << " x=" << X[I]
-          << " got=" << Y[I] << " want=" << Want;
-    }
-  }
-}
-
-TEST(SimdMath, GeluTanhEdges) {
-  for (KernelTier Tier : availableTiers()) {
-    const std::vector<float> X = {kInf, 30.0f, -30.0f, 0.0f, kNan};
-    const std::vector<float> Y = runTier(Tier, &SimdMathTable::GeluTanh, X);
-    EXPECT_EQ(Y[0], kInf);
-    EXPECT_EQ(Y[1], 30.0f);  // right tail: x * 1
-    EXPECT_EQ(Y[2], -0.0f);  // left tail underflows to zero
-    EXPECT_EQ(Y[3], 0.0f);
-    EXPECT_TRUE(std::isnan(Y[4]));
-  }
-}
-
-TEST(SimdMath, ErfAbsoluteAccuracy) {
-  // A&S 7.1.26 is absolute-error bounded (1.5e-7 in exact arithmetic,
-  // measured 5.2e-7 in f32), not ULP-tight near zero.
-  const std::vector<float> X = sweepInputs(-6.0f, 6.0f, 20000);
-  for (KernelTier Tier : availableTiers()) {
-    const std::vector<float> Y = runTier(Tier, &SimdMathTable::Erf, X);
-    for (size_t I = 0; I < X.size(); ++I) {
-      if (std::isnan(X[I]))
-        continue;
-      const float Want =
-          static_cast<float>(std::erf(static_cast<double>(X[I])));
-      ASSERT_NEAR(Y[I], Want, 1e-6)
-          << "tier " << kernelTierName(Tier) << " x=" << X[I];
-    }
-  }
-}
-
-TEST(SimdMath, ErfEdges) {
-  for (KernelTier Tier : availableTiers()) {
-    const std::vector<float> X = {kInf, -kInf, 6.0f, -6.0f, kNan};
-    const std::vector<float> Y = runTier(Tier, &SimdMathTable::Erf, X);
-    EXPECT_EQ(Y[0], 1.0f);
-    EXPECT_EQ(Y[1], -1.0f);
-    EXPECT_EQ(Y[2], 1.0f);
-    EXPECT_EQ(Y[3], -1.0f);
-    EXPECT_TRUE(std::isnan(Y[4]));
-  }
-}
-
 TEST(SimdMath, TiersAgreeWithinOneUlp) {
-  // All widths run the same polynomial; only the final power-of-two scaling
-  // of exp (ldexp vs two multiplies) may differ in the denormal range.
-  const std::vector<float> X = sweepInputs(-30.0f, 30.0f, 5003); // odd: tail
-  UnaryArrayFn SimdMathTable::*Fns[] = {
-      &SimdMathTable::Exp, &SimdMathTable::Tanh, &SimdMathTable::Sigmoid,
-      &SimdMathTable::GeluTanh, &SimdMathTable::Erf};
-  for (auto Fn : Fns) {
-    const std::vector<float> Base = runTier(KernelTier::Scalar, Fn, X);
-    for (KernelTier Tier : availableTiers()) {
-      const std::vector<float> Y = runTier(Tier, Fn, X);
-      for (size_t I = 0; I < X.size(); ++I)
-        ASSERT_LE(ulpDiff(Y[I], Base[I]), 1u)
-            << "tier " << kernelTierName(Tier) << " x=" << X[I];
-    }
+  // Both widths run the same polynomial and the same two-step 2^n scaling;
+  // the contract leaves them 1 ULP apart.
+  if (!tileOpsTable(KernelTier::Avx2) || !tileOpsTable(KernelTier::Avx512))
+    GTEST_SKIP() << "needs both the AVX2 and the AVX-512 tier";
+  const std::vector<float> X = sweepInputs(-30.0f, 30.0f, 5002); // odd: tail
+  for (UnaryOp TileOpsTable::*Fn :
+       {&TileOpsTable::Exp, &TileOpsTable::Tanh, &TileOpsTable::Sigmoid}) {
+    const std::vector<float> Base = runTier(KernelTier::Avx512, Fn, X);
+    const std::vector<float> Y = runTier(KernelTier::Avx2, Fn, X);
+    for (size_t I = 0; I < X.size(); ++I)
+      ASSERT_LE(ulpDiff(Y[I], Base[I]), 1u) << "x=" << X[I];
   }
 }
 

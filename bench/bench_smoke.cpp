@@ -51,14 +51,29 @@ namespace {
 /// scripts/bench_gate.py sched compares the two modes.
 const bool AsyncMode = getEnvString("GC_SCHED", "serial") == "async";
 
+/// Compiles timed per case. One compile takes 1-9 ms from run to run on
+/// a busy host; the fastest of several is stable enough to gate on.
+constexpr int kCompileSamples = 5;
+
 /// Measures one graph through a Session stream; prints the JSON line.
-/// "sched" reports AsyncMode.
-void runCase(api::Session &S, const char *Name, graph::Graph G) {
+/// "sched" reports AsyncMode. "compile_us" is the fastest of
+/// kCompileSamples compiles, each after Session::clearCache() so each
+/// runs the pipeline, unless \p Recompile asks for cache hits instead.
+void runCase(api::Session &S, const char *Name, graph::Graph G,
+             bool Recompile = false) {
   Instance W(std::move(G));
   const uint64_t HitsBefore = S.cacheHits();
-  Timer CompileTimer;
-  Expected<api::CompiledGraphPtr> CompiledOr = S.compile(W.G);
-  const double CompileUs = CompileTimer.seconds() * 1e6;
+  Expected<api::CompiledGraphPtr> CompiledOr =
+      Status::error(StatusCode::Internal, "not compiled");
+  double CompileUs = 0;
+  for (int I = 0; I < kCompileSamples; ++I) {
+    if (!Recompile)
+      S.clearCache();
+    Timer CompileTimer;
+    CompiledOr = S.compile(W.G);
+    const double Us = CompileTimer.seconds() * 1e6;
+    CompileUs = I == 0 ? Us : std::min(CompileUs, Us);
+  }
   if (!CompiledOr) {
     std::printf("{\"bench\":\"%s\",\"error\":\"%s\"}\n", Name,
                 CompiledOr.status().toString().c_str());
@@ -579,7 +594,8 @@ int main() {
 
   // Recompile an identical graph: measures the compiled-partition cache
   // (cache_hit should report 1 and compile cost should vanish).
-  runCase(S, "mlp1_f32_recompile", workloads::buildMlp(Mlp1));
+  runCase(S, "mlp1_f32_recompile", workloads::buildMlp(Mlp1),
+          /*Recompile=*/true);
 
   // Multi-partition branch cases for the scheduler comparison
   // (scripts/bench_gate.py sched, BENCH_4.json): a dedicated session

@@ -15,7 +15,6 @@
 #include "support/serial.h"
 #include "support/str.h"
 #include "tir/intrinsics.h"
-#include "tirpass/tirpass.h"
 #include "verify/verify.h"
 
 #include <algorithm>
@@ -169,8 +168,8 @@ void writeGraph(ByteWriter &W, const Graph &G,
   }
 }
 
-/// Reads a dtype + shape + blob triple (graph constant data or a baked
-/// function constant) and vends a zero-copy view into the payload span.
+/// Reads a dtype + shape + blob triple (graph constant data or a folded
+/// constant) and vends a zero-copy view into the payload span.
 /// Fails unless the blob length equals exactly shape x element size.
 bool readTensorBlob(ByteReader &R, const char *What, TensorData &Out) {
   const uint8_t Ty = R.u8();
@@ -351,109 +350,6 @@ Status readGraph(ByteReader &R, Graph &G, int Depth) {
 }
 
 //===----------------------------------------------------------------------===//
-// Entry function payload (buffer table + baked constants; no body)
-//===----------------------------------------------------------------------===//
-
-void writeFunc(ByteWriter &W, const tir::Func &F) {
-  W.str(F.Name);
-  W.i64(F.NumSlots);
-  W.i64(F.ArenaBytes);
-  W.i64(F.ArenaBytesNoReuse);
-  W.u64(F.Baked.size());
-  for (const TensorData &T : F.Baked) {
-    W.u8(static_cast<uint8_t>(T.dtype()));
-    W.i64vec(T.shape());
-    W.blob(T.data(), static_cast<size_t>(T.numBytes()));
-  }
-  W.u64(F.Buffers.size());
-  for (const tir::BufferDecl &B : F.Buffers) {
-    W.str(B.Name);
-    W.u8(static_cast<uint8_t>(B.ElemTy));
-    W.i64vec(B.Dims);
-    W.u8(static_cast<uint8_t>(B.Scope));
-    W.i64(B.GraphTensorId);
-    W.i64(B.ArenaOffset);
-    W.i32(B.BakedIndex);
-  }
-}
-
-Status readFunc(ByteReader &R, tir::Func &F) {
-  F.Name = R.str();
-  const int64_t NumSlots = R.i64();
-  F.ArenaBytes = R.i64();
-  F.ArenaBytesNoReuse = R.i64();
-  if (!R.ok())
-    return R.err();
-  if (NumSlots < -1 || NumSlots > static_cast<int64_t>(kMaxCount)) {
-    R.fail("slot count");
-    return R.err();
-  }
-  F.NumSlots = static_cast<int>(NumSlots);
-  if (F.ArenaBytes < 0 || F.ArenaBytes > static_cast<int64_t>(kMaxElems) ||
-      F.ArenaBytesNoReuse < 0) {
-    R.fail("arena bytes");
-    return R.err();
-  }
-  const uint64_t NumBaked = R.u64();
-  if (!R.ok() || NumBaked > kMaxCount) {
-    R.fail("baked constant count");
-    return R.err();
-  }
-  F.Baked.reserve(NumBaked);
-  for (uint64_t I = 0; I < NumBaked; ++I) {
-    TensorData View;
-    if (!readTensorBlob(R, "baked constant", View))
-      return R.err();
-    F.Baked.push_back(std::move(View));
-  }
-  const uint64_t NumBufs = R.u64();
-  if (!R.ok() || NumBufs > kMaxCount) {
-    R.fail("buffer count");
-    return R.err();
-  }
-  F.Buffers.reserve(NumBufs);
-  for (uint64_t I = 0; I < NumBufs; ++I) {
-    tir::BufferDecl B;
-    B.Id = static_cast<int>(I);
-    B.Name = R.str();
-    const uint8_t ElemTy = R.u8();
-    B.Dims = R.i64vec();
-    const uint8_t Scope = R.u8();
-    B.GraphTensorId = R.i64();
-    B.ArenaOffset = R.i64();
-    B.BakedIndex = R.i32();
-    if (!R.ok())
-      return R.err();
-    if (ElemTy > static_cast<uint8_t>(DataType::U8)) {
-      R.fail("buffer element type");
-      return R.err();
-    }
-    if (Scope > static_cast<uint8_t>(tir::BufferScope::ThreadLocal)) {
-      R.fail("buffer scope");
-      return R.err();
-    }
-    uint64_t Elems = 0;
-    if (!validShape(B.Dims, Elems)) {
-      R.fail("buffer dims");
-      return R.err();
-    }
-    if (B.ArenaOffset < -1) {
-      R.fail("buffer arena offset");
-      return R.err();
-    }
-    if (B.BakedIndex < -1 ||
-        B.BakedIndex >= static_cast<int>(F.Baked.size())) {
-      R.fail("baked constant index");
-      return R.err();
-    }
-    B.ElemTy = static_cast<DataType>(ElemTy);
-    B.Scope = static_cast<tir::BufferScope>(Scope);
-    F.Buffers.push_back(std::move(B));
-  }
-  return Status::ok();
-}
-
-//===----------------------------------------------------------------------===//
 // Bytecode program payload
 //===----------------------------------------------------------------------===//
 
@@ -543,6 +439,11 @@ void writeProgram(ByteWriter &W, const exec::Program &P) {
     W.i64(B.ElemSize);
     W.u8(static_cast<uint8_t>(B.Scope));
     W.i64(B.ArenaOffset);
+    // A baked Const buffer carries its bytes inline; the loader points
+    // BakedData at them in place.
+    W.u8(B.BakedData ? 1 : 0);
+    if (B.BakedData)
+      W.blob(B.BakedData, static_cast<size_t>(B.Bytes));
   }
   W.u64(P.Code.size());
   for (const exec::Instr &I : P.Code) {
@@ -583,9 +484,9 @@ void writeProgram(ByteWriter &W, const exec::Program &P) {
 }
 
 /// Reads the Program, relinking each call's kernel pointer from its
-/// serialized intrinsic and each Const buffer's baked pointer through
-/// \p F's buffer table.
-Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
+/// serialized intrinsic and pointing each baked Const buffer at its bytes
+/// in the payload span (zero-copy).
+Status readProgram(ByteReader &R, exec::Program &P) {
   P.Name = R.str();
   P.NumRegs = R.u32();
   P.ArenaBytes = R.i64();
@@ -612,10 +513,6 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
     R.fail("program buffer count");
     return R.err();
   }
-  if (NumBufs != F.Buffers.size()) {
-    R.fail("program/function buffer table mismatch");
-    return R.err();
-  }
   P.Buffers.resize(NumBufs);
   for (uint64_t I = 0; I < NumBufs; ++I) {
     exec::BufferInfo &B = P.Buffers[I];
@@ -623,6 +520,7 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
     B.ElemSize = R.i64();
     const uint8_t Scope = R.u8();
     B.ArenaOffset = R.i64();
+    const uint8_t Baked = R.u8();
     if (!R.ok())
       return R.err();
     if (Scope > static_cast<uint8_t>(tir::BufferScope::ThreadLocal)) {
@@ -635,14 +533,22 @@ Status readProgram(ByteReader &R, exec::Program &P, const tir::Func &F) {
       R.fail("program buffer geometry");
       return R.err();
     }
-    const tir::BufferDecl &D = F.Buffers[I];
-    if (D.BakedIndex >= 0) {
-      const TensorData &Baked = F.Baked[static_cast<size_t>(D.BakedIndex)];
-      if (B.Bytes > Baked.numBytes()) {
-        R.fail("buffer extent exceeds its baked constant");
+    if (Baked > 1 || (Baked && B.Scope != tir::BufferScope::Const)) {
+      R.fail("program buffer baked flag");
+      return R.err();
+    }
+    if (Baked) {
+      size_t Len = 0;
+      const void *Data = R.blob(Len);
+      if (!R.ok())
+        return R.err();
+      if (Len != static_cast<uint64_t>(B.Bytes)) {
+        R.fail(formatString("baked constant of buffer %llu is %zu bytes, "
+                            "the buffer %lld",
+                            (unsigned long long)I, Len, (long long)B.Bytes));
         return R.err();
       }
-      B.BakedData = Baked.data();
+      B.BakedData = Data;
     }
   }
   const uint64_t NumCode = R.u64();
@@ -927,13 +833,8 @@ void ArtifactCodec::encode(CompiledPartition &P, ByteWriter &W) {
   for (const lower::Binding &B : P.Prog.Bindings)
     if (B.Kind == lower::BindingKind::ConstData)
       ExecConsts.insert(B.TensorId);
-  const int32_t ParallelNests = P.LoadedParallelNests >= 0
-                                    ? P.LoadedParallelNests
-                                    : tirpass::countParallelNests(P.Prog.Entry);
   W.u32(kArtifactPayloadVersion);
   writeGraph(W, P.OptimizedG, &ExecConsts);
-  W.i64vec(P.Prog.FoldOutputs);
-  writeFunc(W, P.Prog.Entry);
   writeProgram(W, *P.Prog.Bytecode);
   W.u64(P.Prog.Bindings.size());
   for (const lower::Binding &B : P.Prog.Bindings) {
@@ -941,12 +842,13 @@ void ArtifactCodec::encode(CompiledPartition &P, ByteWriter &W) {
     W.i64(B.TensorId);
     W.u8(static_cast<uint8_t>(B.Kind));
   }
+  // The peak with reuse is the Program's arena size; the loader re-derives
+  // it from there.
   W.i32(P.Prog.CoarseGrainMerges);
-  W.i64(P.Prog.ReuseStats.PeakBytesWithReuse);
   W.i64(P.Prog.ReuseStats.PeakBytesWithoutReuse);
   W.i32(P.Prog.ReuseStats.BuffersPlaced);
   W.i32(P.Prog.ReuseStats.BuffersReused);
-  W.i32(ParallelNests);
+  // The folded section's ids are the fold-output list.
   W.u64(P.Prog.FoldOutputs.size());
   for (int64_t Id : P.Prog.FoldOutputs) {
     const TensorData *D = P.Cache.get(Id);
@@ -986,61 +888,49 @@ ArtifactCodec::deserialize(const void *Payload, size_t Bytes,
   std::shared_ptr<CompiledPartition> P(new CompiledPartition());
   if (Status S = readGraph(R, P->OptimizedG, 0); !S.isOk())
     return S;
-  P->Prog.FoldOutputs = R.i64vec();
-  if (!R.ok())
-    return R.err();
-  if (Status S = readFunc(R, P->Prog.Entry); !S.isOk())
-    return S;
+  lower::LoweredProgram &LP = P->Prog;
   auto Prog = std::make_shared<exec::Program>();
-  if (Status S = readProgram(R, *Prog, P->Prog.Entry); !S.isOk())
+  if (Status S = readProgram(R, *Prog); !S.isOk())
     return S;
-  P->Prog.Bytecode = Prog;
+  LP.Bytecode = Prog;
 
   const uint64_t NumBindings = R.u64();
   if (!R.ok() || NumBindings > kMaxCount) {
     R.fail("binding count");
     return R.err();
   }
-  P->Prog.Bindings.resize(NumBindings);
-  for (lower::Binding &B : P->Prog.Bindings) {
+  LP.Bindings.resize(NumBindings);
+  for (lower::Binding &B : LP.Bindings) {
     B.BufferId = R.i32();
     B.TensorId = R.i64();
     B.Kind = static_cast<lower::BindingKind>(R.u8());
   }
-  P->Prog.CoarseGrainMerges = R.i32();
-  P->Prog.ReuseStats.PeakBytesWithReuse = R.i64();
-  P->Prog.ReuseStats.PeakBytesWithoutReuse = R.i64();
-  P->Prog.ReuseStats.BuffersPlaced = R.i32();
-  P->Prog.ReuseStats.BuffersReused = R.i32();
-  const int32_t ParallelNests = R.i32();
-  if (!R.ok())
-    return R.err();
-  if (ParallelNests < 0) {
-    R.fail("parallel nest count");
-    return R.err();
-  }
+  LP.CoarseGrainMerges = R.i32();
+  LP.ReuseStats.PeakBytesWithReuse = Prog->ArenaBytes;
+  LP.ReuseStats.PeakBytesWithoutReuse = R.i64();
+  LP.ReuseStats.BuffersPlaced = R.i32();
+  LP.ReuseStats.BuffersReused = R.i32();
 
   // Folded-constants section: one pre-computed tensor per fold output,
-  // served as zero-copy views into the payload. Each id must name a
-  // tensor of the optimized graph and a fold output exactly once, carry
-  // that tensor's data type, and span its padded extent — the byte budget
-  // checkBindings later grants FoldedConst buffers. With the count equal
-  // to the fold outputs', every fold output is checked here.
+  // served as zero-copy views into the payload. Its ids are the fold-output
+  // list. Each must name a tensor of the optimized graph exactly once,
+  // carry that tensor's data type, and span its padded extent — the byte
+  // budget checkBindings later grants FoldedConst buffers.
   const uint64_t NumFolded = R.u64();
-  if (!R.ok() || NumFolded != P->Prog.FoldOutputs.size()) {
+  if (!R.ok() || NumFolded > kMaxCount) {
     R.fail("folded constant count");
     return R.err();
   }
   std::vector<std::pair<int64_t, TensorData>> Folded;
   Folded.reserve(NumFolded);
+  LP.FoldOutputs.reserve(NumFolded);
   std::unordered_set<int64_t> SeenFold;
   for (uint64_t I = 0; I < NumFolded; ++I) {
     const int64_t Id = R.i64();
     TensorData View;
     if (!readTensorBlob(R, "folded constant", View))
       return R.err();
-    if (!P->OptimizedG.hasTensor(Id) || !contains(P->Prog.FoldOutputs, Id) ||
-        !SeenFold.insert(Id).second) {
+    if (!P->OptimizedG.hasTensor(Id) || !SeenFold.insert(Id).second) {
       R.fail("folded constant id");
       return R.err();
     }
@@ -1052,6 +942,7 @@ ArtifactCodec::deserialize(const void *Payload, size_t Bytes,
       R.fail("folded constant byte extent");
       return R.err();
     }
+    LP.FoldOutputs.push_back(Id);
     Folded.emplace_back(Id, std::move(View));
   }
 
@@ -1060,8 +951,8 @@ ArtifactCodec::deserialize(const void *Payload, size_t Bytes,
     return R.err();
   }
 
-  if (Status S = checkBindings(P->Prog.Bindings, *Prog, P->OptimizedG,
-                               P->Prog.FoldOutputs);
+  if (Status S =
+          checkBindings(LP.Bindings, *Prog, P->OptimizedG, LP.FoldOutputs);
       !S.isOk())
     return S;
 
@@ -1079,7 +970,6 @@ ArtifactCodec::deserialize(const void *Payload, size_t Bytes,
   P->Pool = std::move(Pool);
   P->InputIds = P->OptimizedG.inputs();
   P->OutputIds = P->OptimizedG.outputs();
-  P->LoadedParallelNests = ParallelNests;
   P->MappedPin = std::move(Pin);
   P->resolveBindings();
 

@@ -6,28 +6,28 @@
 /// runtime::ArtifactCache owns the file envelope (header, checksum, mmap,
 /// atomic stores); this codec owns what the payload *means*.
 ///
-/// A serialized artifact carries everything execution needs and nothing
-/// the compiler needs: the optimized Graph IR (boundary + constants, for
-/// binding resolution), the fold function's output ids, the entry
-/// function's buffer table and baked constants
-/// (no Tensor IR body — the bytecode replaces it), the bytecode Program
-/// with kernel calls recorded symbolically (tir::Intrinsic, relinked to
-/// function pointers at load), the execution-time bindings, the
-/// body-derived statistics that can no longer be recomputed, and the fold
-/// function's outputs — the packed / compensated constant weights — so a
-/// disk-warm process skips constant preprocessing on first execution.
+/// A serialized artifact stores what executes and nothing the compiler
+/// needs: the optimized Graph IR (boundary + constants, for binding
+/// resolution), the bytecode Program with kernel calls recorded
+/// symbolically (tir::Intrinsic, relinked to function pointers at load)
+/// and each baked Const buffer's bytes inline in its buffer table, the
+/// execution-time bindings, the pass statistics the Program does not
+/// imply, and the fold function's outputs — the packed / compensated
+/// constant weights — so a disk-warm process skips constant preprocessing
+/// on first execution. The Tensor IR the Program was compiled from is not
+/// stored: a loaded partition's entry() is empty.
 ///
 /// Deserialization treats the payload as untrusted input: every read is
 /// bounds-checked (support/serial.h), every enum range-validated, every
-/// cross-reference (tensor ids, buffer ids, baked indices, binding
-/// targets, buffer byte extents against their backing tensors) verified,
-/// and the resulting graph and Program run through the static verifiers
-/// unconditionally before the partition is handed out. A corrupt payload
+/// cross-reference (tensor ids, buffer ids, binding targets, baked and
+/// bound byte extents against their buffers) verified, and the resulting
+/// graph and Program run through the static verifiers unconditionally
+/// before the partition is handed out. A corrupt payload
 /// yields a located Status — never undefined behavior — and the caller
 /// falls back to a fresh compile.
 ///
-/// Constants are not copied out of the payload: graph constant data and
-/// baked function constants become TensorData views into the mmap'd span,
+/// Constants are not copied out of the payload: graph constant data,
+/// baked buffers and folded constants are views into the mmap'd span,
 /// pinned by the partition (CompiledPartition::MappedPin) for its
 /// lifetime. ByteWriter/ByteReader 8-align blobs so those views satisfy
 /// natural scalar alignment.
@@ -79,7 +79,16 @@ namespace core {
 /// v7 retired the reserved op kind between gelu and batchnorm (every later
 /// op-kind byte shifts down by one), and an entry no longer bakes the
 /// single-element compensation constants that no call reads.
-constexpr uint32_t kArtifactPayloadVersion = 7;
+///
+/// v8 stores the Program as the artifact of record. The Tensor IR entry
+/// function (buffer table, baked constants, slot and arena counts) is
+/// gone; each baked Const buffer of the Program carries its bytes inline,
+/// whose length must equal the buffer's. The fold-output list is the
+/// folded section's ids, the arena peak with reuse is the Program's arena
+/// size, and the parallel-nest count is read off the Program, so none of
+/// them is stored. Layout::Kind lost `Any`: every later layout byte
+/// shifts down by one.
+constexpr uint32_t kArtifactPayloadVersion = 8;
 
 /// Identity hash of this binary's compilation pipeline: payload version,
 /// compiler identification and build timestamp. Two processes agree on it
@@ -106,8 +115,7 @@ uint64_t artifactCacheKey(uint64_t GraphFingerprint,
 /// the partition exposes its internals to exactly one named type.
 struct ArtifactCodec {
   /// Writes \p P as a self-contained payload (no file envelope) into
-  /// \p W. The bytecode program ships; the Tensor IR body is not
-  /// serialized. Runs \p P's fold function through ensureFolded() when it
+  /// \p W. The bytecode program ships; the Tensor IR is not serialized. Runs \p P's fold function through ensureFolded() when it
   /// has not run yet, so the partition keeps the folded weights it ships.
   /// A cache-writing compile hands this to runtime::ArtifactCache::store,
   /// which streams it into the entry's file.

@@ -9,7 +9,6 @@
 #include "support/env.h"
 #include "support/fault.h"
 #include "support/str.h"
-#include "tirpass/tirpass.h"
 
 #include <algorithm>
 #include <optional>
@@ -110,7 +109,6 @@ runtime::TensorData packConstant(const LogicalTensor &DstT,
                            DstT.Lay.Block0, DstT.Lay.Block1);
       break;
     case Layout::Kind::Plain:
-    case Layout::Kind::Any:
       GC_UNREACHABLE("packConstant called for a plain layout");
     }
   }
@@ -423,15 +421,21 @@ Status CompiledPartition::execute(
 }
 
 PartitionStats CompiledPartition::stats() const {
+  // Read from the Program and the pass statistics, which compiled and
+  // loaded partitions both carry. A nest is a ParallelFor outside every
+  // other nest's body: each non-empty one costs one pool barrier.
   PartitionStats S;
   S.CoarseGrainMerges = Prog.CoarseGrainMerges;
-  // Disk-loaded partitions have no Tensor IR body; the count was
-  // serialized with the artifact.
-  S.ParallelNests = LoadedParallelNests >= 0
-                        ? LoadedParallelNests
-                        : tirpass::countParallelNests(Prog.Entry);
-  S.ScratchArenaBytes = Prog.Entry.ArenaBytes;
-  S.ScratchArenaBytesNoReuse = Prog.Entry.ArenaBytesNoReuse;
+  const exec::Program &P = *Prog.Bytecode;
+  for (size_t I = 0, BodyEnd = 0; I < P.Code.size(); ++I) {
+    const exec::Instr &In = P.Code[I];
+    if (In.Op != exec::Opcode::ParallelFor || I < BodyEnd)
+      continue;
+    ++S.ParallelNests;
+    BodyEnd = I + 1 + P.Pars[static_cast<size_t>(In.Target)].BodyLen;
+  }
+  S.ScratchArenaBytes = Prog.ReuseStats.PeakBytesWithReuse;
+  S.ScratchArenaBytesNoReuse = Prog.ReuseStats.PeakBytesWithoutReuse;
   // The fold-dependent fields read 0 until the fold function has run, at
   // the first execution or at serialization (FoldDone orders the cache
   // contents for this reader).

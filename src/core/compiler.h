@@ -170,7 +170,9 @@ public:
 
   /// Post-optimization Graph IR (inspection / tests).
   const graph::Graph &optimizedGraph() const { return OptimizedG; }
-  /// Lowered entry function (inspection / tests).
+  /// Lowered entry function (inspection / tests). Empty for a partition
+  /// loaded from the artifact cache: the payload stores the bytecode, not
+  /// the Tensor IR it was compiled from.
   const tir::Func &entry() const { return Prog.Entry; }
   /// Compiled bytecode program (inspection / tests).
   const exec::Program &bytecode() const { return *Prog.Bytecode; }
@@ -236,13 +238,10 @@ private:
   std::vector<int64_t> OutputIds; // optimized-graph ids in output order
   std::vector<ResolvedBinding> Bindings; // Prog.Bindings, positions resolved
 
-  /// Disk-loaded partitions carry no Tensor IR body (only bytecode), so
-  /// body-derived statistics are serialized instead of recomputed. -1 =
-  /// compiled in-process, derive from Prog.Entry.
-  int LoadedParallelNests = -1;
   /// Pins the mmap'd cache entry backing zero-copy constant views
-  /// (OptimizedG payload, Entry.Baked) for this partition's
-  /// lifetime. Null for in-process compiles.
+  /// (OptimizedG constants, the Program's baked buffers, the folded
+  /// constants) for this partition's lifetime. Null for in-process
+  /// compiles.
   std::shared_ptr<void> MappedPin;
 };
 

@@ -162,19 +162,16 @@ Executor::Executor(std::shared_ptr<const Program> Prog,
       if (B.BakedData)
         BasePtrs[Id] = const_cast<void *>(B.BakedData);
       break; // otherwise bound by caller
-    case tir::BufferScope::Temp: {
-      void *Ptr = nullptr;
+    case tir::BufferScope::Temp:
+      // Buffer reuse gives every Temp buffer a region touches an arena
+      // slot, and the verifier rejects a loaded one without; an unplaced
+      // buffer stays unbound, which run() refuses.
       if (B.ArenaOffset >= 0) {
         assert(B.ArenaOffset + B.Bytes <= static_cast<int64_t>(Arena.size()) &&
                "arena overflow");
-        Ptr = static_cast<char *>(Arena.data()) + B.ArenaOffset;
-      } else {
-        Locals.emplace_back(static_cast<size_t>(B.Bytes));
-        Ptr = Locals.back().data();
+        BasePtrs[Id] = static_cast<char *>(Arena.data()) + B.ArenaOffset;
       }
-      BasePtrs[Id] = Ptr;
       break;
-    }
     case tir::BufferScope::ThreadLocal: {
       for (int W = 0; W < NumWorkers; ++W) {
         void *Ptr =

@@ -59,8 +59,7 @@ private:
   /// Per-worker pointer tables (ThreadLocal buffers diverge).
   std::vector<std::vector<void *>> WorkerPtrs;
 
-  runtime::AlignedBuffer Arena;               // shared temp arena
-  std::vector<runtime::AlignedBuffer> Locals; // temps without arena offset
+  runtime::AlignedBuffer Arena;                      // shared temp arena
   std::vector<runtime::AlignedBuffer> ThreadScratch; // per worker blocks
 
   /// Main register frame plus one persistent frame per worker (copied

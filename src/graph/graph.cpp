@@ -9,7 +9,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <deque>
+#include <functional>
+#include <queue>
 
 namespace gc {
 namespace graph {
@@ -422,7 +423,9 @@ void Graph::setOpInputs(int64_t OpId, std::vector<int64_t> NewInputs) {
 
 std::vector<int64_t> Graph::topologicalOrder() const {
   std::unordered_map<int64_t, int> PendingInputs;
-  std::deque<int64_t> Ready;
+  // A min-heap: the smallest ready id comes next, for determinism.
+  std::priority_queue<int64_t, std::vector<int64_t>, std::greater<int64_t>>
+      Ready;
   for (const auto &[Id, O] : Ops) {
     int Count = 0;
     for (int64_t In : O.Inputs)
@@ -430,20 +433,18 @@ std::vector<int64_t> Graph::topologicalOrder() const {
         ++Count;
     PendingInputs[Id] = Count;
     if (Count == 0)
-      Ready.push_back(Id);
+      Ready.push(Id);
   }
   std::vector<int64_t> Order;
   Order.reserve(Ops.size());
   while (!Ready.empty()) {
-    // Pick the smallest ready id for determinism.
-    auto MinIt = std::min_element(Ready.begin(), Ready.end());
-    const int64_t Id = *MinIt;
-    Ready.erase(MinIt);
+    const int64_t Id = Ready.top();
+    Ready.pop();
     Order.push_back(Id);
     for (int64_t Out : Ops.at(Id).Outputs)
       for (int64_t User : consumersOf(Out))
         if (--PendingInputs[User] == 0)
-          Ready.push_back(User);
+          Ready.push(User);
   }
   if (Order.size() != Ops.size())
     fatalError("cycle detected in graph");

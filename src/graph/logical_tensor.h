@@ -27,7 +27,6 @@ namespace graph {
 /// dimensions remain outer row-major dimensions in every layout.
 struct Layout {
   enum class Kind : uint8_t {
-    Any,          ///< not yet decided (pre layout-propagation)
     Plain,        ///< row-major
     BlockedA,     ///< [ceil(R/B0)][ceil(C/B1)][B0][B1] - LHS/activation format
     BlockedB,     ///< [ceil(R/B0)][ceil(C/B1)][B0][B1] - RHS/weight format
@@ -35,7 +34,7 @@ struct Layout {
   };
 
   Kind K = Kind::Plain;
-  /// Block sizes of the trailing two dims (rows, cols). 0 when plain/any.
+  /// Block sizes of the trailing two dims (rows, cols). 0 when plain.
   int64_t Block0 = 0;
   int64_t Block1 = 0;
 
@@ -46,7 +45,6 @@ struct Layout {
   }
 
   static Layout plain() { return Layout{Kind::Plain, 0, 0}; }
-  static Layout any() { return Layout{Kind::Any, 0, 0}; }
   static Layout blockedA(int64_t B0, int64_t B1) {
     return Layout{Kind::BlockedA, B0, B1};
   }
@@ -64,7 +62,6 @@ struct Layout {
 
   std::string toString() const {
     switch (K) {
-    case Kind::Any: return "any";
     case Kind::Plain: return "plain";
     case Kind::BlockedA:
       return formatString("blockedA<%lldx%lld>", (long long)Block0,

@@ -57,8 +57,8 @@ struct Binding {
 struct LoweredProgram {
   tir::Func Entry;
   /// Entry compiled to flat bytecode (exec/program.h) as the final
-  /// lowering step; shared by every execution of the partition. Holds
-  /// pointers into Entry.Baked, so it lives alongside Entry.
+  /// lowering step; shared by every execution of the partition. Its baked
+  /// buffers point into Entry.Baked, so it lives alongside Entry.
   std::shared_ptr<const exec::Program> Bytecode;
   /// Fold side: the constant-reachable subgraph ("initial function" of
   /// §V); executed once by the runtime, outputs cached. Its constants

@@ -131,10 +131,11 @@ private:
                                    "metadata (%lld bytes, elem size %lld)",
                                    I, (long long)B.Bytes,
                                    (long long)B.ElemSize));
-      if (B.Scope == tir::BufferScope::Temp && B.ArenaOffset >= 0 &&
-          B.ArenaOffset + B.Bytes > P.ArenaBytes)
-        return err(0, formatString("buffer %zu arena slot [%lld, %lld) "
-                                   "exceeds the %lld byte arena",
+      // The executor places Temp buffers only in the arena.
+      if (B.Scope == tir::BufferScope::Temp &&
+          (B.ArenaOffset < 0 || B.ArenaOffset > P.ArenaBytes - B.Bytes))
+        return err(0, formatString("temp buffer %zu arena slot [%lld, %lld) "
+                                   "lies outside the %lld byte arena",
                                    I, (long long)B.ArenaOffset,
                                    (long long)(B.ArenaOffset + B.Bytes),
                                    (long long)P.ArenaBytes));

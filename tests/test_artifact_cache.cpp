@@ -6,6 +6,8 @@
 // version skew, zero-length files — each of which must come back as a
 // located Status, never a crash), the payload codec (serialize ->
 // deserialize -> bit-identical execution, truncation/flip sweeps), the
+// format (byte-identical re-serialization, loaded stats equal compiled
+// ones, baked blobs and arena slots checked against their buffers), the
 // cache key (kernel tier, thread count and option separation), Session
 // integration (second session disk-warm, corrupt entry self-heal, off/read
 // modes), and cross-process behavior (a GC_KERNELS=scalar process is never
@@ -21,7 +23,10 @@
 #include "kernels/cpu_features.h"
 #include "runtime/artifact_cache.h"
 #include "support/serial.h"
+#include "support/str.h"
+#include "tirpass/tirpass.h"
 #include "workloads/bert.h"
+#include "workloads/mha.h"
 #include "workloads/mlp.h"
 #include "test_utils.h"
 
@@ -475,6 +480,160 @@ TEST(ArtifactCodec, RetiredOpcodeRejectedAtLoad) {
     EXPECT_NE(R.status().message().find("opcode"), std::string::npos)
         << R.status().toString();
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Format: the Program is the artifact of record
+//===----------------------------------------------------------------------===//
+
+/// The graphs the format invariants are pinned on, at unit-test sizes:
+/// MLP f32 and int8, MHA f32 and the int8 BERT layer, each compiled afresh
+/// (the disk cache off, whatever GC_CACHE says).
+std::vector<std::pair<std::string, std::shared_ptr<core::CompiledPartition>>>
+formatPartitions() {
+  workloads::MlpSpec Mlp;
+  Mlp.Batch = 16;
+  Mlp.LayerDims = {32, 48, 24};
+  workloads::MlpSpec MlpInt8 = Mlp;
+  MlpInt8.Int8 = true;
+  workloads::MhaSpec Mha;
+  Mha.Batch = 1;
+  Mha.Heads = 2;
+  Mha.SeqLen = 16;
+  Mha.HeadDim = 16;
+  workloads::BertLayerSpec Bert;
+  Bert.Batch = 2;
+  Bert.SeqLen = 16;
+  Bert.Hidden = 64;
+  Bert.Heads = 4;
+  Bert.FfnDim = 128;
+  Bert.Int8 = true;
+  core::CompileOptions Opts;
+  Opts.CacheMode = CacheMode::Off;
+  return {
+      {"mlp_f32", test::compileOnePartition(workloads::buildMlp(Mlp), Opts)},
+      {"mlp_int8",
+       test::compileOnePartition(workloads::buildMlp(MlpInt8), Opts)},
+      {"mha_f32", test::compileOnePartition(workloads::buildMha(Mha), Opts)},
+      {"bert_int8",
+       test::compileOnePartition(workloads::buildBertLayer(Bert), Opts)}};
+}
+
+/// Deserializes a private copy of \p Payload, which the partition pins.
+Expected<std::shared_ptr<core::CompiledPartition>>
+loadCopy(const std::vector<uint8_t> &Payload) {
+  auto T = std::make_shared<std::vector<uint8_t>>(Payload);
+  return core::ArtifactCodec::deserialize(T->data(), T->size(), T,
+                                          core::globalThreadPool());
+}
+
+/// Offset of buffer \p Id's record in \p Payload: its bytes, element
+/// size, scope, arena offset and baked flag, as writeProgram lays them
+/// out. npos when the record is not found.
+size_t bufferRecord(const std::vector<uint8_t> &Payload,
+                    const exec::BufferInfo &B) {
+  ByteWriter W;
+  W.i64(B.Bytes);
+  W.i64(B.ElemSize);
+  W.u8(static_cast<uint8_t>(B.Scope));
+  W.i64(B.ArenaOffset);
+  W.u8(B.BakedData ? 1 : 0);
+  const auto At = std::search(Payload.begin(), Payload.end(),
+                              W.bytes().begin(), W.bytes().end());
+  return At == Payload.end() ? std::string::npos
+                             : static_cast<size_t>(At - Payload.begin());
+}
+
+TEST(ArtifactFormat, ReserializingALoadedPartitionIsByteIdentical) {
+  for (const auto &[Name, P] : formatPartitions()) {
+    SCOPED_TRACE(Name);
+    const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
+    Expected<std::shared_ptr<core::CompiledPartition>> L = loadCopy(Payload);
+    ASSERT_TRUE(L.hasValue()) << L.status().toString();
+    EXPECT_TRUE(core::ArtifactCodec::serialize(**L) == Payload);
+  }
+}
+
+TEST(ArtifactFormat, LoadedStatsEqualCompiledStats) {
+  for (const auto &[Name, P] : formatPartitions()) {
+    SCOPED_TRACE(Name);
+    const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
+    Expected<std::shared_ptr<core::CompiledPartition>> L = loadCopy(Payload);
+    ASSERT_TRUE(L.hasValue()) << L.status().toString();
+    const core::PartitionStats A = P->stats();
+    const core::PartitionStats B = (*L)->stats();
+    EXPECT_EQ(B.CoarseGrainMerges, A.CoarseGrainMerges);
+    EXPECT_EQ(B.ParallelNests, A.ParallelNests);
+    EXPECT_EQ(B.ScratchArenaBytes, A.ScratchArenaBytes);
+    EXPECT_EQ(B.ScratchArenaBytesNoReuse, A.ScratchArenaBytesNoReuse);
+    EXPECT_EQ(B.FoldedTensors, A.FoldedTensors);
+    EXPECT_EQ(B.FoldedBytes, A.FoldedBytes);
+    // The Program-derived numbers match what the Tensor IR reports.
+    EXPECT_EQ(A.ParallelNests, tirpass::countParallelNests(P->entry()));
+    EXPECT_EQ(A.ScratchArenaBytes, P->entry().ArenaBytes);
+    EXPECT_EQ(A.ScratchArenaBytesNoReuse, P->entry().ArenaBytesNoReuse);
+    // A loaded partition keeps no Tensor IR.
+    EXPECT_TRUE((*L)->entry().Buffers.empty());
+  }
+}
+
+TEST(ArtifactFormat, BakedBlobLengthMustEqualBufferBytes) {
+  int Baked = 0;
+  for (const auto &[Name, P] : formatPartitions()) {
+    SCOPED_TRACE(Name);
+    const std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
+    const std::vector<exec::BufferInfo> &Bufs = P->bytecode().Buffers;
+    const auto It =
+        std::find_if(Bufs.begin(), Bufs.end(),
+                     [](const exec::BufferInfo &B) { return B.BakedData; });
+    if (It == Bufs.end())
+      continue;
+    ++Baked;
+    const size_t Record = bufferRecord(Payload, *It);
+    ASSERT_NE(Record, std::string::npos);
+    // The blob's length prefix follows the 26-byte record.
+    const size_t LenAt = Record + 26;
+    uint64_t Len = 0;
+    std::memcpy(&Len, Payload.data() + LenAt, sizeof Len);
+    ASSERT_EQ(Len, static_cast<uint64_t>(It->Bytes));
+    for (const uint64_t Wrong : {Len - It->ElemSize, Len + It->ElemSize}) {
+      std::vector<uint8_t> T = Payload;
+      std::memcpy(T.data() + LenAt, &Wrong, sizeof Wrong);
+      Expected<std::shared_ptr<core::CompiledPartition>> R = loadCopy(T);
+      ASSERT_FALSE(R.hasValue()) << "blob length " << Wrong;
+      EXPECT_NE(R.status().message().find("baked constant"),
+                std::string::npos)
+          << R.status().toString();
+    }
+  }
+  EXPECT_GT(Baked, 0) << "no workload bakes a constant";
+}
+
+TEST(ArtifactFormat, TempBufferWithoutArenaSlotRejectedAtLoad) {
+  // The executor places Temp buffers only in the arena; a loaded Program
+  // whose Temp buffer has no slot must not reach it.
+  const std::shared_ptr<core::CompiledPartition> P =
+      formatPartitions().front().second;
+  const std::vector<exec::BufferInfo> &Bufs = P->bytecode().Buffers;
+  const auto It =
+      std::find_if(Bufs.begin(), Bufs.end(), [](const exec::BufferInfo &B) {
+        return B.Scope == tir::BufferScope::Temp;
+      });
+  ASSERT_NE(It, Bufs.end());
+  ASSERT_GE(It->ArenaOffset, 0);
+  std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
+  const size_t Record = bufferRecord(Payload, *It);
+  ASSERT_NE(Record, std::string::npos);
+  const int64_t Unplaced = -1;
+  std::memcpy(Payload.data() + Record + 17, &Unplaced, sizeof Unplaced);
+  Expected<std::shared_ptr<core::CompiledPartition>> R = loadCopy(Payload);
+  ASSERT_FALSE(R.hasValue());
+  const std::string Msg = R.status().message();
+  EXPECT_NE(Msg.find("after artifact load"), std::string::npos) << Msg;
+  EXPECT_NE(Msg.find(formatString("temp buffer %d arena slot [-1,",
+                                  static_cast<int>(It - Bufs.begin()))),
+            std::string::npos)
+      << Msg;
 }
 
 //===----------------------------------------------------------------------===//

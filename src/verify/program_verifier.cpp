@@ -36,6 +36,16 @@
 ///     persistent cache, which is why verifyLoadedProgram runs them
 ///     regardless of GC_VERIFY.
 ///
+/// The walk keeps one abstract frame. A serial loop, a guarded region or
+/// a parallel body is walked in the caller's frame: only the registers
+/// the region writes are saved first, then widened, box-joined with the
+/// saved values or restored afterwards. A region therefore costs its
+/// instruction count plus its written registers, never the whole frame,
+/// and a program verifies in time linear in its size times its loop
+/// nesting depth. A deep MLP's merged parallel nest holds hundreds of
+/// regions over thousands of registers, so a per-region frame copy would
+/// grow with the square of its depth.
+///
 //===----------------------------------------------------------------------===//
 
 #include "verify/verify.h"
@@ -69,6 +79,7 @@ public:
   Status run() {
     if (Status S = checkStructure(); !S.isOk())
       return S;
+    Seen.assign(P.NumRegs, false);
     RegState R(P.NumRegs, SymVal::top());
     for (size_t I = 0; I < P.InitRegs.size(); ++I)
       R[I] = SymVal::constant(P.InitRegs[I]);
@@ -83,6 +94,8 @@ private:
   /// touches is appended for the race proof.
   std::vector<Footprint> *Collect = nullptr;
   bool InParallel = false;
+  /// writtenRegs' one-bit-per-register scratch; all clear between calls.
+  std::vector<bool> Seen;
 
   Status err(size_t Pc, const std::string &What) const {
     return Status::error(
@@ -248,16 +261,40 @@ private:
     return Status::ok();
   }
 
-  /// Registers written by instructions in [Begin, End).
-  std::vector<uint16_t> writtenRegs(size_t Begin, size_t End) const {
-    std::vector<bool> Seen(P.NumRegs, false);
+  /// Registers written by instructions in [Begin, End), each once, in
+  /// first-write order. Walking a region changes no other register.
+  std::vector<uint16_t> writtenRegs(size_t Begin, size_t End) {
     std::vector<uint16_t> Out;
     for (size_t Pc = Begin; Pc < End; ++Pc)
       if (int D = destReg(P.Code[Pc]); D >= 0 && !Seen[static_cast<size_t>(D)]) {
         Seen[static_cast<size_t>(D)] = true;
         Out.push_back(static_cast<uint16_t>(D));
       }
+    for (uint16_t W : Out)
+      Seen[W] = false;
     return Out;
+  }
+
+  /// The values \p R holds in \p Regs.
+  static RegState save(const std::vector<uint16_t> &Regs, const RegState &R) {
+    RegState Out;
+    Out.reserve(Regs.size());
+    for (uint16_t W : Regs)
+      Out.push_back(R[W]);
+    return Out;
+  }
+
+  /// Loop steps must be proven >= 1: the executor divides a parallel
+  /// loop's span by its step, and a serial loop's LoopNext adds it.
+  Status checkStep(size_t Pc, const Interval &Step) const {
+    if (Step.Lo >= 1)
+      return Status::ok();
+    if (Step.boundedAbove() && Step.Hi <= 0)
+      return err(Pc, formatString("non-positive loop step %lld",
+                                  (long long)Step.Hi));
+    return err(Pc, formatString("loop step range [%lld, %lld] is not "
+                                "proven positive",
+                                (long long)Step.Lo, (long long)Step.Hi));
   }
 
   Status checkOffset(size_t Pc, uint16_t BufferId, const SymVal &Off,
@@ -272,8 +309,12 @@ private:
                                 BufferId, (long long)Elems));
   }
 
+  /// Keeps \p F for the race proof while a parallel body is walked. A
+  /// thread-local buffer is private to each worker (per-worker frame copy
+  /// or scratch slab), so its footprints never pair across iterations.
   void record(Footprint F) {
-    if (Collect)
+    if (Collect && P.Buffers[static_cast<size_t>(F.Buffer)].Scope !=
+                       tir::BufferScope::ThreadLocal)
       Collect->push_back(std::move(F));
   }
 
@@ -348,13 +389,14 @@ private:
     }
   }
 
-  /// Box-join of the registers written in [Begin, End) with \p Other
-  /// (both states agree outside that set by construction, so their
-  /// symbolic values survive the merge untouched).
-  void joinWritten(size_t Begin, size_t End, RegState &R,
-                   const RegState &Other) {
-    for (uint16_t W : writtenRegs(Begin, End))
-      R[W] = SymVal::box(Ctx.range(R[W]).join(Ctx.range(Other[W])));
+  /// Box-join of registers \p Regs with their values \p Saved from
+  /// before a region that writes exactly them (every other register holds
+  /// the same value on both paths, so its symbolic value survives).
+  void joinSaved(const std::vector<uint16_t> &Regs, const RegState &Saved,
+                 RegState &R) {
+    for (size_t I = 0; I < Regs.size(); ++I)
+      R[Regs[I]] =
+          SymVal::box(Ctx.range(R[Regs[I]]).join(Ctx.range(Saved[I])));
   }
 
   /// Walks [Begin, End) updating \p R. Control flow must fit the
@@ -415,12 +457,13 @@ private:
       const ParDesc &D = P.Pars[static_cast<size_t>(P.Code[Q].Target)];
       if (Q + 1 + D.BodyLen == T) {
         // Entry hoists run in the submitting frame (guard taken = skip).
-        RegState Taken = R;
+        const std::vector<uint16_t> Written = writtenRegs(Guard + 1, T);
+        const RegState Taken = save(Written, R);
         if (Status S = walkRegion(Guard + 1, Q, R); !S.isOk())
           return S;
         if (Status S = walkParallel(Q, T, R); !S.isOk())
           return S;
-        joinWritten(Guard + 1, T, R, Taken);
+        joinSaved(Written, Taken, R);
         return Status::ok();
       }
       break;
@@ -428,10 +471,11 @@ private:
 
     // Plain forward branch: analyze the region, then join with the
     // branch-taken state at the target.
-    RegState Taken = R;
+    const std::vector<uint16_t> Written = writtenRegs(Guard + 1, T);
+    const RegState Taken = save(Written, R);
     if (Status S = walkRegion(Guard + 1, T, R); !S.isOk())
       return S;
-    joinWritten(Guard + 1, T, R, Taken);
+    joinSaved(Written, Taken, R);
     return Status::ok();
   }
 
@@ -473,9 +517,8 @@ private:
     const Interval BeginI = Ctx.range(BeginV);
     const Interval EndI = Ctx.range(EndV);
     const Interval StepI = Ctx.range(StepV);
-    if (StepI.boundedAbove() && StepI.Hi <= 0)
-      return err(T - 1, formatString("non-positive loop step %lld",
-                                     (long long)StepI.Hi));
+    if (Status S = checkStep(T - 1, StepI); !S.isOk())
+      return S;
     const Interval VarRange{BeginI.Lo, satAdd(EndI.Hi, -1)};
 
     // Definitely-zero-trip: the guard always jumps; nothing inside can
@@ -499,8 +542,7 @@ private:
     // Max increments any induction register sees before its last body
     // read: trips - 1.
     int64_t MaxIncr = Interval::kMax;
-    if (StepI.isConst() && StepI.Lo > 0 && BeginI.boundedBelow() &&
-        EndI.boundedAbove()) {
+    if (StepI.isConst() && BeginI.boundedBelow() && EndI.boundedAbove()) {
       const int64_t Span = satAdd(EndI.Hi, -BeginI.Lo);
       MaxIncr = Span <= 0 ? 0 : (Span - 1) / StepI.Lo;
     }
@@ -518,29 +560,32 @@ private:
     // registers. A strength-reduced induction register advancing by Imm
     // per iteration is reconstructed exactly as
     //   entry + (Imm/step) * (var - begin)
-    // when step is a positive constant dividing Imm (the builder emits
+    // when step is a constant dividing Imm (the builder emits
     // Imm = coeff*step); the interval widening entry + [0, MaxIncr]*Imm
-    // is kept as the box either way.
-    RegState Body = R;
-    for (uint16_t W : BodyWrites)
-      Body[W] = SymVal::top();
-    Body[G.A] = LoopV;
+    // is kept as the box either way. Every induction reads its entry
+    // value before the widening overwrites any register.
+    std::vector<std::pair<uint16_t, SymVal>> Inductions;
     for (size_t Pc = IncrBegin; Pc < T - 1; ++Pc) {
       const Instr &Adv = P.Code[Pc];
-      const SymVal Entry = R[Adv.A];
+      const SymVal &Entry = R[Adv.A];
       const Interval WidenBox = intervalAdd(
           Ctx.range(Entry),
           intervalMul(Interval::constant(Adv.Imm), Interval{0, MaxIncr}));
-      if (StepI.isConst() && StepI.Lo > 0 && Adv.Imm % StepI.Lo == 0) {
+      if (StepI.isConst() && Adv.Imm % StepI.Lo == 0) {
         const SymVal Sym = Ctx.add(
             Entry,
             Ctx.scale(Ctx.sub(LoopV, BeginV), Adv.Imm / StepI.Lo));
-        Body[Adv.A] = Sym.withBox(WidenBox);
+        Inductions.emplace_back(Adv.A, Sym.withBox(WidenBox));
       } else {
-        Body[Adv.A] = SymVal::box(WidenBox);
+        Inductions.emplace_back(Adv.A, SymVal::box(WidenBox));
       }
     }
-    if (Status S = walkRegion(Top, IncrBegin, Body); !S.isOk())
+    for (uint16_t W : BodyWrites)
+      R[W] = SymVal::top();
+    R[G.A] = LoopV;
+    for (auto &[Reg, V] : Inductions)
+      R[Reg] = std::move(V);
+    if (Status S = walkRegion(Top, IncrBegin, R); !S.isOk())
       return S;
 
     // Post-loop state: body-written registers (and the loop var) hold
@@ -552,9 +597,10 @@ private:
   }
 
   /// ParallelFor at \p Pc: workers run the body over a frame copy; the
-  /// submitting frame is unchanged by the body. The body walk also
-  /// collects one abstract iteration's footprints and hands them to the
-  /// static race checker.
+  /// submitting frame is unchanged by the body. The body is walked in
+  /// \p R with the registers it writes widened, and those are restored
+  /// afterwards. The body walk also collects one abstract iteration's
+  /// footprints and hands them to the static race checker.
   Status walkParallel(size_t Pc, size_t End, RegState &R) {
     const ParDesc &D = P.Pars[static_cast<size_t>(P.Code[Pc].Target)];
     const size_t BodyBegin = Pc + 1;
@@ -562,15 +608,14 @@ private:
     if (BodyEnd > End)
       return err(Pc, "parallel body extends past the enclosing region");
 
+    const Interval StepI = Ctx.range(R[D.StepReg]);
+    if (Status S = checkStep(Pc, StepI); !S.isOk())
+      return S;
     const Interval BeginI = Ctx.range(R[D.BeginReg]);
     const Interval EndI = Ctx.range(R[D.EndReg]);
     const Interval VarRange{BeginI.Lo, satAdd(EndI.Hi, -1)};
     if (BeginI.boundedBelow() && EndI.boundedAbove() && VarRange.empty())
       return Status::ok(); // definitely zero-trip (and guarded anyway)
-
-    RegState Worker = R;
-    for (uint16_t W : writtenRegs(BodyBegin, BodyEnd))
-      Worker[W] = SymVal::top();
 
     // The race analysis models exactly one level of parallelism (the
     // builder hoists guards and never nests ParallelFor); a nested
@@ -585,29 +630,32 @@ private:
     const SymVal LoopV = Ctx.makeLoopSym(
         formatString("p%u", static_cast<unsigned>(D.VarReg)), VarRange,
         &BeginV, &UpperV);
-    Worker[D.VarReg] = LoopV;
+
+    std::vector<uint16_t> Written = writtenRegs(BodyBegin, BodyEnd);
+    Written.push_back(D.VarReg);
+    const RegState Submitting = save(Written, R);
+    for (uint16_t W : Written)
+      R[W] = SymVal::top();
+    R[D.VarReg] = LoopV;
 
     std::vector<Footprint> FPs;
     std::vector<Footprint> *SavedCollect = Collect;
     Collect = &FPs;
     InParallel = true;
-    Status WalkS = walkRegion(BodyBegin, BodyEnd, Worker);
+    Status WalkS = walkRegion(BodyBegin, BodyEnd, R);
     InParallel = false;
     Collect = SavedCollect;
     if (!WalkS.isOk())
       return WalkS;
+    for (size_t I = 0; I < Written.size(); ++I)
+      R[Written[I]] = Submitting[I];
 
     ParallelRaceQuery Q;
     Q.Var = Watermark; // the loop symbol is the first past the watermark
     Q.Watermark = Watermark;
-    const Interval StepI = Ctx.range(R[D.StepReg]);
-    Q.Step = (StepI.boundedBelow() && StepI.Lo > 0) ? StepI.Lo : 1;
+    Q.Step = StepI.Lo;
     Q.FPs = std::move(FPs);
     Q.BufferElems = [this](int B) { return bufferElems(B); };
-    Q.BufferIsThreadLocal = [this](int B) {
-      return P.Buffers[static_cast<size_t>(B)].Scope ==
-             tir::BufferScope::ThreadLocal;
-    };
     Q.BufferName = [](int B) { return formatString("buffer %d", B); };
     Q.LoopDesc = formatString("%s: instr %zu", P.Name.c_str(), Pc);
     return checkParallelRaces(Ctx, Q);

@@ -24,7 +24,11 @@
 /// Per-iteration helper symbols (inner serial loop variables) are cloned
 /// per side with their relational bounds remapped through the side's
 /// symbol map, so correlated facts like nsi < NBlocks - npi*NSN survive
-/// into the instantiated proof. Everything undecidable is a rejection.
+/// into the instantiated proof. Each buffer group clones only the
+/// symbols its footprints reach (their leaves, closed over bound trees
+/// and digit parents), once per feasible case, so a race query costs
+/// O(footprints + the groups' reach) rather than O(groups x symbols).
+/// Everything undecidable is a rejection.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -338,14 +342,60 @@ bool footprintsDisjoint(SymCtx &Ctx, const Footprint &A, const Footprint &B,
 
 namespace {
 
-/// Per-iteration symbol classification for one race query.
-struct IterSyms {
-  std::vector<int32_t> Digits;  ///< syms with Parent == Var, by id
-  std::vector<int32_t> Serials; ///< other per-iteration syms, by id
+/// The per-iteration symbols one buffer group's proof consults. Members
+/// are the leaves of the group's footprints, closed over each member's
+/// Lower/Upper bound trees and digit Parent: everything a remapped
+/// footprint, a clone's remapped bounds, or an lb/ub over them can
+/// reach. Slot spans the query's per-iteration symbols and numbers the
+/// members; one GroupSyms serves every group of a query and clears only
+/// its members, so a group costs O(its members), not O(every symbol of
+/// the body).
+struct GroupSyms {
+  int32_t Watermark = 0;
+  std::vector<int32_t> Slot;    ///< id - Watermark -> member slot or -1
+  std::vector<int32_t> Members; ///< by slot
+  std::vector<int32_t> Digits;  ///< digits of Var the footprints use, by id
+  std::vector<int32_t> Serials; ///< the other members except Var, by id
+
+  /// \p Id's member slot, or -1.
+  int32_t slot(int32_t Id) const {
+    const size_t K = static_cast<size_t>(Id - Watermark);
+    return Id >= Watermark && K < Slot.size() ? Slot[K] : -1;
+  }
+  /// Makes per-iteration symbol \p Id a member (a no-op for any other).
+  void add(int32_t Id) {
+    const size_t K = static_cast<size_t>(Id - Watermark);
+    if (Id < Watermark || K >= Slot.size() || Slot[K] >= 0)
+      return;
+    Slot[K] = static_cast<int32_t>(Members.size());
+    Members.push_back(Id);
+  }
+  /// Forgets the previous group's members.
+  void clear() {
+    for (int32_t Id : Members)
+      Slot[static_cast<size_t>(Id - Watermark)] = -1;
+    Members.clear();
+    Digits.clear();
+    Serials.clear();
+  }
 };
 
-/// One case instantiation: side maps sized to the pre-instantiation
-/// symbol count (identity for shared symbols).
+/// One side's renaming in one case: symbols below the watermark are
+/// loop-invariant and shared verbatim, a member maps to its
+/// instantiation To[slot], and any other symbol maps to -1.
+struct SideMap {
+  const GroupSyms &GS;
+  const std::vector<int32_t> &To;
+
+  int32_t operator()(int32_t Id) const {
+    if (Id < GS.Watermark)
+      return Id;
+    const int32_t K = GS.slot(Id);
+    return K < 0 ? -1 : To[static_cast<size_t>(K)];
+  }
+};
+
+/// One case instantiation: side maps over the group's member slots.
 struct CaseMaps {
   std::string Desc;
   std::vector<int32_t> Map1, Map2;
@@ -379,6 +429,45 @@ bool usesPerIterSyms(SymCtx &Ctx, const Footprint &F, int32_t Watermark,
   return Any;
 }
 
+/// Fills \p GS's members and their classes from \p Used, the sorted leaf
+/// symbols of the group's footprints. Only digits of the parallel index
+/// that appear in the group's footprints select the digit strategy — a
+/// div/mod digit computed for some other buffer (e.g. a read-only mask
+/// offset) must not force the digit split onto a group that indexes
+/// with the variable directly. Other digits are per-side clones (their
+/// value is f(Var), so an uncorrelated fresh symbol over the same range
+/// over-approximates it soundly).
+void closeGroup(const SymCtx &Ctx, const ParallelRaceQuery &Q,
+                const std::vector<int32_t> &Used, GroupSyms &GS) {
+  GS.add(Q.Var);
+  for (int32_t Id : Used)
+    GS.add(Id);
+  std::vector<int32_t> Refs;
+  for (size_t K = 0; K < GS.Members.size(); ++K) {
+    const SymCtx::Sym &S = Ctx.symbols()[GS.Members[K]];
+    Refs.clear();
+    if (S.Lower)
+      Ctx.collectSyms(*S.Lower, Refs);
+    if (S.Upper)
+      Ctx.collectSyms(*S.Upper, Refs);
+    if (S.Parent >= 0)
+      Refs.push_back(S.Parent);
+    for (int32_t R : Refs)
+      GS.add(R);
+  }
+  std::vector<int32_t> ById = GS.Members;
+  std::sort(ById.begin(), ById.end());
+  for (int32_t Id : ById) {
+    if (Id == Q.Var)
+      continue;
+    if (Ctx.symbols()[Id].Parent == Q.Var &&
+        std::binary_search(Used.begin(), Used.end(), Id))
+      GS.Digits.push_back(Id);
+    else
+      GS.Serials.push_back(Id);
+  }
+}
+
 /// Validates that the digit symbols tile the iteration space: sorted by
 /// descending Div they must form a radix chain d_i = d_{i+1} * m_{i+1}
 /// with the finest digit at Div 1 and the top digit covering the full
@@ -406,21 +495,23 @@ bool validDigitChain(const SymCtx &Ctx, const std::vector<int32_t> &Digits,
   return true;
 }
 
-/// Clones the per-iteration serial symbols into both side maps, in id
-/// order so each clone's relational bounds can be remapped through the
+/// Clones the group's serial symbols into both side maps, in id order
+/// so each clone's relational bounds can be remapped through the
 /// already-populated portion of its side's map.
-void cloneSerials(SymCtx &Ctx, const IterSyms &IS, CaseMaps &CM) {
-  for (int32_t Id : IS.Serials) {
+void cloneSerials(SymCtx &Ctx, const GroupSyms &GS, CaseMaps &CM) {
+  for (int32_t Id : GS.Serials) {
     const SymCtx::Sym S = Ctx.symbols()[Id]; // copy: addSym reallocates
     for (int Side = 0; Side < 2; ++Side) {
       std::vector<int32_t> &Map = Side == 0 ? CM.Map1 : CM.Map2;
+      const SideMap M{GS, Map};
       std::shared_ptr<const SymVal> Lo, Up;
       if (S.Lower)
-        Lo = std::make_shared<SymVal>(Ctx.remap(*S.Lower, Map));
+        Lo = std::make_shared<SymVal>(Ctx.remap(*S.Lower, M));
       if (S.Upper)
-        Up = std::make_shared<SymVal>(Ctx.remap(*S.Upper, Map));
-      Map[Id] = Ctx.addSym(S.Name + (Side == 0 ? "@1" : "@2"), S.Range,
-                           std::move(Lo), std::move(Up));
+        Up = std::make_shared<SymVal>(Ctx.remap(*S.Upper, M));
+      Map[static_cast<size_t>(GS.slot(Id))] =
+          Ctx.addSym(S.Name + (Side == 0 ? "@1" : "@2"), S.Range,
+                     std::move(Lo), std::move(Up));
       // NOT added to CM.News: a contradictory serial clone only means
       // that inner loop has zero trips in this case, which vacuates the
       // footprints collected inside it but not the case itself.
@@ -428,23 +519,29 @@ void cloneSerials(SymCtx &Ctx, const IterSyms &IS, CaseMaps &CM) {
   }
 }
 
-/// Builds the ordered-pair case instantiations for the query. Empty
-/// result = the loop structure is outside the engine (caller rejects).
-bool buildCases(SymCtx &Ctx, const ParallelRaceQuery &Q, const IterSyms &IS,
+/// Builds the feasible ordered-pair case instantiations for one group:
+/// an infeasible case (see CaseMaps) is dropped before its serial
+/// symbols are cloned. Returns false when the loop structure is outside
+/// the engine (caller rejects).
+bool buildCases(SymCtx &Ctx, const ParallelRaceQuery &Q, const GroupSyms &GS,
                 bool AnyUsesVarDirectly, std::vector<CaseMaps> &Out,
                 std::string &WhyNot) {
-  const int32_t N = Ctx.numSyms();
   const Interval VarRange = Ctx.symbols()[Q.Var].Range;
   const auto FreshMaps = [&]() {
     CaseMaps CM;
-    CM.Map1.assign(static_cast<size_t>(N), -1);
-    CM.Map2.assign(static_cast<size_t>(N), -1);
-    for (int32_t I = 0; I < Q.Watermark; ++I)
-      CM.Map1[I] = CM.Map2[I] = I; // loop-invariant: shared verbatim
+    CM.Map1.assign(GS.Members.size(), -1);
+    CM.Map2.assign(GS.Members.size(), -1);
     return CM;
   };
+  const auto Finish = [&](CaseMaps &CM) {
+    for (int32_t Id : CM.News)
+      if (Ctx.lb(Ctx.leaf(Id)) > Ctx.ub(Ctx.leaf(Id)))
+        return;
+    cloneSerials(Ctx, GS, CM);
+    Out.push_back(std::move(CM));
+  };
 
-  if (IS.Digits.empty()) {
+  if (GS.Digits.empty()) {
     // RAW: it1 < it2 over the full range, separated by >= step.
     CaseMaps CM = FreshMaps();
     CM.Desc = "it1 < it2";
@@ -453,12 +550,12 @@ bool buildCases(SymCtx &Ctx, const ParallelRaceQuery &Q, const IterSyms &IS,
         Ctx.add(Ctx.leaf(S1), SymVal::constant(std::max<int64_t>(1, Q.Step)));
     const int32_t S2 = Ctx.addSym("it2", VarRange,
                                   std::make_shared<SymVal>(LoB), nullptr);
-    CM.Map1[Q.Var] = S1;
-    CM.Map2[Q.Var] = S2;
+    const size_t V = static_cast<size_t>(GS.slot(Q.Var));
+    CM.Map1[V] = S1;
+    CM.Map2[V] = S2;
     CM.News.push_back(S1);
     CM.News.push_back(S2);
-    cloneSerials(Ctx, IS, CM);
-    Out.push_back(std::move(CM));
+    Finish(CM);
     return true;
   }
 
@@ -468,7 +565,7 @@ bool buildCases(SymCtx &Ctx, const ParallelRaceQuery &Q, const IterSyms &IS,
     return false;
   }
   // Sort digits most-significant first and validate the radix chain.
-  std::vector<int32_t> Digits = IS.Digits;
+  std::vector<int32_t> Digits = GS.Digits;
   std::sort(Digits.begin(), Digits.end(), [&](int32_t A, int32_t B) {
     return Ctx.symbols()[A].Div > Ctx.symbols()[B].Div;
   });
@@ -484,16 +581,17 @@ bool buildCases(SymCtx &Ctx, const ParallelRaceQuery &Q, const IterSyms &IS,
     return false;
   }
 
-  // One case per first-differing digit position.
+  // One case per first-differing digit position; the raw var stays
+  // unmapped (unused by contract).
   for (size_t J = 0; J < Digits.size(); ++J) {
     CaseMaps CM = FreshMaps();
-    CM.Map1[Q.Var] = CM.Map2[Q.Var] = -1; // raw var unused by contract
     for (size_t I = 0; I < Digits.size(); ++I) {
       const SymCtx::Sym D = Ctx.symbols()[Digits[I]]; // copy
+      const size_t K = static_cast<size_t>(GS.slot(Digits[I]));
       if (I < J) {
         const int32_t Shared = Ctx.addSym(D.Name + "@eq", D.Range, nullptr,
                                           nullptr);
-        CM.Map1[Digits[I]] = CM.Map2[Digits[I]] = Shared;
+        CM.Map1[K] = CM.Map2[K] = Shared;
         CM.News.push_back(Shared);
       } else if (I == J) {
         CM.Desc = formatString("first differing digit %s", D.Name.c_str());
@@ -502,27 +600,23 @@ bool buildCases(SymCtx &Ctx, const ParallelRaceQuery &Q, const IterSyms &IS,
         const SymVal LoB = Ctx.add(Ctx.leaf(D1), SymVal::constant(1));
         const int32_t D2 = Ctx.addSym(D.Name + "@2", D.Range,
                                       std::make_shared<SymVal>(LoB), nullptr);
-        CM.Map1[Digits[I]] = D1;
-        CM.Map2[Digits[I]] = D2;
+        CM.Map1[K] = D1;
+        CM.Map2[K] = D2;
         CM.News.push_back(D1);
         CM.News.push_back(D2);
       } else {
-        CM.Map1[Digits[I]] = Ctx.addSym(D.Name + "@1", D.Range, nullptr,
-                                        nullptr);
-        CM.Map2[Digits[I]] = Ctx.addSym(D.Name + "@2", D.Range, nullptr,
-                                        nullptr);
-        CM.News.push_back(CM.Map1[Digits[I]]);
-        CM.News.push_back(CM.Map2[Digits[I]]);
+        CM.Map1[K] = Ctx.addSym(D.Name + "@1", D.Range, nullptr, nullptr);
+        CM.Map2[K] = Ctx.addSym(D.Name + "@2", D.Range, nullptr, nullptr);
+        CM.News.push_back(CM.Map1[K]);
+        CM.News.push_back(CM.Map2[K]);
       }
     }
-    cloneSerials(Ctx, IS, CM);
-    Out.push_back(std::move(CM));
+    Finish(CM);
   }
   return true;
 }
 
-Footprint remapFootprint(SymCtx &Ctx, const Footprint &F,
-                         const std::vector<int32_t> &Map) {
+Footprint remapFootprint(SymCtx &Ctx, const Footprint &F, const SideMap &Map) {
   Footprint R = F;
   R.Off = Ctx.remap(F.Off, Map);
   R.Len = Ctx.remap(F.Len, Map);
@@ -534,17 +628,23 @@ Footprint remapFootprint(SymCtx &Ctx, const Footprint &F,
 } // namespace
 
 Status checkParallelRaces(SymCtx &Ctx, const ParallelRaceQuery &Q) {
-  // Group footprints by shared buffer, keeping only buffers some
-  // footprint writes (read-read never races) and skipping thread-local
-  // buffers (each worker owns a private copy / scratch slab).
+  // Group footprints by buffer, keeping only buffers some footprint
+  // writes (read-read never races).
   std::vector<int> Buffers;
   for (const Footprint &F : Q.FPs)
-    if (F.Write && !Q.BufferIsThreadLocal(F.Buffer))
+    if (F.Write)
       Buffers.push_back(F.Buffer);
   std::sort(Buffers.begin(), Buffers.end());
   Buffers.erase(std::unique(Buffers.begin(), Buffers.end()), Buffers.end());
   if (Buffers.empty())
     return Status::ok();
+  std::vector<std::vector<size_t>> Groups(Buffers.size());
+  for (size_t I = 0; I < Q.FPs.size(); ++I) {
+    const auto It =
+        std::lower_bound(Buffers.begin(), Buffers.end(), Q.FPs[I].Buffer);
+    if (It != Buffers.end() && *It == Q.FPs[I].Buffer)
+      Groups[static_cast<size_t>(It - Buffers.begin())].push_back(I);
+  }
 
   // Footprint iteration-dependence and per-footprint direct-var use.
   std::vector<bool> PerIter(Q.FPs.size(), false);
@@ -567,79 +667,47 @@ Status checkParallelRaces(SymCtx &Ctx, const ParallelRaceQuery &Q) {
                      Why.c_str()));
   };
 
-  // Snapshot the symbol count before any case instantiation: the body's
-  // footprints can only reference symbols below this mark, and the clone
-  // symbols cloneSerials appends for one group must not be swept into
-  // the next group's Serials (re-cloning clones grows the context
-  // exponentially in the number of racing-buffer groups).
-  const int32_t BodyEnd = Ctx.numSyms();
+  // The body's footprints reference only symbols below the current
+  // count; the clones a group appends past it never join a later group.
+  GroupSyms GS;
+  GS.Watermark = Q.Watermark;
+  GS.Slot.assign(static_cast<size_t>(Ctx.numSyms() - Q.Watermark), -1);
 
-  for (int B : Buffers) {
-    std::vector<size_t> Idx;
-    for (size_t I = 0; I < Q.FPs.size(); ++I)
-      if (Q.FPs[I].Buffer == B)
-        Idx.push_back(I);
+  for (size_t G = 0; G < Buffers.size(); ++G) {
+    const std::vector<size_t> &Idx = Groups[G];
+    GS.clear();
 
-    // Classify the per-iteration symbols for THIS buffer's footprints.
-    // Only digits of the parallel index that actually appear in the
-    // group's footprints select the digit strategy — a div/mod digit
-    // computed for some other buffer (e.g. a read-only mask offset)
-    // must not force the digit split onto a group that indexes with
-    // the variable directly. Unused digits are demoted to generic
-    // per-side clones (their value is f(Var), so an uncorrelated
-    // fresh symbol over the same range over-approximates it soundly).
-    std::vector<bool> UsedByGroup(static_cast<size_t>(BodyEnd), false);
+    std::vector<int32_t> Used;
     bool AnyUsesVar = false;
     for (size_t I : Idx) {
       const Footprint &F = Q.FPs[I];
-      std::vector<int32_t> Used;
       Ctx.collectSyms(F.Off, Used);
       Ctx.collectSyms(F.Len, Used);
       Ctx.collectSyms(F.Rows, Used);
       Ctx.collectSyms(F.Cols, Used);
-      for (int32_t S : Used)
-        UsedByGroup[static_cast<size_t>(S)] = true;
       AnyUsesVar = AnyUsesVar || VarDirect[I];
     }
-    IterSyms IS;
-    for (int32_t Id = Q.Watermark; Id < BodyEnd; ++Id) {
-      if (Id == Q.Var)
-        continue;
-      if (Ctx.symbols()[Id].Parent == Q.Var &&
-          UsedByGroup[static_cast<size_t>(Id)])
-        IS.Digits.push_back(Id);
-      else
-        IS.Serials.push_back(Id);
-    }
+    std::sort(Used.begin(), Used.end());
+    Used.erase(std::unique(Used.begin(), Used.end()), Used.end());
+    closeGroup(Ctx, Q, Used, GS);
 
-    // Build the ordered-pair instantiations for this group, then drop
-    // infeasible cases (contradictory case-defining symbol bounds —
-    // see CaseMaps).
+    // Build the feasible ordered-pair instantiations for this group.
     std::vector<CaseMaps> Cases;
     std::string WhyNot;
-    if (!buildCases(Ctx, Q, IS, AnyUsesVar, Cases, WhyNot)) {
+    if (!buildCases(Ctx, Q, GS, AnyUsesVar, Cases, WhyNot)) {
       // Structure outside the engine: reject this group's first write.
       for (size_t I : Idx)
         if (Q.FPs[I].Write)
           return Reject(Q.FPs[I], Q.FPs[I], WhyNot);
       continue;
     }
-    Cases.erase(std::remove_if(Cases.begin(), Cases.end(),
-                               [&](const CaseMaps &CM) {
-                                 for (int32_t Id : CM.News)
-                                   if (Ctx.lb(Ctx.leaf(Id)) >
-                                       Ctx.ub(Ctx.leaf(Id)))
-                                     return true;
-                                 return false;
-                               }),
-                Cases.end());
     if (Cases.empty()) {
       // Every ordered pair of distinct iterations is infeasible — the
       // loop runs at most one iteration, so nothing can race (this also
       // covers the iteration-invariant footprints below).
       continue;
     }
-    const int64_t Elems = Q.BufferElems(B);
+    const int64_t Elems = Q.BufferElems(Buffers[G]);
     for (size_t A = 0; A < Idx.size(); ++A) {
       for (size_t C = A; C < Idx.size(); ++C) {
         const Footprint &FA = Q.FPs[Idx[A]];
@@ -665,8 +733,8 @@ Status checkParallelRaces(SymCtx &Ctx, const ParallelRaceQuery &Q) {
           const Footprint &F1 = O == 0 ? FA : FC;
           const Footprint &F2 = O == 0 ? FC : FA;
           for (const CaseMaps &CM : Cases) {
-            const Footprint R1 = remapFootprint(Ctx, F1, CM.Map1);
-            const Footprint R2 = remapFootprint(Ctx, F2, CM.Map2);
+            const Footprint R1 = remapFootprint(Ctx, F1, {GS, CM.Map1});
+            const Footprint R2 = remapFootprint(Ctx, F2, {GS, CM.Map2});
             if (!footprintsDisjoint(Ctx, R1, R2, Elems))
               return Reject(F1.Write ? F1 : F2, F1.Write ? F2 : F1,
                             formatString("cannot prove disjoint when %s",

@@ -121,24 +121,27 @@ struct ParallelRaceQuery {
   int32_t Watermark = 0;
   /// Step lower bound (>= 1): distinct iterations differ by >= Step.
   int64_t Step = 1;
+  /// The iteration's footprints on shared buffers; a thread-local
+  /// buffer's are left out, since each worker owns a private copy.
   std::vector<Footprint> FPs;
   /// Element count per buffer id (for Whole footprints) — kMax-sized
   /// spans are never provable, so tests can pass exact extents.
   std::function<int64_t(int)> BufferElems;
-  /// True when the buffer is thread-local (per-worker frame copy) and
-  /// therefore exempt from cross-iteration pairing.
-  std::function<bool(int)> BufferIsThreadLocal;
   /// Printable buffer name for the rejection message.
   std::function<std::string(int)> BufferName;
   /// Location prefix for error messages ("instr 7" / "body.pfor(g)").
   std::string LoopDesc;
 };
 
-/// Proves every cross-iteration pair of footprints with >= 1 write on a
-/// shared (non-thread-local) buffer disjoint, or returns a located
-/// error Status naming the two conflicting footprints. \p Ctx must be
-/// the context the footprints were collected in; the checker appends
-/// case-instantiation symbols to it.
+/// Proves every cross-iteration pair of footprints with >= 1 write on the
+/// same buffer disjoint, or returns a located error Status naming the two
+/// conflicting footprints. \p Ctx must be the context the footprints were
+/// collected in; the checker appends case-instantiation symbols to it.
+/// Footprints are bucketed by buffer once; each buffer group's feasible
+/// cases clone only the per-iteration symbols its footprints reach (their
+/// leaves, closed over Lower/Upper bound trees and digit parents), with
+/// side maps over that set, so a query costs O(footprints + what the
+/// groups reach), not O(groups x per-iteration symbols).
 Status checkParallelRaces(SymCtx &Ctx, const ParallelRaceQuery &Q);
 
 /// Disjointness of two footprints over the SAME buffer in \p Ctx:

@@ -36,6 +36,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace gc {
@@ -177,10 +178,16 @@ public:
   }
 
   /// Same value, tighter (met) box. Sound: meet of two sound boxes.
-  SymVal withBox(Interval I) const {
+  SymVal withBox(Interval I) const & {
     SymVal V = *this;
     V.B = V.B.meet(I);
     return V;
+  }
+  /// As above for a temporary, which gives up its tree instead of
+  /// copying it.
+  SymVal withBox(Interval I) && {
+    B = B.meet(I);
+    return std::move(*this);
   }
 };
 
@@ -417,10 +424,11 @@ public:
     }
   }
 
-  /// Rewrites every symbol reference through \p Map (Map[old] = new id;
-  /// ids outside the map or mapped to -1 make the result a box — the
-  /// race engine always provides a total map for the symbols in play).
-  SymVal remap(const SymVal &V, const std::vector<int32_t> &Map) const {
+  /// Rewrites every symbol reference through \p Map, a callable from an
+  /// old id to the new one; an id it maps to -1 makes the result a box
+  /// (the race engine maps every symbol its proof consults).
+  template <typename MapFn>
+  SymVal remap(const SymVal &V, const MapFn &Map) const {
     switch (V.K) {
     case SymVal::Kind::Box:
       return V;
@@ -428,10 +436,10 @@ public:
       Affine NA;
       NA.K = V.A.K;
       for (const AffTerm &T : V.A.Terms) {
-        if (T.Sym < 0 || static_cast<size_t>(T.Sym) >= Map.size() ||
-            Map[T.Sym] < 0)
+        const int32_t To = T.Sym < 0 ? -1 : Map(T.Sym);
+        if (To < 0)
           return SymVal::box(V.B);
-        NA.Terms.push_back({Map[T.Sym], T.Coeff});
+        NA.Terms.push_back({To, T.Coeff});
       }
       std::sort(NA.Terms.begin(), NA.Terms.end(),
                 [](const AffTerm &A, const AffTerm &B) {

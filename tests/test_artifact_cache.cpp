@@ -636,6 +636,54 @@ TEST(ArtifactFormat, TempBufferWithoutArenaSlotRejectedAtLoad) {
       << Msg;
 }
 
+TEST(ArtifactFormat, ZeroParallelStepRejectedAtLoad) {
+  // The executor divides a parallel loop's span by its step: a stored
+  // ParDesc whose step register holds 0 must not reach it.
+  const std::shared_ptr<core::CompiledPartition> P =
+      formatPartitions().front().second;
+  const exec::Program &Prog = P->bytecode();
+  ASSERT_FALSE(Prog.Pars.empty());
+  const exec::ParDesc &D = Prog.Pars.front();
+  // A register that holds 0 throughout: 0 in the init image, and neither
+  // an instruction nor a parallel loop writes it.
+  std::vector<bool> Written(Prog.NumRegs, false);
+  for (const exec::Instr &I : Prog.Code)
+    if (I.Op <= exec::Opcode::AddImmI || I.Op == exec::Opcode::LoopNext)
+      Written[I.A] = true;
+  for (const exec::ParDesc &Q : Prog.Pars)
+    Written[Q.VarReg] = true;
+  uint16_t Zero = 0;
+  while (Zero < Prog.NumRegs && (Written[Zero] || Prog.InitRegs[Zero] != 0))
+    ++Zero;
+  ASSERT_LT(Zero, Prog.NumRegs);
+  size_t ParPc = 0;
+  while (ParPc < Prog.Code.size() &&
+         !(Prog.Code[ParPc].Op == exec::Opcode::ParallelFor &&
+           Prog.Code[ParPc].Target == 0))
+    ++ParPc;
+  ASSERT_LT(ParPc, Prog.Code.size());
+
+  std::vector<uint8_t> Payload = core::ArtifactCodec::serialize(*P);
+  ByteWriter W; // the descriptor as writeProgram lays it out
+  W.u16(D.VarReg);
+  W.u16(D.BeginReg);
+  W.u16(D.EndReg);
+  W.u16(D.StepReg);
+  W.u32(D.BodyLen);
+  const auto At = std::search(Payload.begin(), Payload.end(),
+                              W.bytes().begin(), W.bytes().end());
+  ASSERT_NE(At, Payload.end());
+  std::memcpy(&*At + 6, &Zero, sizeof Zero);
+  Expected<std::shared_ptr<core::CompiledPartition>> R = loadCopy(Payload);
+  ASSERT_FALSE(R.hasValue());
+  const std::string Msg = R.status().message();
+  EXPECT_NE(Msg.find("after artifact load"), std::string::npos) << Msg;
+  EXPECT_NE(Msg.find(formatString("instr %zu: non-positive loop step 0",
+                                  ParPc)),
+            std::string::npos)
+      << Msg;
+}
+
 //===----------------------------------------------------------------------===//
 // Streamed store: the digest, the sink writer, and the entry it writes
 //===----------------------------------------------------------------------===//

@@ -12,6 +12,7 @@
 #include "api/session.h"
 #include "exec/program.h"
 #include "graph/graph.h"
+#include "kernels/epilogue.h"
 #include "support/str.h"
 #include "tir/function.h"
 #include "tir/stmt.h"
@@ -27,6 +28,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <iterator>
 
 using namespace gc;
@@ -591,6 +593,144 @@ TEST(VerifyLoadedProgram, RacingArtifactRejectedEvenAtOff) {
                  {"static race", "instr 1 (copy_tile_raw arg D)",
                   "instr 4 (copy_tile_raw arg D)"});
   setVerifyLevel(Prev);
+}
+
+//===----------------------------------------------------------------------===//
+// Loop steps
+//===----------------------------------------------------------------------===//
+
+TEST(VerifyProgram, ZeroParallelStepRejected) {
+  // The executor divides a parallel loop's span by its step, and Release
+  // builds drop its assert: a step register holding 0 must not pass.
+  exec::Program P = parallelStoreProgram(/*Racy=*/false);
+  P.InitRegs[3] = 0;
+  expectRejected(verifyProgram(P), StatusCode::Internal,
+                 {"instr 0", "non-positive loop step 0"});
+}
+
+/// for (r0 = r1; r0 < r2; r0 += r3) { r5 = r0 % r6;
+///   for (r4 = r1; r4 < r2; r4 += r5) buf[r4] = src[0]; }
+/// The inner step r5 is 0 on every even outer iteration, where the inner
+/// loop would never advance.
+exec::Program varyingStepProgram() {
+  using exec::Instr;
+  using exec::Opcode;
+  exec::Program P;
+  P.Name = "vs";
+  P.NumRegs = 7;
+  P.InitRegs = {0, 0, 8, 1, 0, 0, 2}; // r1 begin, r2 end, r3 step, r6 2
+  addBuffers(P, 8);
+  const int32_t Call = addCopyCall(P, /*OffsetReg=*/4);
+  P.Code = {Instr{Opcode::Mov, 0, 1, 0, 0, 0},
+            Instr{Opcode::JumpIfGeI, 0, 2, 0, 7, 0},
+            Instr{Opcode::ModI, 5, 0, 6, 0, 0},
+            Instr{Opcode::Mov, 4, 1, 0, 0, 0},
+            Instr{Opcode::JumpIfGeI, 4, 2, 0, 3, 0},
+            Instr{Opcode::CallKernel, 0, 0, 0, Call, 0},
+            Instr{Opcode::LoopNext, 4, 5, 2, -1, 0},
+            Instr{Opcode::LoopNext, 0, 3, 2, -5, 0}};
+  return P;
+}
+
+TEST(VerifyProgram, SerialStepNotProvenPositiveRejected) {
+  expectRejected(verifyProgram(varyingStepProgram()), StatusCode::Internal,
+                 {"instr 6", "loop step range [0, 1] is not proven positive"});
+}
+
+//===----------------------------------------------------------------------===//
+// Deep merged parallel bodies
+//===----------------------------------------------------------------------===//
+
+/// The single partition of a 32-wide MLP with \p Dims layer widths.
+std::shared_ptr<core::CompiledPartition>
+narrowMlp(int64_t Dims, int64_t Batch, bool Int8, int Threads) {
+  workloads::MlpSpec Spec;
+  Spec.Batch = Batch;
+  Spec.LayerDims.assign(static_cast<size_t>(Dims), 32);
+  Spec.Int8 = Int8;
+  core::CompileOptions Opts;
+  Opts.Threads = Threads;
+  Opts.CacheMode = runtime::CacheMode::Off;
+  return test::compileOnePartition(workloads::buildMlp(Spec), Opts);
+}
+
+TEST(VerifyLoadedProgram, RaceDeepInMergedBodyRejected) {
+  // Coarse-grain merging puts a whole deep MLP into one parallel nest: at
+  // batch 128 on 4 threads, 25 layer widths give one nest of 4 iterations
+  // over every call. A late call that writes the same elements of a
+  // shared buffer in every iteration must fail the race proof, however
+  // many buffer groups and per-iteration symbols come before it.
+  exec::Program P = narrowMlp(25, 128, /*Int8=*/false, 4)->bytecode();
+  ASSERT_EQ(P.Pars.size(), 1u);
+  const Status Clean = verifyLoadedProgram(P, "cache load");
+  ASSERT_TRUE(Clean.isOk()) << Clean.toString();
+
+  // The last call that writes a shared buffer at a register offset.
+  size_t Pc = P.Code.size();
+  exec::CallDesc::Buf *Dst = nullptr;
+  while (!Dst && Pc-- > 0) {
+    if (P.Code[Pc].Op != exec::Opcode::CallKernel)
+      continue;
+    exec::CallDesc &C = P.Calls[static_cast<size_t>(P.Code[Pc].Target)];
+    std::vector<kernels::EpArgUse> Uses;
+    std::string Why;
+    ASSERT_TRUE(!C.Epilogue || kernels::describeEpilogue(*C.Epilogue, Uses,
+                                                         Why))
+        << Why;
+    for (uint8_t A = 0; A < C.NumBufs && !Dst; ++A) {
+      const bool Write = C.Epilogue ? Uses[A].Write
+                                    : tir::intrinsicInfo(C.In).Bufs[A].Write;
+      const tir::BufferScope Scope =
+          P.Buffers[static_cast<size_t>(C.Bufs[A].BufferId)].Scope;
+      if (Write && C.Bufs[A].HasOffset &&
+          Scope != tir::BufferScope::ThreadLocal)
+        Dst = &C.Bufs[A];
+    }
+  }
+  ASSERT_NE(Dst, nullptr);
+  Dst->HasOffset = false; // offset 0 in every iteration
+  expectRejected(verifyLoadedProgram(P, "cache load"), StatusCode::Internal,
+                 {"static race", formatString("instr %zu (", Pc).c_str()});
+}
+
+/// CPU time of the calling thread in ms: time spent descheduled does not
+/// count, so a loaded test host does not inflate a sample.
+double threadCpuMs() {
+  timespec T{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &T);
+  return static_cast<double>(T.tv_sec) * 1e3 +
+         static_cast<double>(T.tv_nsec) / 1e6;
+}
+
+TEST(VerifyProgram, LoadVerificationIsLinearInDepth) {
+  // Every cache load re-proves its Program, so verification must grow
+  // with the program, not with its square. A 100-layer MLP's program is
+  // about 4x a 25-layer one's, so linear cost reads about 4x, and a cost
+  // quadratic in depth 13x or more. Interleaved min-of-5 timings in one
+  // process keep the ratio meaningful under sanitizers; a host busy
+  // through every sample of one side gets two more attempts, which a
+  // quadratic cost fails alike.
+  for (const bool Int8 : {false, true}) {
+    SCOPED_TRACE(Int8 ? "int8" : "f32");
+    const std::shared_ptr<core::CompiledPartition> Parts[] = {
+        narrowMlp(25, 8, Int8, 1), narrowMlp(100, 8, Int8, 1)};
+    double BestMs[2] = {0, 0};
+    for (int Attempt = 0; Attempt < 3; ++Attempt) {
+      BestMs[0] = BestMs[1] = 1e30;
+      for (int Rep = 0; Rep < 5; ++Rep)
+        for (int I = 0; I < 2; ++I) {
+          const double T0 = threadCpuMs();
+          const Status S = verifyLoadedProgram(Parts[I]->bytecode(), "test");
+          BestMs[I] = std::min(BestMs[I], threadCpuMs() - T0);
+          ASSERT_TRUE(S.isOk()) << S.toString();
+        }
+      if (BestMs[1] <= 6 * BestMs[0])
+        break;
+    }
+    EXPECT_LE(BestMs[1], 6 * BestMs[0])
+        << "25 layers: " << BestMs[0] << " ms, 100 layers: " << BestMs[1]
+        << " ms";
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -193,9 +193,8 @@ Partitioner::partition(bool SplitIndependent) const {
     const std::unordered_set<int64_t> InGroup(Spec.OpIds.begin(),
                                               Spec.OpIds.end());
 
-    // Clone without constant payloads; data is re-attached below for the
-    // tensors that survive extraction (avoids copying every weight once
-    // per partition).
+    // Clone without constant payloads; those of the tensors that survive
+    // extraction are shared below.
     Graph Sub = G.clone(/*WithConstData=*/false);
     for (int64_t OpId : Sub.opIds())
       if (!InGroup.count(OpId))
@@ -270,15 +269,12 @@ Partitioner::partition(bool SplitIndependent) const {
       Sub.eraseTensor(TId);
     }
 
-    // Attach constant data for the surviving tensors as non-owning views
-    // of the source graph (zero-copy). The Session later drops these for
-    // compiled partitions (which own their copy) and materializes them
-    // for fallback partitions (which may outlive the source graph).
+    // Share the surviving tensors' payloads with the source graph, views
+    // included. The Session later drops them for compiled partitions
+    // (which hold their own references) and copies the views of fallback
+    // partitions (which may outlive the caller's memory).
     for (int64_t TId : Sub.tensorIds())
-      if (const runtime::TensorData *Data = G.constantData(TId))
-        Sub.setConstantData(
-            TId, runtime::TensorData::view(Data->dtype(), Data->shape(),
-                                           const_cast<void *>(Data->data())));
+      Sub.shareConstantData(TId, G, TId);
 
     const std::string Err = Sub.verify();
     if (!Err.empty())

@@ -37,6 +37,11 @@ StreamState::acquireArena(size_t Bytes) {
   if (Status S = Arena->tryEnsure(Bytes); !S.isOk()) {
     // Drop (not recycle) the arena: under budget pressure its charge is
     // exactly what a concurrent execution may be waiting for.
+    if (Health) {
+      Health->TransientFailures.fetch_add(1, std::memory_order_relaxed);
+      if (S.code() == StatusCode::ResourceExhausted)
+        Health->MemLimitRejections.fetch_add(1, std::memory_order_relaxed);
+    }
     return S;
   }
   return Arena;
@@ -496,15 +501,8 @@ Submission::launch(CompiledGraphPtr Compiled, std::shared_ptr<StreamState> SS,
   }
   Expected<std::unique_ptr<runtime::PlanArena>> ArenaOr =
       Sub->SS->acquireArena(CG.ArenaBytes);
-  if (!ArenaOr) {
-    if (Sub->SS->Health) {
-      HealthState &H = *Sub->SS->Health;
-      H.TransientFailures.fetch_add(1, std::memory_order_relaxed);
-      if (ArenaOr.status().code() == StatusCode::ResourceExhausted)
-        H.MemLimitRejections.fetch_add(1, std::memory_order_relaxed);
-    }
+  if (!ArenaOr)
     return completed(ArenaOr.status());
-  }
   Sub->Arena = ArenaOr.takeValue();
   buildScratchViews(CG, *Sub->Arena, Sub->ScratchViews);
 

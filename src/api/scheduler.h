@@ -55,7 +55,8 @@ struct StreamState {
   /// Leases an arena of at least \p Bytes (recycled when available).
   /// Fails with ResourceExhausted when the growth is refused
   /// (GC_MEM_LIMIT, allocation failure, or injection at "arena.grow");
-  /// the failed arena is dropped, returning its budget charge.
+  /// the failed arena is dropped, returning its budget charge, and the
+  /// failure is counted in Health.
   Expected<std::unique_ptr<runtime::PlanArena>> acquireArena(size_t Bytes);
   /// Returns a leased arena to the free list (dropped beyond the cap).
   void releaseArena(std::unique_ptr<runtime::PlanArena> Arena);

@@ -543,10 +543,10 @@ detail::SessionState::compile(const std::shared_ptr<SessionState> &State,
 
     auto CG = std::make_shared<CompiledGraph>();
     CG->Polymorphic = true;
-    // clone(WithConstData) deep-copies every constant payload into owned
-    // storage (even payloads the caller attached as views), so the shell
-    // can outlive the caller's graph.
-    CG->SourceG = G.clone(/*WithConstData=*/true);
+    // The clone shares the caller's owned payloads and copies its views,
+    // so the shell can outlive the caller's graph without copying a
+    // weight.
+    CG->SourceG = G.clone();
     CG->Sess = State;
     CG->Bucketing = State->Opts.Bucketing;
     CG->SpecCap =
@@ -709,10 +709,11 @@ detail::SessionState::compile(const std::shared_ptr<SessionState> &State,
         }
       }
     }
-    // Settle constant ownership: compiled partitions own their copy (in
-    // CompiledPartition::OptimizedG + fold cache), so the spec's views are
-    // dropped; fallback subgraphs deep-copy theirs since the CompiledGraph
-    // may outlive the source graph.
+    // Settle constant ownership: a compiled partition holds its own
+    // references (CompiledPartition::OptimizedG, then the fold cache), so
+    // the spec's payloads are dropped; a fallback subgraph keeps its
+    // shared payloads and copies its views, since the CompiledGraph may
+    // outlive the caller's memory.
     if (Part.Compiled)
       Spec.Subgraph.dropConstantData();
     else
@@ -807,14 +808,8 @@ Status Stream::execute(const CompiledGraph &CG,
   // an arena leased from the stream and recycled across executions.
   Expected<std::unique_ptr<runtime::PlanArena>> ArenaOr =
       State->acquireArena(CG.ArenaBytes);
-  if (!ArenaOr) {
-    if (State->Health) {
-      State->Health->TransientFailures.fetch_add(1);
-      if (ArenaOr.status().code() == StatusCode::ResourceExhausted)
-        State->Health->MemLimitRejections.fetch_add(1);
-    }
+  if (!ArenaOr)
     return ArenaOr.status();
-  }
   std::unique_ptr<runtime::PlanArena> Arena = ArenaOr.takeValue();
   std::vector<runtime::TensorData> Views;
   detail::Submission::buildScratchViews(CG, *Arena, Views);
@@ -885,38 +880,63 @@ Expected<CompiledGraphPtr> Stream::resolvePolymorphic(
   if (Bucket == Batch)
     return SpecOr;
 
-  // Padded execution: dynamic inputs are copied into zero-padded
-  // bucket-sized buffers, dynamic outputs computed into bucket-sized
-  // buffers and row-clipped back. The dim-0 flow rules enforced at
-  // validation make every output row a function of the matching input
-  // rows only, so the clipped rows are bit-identical to an exact-shape
-  // compile; the zero rows beyond the batch never feed them.
-  std::vector<runtime::TensorData> PaddedIn, PaddedOut;
-  PaddedIn.reserve(CG.DynamicInputs.size());
-  PaddedOut.reserve(CG.DynamicOutputs.size());
+  // Padded execution: dynamic inputs are copied into bucket-sized
+  // buffers whose rows past the batch are zeroed, dynamic outputs
+  // computed into bucket-sized buffers and row-clipped back. The dim-0
+  // flow rules enforced at validation make every output row a function
+  // of the matching input rows only, so the clipped rows are
+  // bit-identical to an exact-shape compile; the zero rows beyond the
+  // batch never feed them. The buffers live in an arena leased from the
+  // stream, as the plan arenas do, so a warm padded execution allocates
+  // nothing.
+  std::vector<const runtime::TensorData *> Callers; // inputs, then outputs
+  for (size_t Idx : CG.DynamicInputs)
+    Callers.push_back(Inputs[Idx]);
+  for (size_t Idx : CG.DynamicOutputs)
+    Callers.push_back(Outputs[Idx]);
+  std::vector<size_t> Offsets;
+  size_t ArenaBytes = 0;
+  for (const runtime::TensorData *T : Callers) {
+    Offsets.push_back(ArenaBytes);
+    ArenaBytes = alignUp(
+        ArenaBytes + static_cast<size_t>(T->numBytes() / Batch * Bucket),
+        runtime::kDefaultAlignment);
+  }
+  Expected<std::unique_ptr<runtime::PlanArena>> ArenaOr =
+      State->acquireArena(ArenaBytes);
+  if (!ArenaOr)
+    return ArenaOr.status();
+  std::unique_ptr<runtime::PlanArena> Arena = ArenaOr.takeValue();
+  std::vector<runtime::TensorData> Padded;
+  for (size_t I = 0; I < Callers.size(); ++I) {
+    std::vector<int64_t> Shape = Callers[I]->shape();
+    Shape[0] = Bucket;
+    Padded.push_back(runtime::TensorData::view(
+        Callers[I]->dtype(), std::move(Shape), Arena->at(Offsets[I])));
+  }
   std::vector<runtime::TensorData *> Ins = Inputs, Outs = Outputs;
-  for (size_t Idx : CG.DynamicInputs) {
-    const runtime::TensorData *Src = Inputs[Idx];
-    std::vector<int64_t> Shape = Src->shape();
-    Shape[0] = Bucket;
-    PaddedIn.emplace_back(Src->dtype(), std::move(Shape)); // zero-filled
-    std::memcpy(PaddedIn.back().data(), Src->data(),
-                static_cast<size_t>(Src->numBytes()));
-    Ins[Idx] = &PaddedIn.back();
+  const size_t NumIn = CG.DynamicInputs.size();
+  for (size_t I = 0; I < NumIn; ++I) {
+    const size_t Bytes = static_cast<size_t>(Callers[I]->numBytes());
+    char *Dst = static_cast<char *>(Padded[I].data());
+    std::memcpy(Dst, Callers[I]->data(), Bytes);
+    std::memset(Dst + Bytes, 0,
+                static_cast<size_t>(Padded[I].numBytes()) - Bytes);
+    Ins[CG.DynamicInputs[I]] = &Padded[I];
   }
-  for (size_t Idx : CG.DynamicOutputs) {
-    std::vector<int64_t> Shape = Outputs[Idx]->shape();
-    Shape[0] = Bucket;
-    PaddedOut.emplace_back(Outputs[Idx]->dtype(), std::move(Shape));
-    Outs[Idx] = &PaddedOut.back();
-  }
-  if (Status S = execute(**SpecOr, Ins, Outs); !S.isOk())
+  for (size_t I = 0; I < CG.DynamicOutputs.size(); ++I)
+    Outs[CG.DynamicOutputs[I]] = &Padded[NumIn + I];
+  const Status S = execute(**SpecOr, Ins, Outs);
+  if (S.isOk())
+    for (size_t I = 0; I < CG.DynamicOutputs.size(); ++I) {
+      runtime::TensorData *Dst = Outputs[CG.DynamicOutputs[I]];
+      std::memcpy(Dst->data(), Padded[NumIn + I].data(),
+                  static_cast<size_t>(Dst->numBytes()));
+    }
+  Padded.clear(); // views into the arena die before it is recycled
+  State->releaseArena(std::move(Arena));
+  if (!S.isOk())
     return S;
-  for (size_t I = 0; I < CG.DynamicOutputs.size(); ++I) {
-    runtime::TensorData *Dst = Outputs[CG.DynamicOutputs[I]];
-    std::memcpy(Dst->data(), PaddedOut[I].data(),
-                static_cast<size_t>(Dst->numBytes()));
-  }
   return CompiledGraphPtr();
 }
 
@@ -946,7 +966,7 @@ Event Stream::submit(const CompiledGraphPtr &CG,
   // Polymorphic shells: a bucket-exact batch submits its specialization
   // (fully asynchronous, deadline armed). A padded or reference-degraded
   // batch has already run synchronously inside resolvePolymorphic() —
-  // the padded buffers live on its stack frame — and returns a
+  // its padded buffers are leased for that call only — and returns a
   // completed event.
   if (CG->Polymorphic) {
     Expected<CompiledGraphPtr> ExactOr =

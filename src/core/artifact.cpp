@@ -829,10 +829,7 @@ void ArtifactCodec::encode(CompiledPartition &P, ByteWriter &W) {
   // Raw constant bytes ship only where execution dereferences them:
   // ConstData bindings read from the optimized graph; everything else
   // (fold-input weights) is served packed from the folded section below.
-  std::unordered_set<int64_t> ExecConsts;
-  for (const lower::Binding &B : P.Prog.Bindings)
-    if (B.Kind == lower::BindingKind::ConstData)
-      ExecConsts.insert(B.TensorId);
+  const std::unordered_set<int64_t> ExecConsts = P.execConstants();
   W.u32(kArtifactPayloadVersion);
   writeGraph(W, P.OptimizedG, &ExecConsts);
   writeProgram(W, *P.Prog.Bytecode);

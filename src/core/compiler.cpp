@@ -253,8 +253,22 @@ void CompiledPartition::runFoldFunction() {
 void CompiledPartition::ensureFolded() {
   std::call_once(FoldOnce, [this] {
     runFoldFunction();
+    // The cache now serves every fold output, so execution reads raw
+    // constants only through ConstData bindings, as a loaded partition
+    // does: release the fold inputs (and the small constants lowering
+    // baked), shared with the source graph until now.
+    Prog.FoldGraph.dropConstantData();
+    OptimizedG.dropConstantData(execConstants());
     FoldDone.store(true, std::memory_order_release);
   });
+}
+
+std::unordered_set<int64_t> CompiledPartition::execConstants() const {
+  std::unordered_set<int64_t> Ids;
+  for (const lower::Binding &B : Prog.Bindings)
+    if (B.Kind == lower::BindingKind::ConstData)
+      Ids.insert(B.TensorId);
+  return Ids;
 }
 
 void CompiledPartition::resolveBindings() {
@@ -478,6 +492,9 @@ compilePartition(const Graph &G, const CompileOptions &Opts,
     return fault::failStatus(fault::kCompileBytecode, StatusCode::Unavailable,
                              "bytecode compile pipeline");
   auto Partition = std::shared_ptr<CompiledPartition>(new CompiledPartition);
+  // Shares G's owned constant payloads (copying only views), so compiling
+  // copies no weight; the fold's packed outputs are the only new weight
+  // memory.
   Partition->OptimizedG = G.clone();
 
   // Thread pool: session-shared when provided, else derived from options.

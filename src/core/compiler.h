@@ -165,10 +165,14 @@ public:
   /// too, so a cache-writing compile leaves the partition folded.
   /// Partitions deserialized from the artifact cache arrive with the fold
   /// pre-fired from the payload's shipped outputs, so for them this never
-  /// packs anything.
+  /// packs anything. Once folded, the partition holds only the constants
+  /// execution reads (execConstants) and the folded outputs, as a loaded
+  /// partition does.
   void ensureFolded();
 
-  /// Post-optimization Graph IR (inspection / tests).
+  /// Post-optimization Graph IR (inspection / tests). Its constant
+  /// payloads are shared with the compiled source graph; after the fold,
+  /// only those of execConstants() remain.
   const graph::Graph &optimizedGraph() const { return OptimizedG; }
   /// Lowered entry function (inspection / tests). Empty for a partition
   /// loaded from the artifact cache: the payload stores the bytecode, not
@@ -203,6 +207,11 @@ private:
   CompiledPartition() = default;
 
   void runFoldFunction();
+
+  /// Ids of the constants whose raw bytes execution reads (ConstData
+  /// bindings). Every other constant feeds the fold only; once folded it
+  /// is served packed from the cache, and no artifact ships its bytes.
+  std::unordered_set<int64_t> execConstants() const;
 
   /// One pooled execution state. Each execute() owns its executor for the
   /// duration of the call, making concurrent executions independent.
@@ -245,7 +254,8 @@ private:
   std::shared_ptr<void> MappedPin;
 };
 
-/// Compiles \p G (copied; the original is untouched) with \p Opts into one
+/// Compiles \p G (cloned: its owned constant payloads are shared, its
+/// views copied; the original is untouched) with \p Opts into one
 /// partition, reporting failures as Status instead of aborting. \p Pool is
 /// the execution thread pool to attach (shared across the partitions of a
 /// Session); pass nullptr to derive one from Opts.Threads.

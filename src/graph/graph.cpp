@@ -7,9 +7,11 @@
 #include "support/str.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <queue>
 
 namespace gc {
@@ -215,7 +217,21 @@ void Graph::setConstantData(int64_t TensorId, runtime::TensorData Data) {
   Finalized = false;
   assert(Tensors.count(TensorId) && "unknown tensor");
   Tensors.at(TensorId).Property = TensorProperty::Constant;
+  if (Data.isShared())
+    Data = Data.clone(); // the caller kept a copy it could write through
   ConstData[TensorId] = std::move(Data);
+}
+
+bool Graph::shareConstantData(int64_t TensorId, const Graph &From,
+                              int64_t FromId) {
+  const runtime::TensorData *Data = From.constantData(FromId);
+  if (!Data)
+    return false;
+  Finalized = false;
+  assert(Tensors.count(TensorId) && "unknown tensor");
+  Tensors.at(TensorId).Property = TensorProperty::Constant;
+  ConstData[TensorId] = *Data;
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -299,14 +315,28 @@ runtime::TensorData *Graph::mutableConstantData(int64_t TensorId) {
   auto It = ConstData.find(TensorId);
   if (It == ConstData.end())
     return nullptr;
+  if (It->second.isShared()) {
+    It->second = It->second.clone();
+  } else {
+    // The last other sharer may just have released the payload on another
+    // thread: its reads must happen before the caller's writes.
+    std::atomic_thread_fence(std::memory_order_acquire);
+  }
   return &It->second;
 }
 
-void Graph::dropConstantData() { ConstData.clear(); }
+void Graph::dropConstantData(const std::unordered_set<int64_t> &Keep) {
+  for (auto It = ConstData.begin(); It != ConstData.end();)
+    It = Keep.count(It->first) ? std::next(It) : ConstData.erase(It);
+  for (auto &[Id, O] : Ops)
+    if (O.Sub)
+      O.Sub->dropConstantData();
+}
 
 void Graph::materializeConstantData() {
   for (auto &[Id, Data] : ConstData)
-    Data = Data.clone();
+    if (Data.isView())
+      Data = Data.clone();
 }
 
 //===----------------------------------------------------------------------===//
@@ -632,11 +662,9 @@ bool Graph::hasDynamicDims() const {
 
 Graph Graph::specializeBatch(int64_t Batch) const {
   assert(Batch > 0 && "specialization batch must be positive");
-  // Constants are shared, not copied: TensorData's copy shares the owning
-  // buffer, and the compile pipeline makes its own owned copies of
-  // whatever survives (CompiledPartition / fold cache / fallback
-  // materialization) — deep-copying the full weight set once per batch
-  // bucket would only add transient memory spikes.
+  // Constants are shared, views included: a bucket's compile shares them
+  // in turn, and copies only views (which Session's source graph never
+  // holds), so no bucket copies a weight.
   Graph Copy = clone(/*WithConstData=*/false);
   Copy.ConstData = ConstData;
   for (auto &[Id, T] : Copy.Tensors)
@@ -808,7 +836,7 @@ Graph Graph::clone(bool WithConstData) const {
   }
   if (WithConstData)
     for (const auto &[Id, Data] : ConstData)
-      Copy.ConstData[Id] = Data.clone();
+      Copy.ConstData[Id] = Data.isView() ? Data.clone() : Data;
   return Copy;
 }
 

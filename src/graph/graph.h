@@ -129,8 +129,20 @@ public:
     Finalized = false;
   }
 
-  /// Attaches compile-time data to a constant tensor.
+  /// Attaches compile-time data to a constant tensor. An owned payload
+  /// that another TensorData still shares is copied first, so nothing the
+  /// caller kept can write into what the graph (and every partition
+  /// compiled from it) reads. A view is attached as is: the caller keeps
+  /// its memory alive and unchanged until the graph is compiled, which
+  /// copies views.
   void setConstantData(int64_t TensorId, runtime::TensorData Data);
+
+  /// Attaches \p From's payload of \p FromId to \p TensorId, sharing its
+  /// storage (a view stays a view of the same memory). The compiler's
+  /// graph-to-graph path: unlike setConstantData it never copies. Returns
+  /// false, attaching nothing, when \p From holds no payload for \p FromId.
+  bool shareConstantData(int64_t TensorId, const Graph &From,
+                         int64_t FromId);
 
   //===--------------------------------------------------------------------===//
   // Deserialization (persistent artifact cache)
@@ -184,19 +196,26 @@ public:
   /// True when \p TensorId is listed as a graph input.
   bool isInput(int64_t TensorId) const;
 
-  /// Constant data of \p TensorId, or nullptr.
+  /// Constant data of \p TensorId, or nullptr. The payload may be shared
+  /// with clones and compiled partitions: write only through
+  /// mutableConstantData.
   const runtime::TensorData *constantData(int64_t TensorId) const;
+  /// Writable constant data of \p TensorId, or nullptr. Copies on write: a
+  /// payload shared with another graph is first replaced by a private
+  /// copy, so the write changes this graph only. Take a fresh pointer
+  /// after each clone() or compile; an older one still points into the
+  /// storage the copy shares.
   runtime::TensorData *mutableConstantData(int64_t TensorId);
 
-  /// Discards every constant byte payload (tensors stay marked Constant).
-  /// Used once a partition subgraph has compiled: the compiled partition
-  /// owns its own copy, so retaining another here would double weight
-  /// memory.
-  void dropConstantData();
+  /// Discards the constant byte payloads of every tensor not in \p Keep,
+  /// and all of those of FusedOp subgraphs (tensors stay marked
+  /// Constant). Session drops a compiled partition subgraph's payloads,
+  /// and a folded partition those no execution reads.
+  void dropConstantData(const std::unordered_set<int64_t> &Keep = {});
 
-  /// Deep-copies every constant payload into owned storage. Used on
-  /// fallback partition subgraphs whose constants were attached as
-  /// non-owning views of a source graph that may not outlive them.
+  /// Deep-copies every view payload into owned storage; shared owned
+  /// payloads stay shared. Used on fallback partition subgraphs, whose
+  /// views of the caller's memory may not outlive them.
   void materializeConstantData();
 
   //===--------------------------------------------------------------------===//
@@ -252,10 +271,10 @@ public:
   bool hasDynamicDims() const;
 
   /// Deep copy with every LogicalTensor::kDynamicDim leading dimension
-  /// replaced by \p Batch (> 0). Constant payloads are shared with this
-  /// graph. The returned graph is fully static and compiles through the
-  /// normal pipeline; Session uses it to build per-bucket specializations
-  /// of a polymorphic graph.
+  /// replaced by \p Batch (> 0). Every constant payload, views included,
+  /// is shared with this graph. The returned graph is fully static and
+  /// compiles through the normal pipeline; Session uses it to build
+  /// per-bucket specializations of a polymorphic graph.
   Graph specializeBatch(int64_t Batch) const;
 
   /// Marks graph construction complete: runs validate() and freezes the
@@ -276,10 +295,12 @@ public:
   /// computation collide. Used as the compiled-partition cache key.
   uint64_t fingerprint() const;
 
-  /// Deep copy, preserving ids. Pass false to skip copying constant byte
-  /// payloads (the Partitioner re-attaches data only for the tensors that
-  /// survive subgraph extraction, avoiding O(partitions x weight-bytes)
-  /// transient copies).
+  /// Deep copy of the structure, preserving ids. Owned constant payloads
+  /// are shared, not copied (the graph co-owns them; a write through
+  /// either graph's mutableConstantData copies first). Views are copied,
+  /// because the graph does not own their memory. Pass false to attach no
+  /// payload at all (the Partitioner shares only those of the tensors
+  /// that survive subgraph extraction).
   Graph clone(bool WithConstData = true) const;
 
   /// Multi-line textual dump.

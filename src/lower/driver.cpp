@@ -44,13 +44,9 @@ Expected<LoweredProgram> lowerGraph(const Graph &G,
   Prog.FoldOutputs.assign(FoldOutSet.begin(), FoldOutSet.end());
   std::sort(Prog.FoldOutputs.begin(), Prog.FoldOutputs.end());
 
-  // Fold graph: clone, strip main-side ops, re-point outputs. Constants
-  // share G's storage (a TensorData copy shares its owning buffer), so no
-  // weight is copied here.
-  Prog.FoldGraph = G.clone(/*WithConstData=*/false);
-  for (int64_t Id : G.tensorIds())
-    if (const runtime::TensorData *Data = G.constantData(Id))
-      Prog.FoldGraph.setConstantData(Id, *Data);
+  // Fold graph: clone, strip main-side ops, re-point outputs. The clone
+  // shares G's constant payloads, so no weight is copied here.
+  Prog.FoldGraph = G.clone();
   for (int64_t OpId : Prog.FoldGraph.opIds())
     if (!FoldOps.count(OpId))
       Prog.FoldGraph.eraseOp(OpId);

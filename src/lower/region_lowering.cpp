@@ -325,10 +325,9 @@ private:
                        "%lld x %lld output",
                        (long long)FO.id(), shapeToString(T.Shape).c_str(),
                        (long long)MDim, (long long)FullN));
-    // Resolve storage: cloned subgraph constants are baked; external
-    // inputs use the outer buffer.
-    E.BufferId = Data ? bakeConst("cst", Data->clone())
-                      : outerBufferFor(SubTensor);
+    // Resolve storage: subgraph constants are baked (sharing the graph's
+    // payload); external inputs use the outer buffer.
+    E.BufferId = Data ? bakeConst("cst", *Data) : outerBufferFor(SubTensor);
     return E;
   }
 

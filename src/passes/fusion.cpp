@@ -219,7 +219,7 @@ private:
         ProducedInside.insert(Out);
 
     std::vector<int64_t> ExternalInputs; // variable tensors from outside
-    std::vector<int64_t> ConstInputs;    // constants cloned into subgraph
+    std::vector<int64_t> ConstInputs;    // constants shared into subgraph
     std::vector<int64_t> RegionOutputs;  // consumed outside or graph outputs
     // Matmul operands always stay external: layout propagation rewires
     // the weight side to a prepack reorder in the outer graph, and the
@@ -233,13 +233,13 @@ private:
       for (int64_t In : G.op(OpId).inputs()) {
         if (ProducedInside.count(In))
           continue;
-        // Small non-operand constants (scalars, bias/scale vectors) are
-        // cloned into the region; everything else stays an external input.
+        // Small non-operand constants (scalars, bias/scale vectors) move
+        // into the region; everything else stays an external input.
         const LogicalTensor &T = G.tensor(In);
-        const bool CloneConst = T.isConstant() &&
-                                T.numElements() <= 4096 &&
-                                !ForceExternal.count(In);
-        auto &List = CloneConst ? ConstInputs : ExternalInputs;
+        const bool ConstInside = T.isConstant() &&
+                                 T.numElements() <= 4096 &&
+                                 !ForceExternal.count(In);
+        auto &List = ConstInside ? ConstInputs : ExternalInputs;
         if (std::find(List.begin(), List.end(), In) == List.end())
           List.push_back(In);
       }
@@ -272,9 +272,7 @@ private:
       Sub->markInput(importTensor(In));
     for (int64_t CIn : ConstInputs) {
       const int64_t NewId = importTensor(CIn);
-      if (const runtime::TensorData *Data = G.constantData(CIn))
-        Sub->setConstantData(NewId, Data->clone());
-      else
+      if (!Sub->shareConstantData(NewId, G, CIn))
         Sub->tensor(NewId).Property = TensorProperty::Constant;
     }
     // Ops in topological order within the region.

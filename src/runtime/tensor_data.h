@@ -53,6 +53,12 @@ public:
 
   bool valid() const { return Ptr != nullptr; }
 
+  /// True for a view(): the storage belongs to someone else.
+  bool isView() const { return Ptr && !Owned; }
+  /// True when another TensorData shares this one's owned storage (a copy
+  /// of a TensorData shares its buffer; clone() does not).
+  bool isShared() const { return Owned && Owned.use_count() > 1; }
+
   /// Fills with deterministic uniform noise appropriate for the dtype
   /// (f32 in [-1,1), u8 in [0,255], s8 in [-128,127], s32 in [-4,4]).
   void fillRandom(Rng &Generator);

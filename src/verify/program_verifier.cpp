@@ -38,8 +38,9 @@
 ///
 /// The walk keeps one abstract frame. A serial loop, a guarded region or
 /// a parallel body is walked in the caller's frame: only the registers
-/// the region writes are saved first, then widened, box-joined with the
-/// saved values or restored afterwards. A region therefore costs its
+/// the region writes are saved first, then widened, and box-joined with
+/// the saved values afterwards wherever the executor may skip the region
+/// or run it on a frame copy. A region therefore costs its
 /// instruction count plus its written registers, never the whole frame,
 /// and a program verifies in time linear in its size times its loop
 /// nesting depth. A deep MLP's merged parallel nest holds hundreds of
@@ -73,8 +74,10 @@ using RegState = std::vector<SymVal>;
 
 class ProgramVerifier {
 public:
-  ProgramVerifier(const Program &P, const char *Context)
-      : P(P), Context(Context) {}
+  /// \p Loaded: the program comes from outside this process, so an access
+  /// the engine cannot bound is rejected instead of counted and accepted.
+  ProgramVerifier(const Program &P, const char *Context, bool Loaded)
+      : P(P), Context(Context), Loaded(Loaded) {}
 
   Status run() {
     if (Status S = checkStructure(); !S.isOk())
@@ -89,6 +92,7 @@ public:
 private:
   const Program &P;
   const char *Context;
+  const bool Loaded;
   SymCtx Ctx;
   /// Non-null while walking a parallel body: every footprint the body
   /// touches is appended for the race proof.
@@ -297,16 +301,27 @@ private:
                                 (long long)Step.Lo, (long long)Step.Hi));
   }
 
+  /// True when verdict \p V admits the access.
+  bool admits(Bounds V) const {
+    return V == Bounds::In || (V == Bounds::Undecided && !Loaded);
+  }
+
+  /// How a rejected access relates to its buffer, for the error message.
+  static const char *rejection(Bounds V) {
+    return V == Bounds::Out ? "is outside" : "cannot be bounded within";
+  }
+
   Status checkOffset(size_t Pc, uint16_t BufferId, const SymVal &Off,
                      const char *What) {
     const int64_t Elems = bufferElems(BufferId);
     const Interval R = Ctx.range(Off);
-    if (reachInBounds(R, Elems))
+    const Bounds V = reachBounds(R, Elems);
+    if (admits(V))
       return Status::ok();
-    return err(Pc, formatString("%s offset range [%lld, %lld] is outside "
-                                "buffer %u's %lld elements",
+    return err(Pc, formatString("%s offset range [%lld, %lld] %s buffer %u's "
+                                "%lld elements",
                                 What, (long long)R.Lo, (long long)R.Hi,
-                                BufferId, (long long)Elems));
+                                rejection(V), BufferId, (long long)Elems));
   }
 
   /// Keeps \p F for the race proof while a parallel body is walked. A
@@ -373,11 +388,13 @@ private:
       for (Footprint &F : callFootprints(Ctx, K)) {
         F.Site = formatString("instr %zu (%s)", Pc, F.Site.c_str());
         Interval Reach;
-        if (!footprintInBounds(Ctx, F, bufferElems(F.Buffer), Reach))
-          return err(Pc, formatString("%s: footprint [%lld, %lld] is "
-                                      "outside buffer %d's %lld elements",
+        const Bounds V = footprintBounds(Ctx, F, bufferElems(F.Buffer), Reach);
+        if (!admits(V))
+          return err(Pc, formatString("%s: footprint [%lld, %lld] %s buffer "
+                                      "%d's %lld elements",
                                       F.Site.c_str(), (long long)Reach.Lo,
-                                      (long long)Reach.Hi, F.Buffer,
+                                      (long long)Reach.Hi, rejection(V),
+                                      F.Buffer,
                                       (long long)bufferElems(F.Buffer)));
         record(std::move(F));
       }
@@ -526,6 +543,12 @@ private:
     if (BeginI.boundedBelow() && EndI.boundedAbove() && VarRange.empty())
       return Status::ok();
 
+    // A loop that may run no trip skips its entry block too, so after the
+    // loop the entry block's writes may still hold their pre-guard values.
+    const bool MayRunNoTrip = Ctx.ub(Ctx.sub(BeginV, EndV)) >= 0;
+    const std::vector<uint16_t> EntryWrites = writtenRegs(Guard + 1, Top);
+    const RegState PreGuard = save(EntryWrites, R);
+
     // Entry block: runs with var == begin (and var < end, or it would
     // have been skipped).
     R[G.A] = BeginV.withBox(BeginI.meet(Interval{Interval::kMin, VarRange.Hi}));
@@ -593,14 +616,18 @@ private:
     for (uint16_t W : BodyWrites)
       R[W] = SymVal::top();
     R[G.A] = SymVal::top();
+    if (MayRunNoTrip)
+      joinSaved(EntryWrites, PreGuard, R);
     return Status::ok();
   }
 
-  /// ParallelFor at \p Pc: workers run the body over a frame copy; the
-  /// submitting frame is unchanged by the body. The body is walked in
-  /// \p R with the registers it writes widened, and those are restored
-  /// afterwards. The body walk also collects one abstract iteration's
-  /// footprints and hands them to the static race checker.
+  /// ParallelFor at \p Pc: a multi-worker pool runs the body over frame
+  /// copies, leaving the submitting frame unchanged, but a one-worker pool
+  /// runs it on the submitting frame, which keeps the last iteration's
+  /// writes. The body is walked in \p R with the registers it writes
+  /// widened, and those are box-joined with their pre-nest values
+  /// afterwards, covering both. The body walk also collects one abstract
+  /// iteration's footprints and hands them to the static race checker.
   Status walkParallel(size_t Pc, size_t End, RegState &R) {
     const ParDesc &D = P.Pars[static_cast<size_t>(P.Code[Pc].Target)];
     const size_t BodyBegin = Pc + 1;
@@ -647,8 +674,7 @@ private:
     Collect = SavedCollect;
     if (!WalkS.isOk())
       return WalkS;
-    for (size_t I = 0; I < Written.size(); ++I)
-      R[Written[I]] = Submitting[I];
+    joinSaved(Written, Submitting, R);
 
     ParallelRaceQuery Q;
     Q.Var = Watermark; // the loop symbol is the first past the watermark
@@ -665,22 +691,23 @@ private:
 } // namespace
 
 Status verifyProgram(const Program &P, const char *Context) {
-  return ProgramVerifier(P, Context).run();
+  return ProgramVerifier(P, Context, /*Loaded=*/false).run();
 }
 
 Status verifyLoadedProgram(const Program &P, const char *Context) {
   // Deliberately ignores verifyLevel(): a Program deserialized from the
   // persistent artifact cache is untrusted input headed for the unchecked
   // dispatch loop, so the full verification — symbolic bounds and the
-  // static race proof — runs even when GC_VERIFY=off. Kernel calls must
-  // additionally have been relinked.
+  // static race proof — runs even when GC_VERIFY=off, and an access it
+  // cannot bound is rejected. Kernel calls must additionally have been
+  // relinked.
   for (size_t I = 0; I < P.Calls.size(); ++I)
     if (!P.Calls[I].Fn)
       return Status::error(
           StatusCode::InvalidArgument,
           formatString("%s: call %zu has no relinked kernel pointer",
                        Context, I));
-  return ProgramVerifier(P, Context).run();
+  return ProgramVerifier(P, Context, /*Loaded=*/true).run();
 }
 
 } // namespace verify

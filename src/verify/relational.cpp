@@ -180,30 +180,31 @@ std::vector<Footprint> callFootprints(SymCtx &Ctx, const KernelCall &C) {
   return Out;
 }
 
-bool reachInBounds(const Interval &Reach, int64_t Elems) {
+Bounds reachBounds(const Interval &Reach, int64_t Elems) {
   if (!Reach.bounded()) {
     noteBoundsUndecided(); // cannot decide: never a false positive
-    return true;
+    return Bounds::Undecided;
   }
   if (Reach.Lo < 0 || Reach.Hi >= Elems)
-    return false;
+    return Bounds::Out;
   noteBoundsProved();
-  return true;
+  return Bounds::In;
 }
 
-bool footprintInBounds(SymCtx &Ctx, const Footprint &F, int64_t Elems,
+Bounds footprintBounds(SymCtx &Ctx, const Footprint &F, int64_t Elems,
                        Interval &Reach) {
   const SymVal MinusOne = SymVal::constant(-1);
   switch (F.Sh) {
   case Footprint::Shape::Whole:
-    if (F.Undecided)
-      noteBoundsUndecided();
-    return true;
+    if (!F.Undecided)
+      return Bounds::In;
+    noteBoundsUndecided();
+    return Bounds::Undecided;
   case Footprint::Shape::Flat:
     if (Ctx.ub(F.Len) <= 0)
       break;
     Reach = {Ctx.lb(F.Off), Ctx.ub(Ctx.add(F.Off, Ctx.add(F.Len, MinusOne)))};
-    return reachInBounds(Reach, Elems);
+    return reachBounds(Reach, Elems);
   case Footprint::Shape::Tile: {
     if (Ctx.ub(F.Rows) <= 0 || Ctx.ub(F.Cols) <= 0)
       break;
@@ -215,11 +216,11 @@ bool footprintInBounds(SymCtx &Ctx, const Footprint &F, int64_t Elems,
              Ctx.ub(Ctx.add(
                  F.Off, Ctx.add(Ctx.scale(RowsM1, std::max<int64_t>(F.Ld, 0)),
                                 Ctx.add(F.Cols, MinusOne))))};
-    return reachInBounds(Reach, Elems);
+    return reachBounds(Reach, Elems);
   }
   }
   noteBoundsProved(); // touches no element
-  return true;
+  return Bounds::In;
 }
 
 namespace {

@@ -80,14 +80,20 @@ struct KernelCall {
 /// ("brgemm_f32 arg C", "epilogue_tile slot 2").
 std::vector<Footprint> callFootprints(SymCtx &Ctx, const KernelCall &C);
 
-/// Bounds verdict for an access reaching elements [Reach.Lo, Reach.Hi] of
-/// a buffer of \p Elems elements, counted in verifyStats(): false only
-/// when it provably reaches outside; an unbounded side is undecided.
-bool reachInBounds(const Interval &Reach, int64_t Elems);
+/// A bounds verdict. Undecided means the engine could not bound the
+/// reach: this process's own pipeline accepts it (counted), a loaded
+/// program is rejected for it.
+enum class Bounds { In, Out, Undecided };
 
-/// reachInBounds for one kernel-call footprint; \p Reach receives the
-/// range it reaches. A Whole footprint is in bounds by construction.
-bool footprintInBounds(SymCtx &Ctx, const Footprint &F, int64_t Elems,
+/// Bounds verdict for an access reaching elements [Reach.Lo, Reach.Hi] of
+/// a buffer of \p Elems elements, counted in verifyStats(): Out only
+/// when it provably reaches outside; an unbounded side is Undecided.
+Bounds reachBounds(const Interval &Reach, int64_t Elems);
+
+/// reachBounds for one kernel-call footprint; \p Reach receives the
+/// range it reaches. A Whole footprint is In by construction, unless its
+/// tile could not be described (Footprint::Undecided).
+Bounds footprintBounds(SymCtx &Ctx, const Footprint &F, int64_t Elems,
                        Interval &Reach);
 
 /// Counters behind the zero-conservative-skip acceptance test. Proved =

@@ -232,7 +232,7 @@ private:
     for (const Footprint &FP : callFootprints(Ctx, K)) {
       const BufferDecl &B = F.buffer(FP.Buffer);
       Interval Reach;
-      if (!footprintInBounds(Ctx, FP, B.numElements(), Reach))
+      if (footprintBounds(Ctx, FP, B.numElements(), Reach) == Bounds::Out)
         return escapes(B, Reach, Where, FP.Site);
     }
     return Status::ok();

@@ -105,7 +105,8 @@ Status verifyProgram(const exec::Program &P, const char *Context = "");
 /// check, run UNCONDITIONALLY (GC_VERIFY is a trust dial for this
 /// process's own pipeline; a Program deserialized from disk is untrusted
 /// input and always earns the proof before reaching the unchecked
-/// dispatch loop).
+/// dispatch loop). Stricter than verifyProgram: an access whose reach
+/// the engine cannot bound is rejected, not counted as undecided.
 Status verifyLoadedProgram(const exec::Program &P, const char *Context = "");
 
 /// The memory-plan facts the alias checker consumes, decoupled from

@@ -595,6 +595,93 @@ TEST(VerifyLoadedProgram, RacingArtifactRejectedEvenAtOff) {
   setVerifyLevel(Prev);
 }
 
+/// for (r0 = r1; r0 < r2; r0 += r3) { r4 = r5 / r0; buf[r4] = src[0]; }
+/// with r0 in [1, 3] and r5 = 4000: r4 reaches 4000, but the engine
+/// cannot bound a quotient by a non-constant divisor.
+exec::Program unboundedReachProgram() {
+  using exec::Instr;
+  using exec::Opcode;
+  exec::Program P;
+  P.Name = "ur";
+  P.NumRegs = 6;
+  P.InitRegs = {0, 1, 4, 1, 0, 4000};
+  addBuffers(P, 8);
+  const int32_t Call = addCopyCall(P, /*OffsetReg=*/4);
+  P.Code = {Instr{Opcode::Mov, 0, 1, 0, 0, 0},
+            Instr{Opcode::JumpIfGeI, 0, 2, 0, 4, 0},
+            Instr{Opcode::DivI, 4, 5, 0, 0, 0},
+            Instr{Opcode::CallKernel, 0, 0, 0, Call, 0},
+            Instr{Opcode::LoopNext, 0, 3, 2, -2, 0}};
+  return P;
+}
+
+TEST(VerifyLoadedProgram, UnboundedReachRejected) {
+  // The pipeline's own programs may count an undecided reach; a loaded
+  // program reaches the unchecked dispatch loop, so it may not.
+  const exec::Program P = unboundedReachProgram();
+  resetVerifyStats();
+  const Status Own = verifyProgram(P);
+  EXPECT_TRUE(Own.isOk()) << Own.toString();
+  EXPECT_GT(verifyStats().BoundsUndecided, 0u);
+  expectRejected(verifyLoadedProgram(P, "cache load"), StatusCode::Internal,
+                 {"instr 3", "cannot be bounded within buffer 0's 8"});
+}
+
+TEST(VerifyLoadedProgram, ParallelBodyWritesReachPastTheNest) {
+  // parallel_for r0 in [r1, r2) { r4 = r5; } buf[r4] = src[0], r5 = 1000:
+  // a one-worker pool runs the body on the submitting frame, so r4 holds
+  // 1000 after the nest (a multi-worker pool leaves it 0).
+  using exec::Instr;
+  using exec::Opcode;
+  exec::Program P;
+  P.Name = "pw";
+  P.NumRegs = 6;
+  P.InitRegs = {0, 0, 4, 1, 0, 1000};
+  addBuffers(P, 8);
+  exec::ParDesc D;
+  D.VarReg = 0;
+  D.BeginReg = 1;
+  D.EndReg = 2;
+  D.StepReg = 3;
+  D.BodyLen = 1;
+  P.Pars.push_back(D);
+  const int32_t Call = addCopyCall(P, /*OffsetReg=*/4);
+  P.Code = {Instr{Opcode::ParallelFor, 0, 0, 0, 0, 0},
+            Instr{Opcode::Mov, 4, 5, 0, 0, 0},
+            Instr{Opcode::CallKernel, 0, 0, 0, Call, 0}};
+  expectRejected(verifyLoadedProgram(P, "cache load"), StatusCode::Internal,
+                 {"instr 2", "[0, 1000] is outside buffer 0's 8"});
+}
+
+TEST(VerifyLoadedProgram, SkippedEntryBlockKeepsPreGuardValues) {
+  // for (r0 = r1; r0 < r2; r0 += r3) {
+  //   for (r6 = r5; r6 < r0; r6 += r3) [entry: r4 = r5] buf[r6] = src[0];
+  //   buf[r4] = src[0];
+  // }
+  // r4 starts at 1000. On the first outer trip the inner loop runs no
+  // trip, and its guard skips the entry block that would reset r4 to 0.
+  using exec::Instr;
+  using exec::Opcode;
+  exec::Program P;
+  P.Name = "eb";
+  P.NumRegs = 7;
+  P.InitRegs = {0, 0, 2, 1, 1000, 0, 0};
+  addBuffers(P, 8);
+  const int32_t Inner = addCopyCall(P, /*OffsetReg=*/6);
+  const int32_t After = addCopyCall(P, /*OffsetReg=*/4);
+  P.Code = {Instr{Opcode::Mov, 0, 1, 0, 0, 0},
+            Instr{Opcode::JumpIfGeI, 0, 2, 0, 8, 0},
+            Instr{Opcode::Mov, 6, 5, 0, 0, 0},
+            Instr{Opcode::JumpIfGeI, 6, 0, 0, 4, 0},
+            Instr{Opcode::Mov, 4, 5, 0, 0, 0},
+            Instr{Opcode::CallKernel, 0, 0, 0, Inner, 0},
+            Instr{Opcode::LoopNext, 6, 3, 0, -1, 0},
+            Instr{Opcode::CallKernel, 0, 0, 0, After, 0},
+            Instr{Opcode::LoopNext, 0, 3, 2, -6, 0}};
+  expectRejected(verifyLoadedProgram(P, "cache load"), StatusCode::Internal,
+                 {"instr 7", "cannot be bounded within buffer 0's 8"});
+}
+
 //===----------------------------------------------------------------------===//
 // Loop steps
 //===----------------------------------------------------------------------===//
